@@ -164,6 +164,19 @@ class Element:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, space, coeffs):
+        """Wrap coefficients the library computed itself, without checks.
+
+        The caller guarantees what __init__ would establish: every key is
+        a basis tuple of `space`, every value is a scalar of its field and
+        no value is zero.
+        """
+        elem = cls.__new__(cls)
+        elem.space = space
+        elem.coeffs = coeffs
+        return elem
+
+    @classmethod
     def basis(cls, space, idx):
         return cls(space, {tuple(idx): space.field.one})
 

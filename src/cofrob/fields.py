@@ -1,44 +1,55 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 Every computation in this package is exact; there is no floating point
-anywhere.  Rational scalars are `fractions.Fraction`, prime-field scalars
-are ints reduced mod p.  Field objects bundle the arithmetic so that the
-rest of the code never needs to know which representation is in play.
+anywhere.  Rational scalars are Python ints, or `fractions.Fraction` when
+not integral; prime-field scalars are ints reduced mod p.  Field objects
+bundle the arithmetic so that the rest of the code never needs to know
+which representation is in play.
 """
 
 from fractions import Fraction
 
 
+def _integral(q):
+    """A Fraction with denominator 1 as an int; any other value unchanged."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
 class RationalField:
-    """The field Q; scalars are Fraction instances."""
+    """The field Q; scalars are ints, or Fraction instances when not integral.
+
+    Coefficients of structure maps are almost always +-1, so integers keep
+    the hot paths off Fraction arithmetic. A Fraction appears only when a
+    division or a parsed token is not integral, and every result that is
+    integral again is returned as an int.
+    """
 
     name = "Q"
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return _integral(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _integral(Fraction(x))
         raise ValueError(f"cannot coerce {x!r} into Q")
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _integral(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _integral(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _integral(c)
 
     def neg(self, a):
         return -a
@@ -46,14 +57,14 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return _integral(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, token):
         try:
-            return Fraction(token)
+            return _integral(Fraction(token))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational scalar {token!r}") from exc
 

@@ -59,43 +59,45 @@ def flatten_space(space):
 
 def apply_stage(maps, elem):
     """Apply f_1 (x) ... (x) f_m to an element, with the Koszul sign
-    (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term."""
-    arities = [f.source.arity for f in maps]
-    out_space = TensorSpace(
-        tuple(m for f in maps for m in f.target.modules),
-        field=elem.space.field)
+    (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.
+
+    Every output index concatenates target indices of the maps' validated
+    entries and zero sums are dropped as they arise, so the result is
+    built without re-validation."""
     field = elem.space.field
-    mods = elem.space.modules
+    out_space = TensorSpace(
+        tuple(m for f in maps for m in f.target.modules), field=field)
+    groups = []      # (first factor, end factor, entries) read by each map
+    odd_starts = []  # first factors of the odd-degree maps
+    pos = 0
+    for f in maps:
+        k = f.source.arity
+        groups.append((pos, pos + k, f.entries))
+        if f.degree % 2:
+            odd_starts.append(pos)
+        pos += k
+    degrees = [m.degrees for m in elem.space.modules]
+    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
     out = {}
     for idx, v in elem.coeffs.items():
-        pos = 0
-        sign = 1
-        prefix_deg = 0
-        dead = False
-        partial = [((), field.one)]
-        for f, k in zip(maps, arities):
-            group = idx[pos:pos + k]
-            if f.degree % 2 and prefix_deg % 2:
-                sign = -sign
-            row = f.entries.get(group, {})
-            if not row:
-                dead = True
-                break
-            partial = [(dst_prefix + dst, field.mul(c, w))
-                       for dst_prefix, c in partial
-                       for dst, w in row.items()]
-            prefix_deg += sum(mods[pos + j].degree(idx[pos + j]) for j in range(k))
-            pos += k
-        if dead:
+        rows = [entries.get(idx[a:b]) for a, b, entries in groups]
+        if not all(rows):
             continue
-        coeff = field.mul(v, field.coerce(sign))
+        if odd_starts:
+            degs = list(map(tuple.__getitem__, degrees, idx))
+            if sum(sum(degs[:a]) for a in odd_starts) % 2:
+                v = field.neg(v)
+        partial = [((), v)]
+        for row in rows:
+            partial = [(prefix + dst, mul(c, w))
+                       for prefix, c in partial for dst, w in row.items()]
         for dst, c in partial:
-            s = field.add(out.get(dst, field.zero), field.mul(coeff, c))
-            if field.is_zero(s):
+            s = add(out.get(dst, zero), c)
+            if is_zero(s):
                 out.pop(dst, None)
             else:
                 out[dst] = s
-    return Element(out_space, out)
+    return Element._trusted(out_space, out)
 
 
 def apply_pipeline(stages, elem):

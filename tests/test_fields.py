@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cofrob.fields import QQ, PrimeField, field_from_name, solve_linear, invert_matrix
 
@@ -52,3 +53,65 @@ def test_invert_matrix():
     assert invert_matrix([[1, 2], [2, 4]], QQ) is None
     f5 = PrimeField(5)
     assert invert_matrix([[2]], f5) == [[3]]
+
+
+# Exactness by type: Fraction(9, 2) == 4.5, so a float leak passes every
+# value assert above. These pin the representation itself.
+
+def assert_exact(x):
+    """A Q scalar is an int, or a Fraction that is not integral."""
+    assert type(x) in (int, Fraction), f"{x!r} is a {type(x).__name__}"
+    if type(x) is Fraction:
+        assert x.denominator != 1, f"integral {x!r} kept as a Fraction"
+
+
+def test_rational_constants_are_ints():
+    assert type(QQ.zero) is int and QQ.zero == 0
+    assert type(QQ.one) is int and QQ.one == 1
+
+
+def test_rational_inverse_is_a_fraction_not_a_float():
+    assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert type(QQ.inv(Fraction(1, 4))) is int and QQ.inv(Fraction(1, 4)) == 4
+
+
+def test_rational_results_normalize_to_int():
+    half = QQ.inv(2)
+    assert_exact(half)
+    assert type(QQ.add(half, half)) is int
+    assert type(QQ.mul(half, 2)) is int
+    assert type(QQ.sub(Fraction(3, 2), half)) is int
+    for token in ("4", "-8/2", "7/3", "0"):
+        assert_exact(QQ.parse(token))
+        assert_exact(QQ.coerce(token))
+    for value in (5, Fraction(6, 3), Fraction(2, 3), True):
+        assert_exact(QQ.coerce(value))
+    with pytest.raises(ValueError):
+        QQ.coerce(0.5)
+
+
+def test_solvers_return_no_float():
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    sol = solve_linear(rows, [1, 2, 3], QQ)
+    inv = invert_matrix(rows, QQ)
+    for x in sol + [v for row in inv for v in row]:
+        assert_exact(x)
+    (x,) = solve_linear([[2]], [6], QQ)
+    assert x == 3 and type(x) is int
+
+
+rationals = st.fractions(max_denominator=12).map(QQ.coerce)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals)
+def test_rational_ops_match_fractions(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+             (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
+    if fa != 0:
+        cases.append((QQ.inv(a), 1 / fa))
+    for got, want in cases:
+        assert_exact(got)
+        assert got == want

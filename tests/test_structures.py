@@ -10,8 +10,10 @@ from cofrob import (Element, GradedMap, map_equal, twist,
                     check_biunital_infinitesimal, check_cofrobenius,
                     check_derived_identities, check_involutive, direct_sum,
                     counit_solve, dualize, circle_models, sphere_cohomology,
-                    tensor_maps)
-from cofrob.structures import BialgebraData
+                    tensor_maps, s_operator, manifold_from_cup, torus_cup_data,
+                    s2xs2_cup_data, rabinowitz_loop_sphere)
+from cofrob.structures import BialgebraData, _Ops, _s_terms
+from cofrob.tensor import apply_pipeline
 
 from conftest import all_pass, failing
 
@@ -249,6 +251,26 @@ def test_circle_rabinowitz_is_direct_sum(circle_rab):
 
 
 def test_s_operator_degree(sphere3):
-    from cofrob import s_operator
     s = s_operator(sphere3)
     assert s.degree == sphere3.mu.degree + sphere3.lam.degree
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_cohomology(3),
+    lambda: manifold_from_cup(torus_cup_data()),
+    lambda: manifold_from_cup(s2xs2_cup_data()),
+    lambda: rabinowitz_loop_sphere(3, 4),
+    lambda: circle_models(4),
+], ids=["sphere3", "torus", "s2xs2", "rabinowitz3-4", "circle4"])
+def test_streamed_s_operator_matches_materialized(build):
+    """The anti-symmetry check evaluates S as a signed sum of pipelines; on
+    every basis input of A(x)A that sum equals the materialized s_operator."""
+    data = build()
+    s = s_operator(data)
+    terms = _s_terms(_Ops(data))
+    for idx in data.space2.basis():
+        x = Element.basis(data.space2, idx)
+        streamed = Element(s.target)
+        for sign, stages in terms:
+            streamed = streamed + apply_pipeline(stages, x).scale(sign)
+        assert streamed == s(x), data.space2.labels_of(idx)

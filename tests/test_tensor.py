@@ -264,3 +264,48 @@ def test_shift_dual_interaction(sphere3, which):
         inner = dual_map(data.lam)
         rhs = compose(wv, compose(inner, tensor_maps(sv, sv))).scale(sgn(data.lam.degree))
     assert map_equal(lhs, rhs)
+
+
+def _recorded_stages(monkeypatch, structures):
+    """Every stage the built-in data suites apply, with its source space and
+    the elements the relation pipelines fed it."""
+    from cofrob import tensor
+    from cofrob.suites import DATA_SUITES
+    original = tensor.apply_stage
+    seen = {}
+
+    def record(maps, elem):
+        key = (tuple(map(id, maps)), elem.space)
+        seen.setdefault(key, (maps, elem.space, []))[2].append(elem)
+        return original(maps, elem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "apply_stage", record)
+        for data in structures:
+            for suite in DATA_SUITES.values():
+                suite(data)
+    return list(seen.values())
+
+
+def test_apply_stage_output_passes_full_validation(monkeypatch):
+    """apply_stage skips Element validation; on every basis input of every
+    stage of the built-in relation pipelines, and on the elements those
+    pipelines fed it, its result is exactly what the validating
+    constructor builds and holds no zero coefficient."""
+    from cofrob import (PrimeField, sphere_cohomology, manifold_from_cup,
+                        torus_cup_data)
+    from cofrob.tensor import apply_stage
+    torus = torus_cup_data()
+    torus.field = PrimeField(3)
+    stages = _recorded_stages(monkeypatch, [sphere_cohomology(3),
+                                            manifold_from_cup(torus)])
+    assert len(stages) > 100
+    for maps, source, fed in stages:
+        field = source.field
+        basis = [Element.basis(source, idx) for idx in source.basis()]
+        for x in basis + fed:
+            result = apply_stage(maps, x)
+            assert result == Element(result.space, result.coeffs)
+            assert not any(field.is_zero(v) for v in result.coeffs.values())
+            assert all(type(v) is int or v.denominator != 1
+                       for v in result.coeffs.values())

@@ -302,6 +302,22 @@ class GradedMap:
         self.entries = clean
 
     @classmethod
+    def _trusted(cls, source, target, degree, entries):
+        """Wrap entries the library computed itself, without checks.
+
+        The caller guarantees what __init__ would establish: source and
+        target are over one field, every key is a basis tuple of its space,
+        every entry is homogeneous of degree `degree`, every value is a
+        nonzero scalar of the field and no row is empty.
+        """
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.degree = degree
+        f.entries = entries
+        return f
+
+    @classmethod
     def from_labels(cls, source, target, degree, rows):
         """rows: iterable of (src_labels, [(coeff, dst_labels), ...])."""
         entries = {}
@@ -316,7 +332,8 @@ class GradedMap:
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {idx: {idx: space.field.one} for idx in space.basis()})
+        one = space.field.one
+        return cls._trusted(space, space, 0, {idx: {idx: one} for idx in space.basis()})
 
     @classmethod
     def zero(cls, source, target, degree):
@@ -387,7 +404,10 @@ def apply(f, x):
 
 
 def compose(g, f):
-    """g after f; degree |f|+|g|; no extra sign in direct composition."""
+    """g after f; degree |f|+|g|; no extra sign in direct composition.
+
+    Entries are sums of products of validated entries with zero sums
+    dropped, so the result is built without re-validation."""
     if f.target != g.source:
         raise ValueError("compose: target of inner map differs from source of outer map")
     field = f.source.field
@@ -403,7 +423,7 @@ def compose(g, f):
                     out[dst] = s
         if out:
             entries[src] = out
-    return GradedMap(f.source, g.target, f.degree + g.degree, entries)
+    return GradedMap._trusted(f.source, g.target, f.degree + g.degree, entries)
 
 
 def map_equal(f, g):

@@ -2,14 +2,18 @@
 
 A relation is an equality of two linear maps, each given as a sum of
 signed pipelines (lists of stages; a stage is a list of maps tensored side
-by side).  Both sides are expanded on every basis tuple of the common
-source rather than materialized as composite matrices, which keeps sparse
-intermediates small.
+by side).  Both sides are expanded on basis tuples of the common source
+rather than materialized as composite matrices, which keeps sparse
+intermediates small.  Without a window every basis tuple is evaluated.
+With one, only the window-valid tuples are enumerated and evaluated
+(`WindowSpec.valid_inputs`); the rest are never built and are counted as
+inconclusive.
 
 Verdicts are `pass`, `fail` (always with a witness), `window-inconclusive`
 (no input survived the validity gate), or `skipped` (missing structure).
-Reports are deterministic: inputs are visited in canonical basis order and
-the first mismatch wins.
+Reports are deterministic: inputs are evaluated in canonical basis order
+and the first mismatch wins.  On a fail, the inconclusive count covers
+only the inputs that precede the witness in that order.
 """
 
 from dataclasses import dataclass
@@ -99,18 +103,22 @@ def _restrict(elem, input_labels, window):
     return Element(elem.space, kept), masked
 
 
+def _rank(space, idx):
+    """Position of a basis tuple in `space.basis()` order (mixed radix)."""
+    rank = 0
+    for module, i in zip(space.modules, idx):
+        rank = rank * module.dim + i
+    return rank
+
+
 def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
-    """Compare two signed-pipeline sums on every basis tuple of `source`."""
+    """Compare two signed-pipeline sums on every (window-valid) basis tuple of `source`."""
     field = source.field
     checked = 0
-    inconclusive = 0
     masked_total = 0
-    witness = None
-    for idx in source.basis():
+    inputs = source.basis() if window is None else window.valid_inputs(source)
+    for idx in inputs:
         labels = source.labels_of(idx)
-        if window is not None and not window.input_valid(labels):
-            inconclusive += 1
-            continue
         x = Element.basis(source, idx)
         lhs = _side_eval(lhs_terms, x, field)
         rhs = _side_eval(rhs_terms, x, field)
@@ -128,8 +136,10 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
         checked += 1
         if lhs != rhs:
             witness = Witness(labels, format_element(lhs), format_element(rhs))
+            inconclusive = _rank(source, idx) + 1 - checked
             return CheckReport(name, FAIL, witness, checked, inconclusive,
                                masked_total, note)
+    inconclusive = source.size - checked
     if checked == 0:
         return CheckReport(name, INCONCLUSIVE, None, checked, inconclusive,
                            masked_total, note or "no window-valid inputs")

@@ -63,8 +63,12 @@ def apply_stage(maps, elem):
 
     Every output index concatenates target indices of the maps' validated
     entries and zero sums are dropped as they arise, so the result is
-    built without re-validation."""
+    built without re-validation.  The maps' sources, concatenated, must be
+    the element's factors: a stage that leaves a factor out or reads past
+    the last one raises ValueError."""
     field = elem.space.field
+    if tuple(m for f in maps for m in f.source.modules) != elem.space.modules:
+        raise ValueError("apply_stage: the stage's sources do not match the element's factors")
     out_space = TensorSpace(
         tuple(m for f in maps for m in f.target.modules), field=field)
     groups = []      # (first factor, end factor, entries) read by each map
@@ -108,21 +112,25 @@ def apply_pipeline(stages, elem):
 
 
 def tensor_maps(f, g):
-    """Materialized f (x) g with the sign (-1)^{|g||a|} per basis element a."""
+    """Materialized f (x) g with the sign (-1)^{|g||a|} per basis element a.
+
+    Every value is +-1 times a product of two nonzero validated values, so
+    the result is built without re-validation."""
     source = f.source.concat(g.source)
     target = f.target.concat(g.target)
     field = source.field
+    mul, neg = field.mul, field.neg
     entries = {}
     for sf, rowf in f.entries.items():
-        deg_sf = f.source.degree(sf)
-        sgn = -1 if (g.degree % 2 and deg_sf % 2) else 1
+        negate = g.degree % 2 and f.source.degree(sf) % 2
         for sg, rowg in g.entries.items():
             row = {}
             for df, vf in rowf.items():
                 for dg, vg in rowg.items():
-                    row[df + dg] = field.mul(field.coerce(sgn), field.mul(vf, vg))
+                    v = mul(vf, vg)
+                    row[df + dg] = neg(v) if negate else v
             entries[sf + sg] = row
-    return GradedMap(source, target, f.degree + g.degree, entries)
+    return GradedMap._trusted(source, target, f.degree + g.degree, entries)
 
 
 def tensor_many(maps):
@@ -183,7 +191,8 @@ class Permutation:
 def permute(rho, space):
     """The left action rho(a_1 (x) ... (x) a_n) = eps(rho, a) a_{rho^-1(1)} (x) ...
 
-    eps counts inversions among odd-degree factors only.
+    eps counts inversions among odd-degree factors only.  Every value is
+    +-1, so the map is built without re-validation.
     """
     if rho.n != space.arity:
         raise ValueError(f"permutation arity {rho.n} != tensor arity {space.arity}")
@@ -191,6 +200,8 @@ def permute(rho, space):
     perm0 = [inv.images[k] - 1 for k in range(rho.n)]  # output slot k <- input slot perm0[k]
     target = TensorSpace(tuple(space.modules[p] for p in perm0), field=space.field)
     field = space.field
+    one = field.one
+    minus_one = field.neg(one)
     entries = {}
     for idx in space.basis():
         degs = [space.modules[i].degree(idx[i]) for i in range(rho.n)]
@@ -200,8 +211,8 @@ def permute(rho, space):
                 if perm0[a] > perm0[b] and degs[perm0[a]] % 2 and degs[perm0[b]] % 2:
                     sign = -sign
         dst = tuple(idx[p] for p in perm0)
-        entries[idx] = {dst: field.coerce(sign)}
-    return GradedMap(space, target, 0, entries)
+        entries[idx] = {dst: one if sign == 1 else minus_one}
+    return GradedMap._trusted(space, target, 0, entries)
 
 
 def twist(a, b):

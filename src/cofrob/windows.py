@@ -17,6 +17,14 @@ coordinate's exponents) + drift with |drift| <= slack, so:
 Coordinates that are not reliable are masked from the comparison (counted,
 never silently passed).  Basis labels without a recorded weight have
 weight 0 and are always safe.
+
+`valid_inputs` enumerates the valid basis tuples of a tensor space
+directly, factor by factor, instead of testing every tuple.  A prefix is
+kept only while its sum of positive weights and its sum of negative
+weights (in absolute value) both stay within bound - 1 - slack.  Those two
+sums are the largest subset sums of each sign, and neither can shrink as
+factors are appended, so a prefix that exceeds the limit has no valid
+extension and the pruning drops exactly the invalid tuples.
 """
 
 
@@ -41,6 +49,21 @@ class WindowSpec:
 
     def input_valid(self, labels):
         return self._max_subset_abs(labels) + self.slack <= self.bound - 1
+
+    def valid_inputs(self, space):
+        """The basis tuples of `space` that pass `input_valid`, in basis order."""
+        limit = self.bound - 1 - self.slack
+        if limit < 0:
+            return []
+        prefixes = [((), 0, 0)]  # (index tuple, positive sum, -negative sum)
+        for module in space.modules:
+            steps = [((i,), max(w, 0), max(-w, 0))
+                     for i, w in enumerate(map(self.weight, module.labels))]
+            prefixes = [(idx + step, hi + dhi, lo + dlo)
+                        for idx, hi, lo in prefixes
+                        for step, dhi, dlo in steps
+                        if hi + dhi <= limit and lo + dlo <= limit]
+        return [idx for idx, _, _ in prefixes]
 
     def coordinate_reliable(self, input_labels, coord_labels):
         return (self._max_subset_abs(input_labels)

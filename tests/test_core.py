@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cofrob import (make_module, TensorSpace, Element, GradedMap, apply, compose,
@@ -135,3 +137,77 @@ def test_scalar_space_basis():
     sp = scalar_space()
     assert list(sp.basis()) == [()]
     assert sp.degree(()) == 0
+
+
+def _library_built_maps(monkeypatch, builders):
+    """Every map compose, permute, twist, GradedMap.identity and tensor_maps
+    returned while building each structure and running every data suite on it."""
+    from cofrob import tensor
+    from cofrob.suites import DATA_SUITES
+    built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": []}
+
+    def recording(fn, name):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built[name].append(out)
+            return out
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps):
+            wrapper = recording(fn, fn.__name__)
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("cofrob"):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            patch.setattr(module, attr, wrapper)
+        patch.setattr(GradedMap, "identity",
+                      classmethod(recording(GradedMap.identity.__func__, "identity")))
+        for build in builders:
+            data = build()
+            for suite in DATA_SUITES.values():
+                suite(data)
+    return built
+
+
+def test_library_built_maps_pass_full_validation(monkeypatch):
+    """compose, permute, twist, GradedMap.identity and tensor_maps skip the
+    validating constructor; every map they build for the models and the
+    data suites is exactly what it builds, with no zero value and no empty
+    row. F2 matters because -1 is 1 there."""
+    from cofrob import (PrimeField, QQ, sphere_cup_data, torus_cup_data,
+                        s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere)
+
+    def manifold(cup_data, field):
+        def build():
+            cup = cup_data()
+            cup.field = field
+            return manifold_from_cup(cup)
+        return build
+
+    builders = [manifold(cup, field)
+                for cup in (lambda: sphere_cup_data(3), torus_cup_data, s2xs2_cup_data)
+                for field in (QQ, PrimeField(2), PrimeField(3))]
+    builders.append(lambda: rabinowitz_loop_sphere(3, 4))
+    built = _library_built_maps(monkeypatch, builders)
+    for name, maps in built.items():
+        assert maps, f"{name} was never called"
+        for out in maps:
+            field = out.source.field
+            assert out == GradedMap(out.source, out.target, out.degree, out.entries)
+            assert all(out.entries.values()), f"{name} left an empty row"
+            assert not any(field.is_zero(v) for row in out.entries.values()
+                           for v in row.values()), f"{name} kept a zero value"
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_compose_drops_cancelled_sums(p):
+    """mu after w -> 1(x)w - w(x)1 cancels on H*(S^2), over Q and over F2
+    (where -1 is 1): the composite has no zero value and no empty row."""
+    from cofrob import PrimeField, QQ, sphere_cup_data, manifold_from_cup
+    cup = sphere_cup_data(2)
+    cup.field = PrimeField(p) if p else QQ
+    data = manifold_from_cup(cup)
+    f = GradedMap.from_labels(data.space, data.space2, 0,
+                              [(("w",), [(1, ("1", "w")), (-1, ("w", "1"))])])
+    assert compose(data.mu, f).entries == {}

@@ -309,3 +309,17 @@ def test_apply_stage_output_passes_full_validation(monkeypatch):
             assert not any(field.is_zero(v) for v in result.coeffs.values())
             assert all(type(v) is int or v.denominator != 1
                        for v in result.coeffs.values())
+
+
+def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):
+    """A stage must read exactly the element's factors: id_A on A (x) A
+    would drop a factor, and mu on A would read past the last one."""
+    from cofrob.tensor import apply_stage
+    ident = GradedMap.identity(sphere2.space)
+    one_w = Element.from_labels(sphere2.space2, [(1, ("1", "w"))])
+    with pytest.raises(ValueError, match="apply_stage"):
+        apply_stage([ident], one_w)
+    with pytest.raises(ValueError, match="apply_stage"):
+        apply_stage([sphere2.mu], Element.from_labels(sphere2.space, [(1, ("w",))]))
+    assert apply_stage([ident, ident], one_w) == one_w
+    assert apply_stage([sphere2.mu], one_w) == Element.from_labels(sphere2.space, [(1, ("w",))])

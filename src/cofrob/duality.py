@@ -27,9 +27,9 @@ from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
                      DUAL_SUFFIX)
-from .reports import (CheckReport, check_relation, check_elements_equal,
-                      PASS, FAIL)
-from .structures import BialgebraData, check_cofrobenius, sgn
+from .reports import check_relation, check_elements_equal, prefixed, PASS, FAIL
+from .structures import (BialgebraData, _Ops, _commutativity, _cocommutativity,
+                         check_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -250,21 +250,16 @@ def check_poincare_duality(data):
         raise ValueError(f"poincare duality needs a biunital coFrobenius input; "
                          f"fails {bad.name}")
     target = poincare_dual_structure(data)
-    out = []
-    out.extend(CheckReport("dual-" + r.name, r.verdict, r.witness, r.checked,
-                           r.inconclusive, r.masked_coords, r.note)
-               for r in check_cofrobenius(target, "biunital"))
+    out = prefixed("dual-", check_cofrobenius(target, "biunital"))
     handle_p = pairing_handle(data)
     handle_c = copairing_handle(data)
     window = merge_windows(data.window, target.window)
     out.extend(check_intertwines_product(handle_p.vec_p, data, target, window))
     out.extend(check_intertwines_coproduct(handle_p.vec_p, data, target, window))
-    out.extend(CheckReport("inverse-" + r.name, r.verdict, r.witness, r.checked,
-                           r.inconclusive, r.masked_coords, r.note)
-               for r in check_intertwines_product(handle_c.vec_c, target, data, window))
-    out.extend(CheckReport("inverse-" + r.name, r.verdict, r.witness, r.checked,
-                           r.inconclusive, r.masked_coords, r.note)
-               for r in check_intertwines_coproduct(handle_c.vec_c, target, data, window))
+    out.extend(prefixed("inverse-", check_intertwines_product(handle_c.vec_c, target,
+                                                              data, window)))
+    out.extend(prefixed("inverse-", check_intertwines_coproduct(handle_c.vec_c, target,
+                                                                data, window)))
     out.extend(check_perfect(handle_p, handle_c, data.window))
     return out
 
@@ -368,38 +363,34 @@ def cyclic_triple_checks(data):
     """beta = (1(x)mu(x)1)(c(x)c) is cyclically symmetric; B = (p(x)p)(1(x)lam(x)1)
     satisfies B sigma = B; plus the (co)commutative tau_12 refinements."""
     from .tensor import permute, Permutation
-    from .structures import check_product_laws, check_coproduct_laws
-    o_m, o_l = data.mu.degree, data.lam.degree
+    o = _Ops(data)
     w = data.window
-    a = data.module
     space3 = data.space3
-    idm = GradedMap.identity(data.space)
+    idm = o.id
     out = []
     sigma = permute(Permutation.cycle(3, [1, 2, 3]), space3)
     tau12 = permute(Permutation.transposition(3, 1, 2), space3)
     if data.eta is not None:
-        c_map = data.copairing_map()
+        c_map = o.c_map
         scal = scalar_space(data.field)
         out.append(check_relation(
             "beta-cyclic", scal,
             [(1, [[c_map, c_map], [idm, data.mu, idm], [sigma]])],
             [(1, [[c_map, c_map], [idm, data.mu, idm]])], w))
-        cocomm = check_coproduct_laws(data)[1]  # cocommutativity
-        if cocomm.verdict == PASS:
+        if _cocommutativity(data, o).verdict == PASS:
             out.append(check_relation(
                 "beta-tau12", scal,
                 [(1, [[c_map, c_map], [idm, data.mu, idm], [tau12]])],
-                [(sgn(o_l), [[c_map, c_map], [idm, data.mu, idm]])], w))
+                [(sgn(o.l), [[c_map, c_map], [idm, data.mu, idm]])], w))
     if data.eps is not None:
-        p_map = data.pairing()
+        p_map = o.p_map
         out.append(check_relation(
             "B-cyclic", space3,
             [(1, [[sigma], [idm, data.lam, idm], [p_map, p_map]])],
             [(1, [[idm, data.lam, idm], [p_map, p_map]])], w))
-        comm = check_product_laws(data)[1]
-        if comm.verdict == PASS:
+        if _commutativity(data, o).verdict == PASS:
             out.append(check_relation(
                 "B-tau12", space3,
                 [(1, [[tau12], [idm, data.lam, idm], [p_map, p_map]])],
-                [(sgn(o_m), [[idm, data.lam, idm], [p_map, p_map]])], w))
+                [(sgn(o.m), [[idm, data.lam, idm], [p_map, p_map]])], w))
     return out

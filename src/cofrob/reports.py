@@ -2,24 +2,26 @@
 
 A relation is an equality of two linear maps, each given as a sum of
 signed pipelines (lists of stages; a stage is a list of maps tensored side
-by side).  Both sides are expanded on basis tuples of the common source
-rather than materialized as composite matrices, which keeps sparse
-intermediates small.  Without a window every basis tuple is evaluated.
-With one, only the window-valid tuples are enumerated and evaluated
-(`WindowSpec.valid_inputs`); the rest are never built and are counted as
-inconclusive.
+by side).  `check_relation` compiles each stage of each term once into a
+`StagePlan` and then expands both sides on basis tuples of the common
+source rather than materializing composite matrices, which keeps sparse
+intermediates small.  The plans live only for that one call.  Without a
+window every basis tuple is evaluated.  With one, only the window-valid
+tuples are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest
+are never built and are counted as inconclusive.
 
 Verdicts are `pass`, `fail` (always with a witness), `window-inconclusive`
-(no input survived the validity gate), or `skipped` (missing structure).
-Reports are deterministic: inputs are evaluated in canonical basis order
-and the first mismatch wins.  On a fail, the inconclusive count covers
-only the inputs that precede the witness in that order.
+(no input survived the validity gate), or `skipped`: a checker returns one
+skipped report per relation that needs a unit or counit the structure
+lacks.  Reports are deterministic: inputs are evaluated in canonical basis
+order and the first mismatch wins.  On a fail, the inconclusive count
+covers only the inputs that precede the witness in that order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Element, format_element
-from .tensor import apply_pipeline
+from .tensor import StagePlan
 
 PASS = "pass"
 FAIL = "fail"
@@ -71,23 +73,54 @@ def skipped(name, note):
     return CheckReport(name, SKIPPED, note=note)
 
 
+def prefixed(prefix, reports):
+    """The reports with `prefix` put before each relation name."""
+    return [replace(r, name=prefix + r.name) for r in reports]
+
+
 def suite_passes(reports):
     """Window-inconclusive and skipped relations do not fail a suite."""
     return not any(r.verdict == FAIL for r in reports)
 
 
-def _side_eval(terms, x, field):
-    """terms: list of (sign:int, stages). Returns the summed Element.
+def _compile_side(terms, source):
+    """Compile one side of a relation: (sign, plans) per signed term, and
+    the space the side lands in (None for the zero map, an empty side).
 
-    An empty terms list denotes the zero map; None is returned and the
-    caller compares against zero.
-    """
-    total = None
+    Terms of one side that land in different spaces cannot be added and
+    raise ValueError."""
+    field = source.field
+    compiled = []
+    space = None
     for sign, stages in terms:
-        val = apply_pipeline(stages, x)
-        if sign != 1:
-            val = val.scale(sign)
-        total = val if total is None else total + val
+        plans = []
+        term_space = source
+        for maps in stages:
+            plans.append(StagePlan(maps, term_space))
+            term_space = plans[-1].space
+        if space is not None and term_space != space:
+            raise ValueError("cannot add elements of different spaces")
+        space = term_space
+        compiled.append((field.coerce(sign), plans))
+    return compiled, space
+
+
+def _evaluate(compiled, idx, field):
+    """The summed value of a compiled side on the basis tuple `idx`: each
+    term is seeded with its sign and its last plan adds into one dict."""
+    total = {}
+    for sign, plans in compiled:
+        if not plans:       # a signed identity term
+            s = field.add(total.get(idx, field.zero), sign)
+            if field.is_zero(s):
+                total.pop(idx, None)
+            else:
+                total[idx] = s
+            continue
+        coeffs = {idx: sign}
+        for plan in plans[:-1]:
+            coeffs = plan.run(coeffs)
+        plans[-1].run(coeffs, total)
     return total
 
 
@@ -100,7 +133,7 @@ def _restrict(elem, input_labels, window):
             kept[idx] = v
         else:
             masked += 1
-    return Element(elem.space, kept), masked
+    return Element._trusted(elem.space, kept), masked
 
 
 def _rank(space, idx):
@@ -112,30 +145,34 @@ def _rank(space, idx):
 
 
 def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
-    """Compare two signed-pipeline sums on every (window-valid) basis tuple of `source`."""
+    """Compare two signed-pipeline sums on every (window-valid) basis tuple of `source`.
+
+    Each stage of each term is compiled once into a `StagePlan`; the plans
+    live only for this call.  An empty side is the zero map."""
     field = source.field
+    lhs_plan, lhs_space = _compile_side(lhs_terms, source)
+    rhs_plan, rhs_space = _compile_side(rhs_terms, source)
+    if lhs_space is None:
+        lhs_space = rhs_space
+    if rhs_space is None:
+        rhs_space = lhs_space
     checked = 0
     masked_total = 0
     inputs = source.basis() if window is None else window.valid_inputs(source)
     for idx in inputs:
-        labels = source.labels_of(idx)
-        x = Element.basis(source, idx)
-        lhs = _side_eval(lhs_terms, x, field)
-        rhs = _side_eval(rhs_terms, x, field)
-        if lhs is None and rhs is None:
-            checked += 1
+        checked += 1
+        if lhs_space is None:       # both sides are the zero map
             continue
-        if lhs is None:
-            lhs = Element(rhs.space)
-        if rhs is None:
-            rhs = Element(lhs.space)
+        lhs = Element._trusted(lhs_space, _evaluate(lhs_plan, idx, field))
+        rhs = Element._trusted(rhs_space, _evaluate(rhs_plan, idx, field))
         if window is not None:
+            labels = source.labels_of(idx)
             lhs, m1 = _restrict(lhs, labels, window)
             rhs, m2 = _restrict(rhs, labels, window)
             masked_total += m1 + m2
-        checked += 1
         if lhs != rhs:
-            witness = Witness(labels, format_element(lhs), format_element(rhs))
+            witness = Witness(source.labels_of(idx), format_element(lhs),
+                              format_element(rhs))
             inconclusive = _rank(source, idx) + 1 - checked
             return CheckReport(name, FAIL, witness, checked, inconclusive,
                                masked_total, note)

@@ -93,7 +93,11 @@ class BialgebraData:
 
 
 class _Ops:
-    """Precomputed building blocks for the relation pipelines."""
+    """Precomputed building blocks for the relation pipelines.
+
+    A checker takes them as `o` from a caller that built them for the same
+    data and builds its own otherwise, so that one suite call builds them
+    once.  They are never cached on the data: they point back to it."""
 
     def __init__(self, data):
         self.data = data
@@ -116,60 +120,72 @@ class _Ops:
             self.p_map = data.pairing()
 
 
+def _associativity(data, o):
+    return check_relation("associativity", data.space3,
+                          [(1, [[o.mu, o.id], [o.mu]])],
+                          [(sgn(o.m), [[o.id, o.mu], [o.mu]])], data.window)
+
+
+def _commutativity(data, o):
+    return check_relation("commutativity", data.space2,
+                          [(1, [[o.tau], [o.mu]])],
+                          [(sgn(o.m), [[o.mu]])], data.window)
+
+
+def _unit(data, o):
+    if data.eta is None:
+        return [skipped("unit", "no unit present")]
+    return [check_relation("unit-left", data.space,
+                           [(sgn(o.m), [[o.eta_map, o.id], [o.mu]])],
+                           [(1, [])], data.window),
+            check_relation("unit-right", data.space,
+                           [(1, [[o.id, o.eta_map], [o.mu]])],
+                           [(1, [])], data.window)]
+
+
+def _coassociativity(data, o):
+    return check_relation("coassociativity", data.space,
+                          [(1, [[o.lam], [o.lam, o.id]])],
+                          [(sgn(o.l), [[o.lam], [o.id, o.lam]])], data.window)
+
+
+def _cocommutativity(data, o):
+    return check_relation("cocommutativity", data.space,
+                          [(1, [[o.lam], [o.tau]])],
+                          [(sgn(o.l), [[o.lam]])], data.window)
+
+
+def _counit(data, o):
+    if data.eps is None:
+        return [skipped("counit", "no counit present")]
+    return [check_relation("counit-left", data.space,
+                           [(1, [[o.lam], [data.eps, o.id]])],
+                           [(1, [])], data.window),
+            check_relation("counit-right", data.space,
+                           [(sgn(o.l), [[o.lam], [o.id, data.eps]])],
+                           [(1, [])], data.window)]
+
+
+def _skip_all(names, note):
+    return [skipped(name, note) for name in names]
+
+
 def check_product_laws(data):
     """Associativity, commutativity, and the unit law (skipped without eta)."""
     o = _Ops(data)
-    w = data.window
-    m = o.m
-    out = [
-        check_relation("associativity", data.space3,
-                       [(1, [[o.mu, o.id], [o.mu]])],
-                       [(sgn(m), [[o.id, o.mu], [o.mu]])], w),
-        check_relation("commutativity", data.space2,
-                       [(1, [[o.tau], [o.mu]])],
-                       [(sgn(m), [[o.mu]])], w),
-    ]
-    if data.eta is None:
-        out.append(skipped("unit", "no unit present"))
-    else:
-        out.append(check_relation("unit-left", data.space,
-                                  [(sgn(m), [[o.eta_map, o.id], [o.mu]])],
-                                  [(1, [])], w))
-        out.append(check_relation("unit-right", data.space,
-                                  [(1, [[o.id, o.eta_map], [o.mu]])],
-                                  [(1, [])], w))
-    return out
+    return [_associativity(data, o), _commutativity(data, o), *_unit(data, o)]
 
 
 def check_coproduct_laws(data):
-    """Coassociativity, cocommutativity, and the counit law."""
+    """Coassociativity, cocommutativity, and the counit law (skipped without eps)."""
     o = _Ops(data)
-    w = data.window
-    l = o.l
-    out = [
-        check_relation("coassociativity", data.space,
-                       [(1, [[o.lam], [o.lam, o.id]])],
-                       [(sgn(l), [[o.lam], [o.id, o.lam]])], w),
-        check_relation("cocommutativity", data.space,
-                       [(1, [[o.lam], [o.tau]])],
-                       [(sgn(l), [[o.lam]])], w),
-    ]
-    if data.eps is None:
-        out.append(skipped("counit", "no counit present"))
-    else:
-        out.append(check_relation("counit-left", data.space,
-                                  [(1, [[o.lam], [data.eps, o.id]])],
-                                  [(1, [])], w))
-        out.append(check_relation("counit-right", data.space,
-                                  [(sgn(l), [[o.lam], [o.id, data.eps]])],
-                                  [(1, [])], w))
-    return out
+    return [_coassociativity(data, o), _cocommutativity(data, o), *_counit(data, o)]
 
 
-def check_unital_infinitesimal(data):
+def check_unital_infinitesimal(data, o=None):
     if data.eta is None:
-        raise ValueError("unital infinitesimal relation needs a unit")
-    o = _Ops(data)
+        return skipped("unital-infinitesimal", "no unit present")
+    o = o or _Ops(data)
     l, m = o.l, o.m
     return check_relation(
         "unital-infinitesimal", data.space2,
@@ -197,11 +213,12 @@ def _s_terms(o):
             (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
 
 
-def check_unital_antisymmetry(data):
+def check_unital_antisymmetry(data, o=None):
     """The six-term relation, its S-operator form, and the eta (x) eta consequence."""
     if data.eta is None:
-        raise ValueError("unital anti-symmetry needs a unit")
-    o = _Ops(data)
+        return _skip_all(("unital-anti-symmetry", "anti-symmetry-S-operator",
+                          "twist-of-lam-eta"), "no unit present")
+    o = o or _Ops(data)
     l, m = o.l, o.m
     w = data.window
     six = check_relation(
@@ -227,25 +244,24 @@ def check_unital_antisymmetry(data):
     return [six, s_form, consequence]
 
 
-def check_counital_infinitesimal(data):
+def check_counital_infinitesimal(data, o=None):
     if data.eps is None:
-        raise ValueError("counital infinitesimal relation needs a counit")
-    o = _Ops(data)
+        return skipped("counital-infinitesimal", "no counit present")
+    o = o or _Ops(data)
     l, m = o.l, o.m
-    rel = check_relation(
+    return check_relation(
         "counital-infinitesimal", data.space2,
         [(1, [[o.mu], [o.lam]])],
         [(sgn(l * m), [[o.lam, o.id], [o.id, o.mu]]),
          (sgn(l * m), [[o.id, o.lam], [o.mu, o.id]]),
          (-sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
         data.window)
-    return rel
 
 
-def check_counital_antisymmetry(data):
+def check_counital_antisymmetry(data, o=None):
     if data.eps is None:
-        raise ValueError("counital anti-symmetry needs a counit")
-    o = _Ops(data)
+        return _skip_all(("counital-anti-symmetry", "eps-mu-twist"), "no counit present")
+    o = o or _Ops(data)
     l, m = o.l, o.m
     w = data.window
     six = check_relation(
@@ -265,29 +281,32 @@ def check_counital_antisymmetry(data):
     return [six, consequence]
 
 
-def check_biunital_infinitesimal(data):
+def check_biunital_infinitesimal(data, o=None):
     """Both infinitesimal relations plus the bridging equalities of the
     biunital definition."""
-    if data.eta is None or data.eps is None:
-        raise ValueError("biunital infinitesimal relation needs unit and counit")
-    o = _Ops(data)
+    o = o or _Ops(data)
     l, m = o.l, o.m
     w = data.window
-    out = [check_unital_infinitesimal(data), check_counital_infinitesimal(data)]
-    out.append(check_relation(
-        "biunital-bridge", data.space2,
-        [(sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
-        [(sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])], w))
-    out.append(check_relation(
-        "biunital-anti-bridge-1", data.space2,
-        [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
-        [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])], w))
-    out.append(check_relation(
-        "biunital-anti-bridge-2", data.space2,
-        [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
-        [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])], w))
-    out.extend(check_unital_antisymmetry(data))
-    out.extend(check_counital_antisymmetry(data))
+    out = [check_unital_infinitesimal(data, o), check_counital_infinitesimal(data, o)]
+    if data.eta is None or data.eps is None:
+        note = "no unit present" if data.eta is None else "no counit present"
+        out.extend(_skip_all(("biunital-bridge", "biunital-anti-bridge-1",
+                              "biunital-anti-bridge-2"), note))
+    else:
+        out.append(check_relation(
+            "biunital-bridge", data.space2,
+            [(sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
+            [(sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])], w))
+        out.append(check_relation(
+            "biunital-anti-bridge-1", data.space2,
+            [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
+            [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])], w))
+        out.append(check_relation(
+            "biunital-anti-bridge-2", data.space2,
+            [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
+            [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])], w))
+    out.extend(check_unital_antisymmetry(data, o))
+    out.extend(check_counital_antisymmetry(data, o))
     return out
 
 
@@ -299,17 +318,19 @@ def pairing(data):
     return data.pairing()
 
 
-def check_copairing_symmetry(data):
-    o = _Ops(data)
+def check_copairing_symmetry(data, o=None):
+    if data.eta is None:
+        return skipped("copairing-symmetry", "no unit present")
+    o = o or _Ops(data)
+    c = data.copairing()
     return check_elements_equal(
-        "copairing-symmetry",
-        o.tau(data.copairing()),
-        data.copairing().scale(sgn(o.l)),
-        data.window)
+        "copairing-symmetry", o.tau(c), c.scale(sgn(o.l)), data.window)
 
 
-def check_pairing_symmetry(data):
-    o = _Ops(data)
+def check_pairing_symmetry(data, o=None):
+    if data.eps is None:
+        return skipped("pairing-symmetry", "no counit present")
+    o = o or _Ops(data)
     return check_relation(
         "pairing-symmetry", data.space2,
         [(1, [[o.tau], [o.p_map]])],
@@ -317,65 +338,55 @@ def check_pairing_symmetry(data):
         data.window)
 
 
-def check_cofrobenius(data, flavor="biunital"):
+def check_cofrobenius(data, flavor="biunital", o=None):
     """The defining relations of the requested coFrobenius flavor.
 
     unital:   lam = (1(x)mu)(c(x)1) = (-1)^m (mu(x)1)(1(x)c), tau c = (-1)^l c
     counital: mu = (-1)^{ml+l}(p(x)1)(1(x)lam) = (-1)^{ml}(1(x)p)(lam(x)1),
               p tau = (-1)^m p
-    plus unit/counit laws and (co)associativity for the flavor.
+    plus unit/counit laws and (co)associativity for the flavor.  Relations
+    that need a missing unit or counit are skipped.
     """
     if flavor not in ("unital", "counital", "biunital"):
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
-    o = _Ops(data)
+    o = o or _Ops(data)
     l, m = o.l, o.m
     w = data.window
-    out = []
-    if flavor in ("unital", "biunital"):
+    unital = flavor in ("unital", "biunital")
+    out = [_associativity(data, o)]
+    if unital:
+        out.extend(_unit(data, o))
+    out.append(_coassociativity(data, o))
+    if unital:
         if data.eta is None:
-            raise ValueError("unital coFrobenius needs a unit")
-        laws = check_product_laws(data)
-        out.extend(r for r in laws
-                   if r.name == "associativity" or r.name.startswith("unit"))
-        out.append(check_relation(
-            "coassociativity", data.space,
-            [(1, [[o.lam], [o.lam, o.id]])],
-            [(sgn(l), [[o.lam], [o.id, o.lam]])], w))
-        out.append(check_relation(
-            "unital-cofrobenius-left", data.space,
-            [(1, [[o.lam]])],
-            [(1, [[o.c_map, o.id], [o.id, o.mu]])], w))
-        out.append(check_relation(
-            "unital-cofrobenius-right", data.space,
-            [(1, [[o.lam]])],
-            [(sgn(m), [[o.id, o.c_map], [o.mu, o.id]])], w))
-        out.append(check_copairing_symmetry(data))
+            out.extend(_skip_all(("unital-cofrobenius-left", "unital-cofrobenius-right"),
+                                 "no unit present"))
+        else:
+            out.append(check_relation(
+                "unital-cofrobenius-left", data.space,
+                [(1, [[o.lam]])],
+                [(1, [[o.c_map, o.id], [o.id, o.mu]])], w))
+            out.append(check_relation(
+                "unital-cofrobenius-right", data.space,
+                [(1, [[o.lam]])],
+                [(sgn(m), [[o.id, o.c_map], [o.mu, o.id]])], w))
+        out.append(check_copairing_symmetry(data, o))
     if flavor in ("counital", "biunital"):
+        out.extend(_counit(data, o))
         if data.eps is None:
-            raise ValueError("counital coFrobenius needs a counit")
-        out.append(check_relation(
-            "associativity", data.space3,
-            [(1, [[o.mu, o.id], [o.mu]])],
-            [(sgn(m), [[o.id, o.mu], [o.mu]])], w))
-        out.extend(r for r in check_coproduct_laws(data)
-                   if r.name.startswith(("coassociativity", "counit")))
-        out.append(check_relation(
-            "counital-cofrobenius-left", data.space2,
-            [(1, [[o.mu]])],
-            [(sgn(m * l + l), [[o.id, o.lam], [o.p_map, o.id]])], w))
-        out.append(check_relation(
-            "counital-cofrobenius-right", data.space2,
-            [(1, [[o.mu]])],
-            [(sgn(m * l), [[o.lam, o.id], [o.id, o.p_map]])], w))
-        out.append(check_pairing_symmetry(data))
-    # drop duplicate relation names while preserving order
-    seen = set()
-    uniq = []
-    for r in out:
-        if r.name not in seen:
-            seen.add(r.name)
-            uniq.append(r)
-    return uniq
+            out.extend(_skip_all(("counital-cofrobenius-left",
+                                  "counital-cofrobenius-right"), "no counit present"))
+        else:
+            out.append(check_relation(
+                "counital-cofrobenius-left", data.space2,
+                [(1, [[o.mu]])],
+                [(sgn(m * l + l), [[o.id, o.lam], [o.p_map, o.id]])], w))
+            out.append(check_relation(
+                "counital-cofrobenius-right", data.space2,
+                [(1, [[o.mu]])],
+                [(sgn(m * l), [[o.lam, o.id], [o.id, o.p_map]])], w))
+        out.append(check_pairing_symmetry(data, o))
+    return out
 
 
 def check_derived_identities(data, flavor="biunital"):
@@ -533,8 +544,7 @@ def counit_solve(data):
     of the restricted system certifies infeasibility of the full one.
     """
     from .fields import solve_linear
-    o = _Ops(data)
-    l = o.l
+    l = data.lam.degree
     field = data.field
     module = data.module
     unknowns = [i for i in range(module.dim) if module.degree(i) == l]

@@ -1,6 +1,7 @@
 """Named check suites, as exposed by the command line."""
 
-from .structures import (BialgebraData, check_product_laws, check_coproduct_laws,
+from .structures import (BialgebraData, _Ops, _associativity, _unit, _coassociativity,
+                         _counit, check_product_laws, check_coproduct_laws,
                          check_unital_infinitesimal, check_unital_antisymmetry,
                          check_counital_infinitesimal, check_counital_antisymmetry,
                          check_biunital_infinitesimal, check_cofrobenius,
@@ -10,21 +11,21 @@ from .tqft import OpenClosedTQFT, run_full_tqft_suite, check_cardy
 
 
 def _unital_infinitesimal_suite(data):
-    laws = check_product_laws(data) + check_coproduct_laws(data)
-    keep = [r for r in laws if not r.name.startswith(("commut", "cocommut", "counit"))]
-    return keep + [check_unital_infinitesimal(data)] + check_unital_antisymmetry(data)
+    o = _Ops(data)
+    return [_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
+            check_unital_infinitesimal(data, o), *check_unital_antisymmetry(data, o)]
 
 
 def _counital_infinitesimal_suite(data):
-    laws = check_product_laws(data) + check_coproduct_laws(data)
-    keep = [r for r in laws if not r.name.startswith(("commut", "cocommut", "unit"))]
-    return keep + [check_counital_infinitesimal(data)] + check_counital_antisymmetry(data)
+    o = _Ops(data)
+    return [_associativity(data, o), _coassociativity(data, o), *_counit(data, o),
+            check_counital_infinitesimal(data, o), *check_counital_antisymmetry(data, o)]
 
 
 def _biunital_infinitesimal_suite(data):
-    laws = check_product_laws(data) + check_coproduct_laws(data)
-    keep = [r for r in laws if not r.name.startswith(("commut", "cocommut"))]
-    return keep + check_biunital_infinitesimal(data)
+    o = _Ops(data)
+    return [_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
+            *_counit(data, o), *check_biunital_infinitesimal(data, o)]
 
 
 def _derived_suite(data):

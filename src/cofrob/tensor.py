@@ -57,51 +57,73 @@ def flatten_space(space):
     return flat, to_flat, from_flat
 
 
-def apply_stage(maps, elem):
-    """Apply f_1 (x) ... (x) f_m to an element, with the Koszul sign
-    (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.
+class StagePlan:
+    """A stage f_1 (x) ... (x) f_m compiled for one source space.
 
-    Every output index concatenates target indices of the maps' validated
-    entries and zero sums are dropped as they arise, so the result is
-    built without re-validation.  The maps' sources, concatenated, must be
-    the element's factors: a stage that leaves a factor out or reads past
+    Applies the stage with the Koszul sign
+    (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.  The
+    output space, the factor range each map reads, the starts of the
+    odd-degree maps and the factor degrees are worked out once here, so
+    `run` only multiplies and adds.  The maps' sources, concatenated, must
+    be the source's factors: a stage that leaves a factor out or reads past
     the last one raises ValueError."""
-    field = elem.space.field
-    if tuple(m for f in maps for m in f.source.modules) != elem.space.modules:
-        raise ValueError("apply_stage: the stage's sources do not match the element's factors")
-    out_space = TensorSpace(
-        tuple(m for f in maps for m in f.target.modules), field=field)
-    groups = []      # (first factor, end factor, entries) read by each map
-    odd_starts = []  # first factors of the odd-degree maps
-    pos = 0
-    for f in maps:
-        k = f.source.arity
-        groups.append((pos, pos + k, f.entries))
-        if f.degree % 2:
-            odd_starts.append(pos)
-        pos += k
-    degrees = [m.degrees for m in elem.space.modules]
-    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
-    out = {}
-    for idx, v in elem.coeffs.items():
-        rows = [entries.get(idx[a:b]) for a, b, entries in groups]
-        if not all(rows):
-            continue
-        if odd_starts:
-            degs = list(map(tuple.__getitem__, degrees, idx))
-            if sum(sum(degs[:a]) for a in odd_starts) % 2:
-                v = field.neg(v)
-        partial = [((), v)]
-        for row in rows:
-            partial = [(prefix + dst, mul(c, w))
-                       for prefix, c in partial for dst, w in row.items()]
-        for dst, c in partial:
-            s = add(out.get(dst, zero), c)
-            if is_zero(s):
-                out.pop(dst, None)
-            else:
-                out[dst] = s
-    return Element._trusted(out_space, out)
+
+    __slots__ = ("source", "space", "groups", "odd_starts", "degrees")
+
+    def __init__(self, maps, source):
+        if tuple(m for f in maps for m in f.source.modules) != source.modules:
+            raise ValueError("apply_stage: the stage's sources do not match the element's factors")
+        self.source = source
+        self.space = TensorSpace(
+            tuple(m for f in maps for m in f.target.modules), field=source.field)
+        self.groups = []      # (first factor, end factor, entries) read by each map
+        self.odd_starts = []  # first factors of the odd-degree maps
+        pos = 0
+        for f in maps:
+            k = f.source.arity
+            self.groups.append((pos, pos + k, f.entries))
+            if f.degree % 2:
+                self.odd_starts.append(pos)
+            pos += k
+        self.degrees = [m.degrees for m in source.modules]
+
+    def run(self, coeffs, out=None):
+        """The stage applied to a coefficient dict of the source space.
+
+        Every output index concatenates target indices of the maps'
+        validated entries and zero sums are dropped as they arise, so the
+        result needs no re-validation.  Results are added into `out` when
+        it is given (a dict of the output space) and returned."""
+        field = self.space.field
+        groups, odd_starts, degrees = self.groups, self.odd_starts, self.degrees
+        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+        if out is None:
+            out = {}
+        for idx, v in coeffs.items():
+            rows = [entries.get(idx[a:b]) for a, b, entries in groups]
+            if not all(rows):
+                continue
+            if odd_starts:
+                degs = list(map(tuple.__getitem__, degrees, idx))
+                if sum(sum(degs[:a]) for a in odd_starts) % 2:
+                    v = field.neg(v)
+            partial = [((), v)]
+            for row in rows:
+                partial = [(prefix + dst, mul(c, w))
+                           for prefix, c in partial for dst, w in row.items()]
+            for dst, c in partial:
+                s = add(out.get(dst, zero), c)
+                if is_zero(s):
+                    out.pop(dst, None)
+                else:
+                    out[dst] = s
+        return out
+
+
+def apply_stage(maps, elem):
+    """Apply f_1 (x) ... (x) f_m to an element (see `StagePlan`)."""
+    plan = StagePlan(maps, elem.space)
+    return Element._trusted(plan.space, plan.run(elem.coeffs))
 
 
 def apply_pipeline(stages, elem):

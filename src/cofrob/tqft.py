@@ -26,8 +26,8 @@ mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta) hold.
 
 from .core import TensorSpace, GradedMap, scalar_space
 from .tensor import twist
-from .reports import CheckReport, check_relation, PASS, FAIL
-from .structures import check_cofrobenius, check_product_laws, check_coproduct_laws, sgn
+from .reports import CheckReport, check_relation, prefixed, PASS, FAIL
+from .structures import _Ops, _commutativity, _cocommutativity, check_cofrobenius, sgn
 from .windows import merge_windows
 from .fields import solve_linear
 
@@ -57,12 +57,6 @@ class OpenClosedTQFT:
     def __repr__(self):
         return (f"OpenClosedTQFT(closed={self.closed.module.name or '?'}, "
                 f"open={self.open.module.name or '?'})")
-
-
-def _prefixed(prefix, reports):
-    return [CheckReport(prefix + r.name, r.verdict, r.witness, r.checked,
-                        r.inconclusive, r.masked_coords, r.note)
-            for r in reports]
 
 
 def check_zipper_algebra_map(t):
@@ -122,9 +116,10 @@ def check_cardy(t):
     return rep
 
 
-def check_rel5_pairing_form(t):
+def check_rel5_pairing_form(t, rel5=None):
     """p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|} p_A(zeta (x) 1), and the
-    equivalence with relation (5) as verdict agreement."""
+    equivalence with relation (5) as verdict agreement; `rel5` is the
+    report of relation (5) when the caller already has it."""
     c, a = t.closed, t.open
     idc = GradedMap.identity(c.space)
     ida = GradedMap.identity(a.space)
@@ -134,7 +129,7 @@ def check_rel5_pairing_form(t):
         [(1, [[idc, t.cozipper], [c.pairing()]])],
         [(sgn(a.lam.degree + c.lam.degree), [[t.zipper, ida], [a.pairing()]])],
         t.window)
-    rel5 = check_rel5(t)
+    rel5 = rel5 or check_rel5(t)
     agree = (rel5.verdict == pairing_form.verdict
              or {rel5.verdict, pairing_form.verdict} <= {PASS, "window-inconclusive"})
     equivalence = CheckReport(
@@ -182,16 +177,17 @@ def check_module_relations(t):
 def run_full_tqft_suite(t):
     """Relations (1)-(6) in order, plus the derived lemma checks; nothing
     short-circuits."""
-    out = []
-    out.extend(_prefixed("closed-", check_cofrobenius(t.closed, "biunital")))
-    out.extend(_prefixed("closed-", [check_product_laws(t.closed)[1]]))
-    out.extend(_prefixed("closed-", [check_coproduct_laws(t.closed)[1]]))
-    out.extend(_prefixed("open-", check_cofrobenius(t.open, "biunital")))
+    o = _Ops(t.closed)
+    out = prefixed("closed-", [*check_cofrobenius(t.closed, "biunital", o),
+                               _commutativity(t.closed, o),
+                               _cocommutativity(t.closed, o)])
+    out.extend(prefixed("open-", check_cofrobenius(t.open, "biunital")))
     out.extend(check_zipper_algebra_map(t))
     out.append(check_zipper_central(t))
-    out.append(check_rel5(t))
+    rel5 = check_rel5(t)
+    out.append(rel5)
     out.append(check_cardy(t))
-    out.extend(check_rel5_pairing_form(t))
+    out.extend(check_rel5_pairing_form(t, rel5))
     out.extend(check_cozipper_coalgebra(t))
     out.extend(check_module_relations(t))
     return out

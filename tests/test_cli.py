@@ -171,3 +171,16 @@ def test_window_inconclusive_does_not_fail(tmp_path):
     code, out, _ = run_cli("check", "--suite", "biunital-cofrobenius", path)
     assert code == 0
     assert "inconclusive=" in out
+
+
+def test_missing_unit_is_skipped_not_refused(tmp_path):
+    from cofrob import docio, sphere_cohomology
+    path = tmp_path / "counit_only.cofrob"
+    data = sphere_cohomology(3).replace(eta=None)
+    path.write_text(docio.render(docio.from_bialgebra(data)), encoding="utf-8")
+    code, out, _ = run_cli("check", "--suite", "unital-infinitesimal", str(path))
+    assert code == 0
+    assert "relation unital-infinitesimal: SKIPPED" in out
+    assert "relation unital-anti-symmetry: SKIPPED" in out
+    assert "[no unit present]" in out
+    assert out.strip().endswith("suite unital-infinitesimal: PASS")

@@ -274,3 +274,80 @@ def test_streamed_s_operator_matches_materialized(build):
         for sign, stages in terms:
             streamed = streamed + apply_pipeline(stages, x).scale(sign)
         assert streamed == s(x), data.space2.labels_of(idx)
+
+
+def _relation_key(args):
+    """A check_relation call: its name, source and both sides, with maps
+    compared by value, so that an operator context built twice for one
+    structure still gives the same key."""
+    name, source, lhs, rhs = args[:4]
+
+    def side(terms):
+        return tuple((sign, tuple(map(tuple, stages))) for sign, stages in terms)
+
+    return name, source, side(lhs), side(rhs)
+
+
+def _evaluations(monkeypatch, run):
+    """The key of every relation that `run()` evaluates, in order."""
+    import sys
+    from cofrob.reports import check_relation
+    keys = []
+
+    def counting(*args, **kwargs):
+        keys.append(_relation_key(args))
+        return check_relation(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for modname, module in list(sys.modules.items()):
+            if (modname.startswith("cofrob.")
+                    and getattr(module, "check_relation", None) is check_relation):
+                patch.setattr(module, "check_relation", counting)
+        run()
+    return keys
+
+
+def test_each_relation_evaluated_once(monkeypatch, sphere3, torus, equator):
+    """No suite call evaluates a relation of one structure twice.  The
+    refusal precheck of poincare-duality evaluates the structure's own
+    relations, while the suite reports those of its dual, so it repeats
+    nothing either."""
+    from collections import Counter
+    from cofrob.suites import DATA_SUITES, run_suite
+    runs = [(name, sphere3) for name in DATA_SUITES]
+    runs += [("tqft-full", equator), ("cyclic", torus)]
+    for suite, obj in runs:
+        keys = _evaluations(monkeypatch, lambda: run_suite(suite, obj))
+        assert keys, suite
+        repeated = sorted(key[0] for key, n in Counter(keys).items() if n > 1)
+        assert not repeated, (suite, repeated)
+
+
+def _collapsed(names, law):
+    """`names` with `law`-left and `law`-right folded into one `law`."""
+    out = []
+    for name in names:
+        if name in (f"{law}-left", f"{law}-right"):
+            if law in out:
+                continue
+            name = law
+        out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("missing", ["eta", "eps"])
+def test_missing_unit_or_counit_is_skipped(sphere3, missing):
+    """A checker skips each relation that needs a missing unit or counit,
+    one report per relation, and still checks every other relation."""
+    from cofrob.suites import DATA_SUITES
+    data = sphere3.replace(**{missing: None})
+    law, note = (("unit", "no unit present") if missing == "eta"
+                 else ("counit", "no counit present"))
+    for suite in ("unital-infinitesimal", "counital-infinitesimal",
+                  "biunital-infinitesimal", "unital-cofrobenius",
+                  "counital-cofrobenius", "biunital-cofrobenius"):
+        reports = DATA_SUITES[suite](data)
+        full = [r.name for r in DATA_SUITES[suite](sphere3)]
+        assert [r.name for r in reports] == _collapsed(full, law), suite
+        for r in reports:
+            assert r.verdict == "pass" or (r.verdict == "skipped" and r.note == note)

@@ -266,21 +266,20 @@ def test_shift_dual_interaction(sphere3, which):
     assert map_equal(lhs, rhs)
 
 
-def _recorded_stages(monkeypatch, structures):
-    """Every stage the built-in data suites apply, with its source space and
-    the elements the relation pipelines fed it."""
-    from cofrob import tensor
+def _recorded_plans(monkeypatch, structures):
+    """Every stage plan the built-in data suites compile, with the
+    coefficient dicts the relation pipelines ran it on."""
+    from cofrob.tensor import StagePlan
     from cofrob.suites import DATA_SUITES
-    original = tensor.apply_stage
+    original = StagePlan.run
     seen = {}
 
-    def record(maps, elem):
-        key = (tuple(map(id, maps)), elem.space)
-        seen.setdefault(key, (maps, elem.space, []))[2].append(elem)
-        return original(maps, elem)
+    def record(plan, coeffs, out=None):
+        seen.setdefault(id(plan), (plan, []))[1].append(dict(coeffs))
+        return original(plan, coeffs, out)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tensor, "apply_stage", record)
+        patch.setattr(StagePlan, "run", record)
         for data in structures:
             for suite in DATA_SUITES.values():
                 suite(data)
@@ -288,27 +287,27 @@ def _recorded_stages(monkeypatch, structures):
 
 
 def test_apply_stage_output_passes_full_validation(monkeypatch):
-    """apply_stage skips Element validation; on every basis input of every
-    stage of the built-in relation pipelines, and on the elements those
-    pipelines fed it, its result is exactly what the validating
+    """The stage kernel (`StagePlan.run`, behind `apply_stage`) skips
+    Element validation; on every basis input of every plan the built-in
+    relation pipelines compile, and on the coefficient dicts those
+    pipelines ran it on, its result is exactly what the validating
     constructor builds and holds no zero coefficient."""
     from cofrob import (PrimeField, sphere_cohomology, manifold_from_cup,
                         torus_cup_data)
-    from cofrob.tensor import apply_stage
     torus = torus_cup_data()
     torus.field = PrimeField(3)
-    stages = _recorded_stages(monkeypatch, [sphere_cohomology(3),
-                                            manifold_from_cup(torus)])
-    assert len(stages) > 100
-    for maps, source, fed in stages:
-        field = source.field
-        basis = [Element.basis(source, idx) for idx in source.basis()]
-        for x in basis + fed:
-            result = apply_stage(maps, x)
-            assert result == Element(result.space, result.coeffs)
-            assert not any(field.is_zero(v) for v in result.coeffs.values())
+    plans = _recorded_plans(monkeypatch, [sphere_cohomology(3),
+                                          manifold_from_cup(torus)])
+    assert len(plans) > 100
+    for plan, fed in plans:
+        field = plan.source.field
+        basis = [{idx: field.one} for idx in plan.source.basis()]
+        for coeffs in basis + fed:
+            result = plan.run(coeffs)
+            assert result == Element(plan.space, result).coeffs
+            assert not any(field.is_zero(v) for v in result.values())
             assert all(type(v) is int or v.denominator != 1
-                       for v in result.coeffs.values())
+                       for v in result.values())
 
 
 def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):

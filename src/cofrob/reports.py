@@ -5,7 +5,12 @@ signed pipelines (lists of stages; a stage is a list of maps tensored side
 by side).  `check_relation` compiles each stage of each term once into a
 `StagePlan` and then expands both sides on basis tuples of the common
 source rather than materializing composite matrices, which keeps sparse
-intermediates small.  The plans live only for that one call.  Without a
+intermediates small.  Each plan is linked to the next plan of its term,
+its consumer (`StagePlan.feed`), so a stage never builds a product term
+the next stage would skip for lack of a row: pairings such as
+(1(x)p(x)1)(lam(x)lam) discard most terms of lam(x) (x) lam(y).  Only such
+terms are dropped, so every sum, verdict and witness is what the unlinked
+plans give.  The plans live only for that one call.  Without a
 window every basis tuple is evaluated.  With one, only the window-valid
 tuples are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest
 are never built and are counted as inconclusive.
@@ -96,8 +101,11 @@ def _compile_side(terms, source):
         plans = []
         term_space = source
         for maps in stages:
-            plans.append(StagePlan(maps, term_space))
-            term_space = plans[-1].space
+            plan = StagePlan(maps, term_space)
+            if plans:
+                plans[-1].feed(plan)
+            plans.append(plan)
+            term_space = plan.space
         if space is not None and term_space != space:
             raise ValueError("cannot add elements of different spaces")
         space = term_space

@@ -111,13 +111,29 @@ class _Ops:
             self.tl = compose(self.tau, data.lam)
         if data.mu is not None:
             self.mt = compose(data.mu, self.tau)
+        self.lh = self.c_map = self.eta_map = self.lam_eta = self.c = None
+        self.pm = self.p_map = None
         if data.eta is not None and data.mu is not None and data.lam is not None:
-            self.lh = data.lam_eta_map()
-            self.c_map = data.copairing_map()
+            # lam(eta) is computed once, from validated maps; eta_map's own
+            # check guards the degree of eta.
             self.eta_map = data.eta_map()
+            self.lh = compose(data.lam, self.eta_map)
+            self.c_map = _signed(sgn(self.l * self.m + self.m), self.lh)
+            self.lam_eta = Element._trusted(data.space2, self.lh.entries.get((), {}))
+            self.c = Element._trusted(data.space2, self.c_map.entries.get((), {}))
         if data.eps is not None and data.mu is not None:
             self.pm = data.eps_mu()
-            self.p_map = data.pairing()
+            self.p_map = _signed(sgn(self.l), self.pm)
+
+
+def _signed(sign, f):
+    """+-f, built without re-validation: negating a nonzero value keeps it nonzero."""
+    if sign == 1:
+        return f
+    neg = f.source.field.neg
+    return GradedMap._trusted(f.source, f.target, f.degree,
+                              {s: {d: neg(v) for d, v in row.items()}
+                               for s, row in f.entries.items()})
 
 
 def _associativity(data, o):
@@ -238,8 +254,8 @@ def check_unital_antisymmetry(data, o=None):
         w)
     consequence = check_elements_equal(
         "twist-of-lam-eta",
-        o.tau(data.lam_eta()),
-        data.lam_eta().scale(sgn(l)),
+        o.tau(o.lam_eta),
+        o.lam_eta.scale(sgn(l)),
         w)
     return [six, s_form, consequence]
 
@@ -322,9 +338,8 @@ def check_copairing_symmetry(data, o=None):
     if data.eta is None:
         return skipped("copairing-symmetry", "no unit present")
     o = o or _Ops(data)
-    c = data.copairing()
     return check_elements_equal(
-        "copairing-symmetry", o.tau(c), c.scale(sgn(o.l)), data.window)
+        "copairing-symmetry", o.tau(o.c), o.c.scale(sgn(o.l)), data.window)
 
 
 def check_pairing_symmetry(data, o=None):
@@ -390,72 +405,69 @@ def check_cofrobenius(data, flavor="biunital", o=None):
 
 
 def check_derived_identities(data, flavor="biunital"):
-    """The derived identities of the coFrobenius propositions."""
+    """The derived identities of the coFrobenius propositions.  Relations
+    that need a missing unit or counit are skipped."""
     o = _Ops(data)
     l, m = o.l, o.m
     w = data.window
-    out = []
     scal = scalar_space(data.field)
+    no_unit = "no unit present" if data.eta is None else None
+    no_counit = "no counit present" if data.eps is None else None
+    out = []
+
+    def relation(name, missing, source, lhs, rhs):
+        if missing:
+            out.append(skipped(name, missing))
+        else:
+            out.append(check_relation(name, source, lhs, rhs, w))
+
     if flavor in ("unital", "biunital"):
-        out.append(check_relation(
-            "derived-c-c-triple", scal,
-            [(1, [[o.c_map, o.c_map], [o.id, o.mu, o.id]])],
-            [(1, [[o.c_map], [o.lam, o.id]])], w))
-        out.append(check_relation(
-            "derived-lam-c-symmetric", scal,
-            [(1, [[o.c_map], [o.lam, o.id]])],
-            [(sgn(l), [[o.c_map], [o.id, o.lam]])], w))
-        out.append(check_relation(
-            "derived-four-way-a", data.space2,
-            [(1, [[o.lam, o.id], [o.id, o.mu]])],
-            [(1, [[o.id, o.lam], [o.mu, o.id]])], w))
-        out.append(check_relation(
-            "derived-four-way-b", data.space2,
-            [(1, [[o.id, o.lam], [o.mu, o.id]])],
-            [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])], w))
-        out.append(check_relation(
-            "derived-four-way-c", data.space2,
-            [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])],
-            [(sgn(l * m), [[o.mu], [o.lam]])], w))
+        relation("derived-c-c-triple", no_unit, scal,
+                 [(1, [[o.c_map, o.c_map], [o.id, o.mu, o.id]])],
+                 [(1, [[o.c_map], [o.lam, o.id]])])
+        relation("derived-lam-c-symmetric", no_unit, scal,
+                 [(1, [[o.c_map], [o.lam, o.id]])],
+                 [(sgn(l), [[o.c_map], [o.id, o.lam]])])
+        relation("derived-four-way-a", None, data.space2,
+                 [(1, [[o.lam, o.id], [o.id, o.mu]])],
+                 [(1, [[o.id, o.lam], [o.mu, o.id]])])
+        relation("derived-four-way-b", no_unit, data.space2,
+                 [(1, [[o.id, o.lam], [o.mu, o.id]])],
+                 [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])])
+        relation("derived-four-way-c", no_unit, data.space2,
+                 [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])],
+                 [(sgn(l * m), [[o.mu], [o.lam]])])
     if flavor in ("counital", "biunital"):
-        p_deg = data.eps.degree + m
-        out.append(check_relation(
-            "derived-p-p-triple", data.space3,
-            [(sgn(p_deg * m), [[o.id, o.lam, o.id], [o.p_map, o.p_map]])],
-            [(1, [[o.mu, o.id], [o.p_map]])], w))
-        out.append(check_relation(
-            "derived-p-mu-symmetric", data.space3,
-            [(1, [[o.mu, o.id], [o.p_map]])],
-            [(sgn(m), [[o.id, o.mu], [o.p_map]])], w))
-        out.append(check_relation(
-            "derived-lam-lam-p", data.space2,
-            [(1, [[o.lam, o.lam], [o.id, o.p_map, o.id]])],
-            [(1, [[o.mu], [o.lam]])], w))
+        p_deg = o.p_map.degree if o.p_map is not None else 0
+        relation("derived-p-p-triple", no_counit, data.space3,
+                 [(sgn(p_deg * m), [[o.id, o.lam, o.id], [o.p_map, o.p_map]])],
+                 [(1, [[o.mu, o.id], [o.p_map]])])
+        relation("derived-p-mu-symmetric", no_counit, data.space3,
+                 [(1, [[o.mu, o.id], [o.p_map]])],
+                 [(sgn(m), [[o.id, o.mu], [o.p_map]])])
+        relation("derived-lam-lam-p", no_counit, data.space2,
+                 [(1, [[o.lam, o.lam], [o.id, o.p_map, o.id]])],
+                 [(1, [[o.mu], [o.lam]])])
     if flavor == "biunital":
-        out.append(check_relation(
-            "derived-eps-from-p-eta", data.space,
-            [(sgn(l), [[data.eps]])],
-            [(1, [[o.id, o.eta_map], [o.p_map]])], w))
-        out.append(check_relation(
-            "derived-p-eta-sides", data.space,
-            [(1, [[o.id, o.eta_map], [o.p_map]])],
-            [(sgn(m), [[o.eta_map, o.id], [o.p_map]])], w))
-        out.append(check_relation(
-            "derived-eta-from-eps-c", scal,
-            [(sgn(l * m + m), [[o.eta_map]])],
-            [(1, [[o.c_map], [data.eps, o.id]])], w))
-        out.append(check_relation(
-            "derived-eps-c-sides", scal,
-            [(1, [[o.c_map], [data.eps, o.id]])],
-            [(sgn(l), [[o.c_map], [o.id, data.eps]])], w))
-        out.append(check_relation(
-            "derived-p-c-left-inverse", data.space,
-            [(1, [[o.c_map, o.id], [o.id, o.p_map]])],
-            [(1, [])], w))
-        out.append(check_relation(
-            "derived-p-c-right-inverse", data.space,
-            [(sgn(l + m), [[o.id, o.c_map], [o.p_map, o.id]])],
-            [(1, [])], w))
+        missing = no_unit or no_counit
+        relation("derived-eps-from-p-eta", missing, data.space,
+                 [(sgn(l), [[data.eps]])],
+                 [(1, [[o.id, o.eta_map], [o.p_map]])])
+        relation("derived-p-eta-sides", missing, data.space,
+                 [(1, [[o.id, o.eta_map], [o.p_map]])],
+                 [(sgn(m), [[o.eta_map, o.id], [o.p_map]])])
+        relation("derived-eta-from-eps-c", missing, scal,
+                 [(sgn(l * m + m), [[o.eta_map]])],
+                 [(1, [[o.c_map], [data.eps, o.id]])])
+        relation("derived-eps-c-sides", missing, scal,
+                 [(1, [[o.c_map], [data.eps, o.id]])],
+                 [(sgn(l), [[o.c_map], [o.id, data.eps]])])
+        relation("derived-p-c-left-inverse", missing, data.space,
+                 [(1, [[o.c_map, o.id], [o.id, o.p_map]])],
+                 [(1, [])])
+        relation("derived-p-c-right-inverse", missing, data.space,
+                 [(sgn(l + m), [[o.id, o.c_map], [o.p_map, o.id]])],
+                 [(1, [])])
     return out
 
 
@@ -468,7 +480,7 @@ def check_involutive(data):
                           [(1, [[o.lam], [o.mu]])], [], w)]
     if data.eta is not None:
         out.append(check_elements_equal(
-            "involutive-mu-c", data.mu(data.copairing()),
+            "involutive-mu-c", data.mu(o.c),
             Element(data.space), w))
     if data.eps is not None:
         out.append(check_relation(

@@ -19,6 +19,10 @@ Sign conventions used throughout:
 
 Duals of maps between tensor powers are routed through iota so that the
 dual of a coproduct is a product on the dual module and vice versa.
+
+Relation pipelines run through `StagePlan`, one compiled stage each; a plan
+linked to the stage that reads its output (its consumer) skips the product
+terms that stage would drop, which leaves the consumer's result unchanged.
 """
 
 from .core import GradedModule, TensorSpace, Element, GradedMap, compose
@@ -66,9 +70,17 @@ class StagePlan:
     odd-degree maps and the factor degrees are worked out once here, so
     `run` only multiplies and adds.  The maps' sources, concatenated, must
     be the source's factors: a stage that leaves a factor out or reads past
-    the last one raises ValueError."""
+    the last one raises ValueError.
 
-    __slots__ = ("source", "space", "groups", "odd_starts", "degrees")
+    A plan may be linked to its consumer, the plan that reads its output
+    (`feed`).  Expanding the product terms map by map, a linked plan then
+    keeps an output key only if each partial consumer map (one with fewer
+    rows than its source has basis tuples) whose input the key completes
+    has a row for it.  The consumer skips every key without a row, its
+    maps are linear and a dropped key is dropped whole, so what the
+    consumer computes is unchanged; only the dead terms are never built."""
+
+    __slots__ = ("source", "space", "maps", "groups", "odd_starts", "degrees", "probes")
 
     def __init__(self, maps, source):
         if tuple(m for f in maps for m in f.source.modules) != source.modules:
@@ -76,6 +88,7 @@ class StagePlan:
         self.source = source
         self.space = TensorSpace(
             tuple(m for f in maps for m in f.target.modules), field=source.field)
+        self.maps = maps
         self.groups = []      # (first factor, end factor, entries) read by each map
         self.odd_starts = []  # first factors of the odd-degree maps
         pos = 0
@@ -86,6 +99,28 @@ class StagePlan:
                 self.odd_starts.append(pos)
             pos += k
         self.degrees = [m.degrees for m in source.modules]
+        self.probes = None    # per map, the consumer groups it completes (see feed)
+
+    def feed(self, consumer):
+        """Link this plan to the plan that reads its output.
+
+        Only the consumer's partial maps, those with fewer rows than their
+        source has basis tuples, are probed: a group (a, b) of one is
+        probed after the map whose output holds factor b - 1, the first
+        map after which key[a:b] is complete.  A plan whose consumer has
+        no partial map keeps the unlinked path."""
+        partial = [g for g, f in zip(consumer.groups, consumer.maps)
+                   if len(f.entries) < f.source.size]
+        if not partial:
+            return
+        probes = []
+        start = 0
+        for f in self.maps:
+            end = start + f.target.arity
+            probes.append([g for g in partial if start < g[1] <= end])
+            start = end
+        if any(probes):
+            self.probes = probes
 
     def run(self, coeffs, out=None):
         """The stage applied to a coefficient dict of the source space.
@@ -96,6 +131,7 @@ class StagePlan:
         it is given (a dict of the output space) and returned."""
         field = self.space.field
         groups, odd_starts, degrees = self.groups, self.odd_starts, self.degrees
+        probes = self.probes
         add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
         if out is None:
             out = {}
@@ -108,9 +144,26 @@ class StagePlan:
                 if sum(sum(degs[:a]) for a in odd_starts) % 2:
                     v = field.neg(v)
             partial = [((), v)]
-            for row in rows:
-                partial = [(prefix + dst, mul(c, w))
-                           for prefix, c in partial for dst, w in row.items()]
+            if probes is None:
+                for row in rows:
+                    partial = [(prefix + dst, mul(c, w))
+                               for prefix, c in partial for dst, w in row.items()]
+            else:
+                for row, checks in zip(rows, probes):
+                    if not checks:
+                        partial = [(prefix + dst, mul(c, w))
+                                   for prefix, c in partial for dst, w in row.items()]
+                        continue
+                    kept = []
+                    for prefix, c in partial:
+                        for dst, w in row.items():
+                            key = prefix + dst
+                            for a, b, entries in checks:
+                                if key[a:b] not in entries:
+                                    break
+                            else:
+                                kept.append((key, mul(c, w)))
+                    partial = kept
             for dst, c in partial:
                 s = add(out.get(dst, zero), c)
                 if is_zero(s):

@@ -184,3 +184,15 @@ def test_missing_unit_is_skipped_not_refused(tmp_path):
     assert "relation unital-anti-symmetry: SKIPPED" in out
     assert "[no unit present]" in out
     assert out.strip().endswith("suite unital-infinitesimal: PASS")
+
+
+def test_derived_identities_without_unit_or_counit_are_skipped(tmp_path):
+    from cofrob import docio, sphere_cohomology
+    path = tmp_path / "bare.cofrob"
+    data = sphere_cohomology(3).replace(eta=None, eps=None)
+    path.write_text(docio.render(docio.from_bialgebra(data)), encoding="utf-8")
+    code, out, err = run_cli("check", "--suite", "derived-identities", str(path))
+    assert code == 0, err
+    for name in ("derived-p-p-triple", "derived-p-mu-symmetric", "derived-lam-lam-p"):
+        assert f"relation {name}: SKIPPED (checked=0, inconclusive=0) [no counit present]" in out
+    assert out.strip().endswith("suite derived-identities: PASS")

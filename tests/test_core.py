@@ -141,10 +141,26 @@ def test_scalar_space_basis():
 
 def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity and tensor_maps
-    returned while building each structure and running every data suite on it."""
+    returned, and every lam(eta), copairing and pairing map an operator
+    context derived, while building each structure and running every data
+    suite on it."""
     from cofrob import tensor
+    from cofrob.structures import _Ops
     from cofrob.suites import DATA_SUITES
-    built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": []}
+    built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": [],
+             "lh": [], "c_map": [], "p_map": []}
+    ops_init = _Ops.__init__
+
+    def recording_ops(o, data):
+        ops_init(o, data)
+        for name in ("lh", "c_map", "p_map"):
+            if getattr(o, name) is not None:
+                built[name].append(getattr(o, name))
+        if o.c_map is not None:
+            assert o.lh == data.lam_eta_map() and o.c_map == data.copairing_map()
+            assert o.lam_eta == data.lam_eta() and o.c == data.copairing()
+        if o.p_map is not None:
+            assert o.p_map == data.pairing()
 
     def recording(fn, name):
         def wrapper(*args, **kwargs):
@@ -163,6 +179,7 @@ def _library_built_maps(monkeypatch, builders):
                             patch.setattr(module, attr, wrapper)
         patch.setattr(GradedMap, "identity",
                       classmethod(recording(GradedMap.identity.__func__, "identity")))
+        patch.setattr(_Ops, "__init__", recording_ops)
         for build in builders:
             data = build()
             for suite in DATA_SUITES.values():
@@ -171,12 +188,15 @@ def _library_built_maps(monkeypatch, builders):
 
 
 def test_library_built_maps_pass_full_validation(monkeypatch):
-    """compose, permute, twist, GradedMap.identity and tensor_maps skip the
+    """compose, permute, twist, GradedMap.identity, tensor_maps and the
+    lam(eta), copairing and pairing maps of the operator context skip the
     validating constructor; every map they build for the models and the
     data suites is exactly what it builds, with no zero value and no empty
-    row. F2 matters because -1 is 1 there."""
+    row, and the context's maps equal what the validating BialgebraData
+    methods build. F2 matters because -1 is 1 there."""
     from cofrob import (PrimeField, QQ, sphere_cup_data, torus_cup_data,
-                        s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere)
+                        s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere,
+                        shift_structure, sphere_cohomology)
 
     def manifold(cup_data, field):
         def build():
@@ -189,6 +209,7 @@ def test_library_built_maps_pass_full_validation(monkeypatch):
                 for cup in (lambda: sphere_cup_data(3), torus_cup_data, s2xs2_cup_data)
                 for field in (QQ, PrimeField(2), PrimeField(3))]
     builders.append(lambda: rabinowitz_loop_sphere(3, 4))
+    builders.append(lambda: shift_structure(sphere_cohomology(3)))  # c = -lam(eta)
     built = _library_built_maps(monkeypatch, builders)
     for name, maps in built.items():
         assert maps, f"{name} was never called"

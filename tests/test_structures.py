@@ -351,3 +351,19 @@ def test_missing_unit_or_counit_is_skipped(sphere3, missing):
         assert [r.name for r in reports] == _collapsed(full, law), suite
         for r in reports:
             assert r.verdict == "pass" or (r.verdict == "skipped" and r.note == note)
+    biunital = {"derived-eps-from-p-eta", "derived-p-eta-sides", "derived-eta-from-eps-c",
+                "derived-eps-c-sides", "derived-p-c-left-inverse",
+                "derived-p-c-right-inverse"}
+    needs = biunital | ({"derived-c-c-triple", "derived-lam-c-symmetric",
+                         "derived-four-way-b", "derived-four-way-c"} if missing == "eta"
+                        else {"derived-p-p-triple", "derived-p-mu-symmetric",
+                              "derived-lam-lam-p"})
+    for flavor in ("unital", "counital", "biunital"):
+        reports = check_derived_identities(data, flavor)
+        full = [r.name for r in check_derived_identities(sphere3, flavor)]
+        assert [r.name for r in reports] == full, flavor
+        for r in reports:
+            if r.name in needs:
+                assert (r.verdict, r.note) == ("skipped", note), (flavor, r.name)
+            else:
+                assert r.verdict == "pass", (flavor, r.name)

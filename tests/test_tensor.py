@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cofrob import (make_module, TensorSpace, Element, GradedMap, compose,
+from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, compose,
                     map_equal, tensor_modules, tensor_maps, twist, permute,
                     Permutation, dual_module, dual_map, double_dual, iota,
-                    iota_inverse, ShiftMaps, shift_map)
+                    iota_inverse, ShiftMaps, shift_map, sphere_cohomology,
+                    manifold_from_cup, torus_cup_data, s2xs2_cup_data,
+                    rabinowitz_loop_sphere, circle_models)
 from cofrob.tensor import raw_dual, flattener, unflattener
 
 
@@ -322,3 +324,122 @@ def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):
         apply_stage([sphere2.mu], Element.from_labels(sphere2.space, [(1, ("w",))]))
     assert apply_stage([ident, ident], one_w) == one_w
     assert apply_stage([sphere2.mu], one_w) == Element.from_labels(sphere2.space, [(1, ("w",))])
+
+
+def _linked_pairs(monkeypatch, data):
+    """Every (plan, consumer, unlinked plan, fed) the data suites compile
+    for `data`: each plan linked to the next plan of its term, the same
+    stage compiled without a consumer, and the coefficient dicts the
+    relation pipelines fed the plan."""
+    from cofrob import reports
+    from cofrob.tensor import StagePlan
+    from cofrob.suites import DATA_SUITES
+    compile_side, run = reports._compile_side, StagePlan.run
+    terms_seen, fed = [], {}
+
+    def record_side(terms, source):
+        compiled, space = compile_side(terms, source)
+        terms_seen.extend((stages, plans) for (_, stages), (_, plans) in zip(terms, compiled))
+        return compiled, space
+
+    def record_run(plan, coeffs, out=None):
+        fed.setdefault(id(plan), []).append(dict(coeffs))
+        return run(plan, coeffs, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reports, "_compile_side", record_side)
+        patch.setattr(StagePlan, "run", record_run)
+        for name, suite in DATA_SUITES.items():
+            try:
+                suite(data)
+            except ValueError:      # poincare-duality refuses data without eps
+                assert name == "poincare-duality" and data.eps is None
+    return [(plan, consumer, StagePlan(stages[i], plan.source), fed.get(id(plan), []))
+            for stages, plans in terms_seen
+            for i, (plan, consumer) in enumerate(zip(plans, plans[1:]))]
+
+
+def _manifold_over(cup_data, p):
+    cup = cup_data()
+    cup.field = PrimeField(p)
+    return manifold_from_cup(cup)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_cohomology(3),
+    lambda: _manifold_over(torus_cup_data, 3),
+    lambda: _manifold_over(s2xs2_cup_data, 2),
+    lambda: rabinowitz_loop_sphere(3, 4),
+    lambda: circle_models(4, flavor="loop"),
+], ids=["S3-Q", "T2-F3", "S2xS2-F2", "rabinowitz-S3-N4", "circle-loop-N4"])
+def test_consumer_pruning_keeps_what_the_consumer_computes(monkeypatch, build):
+    """A plan linked to its consumer drops only keys the consumer would
+    skip: on every input the suites fed it, its output is a sub-dict of the
+    unlinked plan's output and the consumer computes the same from both.
+    Each structure has a plan that prunes something."""
+    pairs = _linked_pairs(monkeypatch, build())
+    dropped = 0
+    for plan, consumer, unlinked, fed in pairs:
+        for coeffs in fed:
+            pruned, full = plan.run(coeffs), unlinked.run(coeffs)
+            assert pruned.items() <= full.items()
+            assert consumer.run(pruned) == consumer.run(full)
+            dropped += len(full) - len(pruned)
+    assert dropped > 0
+
+
+F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
+
+
+@st.composite
+def f3_maps(draw, k, t):
+    """A sparse homogeneous map F3_MOD^k -> F3_MOD^t of degree -1, 0 or 1."""
+    source = TensorSpace((F3_MOD,) * k)
+    target = TensorSpace((F3_MOD,) * t, field=F3_MOD.field)
+    degree = draw(st.sampled_from((-1, 0, 1)))
+    entries = {}
+    for src in source.basis():
+        row = {dst: v for dst in target.basis()
+               if target.degree(dst) == source.degree(src) + degree
+               and (v := draw(st.sampled_from((0, 0, 1, 2))))}
+        if row:
+            entries[src] = row
+    return GradedMap(source, target, degree, entries)
+
+
+@st.composite
+def linked_stages(draw):
+    """A stage of two or three sparse maps, the stage that reads its output,
+    and a coefficient dict of its source.  The reading maps take 1 to 3
+    factors each, so their inputs may straddle two maps' outputs."""
+    shapes = draw(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 0)]),
+                           min_size=2, max_size=3)
+                  .filter(lambda s: 2 <= sum(t for _, t in s) <= 4))
+    producer = [draw(f3_maps(k, t)) for k, t in shapes]
+    width, consumer = sum(t for _, t in shapes), []
+    while width:
+        k = draw(st.integers(min_value=1, max_value=min(3, width)))
+        consumer.append(draw(f3_maps(k, draw(st.integers(min_value=0, max_value=1)))))
+        width -= k
+    source = TensorSpace((F3_MOD,) * sum(k for k, _ in shapes))
+    coeffs = {idx: v for idx in source.basis()
+              if (v := draw(st.sampled_from((0, 0, 0, 1, 2))))}
+    return producer, consumer, source, coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(linked_stages())
+def test_linked_plan_drops_exactly_the_keys_its_consumer_skips(stages):
+    """Over F3, with odd-degree maps: a plan fed to its consumer returns the
+    unlinked plan's output restricted to the keys every consumer map has a
+    row for, and the consumer computes the same from both."""
+    from cofrob.tensor import StagePlan
+    producer, consumer, source, coeffs = stages
+    plan = StagePlan(producer, source)
+    reader = StagePlan(consumer, plan.space)
+    plan.feed(reader)
+    pruned = plan.run(coeffs)
+    full = StagePlan(producer, source).run(coeffs)
+    assert pruned == {key: v for key, v in full.items()
+                      if all(key[a:b] in entries for a, b, entries in reader.groups)}
+    assert reader.run(pruned) == reader.run(full)

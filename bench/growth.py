@@ -1,11 +1,10 @@
 """Growth of `biunital-infinitesimal` with the window bound N.
 
-    python3 bench/growth.py [--tree LABEL=SRC ...] [--bounds 6 10 14]
-                            [--repeat 3] [--out BENCH_growth.json]
+    python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
-Each run builds `rabinowitz_loop_sphere(3, N)` over Q in a fresh process
-and times one `run_suite("biunital-infinitesimal", ...)` (the model build
-is not timed).  With each time it records the relations' summed checked
+For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
+a fresh process and times one `run_suite("biunital-infinitesimal", ...)`
+(the model build is not timed).  With each time it records the relations' summed checked
 and inconclusive counts and a SHA-256 digest of the JSON report, so that
 trees can be shown to give identical reports.
 
@@ -13,9 +12,10 @@ trees can be shown to give identical reports.
 it once per tree (default: `this=` the `src/` next to this directory).
 For every bound, the trees' runs alternate, and the order flips from one
 round of runs to the next, so that a machine whose speed drifts slows each
-tree alike.  Each tree keeps its fastest of `--repeat` runs, and every
+tree alike.  Each tree keeps its fastest of REPEAT runs, and every
 later tree is compared with the first one (time ratio, and whether the
-report digests agree).  Stdlib only; not part of the test suite.
+report digests agree).  Stdlib only.  The full run is made by hand;
+tests/test_bench_growth.py runs it at the smallest size.
 """
 
 import argparse
@@ -30,6 +30,8 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SUITE = "biunital-infinitesimal"
+BOUNDS = (6, 10, 14)
+REPEAT = 3
 
 
 def worker(src, bound):
@@ -122,25 +124,21 @@ def main(argv=None):
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC")
-    parser.add_argument("--bounds", type=int, nargs="+", default=[6, 10, 14])
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_growth.json"))
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     trees = {}
     for spec in args.tree or [f"this={os.path.join(ROOT, 'src')}"]:
         label, sep, src = spec.partition("=")
         if not sep or not label or not src:
             parser.error(f"--tree expects LABEL=SRC, got {spec!r}")
         trees[label] = os.path.abspath(src)
-    results = measure(trees, args.bounds, args.repeat)
+    results = measure(trees, BOUNDS, REPEAT)
     payload = {
         "workload": f"{SUITE} on rabinowitz_loop_sphere(3, N) over Q",
         "python": platform.python_version(),
         "machine": {"arch": platform.machine(), "cpu": cpu_model(),
                     "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "trees": {label: {"commit": commit_of(src), "bounds": results[label]}
                   for label, src in trees.items()},
         "comparison": compare(results),

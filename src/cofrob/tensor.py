@@ -107,8 +107,9 @@ class StagePlan:
         Only the consumer's partial maps, those with fewer rows than their
         source has basis tuples, are probed: a group (a, b) of one is
         probed after the map whose output holds factor b - 1, the first
-        map after which key[a:b] is complete.  A plan whose consumer has
-        no partial map keeps the unlinked path."""
+        map after which key[a:b] is complete; a map that completes no such
+        group keeps every key.  A plan whose consumer has no partial map
+        stays unlinked and expands its terms without probing."""
         partial = [g for g, f in zip(consumer.groups, consumer.maps)
                    if len(f.entries) < f.source.size]
         if not partial:
@@ -144,16 +145,14 @@ class StagePlan:
                 if sum(sum(degs[:a]) for a in odd_starts) % 2:
                     v = field.neg(v)
             partial = [((), v)]
+            # The comprehension is the fast path; probing every map of every
+            # plan instead costs the unlinked plans a few per cent.
             if probes is None:
                 for row in rows:
                     partial = [(prefix + dst, mul(c, w))
                                for prefix, c in partial for dst, w in row.items()]
             else:
                 for row, checks in zip(rows, probes):
-                    if not checks:
-                        partial = [(prefix + dst, mul(c, w))
-                                   for prefix, c in partial for dst, w in row.items()]
-                        continue
                     kept = []
                     for prefix, c in partial:
                         for dst, w in row.items():

@@ -43,9 +43,6 @@ class GradedModule:
     def basis_at(self, degree):
         return [i for i, d in enumerate(self.degrees) if d == degree]
 
-    def degrees_present(self):
-        return sorted(set(self.degrees))
-
     def __eq__(self, other):
         return (isinstance(other, GradedModule)
                 and self.labels == other.labels
@@ -203,11 +200,14 @@ class Element:
         return degs.pop()
 
     def scale(self, a):
+        """a times the element; by a nonzero scalar no value becomes zero
+        (a field has no zero divisors), so the result needs no checks."""
         field = self.space.field
         a = field.coerce(a)
         if field.is_zero(a):
             return Element(self.space)
-        return Element(self.space, {i: field.mul(a, v) for i, v in self.coeffs.items()})
+        mul = field.mul
+        return Element._trusted(self.space, {i: mul(a, v) for i, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, Element) or other.space != self.space:
@@ -357,13 +357,17 @@ class GradedMap:
         return Element(self.target, out)
 
     def scale(self, a):
+        """a times the map; by a nonzero scalar no value becomes zero (a
+        field has no zero divisors) and every entry keeps its degree, so
+        the result needs no checks."""
         field = self.source.field
         a = field.coerce(a)
         if field.is_zero(a):
             return GradedMap.zero(self.source, self.target, self.degree)
-        entries = {s: {d: field.mul(a, v) for d, v in row.items()}
+        mul = field.mul
+        entries = {s: {d: mul(a, v) for d, v in row.items()}
                    for s, row in self.entries.items()}
-        return GradedMap(self.source, self.target, self.degree, entries)
+        return GradedMap._trusted(self.source, self.target, self.degree, entries)
 
     def __add__(self, other):
         if (not isinstance(other, GradedMap) or other.source != self.source
@@ -389,9 +393,6 @@ class GradedMap:
 
     def __hash__(self):
         return hash((self.source, self.target, self.degree))
-
-    def is_zero_map(self):
-        return not self.entries
 
     def __repr__(self):
         return (f"GradedMap({self.source!r} -> {self.target!r}, "

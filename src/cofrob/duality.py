@@ -4,7 +4,8 @@ The transforms implement the invariance statements for biunital
 coFrobenius bialgebras:
 
 - dualize:     (A^v, lam^v, mu^v, eps^v, eta^v) with copairing p^v and
-               pairing c^v (duals routed through iota);
+               pairing c^v (the dual of a map between tensor powers is
+               taken through iota; see `tensor.dual_map`);
 - shift:       (A[1], s mu (w(x)w), (s(x)s) lam w, (-1)^m s eta,
                (-1)^l eps w) with c-bar = (-1)^l (s(x)s)c and
                p-bar = (-1)^{l+1} p (w(x)w);

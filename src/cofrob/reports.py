@@ -132,16 +132,16 @@ def _evaluate(compiled, idx, field):
     return total
 
 
-def _restrict(elem, input_labels, window):
-    kept = {}
-    masked = 0
-    for idx, v in elem.coeffs.items():
-        labels = elem.space.labels_of(idx)
-        if window.coordinate_reliable(input_labels, labels):
-            kept[idx] = v
-        else:
-            masked += 1
-    return Element._trusted(elem.space, kept), masked
+def _restrict(elem, weights, limit):
+    """The coordinates of `elem` reliable for an input whose
+    `WindowSpec.coordinate_limit` is `limit`, and how many were masked;
+    `weights` is `WindowSpec.factor_weights(elem.space)`."""
+    positive, negative = weights
+    at = tuple.__getitem__
+    kept = {idx: v for idx, v in elem.coeffs.items()
+            if sum(map(at, positive, idx)) <= limit
+            and sum(map(at, negative, idx)) <= limit}
+    return Element._trusted(elem.space, kept), len(elem.coeffs) - len(kept)
 
 
 def _rank(space, idx):
@@ -166,7 +166,13 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
         rhs_space = lhs_space
     checked = 0
     masked_total = 0
-    inputs = source.basis() if window is None else window.valid_inputs(source)
+    if window is None:
+        inputs = source.basis()
+    else:
+        inputs = window.valid_inputs(source)
+        if lhs_space is not None:
+            lhs_weights = window.factor_weights(lhs_space)
+            rhs_weights = window.factor_weights(rhs_space)
     for idx in inputs:
         checked += 1
         if lhs_space is None:       # both sides are the zero map
@@ -174,9 +180,9 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
         lhs = Element._trusted(lhs_space, _evaluate(lhs_plan, idx, field))
         rhs = Element._trusted(rhs_space, _evaluate(rhs_plan, idx, field))
         if window is not None:
-            labels = source.labels_of(idx)
-            lhs, m1 = _restrict(lhs, labels, window)
-            rhs, m2 = _restrict(rhs, labels, window)
+            limit = window.coordinate_limit(source.labels_of(idx))
+            lhs, m1 = _restrict(lhs, lhs_weights, limit)
+            rhs, m2 = _restrict(rhs, rhs_weights, limit)
             masked_total += m1 + m2
         if lhs != rhs:
             witness = Witness(source.labels_of(idx), format_element(lhs),
@@ -195,8 +201,9 @@ def check_elements_equal(name, lhs, rhs, window=None, note=""):
     """Equality of two elements, coordinate-gated under a window."""
     masked = 0
     if window is not None:
-        lhs, m1 = _restrict(lhs, (), window)
-        rhs, m2 = _restrict(rhs, (), window)
+        limit = window.coordinate_limit(())
+        lhs, m1 = _restrict(lhs, window.factor_weights(lhs.space), limit)
+        rhs, m2 = _restrict(rhs, window.factor_weights(rhs.space), limit)
         masked = m1 + m2
     if lhs != rhs:
         witness = Witness((), format_element(lhs), format_element(rhs))

@@ -118,22 +118,12 @@ class _Ops:
             # check guards the degree of eta.
             self.eta_map = data.eta_map()
             self.lh = compose(data.lam, self.eta_map)
-            self.c_map = _signed(sgn(self.l * self.m + self.m), self.lh)
+            self.c_map = self.lh.scale(sgn(self.l * self.m + self.m))
             self.lam_eta = Element._trusted(data.space2, self.lh.entries.get((), {}))
             self.c = Element._trusted(data.space2, self.c_map.entries.get((), {}))
         if data.eps is not None and data.mu is not None:
             self.pm = data.eps_mu()
-            self.p_map = _signed(sgn(self.l), self.pm)
-
-
-def _signed(sign, f):
-    """+-f, built without re-validation: negating a nonzero value keeps it nonzero."""
-    if sign == 1:
-        return f
-    neg = f.source.field.neg
-    return GradedMap._trusted(f.source, f.target, f.degree,
-                              {s: {d: neg(v) for d, v in row.items()}
-                               for s, row in f.entries.items()})
+            self.p_map = self.pm.scale(sgn(self.l))
 
 
 def _associativity(data, o):

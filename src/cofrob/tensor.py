@@ -17,8 +17,12 @@ Sign conventions used throughout:
   omega: A[1] -> A of degree +1 are mutually inverse, and the shift of
   f: A^k -> A^l is s^{(x)l} f omega^{(x)k}.
 
-Duals of maps between tensor powers are routed through iota so that the
-dual of a coproduct is a product on the dual module and vice versa.
+The dual of a map between tensor powers is iota_X^{-1} o (flat f)^v o
+iota_Y, so that the dual of a coproduct is a product on the dual module and
+vice versa.  Every factor is diagonal on basis duals, so `dual_map` builds
+it in one pass: the entry of f^v at (b^v, a^v) is
+(-1)^{e(a) + e(b) + |f||b|} f_{a,b}, where e(x) = sum_{i<j} |x_i||x_j| is
+iota's sign (derived in `dual_map`).
 
 Relation pipelines run through `StagePlan`, one compiled stage each; a plan
 linked to the stage that reads its output (its consumer) skips the product
@@ -378,24 +382,51 @@ def unflattener(space):
     return GradedMap(flat.target, flat.source, 0, entries)
 
 
-def dual_map(f):
-    """Dual of a map between tensor powers, routed through iota.
+def _iota_parity(space, idx):
+    """(e(x), |x|) mod 2 for the basis tuple x = idx of `space`.
 
-    For f: X_1 (x) ... (x) X_k -> Y_1 (x) ... (x) Y_l this returns
-    iota_X^{-1} o (flat f)^v o iota_Y : Y^v tensor powers -> X^v tensor powers,
-    so that the dual of a coproduct is a product on A^v and vice versa.
-    """
-    g = f
-    if f.source.arity != 1:
-        g = compose(g, unflattener(f.source))
-    if f.target.arity != 1:
-        g = compose(flattener(f.target), g)
-    d = raw_dual(g)
-    if f.target.arity != 1:
-        d = compose(d, iota(f.target))
-    if f.source.arity != 1:
-        d = compose(iota_inverse(f.source), d)
-    return d
+    e(x) = sum_{i<j} |x_i||x_j| is the sign exponent of iota on x^v.  With
+    o odd factors both depend on o alone: e(x) = o(o-1)/2 and |x| = o
+    mod 2."""
+    odd = 0
+    for module, i in zip(space.modules, idx):
+        odd += module.degrees[i] & 1
+    return (odd * (odd - 1) >> 1) & 1, odd & 1
+
+
+def dual_map(f):
+    """Dual of a map between tensor powers, in one pass over f's entries.
+
+    For f: X_1 (x) ... (x) X_k -> Y_1 (x) ... (x) Y_l the dual is
+    iota_X^{-1} o (flat f)^v o iota_Y : Y_1^v (x) ... (x) Y_l^v ->
+    X_1^v (x) ... (x) X_k^v, so that the dual of a coproduct is a product
+    on A^v and vice versa.  Each factor is diagonal on basis duals:
+
+    - iota_Y sends b^v to (-1)^{e(b)} (flat b)^v, with
+      e(x) = sum_{i<j} |x_i||x_j|;
+    - the flat dual sends (flat b)^v to
+      sum_a (-1)^{|f||b|} f_{a,b} (flat a)^v, since
+      <(flat f)^v(b^v), a> = (-1)^{|b^v||f|} <b^v, f(a)> and |b^v| = -|b|;
+    - iota_X^{-1} sends (flat a)^v to (-1)^{e(a)} a^v, iota's sign being
+      its own inverse.
+
+    So the entry of f^v at (b^v, a^v) is
+    (-1)^{e(a) + e(b) + |f||b|} f_{a,b}, with |b| = sum_i |b_i|.  This is
+    a bijection on entries, so no two of them add.  Arity 0 needs no
+    special case: R^v = R and the empty tuple has e = 0 and degree 0, so
+    the dual of a counit is a unit on A^v and that of a copairing map a
+    pairing.  Every value is +-1 times a validated nonzero value, so the
+    map is built without re-validation."""
+    source, target = dual_space(f.target), dual_space(f.source)
+    neg = f.source.field.neg
+    odd_f = f.degree & 1
+    entries = {}
+    for a, row in f.entries.items():
+        e_a, _ = _iota_parity(f.source, a)
+        for b, v in row.items():
+            e_b, deg_b = _iota_parity(f.target, b)
+            entries.setdefault(b, {})[a] = neg(v) if e_a ^ e_b ^ (odd_f & deg_b) else v
+    return GradedMap._trusted(source, target, f.degree, entries)
 
 
 def double_dual(a):

@@ -25,6 +25,13 @@ weights (in absolute value) both stay within bound - 1 - slack.  Those two
 sums are the largest subset sums of each sign, and neither can shrink as
 factors are appended, so a prefix that exceeds the limit has no valid
 extension and the pruning drops exactly the invalid tuples.
+
+The coordinate test is made on indices the same way.  With
+M(x) = max|subset sum of x|, a coordinate y is reliable for x iff its sum
+of positive weights and its sum of negative weights (in absolute value)
+are both at most `coordinate_limit(x)` = bound - slack - M(x).
+`factor_weights(space)` gives those weights per factor of a space, so the
+labels of a coordinate are never looked up.
 """
 
 
@@ -56,9 +63,8 @@ class WindowSpec:
         if limit < 0:
             return []
         prefixes = [((), 0, 0)]  # (index tuple, positive sum, -negative sum)
-        for module in space.modules:
-            steps = [((i,), max(w, 0), max(-w, 0))
-                     for i, w in enumerate(map(self.weight, module.labels))]
+        for positive, negative in zip(*self.factor_weights(space)):
+            steps = [((i,), hi, lo) for i, (hi, lo) in enumerate(zip(positive, negative))]
             prefixes = [(idx + step, hi + dhi, lo + dlo)
                         for idx, hi, lo in prefixes
                         for step, dhi, dlo in steps
@@ -69,6 +75,19 @@ class WindowSpec:
         return (self._max_subset_abs(input_labels)
                 + self._max_subset_abs(coord_labels)
                 + self.slack <= self.bound)
+
+    def coordinate_limit(self, input_labels):
+        """The most either signed weight sum of a coordinate may reach and
+        still be reliable for the input with these labels."""
+        return self.bound - self.slack - self._max_subset_abs(input_labels)
+
+    def factor_weights(self, space):
+        """(positive, negative): per factor of `space`, a tuple holding
+        each basis label's weight if positive (else 0), and the same for
+        the absolute value of the negative weights."""
+        weights = [tuple(map(self.weight, module.labels)) for module in space.modules]
+        return ([tuple(max(w, 0) for w in ws) for ws in weights],
+                [tuple(max(-w, 0) for w in ws) for ws in weights])
 
     def dualized(self, dual_suffix="'"):
         return WindowSpec(self.bound, self.slack,

@@ -4,7 +4,7 @@ from cofrob import (sphere_cohomology, manifold_from_cup, torus_cup_data,
                     s2xs2_cup_data, rabinowitz_loop_sphere, loop_sphere,
                     based_rabinowitz_loop_sphere, based_loop_sphere,
                     circle_models, loop_tqft_sphere, equator_pair,
-                    diagonal_pair, factor_pair)
+                    diagonal_pair, factor_pair, shift_structure, PrimeField, QQ)
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +75,28 @@ def diagonal():
 @pytest.fixture(scope="session")
 def factor():
     return factor_pair()
+
+
+@pytest.fixture(scope="session")
+def dual_examples():
+    """(name, structure) for the structures the dual-map tests run on:
+    S^1..S^5 over Q, F2, F3 and F5, T^2, S^2 x S^2, Rabinowitz and based
+    Rabinowitz S^3 at N = 5 and the Rabinowitz circle at N = 4, each also
+    shifted once and twice (odd shifts make |mu| and |lam| odd)."""
+    examples = [(f"S{n}-{field}", sphere_cohomology(n, field=field))
+                for n in range(1, 6) for field in (QQ, PrimeField(2), PrimeField(3),
+                                                    PrimeField(5))]
+    examples += [("T2", manifold_from_cup(torus_cup_data())),
+                 ("S2xS2", manifold_from_cup(s2xs2_cup_data())),
+                 ("rab3-N5", rabinowitz_loop_sphere(3, 5)),
+                 ("based3-N5", based_rabinowitz_loop_sphere(3, 5)),
+                 ("circle-N4", circle_models(4))]
+    out = []
+    for name, data in examples:
+        for shifts in range(3):
+            out.append((name + "[1]" * shifts, data))
+            data = shift_structure(data)
+    return out
 
 
 def all_pass(reports):

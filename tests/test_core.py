@@ -140,14 +140,17 @@ def test_scalar_space_basis():
 
 
 def _library_built_maps(monkeypatch, builders):
-    """Every map compose, permute, twist, GradedMap.identity and tensor_maps
+    """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
+    dual_map and GradedMap.scale returned, every element Element.scale
     returned, and every lam(eta), copairing and pairing map an operator
-    context derived, while building each structure and running every data
-    suite on it."""
+    context derived, while building each structure, dualizing it and
+    running every data suite on it."""
     from cofrob import tensor
     from cofrob.structures import _Ops
     from cofrob.suites import DATA_SUITES
+    from cofrob.duality import dualize
     built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": [],
+             "dual_map": [], "scale": [], "element_scale": [],
              "lh": [], "c_map": [], "p_map": []}
     ops_init = _Ops.__init__
 
@@ -170,7 +173,8 @@ def _library_built_maps(monkeypatch, builders):
         return wrapper
 
     with monkeypatch.context() as patch:
-        for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps):
+        for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps,
+                   tensor.dual_map):
             wrapper = recording(fn, fn.__name__)
             for modname, module in list(sys.modules.items()):
                 if modname.startswith("cofrob"):
@@ -179,21 +183,25 @@ def _library_built_maps(monkeypatch, builders):
                             patch.setattr(module, attr, wrapper)
         patch.setattr(GradedMap, "identity",
                       classmethod(recording(GradedMap.identity.__func__, "identity")))
+        patch.setattr(GradedMap, "scale", recording(GradedMap.scale, "scale"))
+        patch.setattr(Element, "scale", recording(Element.scale, "element_scale"))
         patch.setattr(_Ops, "__init__", recording_ops)
         for build in builders:
             data = build()
+            dualize(data)
             for suite in DATA_SUITES.values():
                 suite(data)
     return built
 
 
 def test_library_built_maps_pass_full_validation(monkeypatch):
-    """compose, permute, twist, GradedMap.identity, tensor_maps and the
-    lam(eta), copairing and pairing maps of the operator context skip the
-    validating constructor; every map they build for the models and the
-    data suites is exactly what it builds, with no zero value and no empty
-    row, and the context's maps equal what the validating BialgebraData
-    methods build. F2 matters because -1 is 1 there."""
+    """compose, permute, twist, GradedMap.identity, tensor_maps, dual_map,
+    GradedMap.scale, Element.scale and the lam(eta), copairing and pairing
+    maps of the operator context skip the validating constructor; every
+    map and element they build for the models, their duals and the data
+    suites is exactly what it builds, with no zero value and no empty row,
+    and the context's maps equal what the validating BialgebraData methods
+    build. F2 matters because -1 is 1 there."""
     from cofrob import (PrimeField, QQ, sphere_cup_data, torus_cup_data,
                         s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere,
                         shift_structure, sphere_cohomology)
@@ -214,6 +222,10 @@ def test_library_built_maps_pass_full_validation(monkeypatch):
     for name, maps in built.items():
         assert maps, f"{name} was never called"
         for out in maps:
+            if isinstance(out, Element):
+                assert out == Element(out.space, out.coeffs)
+                assert not any(out.space.field.is_zero(v) for v in out.coeffs.values())
+                continue
             field = out.source.field
             assert out == GradedMap(out.source, out.target, out.degree, out.entries)
             assert all(out.entries.values()), f"{name} left an empty row"

@@ -15,7 +15,7 @@ from cofrob import (Element, GradedMap, TensorSpace, compose, map_equal,
                     cyclic_triple_checks, sphere_cohomology, double_dual,
                     ShiftMaps)
 from cofrob.structures import BialgebraData, sgn
-from cofrob.tensor import apply_stage, dual_module, DUAL_SUFFIX
+from cofrob.tensor import apply_stage, dual_map, dual_module, DUAL_SUFFIX
 
 from conftest import all_pass, no_failures, failing
 
@@ -112,6 +112,19 @@ def test_dualize_preserves_biunital_and_sign_table(example, request):
     # copairing of the dual is p^v, pairing of the dual is c^v
     assert dual.copairing() == p_dual_element(data)
     assert map_equal(dual.pairing(), c_dual_map(data))
+
+
+def test_dual_map_of_maps_with_an_arity_zero_side(dual_examples):
+    """R^v = R and the empty tuple has iota sign +1, so dual_map takes maps
+    to or from the ground ring: eps^v is the dual's unit, eta^v its counit,
+    the copairing's dual its pairing and the pairing's dual its copairing
+    (the paper's copairing p^v and pairing c^v)."""
+    for name, data in dual_examples:
+        dual = dualize(data)
+        assert map_equal(dual_map(data.eps), dual.eta_map()), name
+        assert map_equal(dual_map(data.eta_map()), dual.eps), name
+        assert map_equal(dual_map(data.copairing_map()), dual.pairing()), name
+        assert map_equal(dual_map(data.pairing()), dual.copairing_map()), name
 
 
 def test_dualize_window_sign_table(rab3):

@@ -1,14 +1,16 @@
 """`check_relation` against the loop it replaced, which visits every input,
-tests it against the window and applies each stage to a validated
-`Element`: whole reports must agree on every relation of every data suite."""
+tests it against the window, applies each stage to a validated `Element`
+and gates coordinates by their labels: whole reports must agree on every
+relation of every data suite."""
 
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cofrob import (BialgebraData, Element, PrimeField, WindowSpec, circle_models,
-                    loop_sphere, manifold_from_cup, rabinowitz_loop_sphere,
-                    sphere_cohomology, torus_cup_data)
+from cofrob import (BialgebraData, Element, PrimeField, TensorSpace, WindowSpec,
+                    circle_models, loop_sphere, make_module, manifold_from_cup,
+                    rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
 from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, Witness,
                             _restrict, check_relation)
@@ -30,6 +32,14 @@ def _side_eval(terms, x, field):
             val = val.scale(sign)
         total = val if total is None else total + val
     return total
+
+
+def _reliable(elem, input_labels, window):
+    """The coordinates `WindowSpec.coordinate_reliable` keeps for the
+    input, read by label, and how many it masks."""
+    kept = {idx: v for idx, v in elem.coeffs.items()
+            if window.coordinate_reliable(input_labels, elem.space.labels_of(idx))}
+    return Element(elem.space, kept), len(elem.coeffs) - len(kept)
 
 
 def reference_check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
@@ -54,8 +64,8 @@ def reference_check_relation(name, source, lhs_terms, rhs_terms, window=None, no
         if rhs is None:
             rhs = Element(lhs.space)
         if window is not None:
-            lhs, m1 = _restrict(lhs, labels, window)
-            rhs, m2 = _restrict(rhs, labels, window)
+            lhs, m1 = _reliable(lhs, labels, window)
+            rhs, m2 = _reliable(rhs, labels, window)
             masked_total += m1 + m2
         checked += 1
         if lhs != rhs:
@@ -164,3 +174,31 @@ def test_reports_match_visit_every_input(monkeypatch, model):
         assert report == ref, (args[0], report, ref)
     if model in REACHES:
         assert REACHES[model](calls)
+
+
+@st.composite
+def gated_elements(draw):
+    """A window over random weights, a bound and a slack, an input's labels,
+    and an element of a tensor space of arity 0 to 3 with every basis tuple
+    as a coordinate."""
+    weights = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3))
+    labels = ("u", "v", "w")
+    window = WindowSpec(draw(st.integers(min_value=0, max_value=10)),
+                        draw(st.integers(min_value=0, max_value=4)),
+                        {lbl: w for lbl, w in zip(labels, weights) if w})
+    module = make_module([(lbl, 0) for lbl in labels])
+    space = TensorSpace((module,) * draw(st.integers(min_value=0, max_value=3)))
+    elem = Element(space, {idx: 1 for idx in space.basis()})
+    input_labels = tuple(draw(st.lists(st.sampled_from(labels), max_size=3)))
+    return window, input_labels, elem
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_elements())
+def test_index_gate_keeps_what_coordinate_reliable_keeps(case):
+    """`_restrict`'s index-level gate keeps exactly the coordinates that
+    the label-based `coordinate_reliable` keeps, and masks the rest."""
+    window, input_labels, elem = case
+    gated = _restrict(elem, window.factor_weights(elem.space),
+                      window.coordinate_limit(input_labels))
+    assert gated == _reliable(elem, input_labels, window)

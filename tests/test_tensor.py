@@ -268,6 +268,39 @@ def test_shift_dual_interaction(sphere3, which):
     assert map_equal(lhs, rhs)
 
 
+def _dual_via_iota(f):
+    """The dual of f: X_1 (x) ... (x) X_k -> Y_1 (x) ... (x) Y_l composed as
+    iota_X^{-1} o (flat f)^v o iota_Y from the validating flattening, raw
+    dual and iota maps: the reference for `dual_map`'s one-pass sign rule.
+    A side of arity 0 cannot be flattened."""
+    g = f
+    if f.source.arity != 1:
+        g = compose(g, unflattener(f.source))
+    if f.target.arity != 1:
+        g = compose(flattener(f.target), g)
+    d = raw_dual(g)
+    if f.target.arity != 1:
+        d = compose(d, iota(f.target))
+    if f.source.arity != 1:
+        d = compose(iota_inverse(f.source), d)
+    return d
+
+
+def test_dualize_and_poincare_dual_match_the_iota_route(monkeypatch, dual_examples):
+    """On every example and its shifts, `dualize` and the sign-twisted
+    `poincare_dual_structure` build the same structure maps as with every
+    dual routed through iota."""
+    from cofrob import duality
+    for name, data in dual_examples:
+        built = [duality.dualize(data), duality.poincare_dual_structure(data)]
+        with monkeypatch.context() as patch:
+            patch.setattr(duality, "dual_map", _dual_via_iota)
+            routed = [duality.dualize(data), duality.poincare_dual_structure(data)]
+        for got, want in zip(built, routed):
+            assert map_equal(got.mu, want.mu) and map_equal(got.lam, want.lam), name
+            assert got.eta == want.eta and map_equal(got.eps, want.eps), name
+
+
 def _recorded_plans(monkeypatch, structures):
     """Every stage plan the built-in data suites compile, with the
     coefficient dicts the relation pipelines ran it on."""
@@ -392,11 +425,11 @@ F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
 
 
 @st.composite
-def f3_maps(draw, k, t):
-    """A sparse homogeneous map F3_MOD^k -> F3_MOD^t of degree -1, 0 or 1."""
+def f3_maps(draw, k, t, degrees=(-1, 0, 1)):
+    """A sparse homogeneous map F3_MOD^k -> F3_MOD^t of a degree in `degrees`."""
     source = TensorSpace((F3_MOD,) * k)
     target = TensorSpace((F3_MOD,) * t, field=F3_MOD.field)
-    degree = draw(st.sampled_from((-1, 0, 1)))
+    degree = draw(st.sampled_from(degrees))
     entries = {}
     for src in source.basis():
         row = {dst: v for dst in target.basis()
@@ -443,3 +476,18 @@ def test_linked_plan_drops_exactly_the_keys_its_consumer_skips(stages):
     assert pruned == {key: v for key, v in full.items()
                       if all(key[a:b] in entries for a, b, entries in reader.groups)}
     assert reader.run(pruned) == reader.run(full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.data())
+def test_dual_map_matches_the_iota_route(k, t, data):
+    """Over F3, on sparse homogeneous maps F3_MOD^k -> F3_MOD^t of degree
+    -2 to 2 (odd degrees bring in the |f||b| sign, odd factors the iota
+    signs): the one-pass dual equals the iota-routed composite in source,
+    target, degree and entries, and is what the validating constructor
+    builds."""
+    f = data.draw(f3_maps(k, t, degrees=(-2, -1, 0, 1, 2)))
+    dual = dual_map(f)
+    assert map_equal(dual, _dual_via_iota(f))
+    assert dual == GradedMap(dual.source, dual.target, dual.degree, dual.entries)

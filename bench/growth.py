@@ -6,14 +6,17 @@ For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
 a fresh process and times one `run_suite("biunital-infinitesimal", ...)`
 (the model build is not timed).  With each time it records the relations' summed checked
 and inconclusive counts and a SHA-256 digest of the JSON report, so that
-trees can be shown to give identical reports.
+trees can be shown to give identical reports.  The same process then runs
+the suite once more, untimed, under `tracemalloc`, and records the traced
+heap peak (`heap_peak_kb`, the largest over a tree's runs), so that a
+change that buys speed with memory shows in the record.
 
 `--tree LABEL=SRC` names a `src/` directory to import `cofrob` from; give
 it once per tree (default: `this=` the `src/` next to this directory).
 For every bound, the trees' runs alternate, and the order flips from one
 round of runs to the next, so that a machine whose speed drifts slows each
 tree alike.  Each tree keeps its fastest of REPEAT runs, and every
-later tree is compared with the first one (time ratio, and whether the
+later tree is compared with the first one (time ratio, heap ratio, and whether the
 report digests agree).  Stdlib only.  The full run is made by hand;
 tests/test_bench_growth.py runs it at the smallest size.
 """
@@ -25,6 +28,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from time import perf_counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -46,8 +50,13 @@ def worker(src, bound):
     start = perf_counter()
     reports = run_suite(SUITE, data)
     elapsed = perf_counter() - start
+    tracemalloc.start()
+    run_suite(SUITE, data)
+    heap_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     print(json.dumps({
         "s": elapsed,
+        "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),
         "inconclusive": sum(r.inconclusive for r in reports),
@@ -98,6 +107,7 @@ def measure(trees, bounds, repeat):
             results[label][str(bound)] = {
                 "best_s": round(best["s"], 3),
                 "runs_s": [round(r["s"], 3) for r in rows],
+                "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
                 **{key: best[key] for key in ("relations", "checked", "inconclusive",
                                               "report_sha256")},
             }
@@ -112,6 +122,7 @@ def compare(results):
     base = results[labels[0]]
     return {f"{labels[0]}/{label}": {
                 n: {"time_ratio": round(base[n]["best_s"] / row["best_s"], 2),
+                    "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 2),
                     "identical_reports": base[n]["report_sha256"] == row["report_sha256"]}
                 for n, row in results[label].items()}
             for label in labels[1:]}

@@ -14,13 +14,14 @@ from .tensor import (tensor_modules, tensor_maps, twist, permute, Permutation,
                      dual_module, dual_map, double_dual, iota, iota_inverse,
                      ShiftMaps, shift_map, shift_module)
 from .windows import WindowSpec
-from .reports import CheckReport, Witness, check_relation, suite_passes
+from .reports import (CheckReport, Witness, Relation, check_relation, check_relations,
+                      suite_passes)
 from .structures import (BialgebraData, check_product_laws, check_coproduct_laws,
                          check_unital_infinitesimal, check_unital_antisymmetry,
                          check_counital_infinitesimal, check_counital_antisymmetry,
                          check_biunital_infinitesimal, check_cofrobenius,
                          check_derived_identities, check_involutive, direct_sum,
-                         copairing, pairing, counit_solve, s_operator)
+                         copairing, pairing, counit_solve)
 from .duality import (PairingHandle, CopairingHandle, pairing_handle,
                       copairing_handle, check_perfect, dualize, shift_structure,
                       rescale_signs, transpose_structure, check_intertwines_product,

@@ -28,7 +28,8 @@ from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
                      DUAL_SUFFIX)
-from .reports import check_relation, check_elements_equal, prefixed, PASS, FAIL
+from .reports import (check_relation, check_relations, check_elements_equal, prefixed,
+                      PASS, FAIL)
 from .structures import (BialgebraData, _Ops, _commutativity, _cocommutativity,
                          check_cofrobenius, sgn)
 from .windows import merge_windows
@@ -111,28 +112,10 @@ def check_perfect(pair, copair, window=None):
     return out
 
 
-def dual_eta(eps):
-    """eps^v in A^v: the functional eps viewed as an element of the dual module."""
-    a = eps.source.modules[0]
-    dspace = TensorSpace((dual_module(a),))
-    coeffs = {}
-    for (i,), row in eps.entries.items():
-        v = row.get((), None)
-        if v is not None:
-            coeffs[(i,)] = v
-    return Element(dspace, coeffs)
-
-
-def dual_eps(eta, eta_degree):
-    """eta^v : A^v -> R, f |-> (-1)^{|f||eta|} f(eta); degree |eta|."""
-    a = eta.space.modules[0]
-    dspace = TensorSpace((dual_module(a),))
-    field = a.field
-    entries = {}
-    for (i,), v in eta.coeffs.items():
-        s = sgn((a.degree(i) % 2) * (eta_degree % 2))
-        entries[(i,)] = {(): field.mul(field.coerce(s), v)}
-    return GradedMap(dspace, scalar_space(field), eta_degree, entries)
+def _dual_unit(eps):
+    """eps^v = dual_map(eps) : R -> A^v, as the element eps^v(1) of A^v."""
+    dual = dual_map(eps)
+    return Element._trusted(dual.target, dict(dual.entries.get((), {})))
 
 
 def dualize(data):
@@ -140,8 +123,8 @@ def dualize(data):
     dmod = dual_module(data.module)
     mu_d = dual_map(data.lam)
     lam_d = dual_map(data.mu)
-    eta_d = dual_eta(data.eps) if data.eps is not None else None
-    eps_d = dual_eps(data.eta, -data.mu.degree) if data.eta is not None else None
+    eta_d = _dual_unit(data.eps) if data.eps is not None else None
+    eps_d = dual_map(data.eta_map()) if data.eta is not None else None
     window = data.window.dualized(DUAL_SUFFIX) if data.window is not None else None
     return BialgebraData(dmod, mu_d, lam_d, eta_d, eps_d, window)
 
@@ -233,8 +216,8 @@ def poincare_dual_structure(data):
     tau_d = twist(dmod, dmod)
     mu_b = compose(dual_map(data.lam), tau_d).scale(sgn(l))
     lam_b = compose(tau_d, dual_map(data.mu)).scale(sgn(m * l + l))
-    eta_b = dual_eta(data.eps)
-    eps_b = dual_eps(data.eta, -m).scale(sgn(m * l + l + m))
+    eta_b = _dual_unit(data.eps)
+    eps_b = dual_map(data.eta_map()).scale(sgn(m * l + l + m))
     window = data.window.dualized(DUAL_SUFFIX) if data.window is not None else None
     return BialgebraData(dmod, mu_b, lam_b, eta_b, eps_b, window)
 
@@ -378,7 +361,7 @@ def cyclic_triple_checks(data):
             "beta-cyclic", scal,
             [(1, [[c_map, c_map], [idm, data.mu, idm], [sigma]])],
             [(1, [[c_map, c_map], [idm, data.mu, idm]])], w))
-        if _cocommutativity(data, o).verdict == PASS:
+        if check_relations([_cocommutativity(data, o)], w)[0].verdict == PASS:
             out.append(check_relation(
                 "beta-tau12", scal,
                 [(1, [[c_map, c_map], [idm, data.mu, idm], [tau12]])],
@@ -389,7 +372,7 @@ def cyclic_triple_checks(data):
             "B-cyclic", space3,
             [(1, [[sigma], [idm, data.lam, idm], [p_map, p_map]])],
             [(1, [[idm, data.lam, idm], [p_map, p_map]])], w))
-        if _commutativity(data, o).verdict == PASS:
+        if check_relations([_commutativity(data, o)], w)[0].verdict == PASS:
             out.append(check_relation(
                 "B-tau12", space3,
                 [(1, [[tau12], [idm, data.lam, idm], [p_map, p_map]])],

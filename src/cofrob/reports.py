@@ -2,30 +2,42 @@
 
 A relation is an equality of two linear maps, each given as a sum of
 signed pipelines (lists of stages; a stage is a list of maps tensored side
-by side).  `check_relation` compiles each stage of each term once into a
-`StagePlan` and then expands both sides on basis tuples of the common
-source rather than materializing composite matrices, which keeps sparse
-intermediates small.  Each plan is linked to the next plan of its term,
-its consumer (`StagePlan.feed`), so a stage never builds a product term
-the next stage would skip for lack of a row: pairings such as
+by side).  `check_relations` checks a list of relations in one call and
+`check_relation` is its one-relation case.  The relations on one source
+space are checked together, input-major: every distinct term (a pipeline,
+told apart by the identity of its maps) is compiled once, stage by stage,
+into `StagePlan`s, and the window-valid inputs are walked once in
+canonical order.  At each input a term that several relations name is
+evaluated once and its value added, with each use's sign, into every
+still-open side that names it; a term named once is seeded with its sign
+and its last plan adds straight into its side.  Both sides are expanded
+on basis tuples rather than materialized as composite matrices, which
+keeps sparse intermediates small.  Each plan is linked to the next plan of
+its term, its consumer (`StagePlan.feed`), so a stage never builds a
+product term the next stage would skip for lack of a row: pairings such as
 (1(x)p(x)1)(lam(x)lam) discard most terms of lam(x) (x) lam(y).  Only such
 terms are dropped, so every sum, verdict and witness is what the unlinked
-plans give.  The plans live only for that one call.  Without a
-window every basis tuple is evaluated.  With one, only the window-valid
-tuples are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest
-are never built and are counted as inconclusive.
+plans give.  Because a linked plan depends on its consumer, terms are
+shared whole and stage prefixes are not.  The plans and the per-input
+values live only for that one call.  Without a window every basis tuple
+is evaluated.  With one, only the window-valid tuples are enumerated and
+evaluated (`WindowSpec.valid_inputs`); the rest are never built and are
+counted as inconclusive.
 
 Verdicts are `pass`, `fail` (always with a witness), `window-inconclusive`
 (no input survived the validity gate), or `skipped`: a checker returns one
 skipped report per relation that needs a unit or counit the structure
 lacks.  Reports are deterministic: inputs are evaluated in canonical basis
 order and the first mismatch wins.  On a fail, the inconclusive count
-covers only the inputs that precede the witness in that order.
+covers only the inputs that precede the witness in that order.  Each
+relation of a call keeps its own checked and masked counts and its own
+first witness, so its report is the one it gets when checked alone.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .core import Element, format_element
+from .core import Element, TensorSpace, format_element
 from .tensor import StagePlan
 
 PASS = "pass"
@@ -88,36 +100,60 @@ def suite_passes(reports):
     return not any(r.verdict == FAIL for r in reports)
 
 
-def _compile_side(terms, source):
-    """Compile one side of a relation: (sign, plans) per signed term, and
-    the space the side lands in (None for the zero map, an empty side).
+class _Term:
+    """One distinct pipeline of a `check_relations` call: its plans, compiled
+    once for the source, the space it lands in, how often the relations
+    name it, and its slot in the per-input values when more than one
+    occurrence reads it (None otherwise)."""
 
-    Terms of one side that land in different spaces cannot be added and
-    raise ValueError."""
+    __slots__ = ("plans", "space", "uses", "slot")
+
+    def __init__(self, stages, source):
+        self.plans = []
+        self.space = source
+        for maps in stages:
+            plan = StagePlan(maps, self.space)
+            if self.plans:
+                self.plans[-1].feed(plan)
+            self.plans.append(plan)
+            self.space = plan.space
+        self.uses = 0
+        self.slot = None
+
+
+def _compile_side(terms, source, table):
+    """Compile one side of a relation: (sign, term) per signed term, and the
+    space the side lands in (None for the zero map, an empty side).
+
+    `table` holds the call's terms by the ids of their maps, stage by
+    stage, so each distinct pipeline is compiled once.  Terms of one side
+    that land in different spaces cannot be added and raise ValueError."""
     field = source.field
     compiled = []
     space = None
     for sign, stages in terms:
-        plans = []
-        term_space = source
-        for maps in stages:
-            plan = StagePlan(maps, term_space)
-            if plans:
-                plans[-1].feed(plan)
-            plans.append(plan)
-            term_space = plan.space
-        if space is not None and term_space != space:
+        key = tuple(tuple(map(id, maps)) for maps in stages)
+        term = table.get(key)
+        if term is None:
+            term = table[key] = _Term(stages, source)
+        term.uses += 1
+        if space is not None and term.space != space:
             raise ValueError("cannot add elements of different spaces")
-        space = term_space
-        compiled.append((field.coerce(sign), plans))
+        space = term.space
+        compiled.append((field.coerce(sign), term))
     return compiled, space
 
 
-def _evaluate(compiled, idx, field):
-    """The summed value of a compiled side on the basis tuple `idx`: each
-    term is seeded with its sign and its last plan adds into one dict."""
+def _evaluate(side, idx, field, values):
+    """The summed value of a compiled side on the basis tuple `idx`.
+
+    `side` is (read once, shared).  A term read once is seeded with its
+    sign and its last plan adds into the sum.  A shared term is evaluated
+    unsigned at its first use on this input, kept in `values` under its
+    slot, and added with its sign by every use."""
+    fused, shared = side
     total = {}
-    for sign, plans in compiled:
+    for sign, plans in fused:
         if not plans:       # a signed identity term
             s = field.add(total.get(idx, field.zero), sign)
             if field.is_zero(s):
@@ -129,18 +165,42 @@ def _evaluate(compiled, idx, field):
         for plan in plans[:-1]:
             coeffs = plan.run(coeffs)
         plans[-1].run(coeffs, total)
+    for sign, slot, plans in shared:
+        value = values[slot]
+        if value is None:
+            value = {idx: field.one}
+            for plan in plans:
+                value = plan.run(value)
+            values[slot] = value
+        if sign == field.one and not total:
+            total.update(value)
+            continue
+        add, is_zero, zero = field.add, field.is_zero, field.zero
+        for k, v in value.items():
+            if sign != field.one:
+                v = field.mul(sign, v)
+            s = add(total.get(k, zero), v)
+            if is_zero(s):
+                total.pop(k, None)
+            else:
+                total[k] = s
     return total
 
 
-def _restrict(elem, weights, limit):
-    """The coordinates of `elem` reliable for an input whose
-    `WindowSpec.coordinate_limit` is `limit`, and how many were masked;
-    `weights` is `WindowSpec.factor_weights(elem.space)`."""
+def _gate(coeffs, weights, limit):
+    """The coordinates of `coeffs` reliable for an input whose
+    `WindowSpec.coordinate_limit` is `limit`; `weights` is
+    `WindowSpec.factor_weights` of their space."""
     positive, negative = weights
     at = tuple.__getitem__
-    kept = {idx: v for idx, v in elem.coeffs.items()
+    return {idx: v for idx, v in coeffs.items()
             if sum(map(at, positive, idx)) <= limit
             and sum(map(at, negative, idx)) <= limit}
+
+
+def _restrict(elem, weights, limit):
+    """`elem` gated by `_gate`, and how many coordinates were masked."""
+    kept = _gate(elem.coeffs, weights, limit)
     return Element._trusted(elem.space, kept), len(elem.coeffs) - len(kept)
 
 
@@ -152,49 +212,133 @@ def _rank(space, idx):
     return rank
 
 
-def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
-    """Compare two signed-pipeline sums on every (window-valid) basis tuple of `source`.
+class Relation(NamedTuple):
+    """One relation for `check_relations`: the signed-pipeline sums `lhs`
+    and `rhs` agree on every (window-valid) basis tuple of `source`."""
+    name: str
+    source: TensorSpace
+    lhs: list
+    rhs: list
+    note: str = ""
 
-    Each stage of each term is compiled once into a `StagePlan`; the plans
-    live only for this call.  An empty side is the zero map."""
+
+def check_relations(specs, window=None):
+    """The report of each `Relation` in `specs`, in order, under one window.
+
+    Relations with equal sources are checked together: every distinct
+    term (pipeline of maps) is compiled once, the window-valid inputs are
+    walked once in canonical order, and at each input each term is
+    evaluated at most once, for the still-open relations that use it.
+    Each relation keeps its own checked and masked counts and stops at its
+    first mismatch, so its report is the one it gets on its own.  Terms
+    are shared whole: a stage's linked plan depends on its consumer
+    (`StagePlan.feed`), so equal stage prefixes of different terms are not
+    shared.  Term keys are the ids of the maps, which `specs` keeps alive
+    for the call; nothing outlives it."""
+    reports = [None] * len(specs)
+    groups = []     # (source, indices of the specs on it)
+    for i, spec in enumerate(specs):
+        for source, members in groups:
+            if source == spec.source:
+                members.append(i)
+                break
+        else:
+            groups.append((spec.source, [i]))
+    for source, members in groups:
+        _check_group(source, [(i, specs[i]) for i in members], window, reports)
+    return reports
+
+
+def _split(side):
+    """A compiled side as (read once, shared): (sign, plans) for each term
+    read once, (sign, slot, plans) for each shared term."""
+    return ([(sign, t.plans) for sign, t in side if t.slot is None],
+            [(sign, t.slot, t.plans) for sign, t in side if t.slot is not None])
+
+
+def _compile(source, specs, window):
+    """The relations of one source compiled for `_check_group`: the open
+    relations (index, spec, lhs, rhs, their spaces, whether the spaces are
+    equal, their window weights), the (index, spec) of those whose sides
+    are both empty, and the number of shared-term slots.  The term table
+    is dropped on return; the sides hold what the walk needs."""
+    table = {}
+    compiled = []
+    for i, spec in specs:
+        lhs, lhs_space = _compile_side(spec.lhs, source, table)
+        rhs, rhs_space = _compile_side(spec.rhs, source, table)
+        compiled.append((i, spec, lhs, rhs,
+                         rhs_space if lhs_space is None else lhs_space,
+                         lhs_space if rhs_space is None else rhs_space))
+    slots = 0
+    for term in table.values():
+        if term.uses > 1 and term.plans:
+            term.slot = slots
+            slots += 1
+    relations = []
+    zero_maps = []
+    for i, spec, lhs, rhs, lhs_space, rhs_space in compiled:
+        if lhs_space is None:
+            zero_maps.append((i, spec))
+            continue
+        weights = ((window.factor_weights(lhs_space), window.factor_weights(rhs_space))
+                   if window is not None else None)
+        relations.append((i, spec, _split(lhs), _split(rhs), lhs_space, rhs_space,
+                          lhs_space == rhs_space, weights))
+    return relations, zero_maps, slots
+
+
+def _check_group(source, specs, window, reports):
+    """Fill `reports` for the (index, spec) pairs of one source."""
     field = source.field
-    lhs_plan, lhs_space = _compile_side(lhs_terms, source)
-    rhs_plan, rhs_space = _compile_side(rhs_terms, source)
-    if lhs_space is None:
-        lhs_space = rhs_space
-    if rhs_space is None:
-        rhs_space = lhs_space
-    checked = 0
-    masked_total = 0
+    relations, zero_maps, slots = _compile(source, specs, window)
     if window is None:
-        inputs = source.basis()
+        inputs, size = source.basis(), source.size
     else:
         inputs = window.valid_inputs(source)
-        if lhs_space is not None:
-            lhs_weights = window.factor_weights(lhs_space)
-            rhs_weights = window.factor_weights(rhs_space)
+        size = len(inputs)
+    masked = dict.fromkeys((i for i, _ in specs), 0)
+    checked = 0
+    values = None
     for idx in inputs:
+        if not relations:
+            break
         checked += 1
-        if lhs_space is None:       # both sides are the zero map
-            continue
-        lhs = Element._trusted(lhs_space, _evaluate(lhs_plan, idx, field))
-        rhs = Element._trusted(rhs_space, _evaluate(rhs_plan, idx, field))
+        if slots:
+            values = [None] * slots
         if window is not None:
             limit = window.coordinate_limit(source.labels_of(idx))
-            lhs, m1 = _restrict(lhs, lhs_weights, limit)
-            rhs, m2 = _restrict(rhs, rhs_weights, limit)
-            masked_total += m1 + m2
-        if lhs != rhs:
-            witness = Witness(source.labels_of(idx), format_element(lhs),
-                              format_element(rhs))
-            inconclusive = _rank(source, idx) + 1 - checked
-            return CheckReport(name, FAIL, witness, checked, inconclusive,
-                               masked_total, note)
-    inconclusive = source.size - checked
-    if checked == 0:
-        return CheckReport(name, INCONCLUSIVE, None, checked, inconclusive,
-                           masked_total, note or "no window-valid inputs")
-    return CheckReport(name, PASS, None, checked, inconclusive, masked_total, note)
+        closed = False
+        for i, spec, lhs, rhs, lhs_space, rhs_space, same_space, weights in relations:
+            lhs = _evaluate(lhs, idx, field, values)
+            rhs = _evaluate(rhs, idx, field, values)
+            if window is not None:
+                n = len(lhs) + len(rhs)
+                lhs, rhs = _gate(lhs, weights[0], limit), _gate(rhs, weights[1], limit)
+                masked[i] += n - len(lhs) - len(rhs)
+            if lhs != rhs or not same_space:
+                witness = Witness(source.labels_of(idx),
+                                  format_element(Element._trusted(lhs_space, lhs)),
+                                  format_element(Element._trusted(rhs_space, rhs)))
+                inconclusive = _rank(source, idx) + 1 - checked
+                reports[i] = CheckReport(spec.name, FAIL, witness, checked, inconclusive,
+                                         masked[i], spec.note)
+                closed = True
+        if closed:
+            relations = [rel for rel in relations if reports[rel[0]] is None]
+    for i, spec in [rel[:2] for rel in relations] + zero_maps:
+        if size == 0:
+            reports[i] = CheckReport(spec.name, INCONCLUSIVE, None, 0, source.size,
+                                     masked[i], spec.note or "no window-valid inputs")
+        else:
+            reports[i] = CheckReport(spec.name, PASS, None, size, source.size - size,
+                                     masked[i], spec.note)
+
+
+def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
+    """Compare two signed-pipeline sums on every (window-valid) basis tuple
+    of `source`: `check_relations` with one relation."""
+    return check_relations([Relation(name, source, lhs_terms, rhs_terms, note)], window)[0]
 
 
 def check_elements_equal(name, lhs, rhs, window=None, note=""):

@@ -24,8 +24,8 @@ the coFrobenius relations.
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
-from .tensor import twist, tensor_maps
-from .reports import check_relation, check_elements_equal, skipped
+from .tensor import twist
+from .reports import Relation, check_relations, check_elements_equal, skipped
 
 
 def sgn(e):
@@ -60,9 +60,6 @@ class BialgebraData:
     def lam_eta(self):
         """The unsigned element lam(eta)."""
         return self.lam(self.eta)
-
-    def lam_eta_map(self):
-        return element_as_map(self.lam_eta(), degree=self.lam.degree - self.mu.degree)
 
     def eps_mu(self):
         """The unsigned map eps mu : A(x)A -> R."""
@@ -127,49 +124,49 @@ class _Ops:
 
 
 def _associativity(data, o):
-    return check_relation("associativity", data.space3,
-                          [(1, [[o.mu, o.id], [o.mu]])],
-                          [(sgn(o.m), [[o.id, o.mu], [o.mu]])], data.window)
+    return Relation("associativity", data.space3,
+                    [(1, [[o.mu, o.id], [o.mu]])],
+                    [(sgn(o.m), [[o.id, o.mu], [o.mu]])])
 
 
 def _commutativity(data, o):
-    return check_relation("commutativity", data.space2,
-                          [(1, [[o.tau], [o.mu]])],
-                          [(sgn(o.m), [[o.mu]])], data.window)
+    return Relation("commutativity", data.space2,
+                    [(1, [[o.tau], [o.mu]])],
+                    [(sgn(o.m), [[o.mu]])])
 
 
 def _unit(data, o):
     if data.eta is None:
         return [skipped("unit", "no unit present")]
-    return [check_relation("unit-left", data.space,
-                           [(sgn(o.m), [[o.eta_map, o.id], [o.mu]])],
-                           [(1, [])], data.window),
-            check_relation("unit-right", data.space,
-                           [(1, [[o.id, o.eta_map], [o.mu]])],
-                           [(1, [])], data.window)]
+    return [Relation("unit-left", data.space,
+                     [(sgn(o.m), [[o.eta_map, o.id], [o.mu]])],
+                     [(1, [])]),
+            Relation("unit-right", data.space,
+                     [(1, [[o.id, o.eta_map], [o.mu]])],
+                     [(1, [])])]
 
 
 def _coassociativity(data, o):
-    return check_relation("coassociativity", data.space,
-                          [(1, [[o.lam], [o.lam, o.id]])],
-                          [(sgn(o.l), [[o.lam], [o.id, o.lam]])], data.window)
+    return Relation("coassociativity", data.space,
+                    [(1, [[o.lam], [o.lam, o.id]])],
+                    [(sgn(o.l), [[o.lam], [o.id, o.lam]])])
 
 
 def _cocommutativity(data, o):
-    return check_relation("cocommutativity", data.space,
-                          [(1, [[o.lam], [o.tau]])],
-                          [(sgn(o.l), [[o.lam]])], data.window)
+    return Relation("cocommutativity", data.space,
+                    [(1, [[o.lam], [o.tau]])],
+                    [(sgn(o.l), [[o.lam]])])
 
 
 def _counit(data, o):
     if data.eps is None:
         return [skipped("counit", "no counit present")]
-    return [check_relation("counit-left", data.space,
-                           [(1, [[o.lam], [data.eps, o.id]])],
-                           [(1, [])], data.window),
-            check_relation("counit-right", data.space,
-                           [(sgn(o.l), [[o.lam], [o.id, data.eps]])],
-                           [(1, [])], data.window)]
+    return [Relation("counit-left", data.space,
+                     [(1, [[o.lam], [data.eps, o.id]])],
+                     [(1, [])]),
+            Relation("counit-right", data.space,
+                     [(sgn(o.l), [[o.lam], [o.id, data.eps]])],
+                     [(1, [])])]
 
 
 def _skip_all(names, note):
@@ -179,141 +176,149 @@ def _skip_all(names, note):
 def check_product_laws(data):
     """Associativity, commutativity, and the unit law (skipped without eta)."""
     o = _Ops(data)
-    return [_associativity(data, o), _commutativity(data, o), *_unit(data, o)]
+    return _checked([_associativity(data, o), _commutativity(data, o), *_unit(data, o)],
+                    data.window)
 
 
 def check_coproduct_laws(data):
     """Coassociativity, cocommutativity, and the counit law (skipped without eps)."""
     o = _Ops(data)
-    return [_coassociativity(data, o), _cocommutativity(data, o), *_counit(data, o)]
+    return _checked([_coassociativity(data, o), _cocommutativity(data, o), *_counit(data, o)],
+                    data.window)
 
 
-def check_unital_infinitesimal(data, o=None):
+def _checked(items, window):
+    """The report of each item, in order.  The `Relation` items are checked
+    together in one `check_relations` call; the others are finished
+    reports (skipped relations, element equalities)."""
+    specs = [item for item in items if isinstance(item, Relation)]
+    reports = iter(check_relations(specs, window))
+    return [next(reports) if isinstance(item, Relation) else item for item in items]
+
+
+def _unital_infinitesimal(data, o):
     if data.eta is None:
         return skipped("unital-infinitesimal", "no unit present")
-    o = o or _Ops(data)
     l, m = o.l, o.m
-    return check_relation(
+    return Relation(
         "unital-infinitesimal", data.space2,
         [(1, [[o.mu], [o.lam]])],
         [(sgn(l * m), [[o.lam, o.id], [o.id, o.mu]]),
          (sgn(l * m), [[o.id, o.lam], [o.mu, o.id]]),
-         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])],
-        data.window)
+         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])])
 
 
-def s_operator(data):
-    """S = (mu(x)1)(1(x)tau lam) - (-1)^{|mu|} (1(x)mu)(tau lam(x)1), degree |mu|+|lam|.
-
-    Materialized on A(x)A(x)A; the anti-symmetry check streams the same
-    sum through `_s_terms` instead."""
-    o = _Ops(data)
-    first = compose(tensor_maps(o.mu, o.id), tensor_maps(o.id, o.tl))
-    second = compose(tensor_maps(o.id, o.mu), tensor_maps(o.tl, o.id))
-    return first - second.scale(sgn(o.m))
+def check_unital_infinitesimal(data, o=None):
+    return _checked([_unital_infinitesimal(data, o or _Ops(data))], data.window)[0]
 
 
 def _s_terms(o):
-    """The S-operator as a signed sum of pipelines, never materialized on A(x)A(x)A."""
+    """The S-operator S = (mu(x)1)(1(x)tau lam) - (-1)^{|mu|} (1(x)mu)(tau lam(x)1),
+    of degree |mu|+|lam|, as a signed sum of pipelines, never materialized
+    on A(x)A(x)A."""
     return [(1, [[o.id, o.tl], [o.mu, o.id]]),
             (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
 
 
-def check_unital_antisymmetry(data, o=None):
-    """The six-term relation, its S-operator form, and the eta (x) eta consequence."""
+def _unital_antisymmetry(data, o):
     if data.eta is None:
         return _skip_all(("unital-anti-symmetry", "anti-symmetry-S-operator",
                           "twist-of-lam-eta"), "no unit present")
-    o = o or _Ops(data)
     l, m = o.l, o.m
-    w = data.window
-    six = check_relation(
+    six = Relation(
         "unital-anti-symmetry", data.space2,
         [(sgn(m * (l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
          (sgn(l * (m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
          (-sgn(l + m), [[o.id, o.lh, o.id], [o.mt, o.mu]])],
         [(sgn(l * m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
          (-sgn((l + 1) * (m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
-         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mt], [o.tau]])],
-        w)
+         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mt], [o.tau]])])
     s_terms = _s_terms(o)
-    s_form = check_relation(
+    s_form = Relation(
         "anti-symmetry-S-operator", data.space2,
         [(sign, [[o.tau], *stages, [o.tau]]) for sign, stages in s_terms],
-        [(-sgn(m + l) * sign, stages) for sign, stages in s_terms],
-        w)
+        [(-sgn(m + l) * sign, stages) for sign, stages in s_terms])
     consequence = check_elements_equal(
         "twist-of-lam-eta",
         o.tau(o.lam_eta),
         o.lam_eta.scale(sgn(l)),
-        w)
+        data.window)
     return [six, s_form, consequence]
 
 
-def check_counital_infinitesimal(data, o=None):
+def check_unital_antisymmetry(data, o=None):
+    """The six-term relation, its S-operator form, and the eta (x) eta consequence."""
+    return _checked(_unital_antisymmetry(data, o or _Ops(data)), data.window)
+
+
+def _counital_infinitesimal(data, o):
     if data.eps is None:
         return skipped("counital-infinitesimal", "no counit present")
-    o = o or _Ops(data)
     l, m = o.l, o.m
-    return check_relation(
+    return Relation(
         "counital-infinitesimal", data.space2,
         [(1, [[o.mu], [o.lam]])],
         [(sgn(l * m), [[o.lam, o.id], [o.id, o.mu]]),
          (sgn(l * m), [[o.id, o.lam], [o.mu, o.id]]),
-         (-sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
-        data.window)
+         (-sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])])
 
 
-def check_counital_antisymmetry(data, o=None):
+def check_counital_infinitesimal(data, o=None):
+    return _checked([_counital_infinitesimal(data, o or _Ops(data))], data.window)[0]
+
+
+def _counital_antisymmetry(data, o):
     if data.eps is None:
         return _skip_all(("counital-anti-symmetry", "eps-mu-twist"), "no counit present")
-    o = o or _Ops(data)
     l, m = o.l, o.m
-    w = data.window
-    six = check_relation(
+    six = Relation(
         "counital-anti-symmetry", data.space2,
         [(sgn(m * (l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
          (sgn(l * (m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
          (-sgn(l + m), [[o.tl, o.lam], [o.id, o.pm, o.id]])],
         [(sgn(l * m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
          (-sgn((l + 1) * (m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
-         (-sgn(l), [[o.tau], [o.lam, o.tl], [o.id, o.pm, o.id]])],
-        w)
-    consequence = check_relation(
+         (-sgn(l), [[o.tau], [o.lam, o.tl], [o.id, o.pm, o.id]])])
+    consequence = Relation(
         "eps-mu-twist", data.space2,
         [(1, [[o.tau], [o.pm]])],
-        [(sgn(m), [[o.pm]])],
-        w)
+        [(sgn(m), [[o.pm]])])
     return [six, consequence]
 
 
-def check_biunital_infinitesimal(data, o=None):
-    """Both infinitesimal relations plus the bridging equalities of the
-    biunital definition."""
-    o = o or _Ops(data)
-    l, m = o.l, o.m
-    w = data.window
-    out = [check_unital_infinitesimal(data, o), check_counital_infinitesimal(data, o)]
+def check_counital_antisymmetry(data, o=None):
+    return _checked(_counital_antisymmetry(data, o or _Ops(data)), data.window)
+
+
+def _bridges(data, o):
+    """The bridging equalities of the biunital definition."""
+    names = ("biunital-bridge", "biunital-anti-bridge-1", "biunital-anti-bridge-2")
     if data.eta is None or data.eps is None:
-        note = "no unit present" if data.eta is None else "no counit present"
-        out.extend(_skip_all(("biunital-bridge", "biunital-anti-bridge-1",
-                              "biunital-anti-bridge-2"), note))
-    else:
-        out.append(check_relation(
-            "biunital-bridge", data.space2,
-            [(sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
-            [(sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])], w))
-        out.append(check_relation(
-            "biunital-anti-bridge-1", data.space2,
-            [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
-            [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])], w))
-        out.append(check_relation(
-            "biunital-anti-bridge-2", data.space2,
-            [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
-            [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])], w))
-    out.extend(check_unital_antisymmetry(data, o))
-    out.extend(check_counital_antisymmetry(data, o))
-    return out
+        return _skip_all(names, "no unit present" if data.eta is None
+                         else "no counit present")
+    l, m = o.l, o.m
+    return [
+        Relation(names[0], data.space2,
+                 [(sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
+                 [(sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])]),
+        Relation(names[1], data.space2,
+                 [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
+                 [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])]),
+        Relation(names[2], data.space2,
+                 [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
+                 [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])])]
+
+
+def _biunital_infinitesimal(data, o):
+    return [_unital_infinitesimal(data, o), _counital_infinitesimal(data, o),
+            *_bridges(data, o), *_unital_antisymmetry(data, o),
+            *_counital_antisymmetry(data, o)]
+
+
+def check_biunital_infinitesimal(data, o=None):
+    """Both infinitesimal relations, the bridging equalities of the biunital
+    definition and both anti-symmetry relations."""
+    return _checked(_biunital_infinitesimal(data, o or _Ops(data)), data.window)
 
 
 def copairing(data):
@@ -332,15 +337,55 @@ def check_copairing_symmetry(data, o=None):
         "copairing-symmetry", o.tau(o.c), o.c.scale(sgn(o.l)), data.window)
 
 
-def check_pairing_symmetry(data, o=None):
+def _pairing_symmetry(data, o):
     if data.eps is None:
         return skipped("pairing-symmetry", "no counit present")
-    o = o or _Ops(data)
-    return check_relation(
-        "pairing-symmetry", data.space2,
-        [(1, [[o.tau], [o.p_map]])],
-        [(sgn(o.m), [[o.p_map]])],
-        data.window)
+    return Relation("pairing-symmetry", data.space2,
+                    [(1, [[o.tau], [o.p_map]])],
+                    [(sgn(o.m), [[o.p_map]])])
+
+
+def check_pairing_symmetry(data, o=None):
+    return _checked([_pairing_symmetry(data, o or _Ops(data))], data.window)[0]
+
+
+def _cofrobenius(data, flavor, o):
+    l, m = o.l, o.m
+    unital = flavor in ("unital", "biunital")
+    out = [_associativity(data, o)]
+    if unital:
+        out.extend(_unit(data, o))
+    out.append(_coassociativity(data, o))
+    if unital:
+        if data.eta is None:
+            out.extend(_skip_all(("unital-cofrobenius-left", "unital-cofrobenius-right"),
+                                 "no unit present"))
+        else:
+            out.append(Relation(
+                "unital-cofrobenius-left", data.space,
+                [(1, [[o.lam]])],
+                [(1, [[o.c_map, o.id], [o.id, o.mu]])]))
+            out.append(Relation(
+                "unital-cofrobenius-right", data.space,
+                [(1, [[o.lam]])],
+                [(sgn(m), [[o.id, o.c_map], [o.mu, o.id]])]))
+        out.append(check_copairing_symmetry(data, o))
+    if flavor in ("counital", "biunital"):
+        out.extend(_counit(data, o))
+        if data.eps is None:
+            out.extend(_skip_all(("counital-cofrobenius-left",
+                                  "counital-cofrobenius-right"), "no counit present"))
+        else:
+            out.append(Relation(
+                "counital-cofrobenius-left", data.space2,
+                [(1, [[o.mu]])],
+                [(sgn(m * l + l), [[o.id, o.lam], [o.p_map, o.id]])]))
+            out.append(Relation(
+                "counital-cofrobenius-right", data.space2,
+                [(1, [[o.mu]])],
+                [(sgn(m * l), [[o.lam, o.id], [o.id, o.p_map]])]))
+        out.append(_pairing_symmetry(data, o))
+    return out
 
 
 def check_cofrobenius(data, flavor="biunital", o=None):
@@ -354,44 +399,7 @@ def check_cofrobenius(data, flavor="biunital", o=None):
     """
     if flavor not in ("unital", "counital", "biunital"):
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
-    o = o or _Ops(data)
-    l, m = o.l, o.m
-    w = data.window
-    unital = flavor in ("unital", "biunital")
-    out = [_associativity(data, o)]
-    if unital:
-        out.extend(_unit(data, o))
-    out.append(_coassociativity(data, o))
-    if unital:
-        if data.eta is None:
-            out.extend(_skip_all(("unital-cofrobenius-left", "unital-cofrobenius-right"),
-                                 "no unit present"))
-        else:
-            out.append(check_relation(
-                "unital-cofrobenius-left", data.space,
-                [(1, [[o.lam]])],
-                [(1, [[o.c_map, o.id], [o.id, o.mu]])], w))
-            out.append(check_relation(
-                "unital-cofrobenius-right", data.space,
-                [(1, [[o.lam]])],
-                [(sgn(m), [[o.id, o.c_map], [o.mu, o.id]])], w))
-        out.append(check_copairing_symmetry(data, o))
-    if flavor in ("counital", "biunital"):
-        out.extend(_counit(data, o))
-        if data.eps is None:
-            out.extend(_skip_all(("counital-cofrobenius-left",
-                                  "counital-cofrobenius-right"), "no counit present"))
-        else:
-            out.append(check_relation(
-                "counital-cofrobenius-left", data.space2,
-                [(1, [[o.mu]])],
-                [(sgn(m * l + l), [[o.id, o.lam], [o.p_map, o.id]])], w))
-            out.append(check_relation(
-                "counital-cofrobenius-right", data.space2,
-                [(1, [[o.mu]])],
-                [(sgn(m * l), [[o.lam, o.id], [o.id, o.p_map]])], w))
-        out.append(check_pairing_symmetry(data, o))
-    return out
+    return _checked(_cofrobenius(data, flavor, o or _Ops(data)), data.window)
 
 
 def check_derived_identities(data, flavor="biunital"):
@@ -399,17 +407,13 @@ def check_derived_identities(data, flavor="biunital"):
     that need a missing unit or counit are skipped."""
     o = _Ops(data)
     l, m = o.l, o.m
-    w = data.window
     scal = scalar_space(data.field)
     no_unit = "no unit present" if data.eta is None else None
     no_counit = "no counit present" if data.eps is None else None
     out = []
 
     def relation(name, missing, source, lhs, rhs):
-        if missing:
-            out.append(skipped(name, missing))
-        else:
-            out.append(check_relation(name, source, lhs, rhs, w))
+        out.append(skipped(name, missing) if missing else Relation(name, source, lhs, rhs))
 
     if flavor in ("unital", "biunital"):
         relation("derived-c-c-triple", no_unit, scal,
@@ -458,25 +462,22 @@ def check_derived_identities(data, flavor="biunital"):
         relation("derived-p-c-right-inverse", missing, data.space,
                  [(sgn(l + m), [[o.id, o.c_map], [o.p_map, o.id]])],
                  [(1, [])])
-    return out
+    return _checked(out, data.window)
 
 
 def check_involutive(data):
     """mu lam = 0; for unital coFrobenius data also cross-checks mu c = 0,
     for counital also p lam = 0 (equivalent formulations)."""
     o = _Ops(data)
-    w = data.window
-    out = [check_relation("involutive-mu-lam", data.space,
-                          [(1, [[o.lam], [o.mu]])], [], w)]
+    out = [Relation("involutive-mu-lam", data.space, [(1, [[o.lam], [o.mu]])], [])]
     if data.eta is not None:
         out.append(check_elements_equal(
             "involutive-mu-c", data.mu(o.c),
-            Element(data.space), w))
+            Element(data.space), data.window))
     if data.eps is not None:
-        out.append(check_relation(
-            "involutive-p-lam", data.space,
-            [(1, [[o.lam], [o.p_map]])], [], w))
-    return out
+        out.append(Relation("involutive-p-lam", data.space,
+                            [(1, [[o.lam], [o.p_map]])], []))
+    return _checked(out, data.window)
 
 
 def direct_sum(d1, d2):

@@ -1,10 +1,10 @@
 """Named check suites, as exposed by the command line."""
 
 from .structures import (BialgebraData, _Ops, _associativity, _unit, _coassociativity,
-                         _counit, check_product_laws, check_coproduct_laws,
-                         check_unital_infinitesimal, check_unital_antisymmetry,
-                         check_counital_infinitesimal, check_counital_antisymmetry,
-                         check_biunital_infinitesimal, check_cofrobenius,
+                         _counit, _checked, _unital_infinitesimal, _unital_antisymmetry,
+                         _counital_infinitesimal, _counital_antisymmetry,
+                         _biunital_infinitesimal, check_product_laws,
+                         check_coproduct_laws, check_cofrobenius,
                          check_derived_identities, check_involutive)
 from .duality import check_poincare_duality, cyclic_triple_checks
 from .tqft import OpenClosedTQFT, run_full_tqft_suite, check_cardy
@@ -12,20 +12,22 @@ from .tqft import OpenClosedTQFT, run_full_tqft_suite, check_cardy
 
 def _unital_infinitesimal_suite(data):
     o = _Ops(data)
-    return [_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
-            check_unital_infinitesimal(data, o), *check_unital_antisymmetry(data, o)]
+    return _checked([_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
+                     _unital_infinitesimal(data, o), *_unital_antisymmetry(data, o)],
+                    data.window)
 
 
 def _counital_infinitesimal_suite(data):
     o = _Ops(data)
-    return [_associativity(data, o), _coassociativity(data, o), *_counit(data, o),
-            check_counital_infinitesimal(data, o), *check_counital_antisymmetry(data, o)]
+    return _checked([_associativity(data, o), _coassociativity(data, o), *_counit(data, o),
+                     _counital_infinitesimal(data, o), *_counital_antisymmetry(data, o)],
+                    data.window)
 
 
 def _biunital_infinitesimal_suite(data):
     o = _Ops(data)
-    return [_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
-            *_counit(data, o), *check_biunital_infinitesimal(data, o)]
+    return _checked([_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
+                     *_counit(data, o), *_biunital_infinitesimal(data, o)], data.window)
 
 
 def _derived_suite(data):

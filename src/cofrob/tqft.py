@@ -27,7 +27,8 @@ mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta) hold.
 from .core import TensorSpace, GradedMap, scalar_space
 from .tensor import twist
 from .reports import CheckReport, check_relation, prefixed, PASS, FAIL
-from .structures import _Ops, _commutativity, _cocommutativity, check_cofrobenius, sgn
+from .structures import (_Ops, _checked, _cofrobenius, _commutativity, _cocommutativity,
+                         check_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import solve_linear
 
@@ -178,9 +179,9 @@ def run_full_tqft_suite(t):
     """Relations (1)-(6) in order, plus the derived lemma checks; nothing
     short-circuits."""
     o = _Ops(t.closed)
-    out = prefixed("closed-", [*check_cofrobenius(t.closed, "biunital", o),
-                               _commutativity(t.closed, o),
-                               _cocommutativity(t.closed, o)])
+    out = prefixed("closed-", _checked([*_cofrobenius(t.closed, "biunital", o),
+                                        _commutativity(t.closed, o),
+                                        _cocommutativity(t.closed, o)], t.closed.window))
     out.extend(prefixed("open-", check_cofrobenius(t.open, "biunital")))
     out.extend(check_zipper_algebra_map(t))
     out.append(check_zipper_central(t))

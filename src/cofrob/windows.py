@@ -62,14 +62,20 @@ class WindowSpec:
         limit = self.bound - 1 - self.slack
         if limit < 0:
             return []
+        factors = list(zip(*self.factor_weights(space)))
+        if not factors:
+            return [()]
         prefixes = [((), 0, 0)]  # (index tuple, positive sum, -negative sum)
-        for positive, negative in zip(*self.factor_weights(space)):
+        for k, (positive, negative) in enumerate(factors, 1):
             steps = [((i,), hi, lo) for i, (hi, lo) in enumerate(zip(positive, negative))]
+            if k == len(factors):   # the full tuples, without their sums
+                return [idx + step for idx, hi, lo in prefixes
+                        for step, dhi, dlo in steps
+                        if hi + dhi <= limit and lo + dlo <= limit]
             prefixes = [(idx + step, hi + dhi, lo + dlo)
                         for idx, hi, lo in prefixes
                         for step, dhi, dlo in steps
                         if hi + dhi <= limit and lo + dlo <= limit]
-        return [idx for idx, _, _ in prefixes]
 
     def coordinate_reliable(self, input_labels, coord_labels):
         return (self._max_subset_abs(input_labels)

@@ -160,7 +160,7 @@ def _library_built_maps(monkeypatch, builders):
             if getattr(o, name) is not None:
                 built[name].append(getattr(o, name))
         if o.c_map is not None:
-            assert o.lh == data.lam_eta_map() and o.c_map == data.copairing_map()
+            assert o.lh == compose(data.lam, data.eta_map()) and o.c_map == data.copairing_map()
             assert o.lam_eta == data.lam_eta() and o.c == data.copairing()
         if o.p_map is not None:
             assert o.p_map == data.pairing()

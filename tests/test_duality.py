@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cofrob import (Element, GradedMap, TensorSpace, compose, map_equal,
+from cofrob import (Element, GradedMap, TensorSpace, compose, element_as_map, map_equal,
                     scalar_space, tensor_maps, twist,
                     check_cofrobenius, check_perfect, pairing_handle,
                     copairing_handle, dualize, shift_structure, rescale_signs,
@@ -114,15 +114,42 @@ def test_dualize_preserves_biunital_and_sign_table(example, request):
     assert map_equal(dual.pairing(), c_dual_map(data))
 
 
+def dual_eta(eps):
+    """eps^v in A^v: the functional eps viewed as an element of the dual module."""
+    a = eps.source.modules[0]
+    dspace = TensorSpace((dual_module(a),))
+    coeffs = {}
+    for (i,), row in eps.entries.items():
+        v = row.get((), None)
+        if v is not None:
+            coeffs[(i,)] = v
+    return Element(dspace, coeffs)
+
+
+def dual_eps(eta, eta_degree):
+    """eta^v : A^v -> R, f |-> (-1)^{|f||eta|} f(eta); degree |eta|."""
+    a = eta.space.modules[0]
+    dspace = TensorSpace((dual_module(a),))
+    field = a.field
+    entries = {}
+    for (i,), v in eta.coeffs.items():
+        s = sgn((a.degree(i) % 2) * (eta_degree % 2))
+        entries[(i,)] = {(): field.mul(field.coerce(s), v)}
+    return GradedMap(dspace, scalar_space(field), eta_degree, entries)
+
+
 def test_dual_map_of_maps_with_an_arity_zero_side(dual_examples):
     """R^v = R and the empty tuple has iota sign +1, so dual_map takes maps
     to or from the ground ring: eps^v is the dual's unit, eta^v its counit,
     the copairing's dual its pairing and the pairing's dual its copairing
-    (the paper's copairing p^v and pairing c^v)."""
+    (the paper's copairing p^v and pairing c^v).  The unit and counit are
+    compared with eps^v and eta^v built by hand from their definitions."""
     for name, data in dual_examples:
         dual = dualize(data)
-        assert map_equal(dual_map(data.eps), dual.eta_map()), name
-        assert map_equal(dual_map(data.eta_map()), dual.eps), name
+        assert dual.eta == dual_eta(data.eps), name
+        assert map_equal(dual_map(data.eps), element_as_map(dual.eta, data.eps.degree)), name
+        assert map_equal(dual_map(data.eta_map()), dual_eps(data.eta, -data.mu.degree)), name
+        assert map_equal(dual.eps, dual_eps(data.eta, -data.mu.degree)), name
         assert map_equal(dual_map(data.copairing_map()), dual.pairing()), name
         assert map_equal(dual_map(data.pairing()), dual.copairing_map()), name
 

@@ -4,6 +4,7 @@ and gates coordinates by their labels: whole reports must agree on every
 relation of every data suite."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +13,14 @@ from cofrob import (BialgebraData, Element, PrimeField, TensorSpace, WindowSpec,
                     circle_models, loop_sphere, make_module, manifold_from_cup,
                     rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
-from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, Witness,
-                            _restrict, check_relation)
+from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, SKIPPED, Relation,
+                            Witness, _restrict, check_elements_equal, check_relation,
+                            check_relations)
 from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
 from cofrob.tensor import apply_pipeline
+
+from test_tensor import F3_MOD, f3_maps
 
 
 def _side_eval(terms, x, field):
@@ -78,30 +82,74 @@ def reference_check_relation(name, source, lhs_terms, rhs_terms, window=None, no
     return CheckReport(name, PASS, None, checked, inconclusive, masked_total, note)
 
 
-def _compared_calls(monkeypatch, data):
-    """(call arguments, report, reference report) for every check_relation
-    call made by every data suite that `data` has the maps for."""
-    calls = []
+def _unbacked(out, produced):
+    """The names of the non-skipped reports in `out` that are not among
+    `produced`, the reports of the compared relations and element
+    equalities.  A prefixed report ("dual-...") matches the report it was
+    renamed from; the latest one is taken first, since a suite may check a
+    relation of the same name beforehand without reporting it (the
+    poincare-duality precheck)."""
+    pool = list(produced)
+    missing = []
+    for r in out:
+        if r.verdict == SKIPPED:
+            continue
+        for k in reversed(range(len(pool))):
+            q = pool[k]
+            if r.name.endswith(q.name) and replace(q, name=r.name) == r:
+                del pool[k]
+                break
+        else:
+            missing.append(r.name)
+    return missing
 
-    def both(*args, **kwargs):
-        report = check_relation(*args, **kwargs)
-        calls.append((args, kwargs, report, reference_check_relation(*args, **kwargs)))
+
+def _compared_calls(monkeypatch, data):
+    """(relation, window, report, reference report) for every relation that
+    every data suite that `data` has the maps for checks, through
+    `check_relation` or in a `check_relations` batch.  Every non-skipped
+    report a suite returns must come from one of them or from an element
+    equality, so a relation checked any other way fails."""
+    calls = []
+    equalities = []
+
+    def compare(spec, window, report):
+        ref = reference_check_relation(*spec[:4], window, spec.note)
+        calls.append((spec, window, report, ref))
+
+    def one(name, source, lhs, rhs, window=None, note=""):
+        report = check_relation(name, source, lhs, rhs, window, note)
+        compare(Relation(name, source, lhs, rhs, note), window, report)
         return report
 
+    def batch(specs, window=None):
+        out = check_relations(specs, window)
+        for spec, report in zip(specs, out):
+            compare(spec, window, report)
+        return out
+
+    def equal(*args, **kwargs):
+        report = check_elements_equal(*args, **kwargs)
+        equalities.append(report)
+        return report
+
+    wrappers = {"check_relation": one, "check_relations": batch,
+                "check_elements_equal": equal}
     with monkeypatch.context() as patch:
         for modname, module in list(sys.modules.items()):
             if modname.startswith("cofrob.") and module is not reports:
-                if getattr(module, "check_relation", None) is check_relation:
-                    patch.setattr(module, "check_relation", both)
+                for attr, wrapper in wrappers.items():
+                    if getattr(module, attr, None) is getattr(reports, attr):
+                        patch.setattr(module, attr, wrapper)
         for name, suite in DATA_SUITES.items():
             if name == "poincare-duality" and (data.eta is None or data.eps is None):
                 continue    # refused with a ValueError (tests/test_duality.py)
-            suite(data)
+            first, first_equality = len(calls), len(equalities)
+            out = suite(data)
+            produced = [report for _, _, report, _ in calls[first:]]
+            produced += equalities[first_equality:]
+            assert not _unbacked(out, produced), (name, _unbacked(out, produced))
     return calls
-
-
-def _window(args, kwargs):
-    return kwargs.get("window", args[4] if len(args) > 4 else None)
 
 
 def _with_window(data, window):
@@ -139,20 +187,19 @@ def _fails_past_invalid_inputs(calls):
 
 
 def _all_windowed_inconclusive(calls):
-    windowed = [report for args, kwargs, report, _ in calls
-                if _window(args, kwargs) is not None]
+    windowed = [report for _, window, report, _ in calls if window is not None]
     return windowed and all(r.verdict == INCONCLUSIVE for r in windowed)
 
 
 def _arity_zero_windowed(calls):
-    return any(args[1].arity == 0 and _window(args, kwargs) is not None
+    return any(spec.source.arity == 0 and window is not None
                and report.name == "derived-c-c-triple"
-               for args, kwargs, report, _ in calls)
+               for spec, window, report, _ in calls)
 
 
 def _negative_sign_term(calls):
-    return any(sign == -1 for args, _, _, _ in calls
-               for sign, _ in (*args[2], *args[3]))
+    return any(sign == -1 for spec, _, _, _ in calls
+               for sign, _ in (*spec.lhs, *spec.rhs))
 
 
 # each case the gate rewrite and the compiled sign seeds must get right is
@@ -170,8 +217,8 @@ REACHES = {
 def test_reports_match_visit_every_input(monkeypatch, model):
     calls = _compared_calls(monkeypatch, MODELS[model])
     assert calls
-    for args, kwargs, report, ref in calls:
-        assert report == ref, (args[0], report, ref)
+    for spec, _, report, ref in calls:
+        assert report == ref, (spec.name, report, ref)
     if model in REACHES:
         assert REACHES[model](calls)
 
@@ -202,3 +249,95 @@ def test_index_gate_keeps_what_coordinate_reliable_keeps(case):
     gated = _restrict(elem, window.factor_weights(elem.space),
                       window.coordinate_limit(input_labels))
     assert gated == _reliable(elem, input_labels, window)
+
+
+@st.composite
+def relation_batches(draw):
+    """A window or none, and one to four relations on F3^1 or F3^2 whose
+    sides are 0 to 3 signed terms drawn from one pool per source, so that
+    relations and sides share terms, repeat them with other signs, and
+    use the identity term when source and target have the same arity.
+    The maps are random, so most relations fail, many at an early input."""
+    target = draw(st.integers(min_value=1, max_value=2))
+    pools = {}
+    for k in (1, 2):
+        pool = [[]] if k == target else []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            shape = draw(st.sampled_from(("one", "two", "tensor")))
+            if shape == "one":
+                pool.append([[draw(f3_maps(k, target))]])
+            elif shape == "two":
+                j = draw(st.integers(min_value=1, max_value=2))
+                pool.append([[draw(f3_maps(k, j))], [draw(f3_maps(j, target))]])
+            else:
+                pool.append([[draw(f3_maps(k, 2))],
+                             [draw(f3_maps(1, 1)), draw(f3_maps(1, target - 1))]])
+        pools[k] = pool
+
+    def side(k):
+        return [(draw(st.sampled_from((1, -1, 2))), draw(st.sampled_from(pools[k])))
+                for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+
+    specs = []
+    for n in range(draw(st.integers(min_value=1, max_value=4))):
+        k = draw(st.integers(min_value=1, max_value=2))
+        specs.append(Relation(f"r{n}", TensorSpace((F3_MOD,) * k), side(k), side(k),
+                              draw(st.sampled_from(("", "note")))))
+    window = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                                min_size=3, max_size=3))
+        window = WindowSpec(draw(st.integers(min_value=0, max_value=6)),
+                            draw(st.integers(min_value=0, max_value=2)),
+                            dict(zip(F3_MOD.labels, weights)))
+    return specs, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_batches())
+def test_batched_relations_report_as_checked_one_by_one(batch):
+    """Over F3: `check_relations` gives each relation the report that
+    `check_relation` gives it alone, and that the visit-every-input
+    reference gives."""
+    specs, window = batch
+    reports_ = check_relations(specs, window)
+    assert len(reports_) == len(specs)
+    for spec, report in zip(specs, reports_):
+        assert report == check_relation(*spec[:4], window, spec.note), spec.name
+        assert report == reference_check_relation(*spec[:4], window, spec.note), spec.name
+
+
+def test_each_distinct_term_runs_once_per_input(monkeypatch):
+    """On `rabinowitz_loop_sphere(3, 4)` the biunital infinitesimal
+    relations name some terms more than once, yet each distinct term's
+    plans are compiled once and run once on each checked input."""
+    from collections import Counter
+    from cofrob import structures
+    from cofrob.tensor import StagePlan
+    data = rabinowitz_loop_sphere(3, 4)
+    batches, runs = [], Counter()
+    run = StagePlan.run
+
+    def counting(plan, coeffs, out=None):
+        runs[plan] += 1
+        return run(plan, coeffs, out)
+
+    def batch(specs, window=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(StagePlan, "run", counting)
+            out = check_relations(specs, window)
+        batches.append((specs, out))
+        return out
+
+    monkeypatch.setattr(structures, "check_relations", batch)
+    structures.check_biunital_infinitesimal(data)
+    [(specs, out)] = batches
+    occurrences = [stages for spec in specs for _, stages in (*spec.lhs, *spec.rhs)
+                   if stages]
+    distinct = {tuple(tuple(map(id, maps)) for maps in stages): stages
+                for stages in occurrences}
+    assert len(occurrences) > len(distinct)
+    assert all(r.passed for r in out)
+    [checked] = {r.checked for r in out}
+    assert len(runs) == sum(len(stages) for stages in distinct.values())
+    assert set(runs.values()) == {checked}

@@ -10,12 +10,23 @@ from cofrob import (Element, GradedMap, map_equal, twist,
                     check_biunital_infinitesimal, check_cofrobenius,
                     check_derived_identities, check_involutive, direct_sum,
                     counit_solve, dualize, circle_models, sphere_cohomology,
-                    tensor_maps, s_operator, manifold_from_cup, torus_cup_data,
+                    tensor_maps, compose, manifold_from_cup, torus_cup_data,
                     s2xs2_cup_data, rabinowitz_loop_sphere)
-from cofrob.structures import BialgebraData, _Ops, _s_terms
+from cofrob.structures import BialgebraData, _Ops, _s_terms, sgn
 from cofrob.tensor import apply_pipeline
 
 from conftest import all_pass, failing
+
+
+def s_operator(data):
+    """S = (mu(x)1)(1(x)tau lam) - (-1)^{|mu|} (1(x)mu)(tau lam(x)1), degree |mu|+|lam|.
+
+    Materialized on A(x)A(x)A, the reference for the streamed sum the
+    anti-symmetry check evaluates (`_s_terms`)."""
+    o = _Ops(data)
+    first = compose(tensor_maps(o.mu, o.id), tensor_maps(o.id, o.tl))
+    second = compose(tensor_maps(o.id, o.mu), tensor_maps(o.tl, o.id))
+    return first - second.scale(sgn(o.m))
 
 
 def corrupt_map(gmap, src, dst):
@@ -276,11 +287,10 @@ def test_streamed_s_operator_matches_materialized(build):
         assert streamed == s(x), data.space2.labels_of(idx)
 
 
-def _relation_key(args):
-    """A check_relation call: its name, source and both sides, with maps
+def _relation_key(name, source, lhs, rhs):
+    """A checked relation: its name, source and both sides, with maps
     compared by value, so that an operator context built twice for one
     structure still gives the same key."""
-    name, source, lhs, rhs = args[:4]
 
     def side(terms):
         return tuple((sign, tuple(map(tuple, stages))) for sign, stages in terms)
@@ -289,20 +299,26 @@ def _relation_key(args):
 
 
 def _evaluations(monkeypatch, run):
-    """The key of every relation that `run()` evaluates, in order."""
+    """The key of every relation that `run()` evaluates, in order, whether
+    through `check_relation` or in a `check_relations` batch."""
     import sys
-    from cofrob.reports import check_relation
+    from cofrob import reports
     keys = []
 
-    def counting(*args, **kwargs):
-        keys.append(_relation_key(args))
-        return check_relation(*args, **kwargs)
+    def one(*args, **kwargs):
+        keys.append(_relation_key(*args[:4]))
+        return reports.check_relation(*args, **kwargs)
+
+    def batch(specs, window=None):
+        keys.extend(_relation_key(*spec[:4]) for spec in specs)
+        return reports.check_relations(specs, window)
 
     with monkeypatch.context() as patch:
         for modname, module in list(sys.modules.items()):
-            if (modname.startswith("cofrob.")
-                    and getattr(module, "check_relation", None) is check_relation):
-                patch.setattr(module, "check_relation", counting)
+            if modname.startswith("cofrob.") and module is not reports:
+                for attr, wrapper in (("check_relation", one), ("check_relations", batch)):
+                    if getattr(module, attr, None) is getattr(reports, attr):
+                        patch.setattr(module, attr, wrapper)
         run()
     return keys
 

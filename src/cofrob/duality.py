@@ -28,8 +28,8 @@ from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
                      DUAL_SUFFIX)
-from .reports import (check_relation, check_relations, check_elements_equal, prefixed,
-                      PASS, FAIL)
+from .reports import (Relation, check_relation, check_relations, check_elements_equal,
+                      prefixed, PASS, FAIL)
 from .structures import (BialgebraData, _Ops, _commutativity, _cocommutativity,
                          check_cofrobenius, sgn)
 from .windows import merge_windows
@@ -345,36 +345,27 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
 
 def cyclic_triple_checks(data):
     """beta = (1(x)mu(x)1)(c(x)c) is cyclically symmetric; B = (p(x)p)(1(x)lam(x)1)
-    satisfies B sigma = B; plus the (co)commutative tau_12 refinements."""
+    satisfies B sigma = B; plus the (co)commutative tau_12 refinements, each
+    checked in the same call as the relation whose term it repeats."""
     from .tensor import permute, Permutation
     o = _Ops(data)
     w = data.window
     space3 = data.space3
     idm = o.id
-    out = []
+    specs = []
     sigma = permute(Permutation.cycle(3, [1, 2, 3]), space3)
     tau12 = permute(Permutation.transposition(3, 1, 2), space3)
     if data.eta is not None:
-        c_map = o.c_map
+        beta = [[o.c_map, o.c_map], [idm, data.mu, idm]]
         scal = scalar_space(data.field)
-        out.append(check_relation(
-            "beta-cyclic", scal,
-            [(1, [[c_map, c_map], [idm, data.mu, idm], [sigma]])],
-            [(1, [[c_map, c_map], [idm, data.mu, idm]])], w))
-        if check_relations([_cocommutativity(data, o)], w)[0].verdict == PASS:
-            out.append(check_relation(
-                "beta-tau12", scal,
-                [(1, [[c_map, c_map], [idm, data.mu, idm], [tau12]])],
-                [(sgn(o.l), [[c_map, c_map], [idm, data.mu, idm]])], w))
+        specs.append(Relation("beta-cyclic", scal, [(1, [*beta, [sigma]])], [(1, beta)]))
+        if check_relation(*_cocommutativity(data, o)[:4], w).verdict == PASS:
+            specs.append(Relation("beta-tau12", scal, [(1, [*beta, [tau12]])],
+                                  [(sgn(o.l), beta)]))
     if data.eps is not None:
-        p_map = o.p_map
-        out.append(check_relation(
-            "B-cyclic", space3,
-            [(1, [[sigma], [idm, data.lam, idm], [p_map, p_map]])],
-            [(1, [[idm, data.lam, idm], [p_map, p_map]])], w))
-        if check_relations([_commutativity(data, o)], w)[0].verdict == PASS:
-            out.append(check_relation(
-                "B-tau12", space3,
-                [(1, [[tau12], [idm, data.lam, idm], [p_map, p_map]])],
-                [(sgn(o.m), [[idm, data.lam, idm], [p_map, p_map]])], w))
-    return out
+        big_b = [[idm, data.lam, idm], [o.p_map, o.p_map]]
+        specs.append(Relation("B-cyclic", space3, [(1, [[sigma], *big_b])], [(1, big_b)]))
+        if check_relation(*_commutativity(data, o)[:4], w).verdict == PASS:
+            specs.append(Relation("B-tau12", space3, [(1, [[tau12], *big_b])],
+                                  [(sgn(o.m), big_b)]))
+    return check_relations(specs, w)

@@ -7,10 +7,11 @@ by side).  `check_relations` checks a list of relations in one call and
 space are checked together, input-major: every distinct term (a pipeline,
 told apart by the identity of its maps) is compiled once, stage by stage,
 into `StagePlan`s, and the window-valid inputs are walked once in
-canonical order.  At each input a term that several relations name is
-evaluated once and its value added, with each use's sign, into every
-still-open side that names it; a term named once is seeded with its sign
-and its last plan adds straight into its side.  Both sides are expanded
+canonical order.  At each input a term named more than once is evaluated
+once and its value added, with each use's sign, into every still-open
+side that names it; a term named once is seeded with its sign and its
+last plan adds straight into its side.  A call with a single relation
+compiles its terms as given and shares none.  Both sides are expanded
 on basis tuples rather than materialized as composite matrices, which
 keeps sparse intermediates small.  Each plan is linked to the next plan of
 its term, its consumer (`StagePlan.feed`), so a stage never builds a
@@ -103,8 +104,8 @@ def suite_passes(reports):
 class _Term:
     """One distinct pipeline of a `check_relations` call: its plans, compiled
     once for the source, the space it lands in, how often the relations
-    name it, and its slot in the per-input values when more than one
-    occurrence reads it (None otherwise)."""
+    name it, and its slot in the per-input values when it is named more
+    than once (None otherwise)."""
 
     __slots__ = ("plans", "space", "uses", "slot")
 
@@ -126,17 +127,22 @@ def _compile_side(terms, source, table):
     space the side lands in (None for the zero map, an empty side).
 
     `table` holds the call's terms by the ids of their maps, stage by
-    stage, so each distinct pipeline is compiled once.  Terms of one side
-    that land in different spaces cannot be added and raise ValueError."""
+    stage, so each distinct pipeline is compiled once.  It is None when
+    the call checks a single relation: its terms are compiled as given and
+    none is shared.  Terms of one side that land in different spaces
+    cannot be added and raise ValueError."""
     field = source.field
     compiled = []
     space = None
     for sign, stages in terms:
-        key = tuple(tuple(map(id, maps)) for maps in stages)
-        term = table.get(key)
-        if term is None:
-            term = table[key] = _Term(stages, source)
-        term.uses += 1
+        if table is None:
+            term = _Term(stages, source)
+        else:
+            key = tuple([tuple(map(id, maps)) for maps in stages])
+            term = table.get(key)
+            if term is None:
+                term = table[key] = _Term(stages, source)
+            term.uses += 1
         if space is not None and term.space != space:
             raise ValueError("cannot add elements of different spaces")
         space = term.space
@@ -227,8 +233,8 @@ def check_relations(specs, window=None):
 
     Relations with equal sources are checked together: every distinct
     term (pipeline of maps) is compiled once, the window-valid inputs are
-    walked once in canonical order, and at each input each term is
-    evaluated at most once, for the still-open relations that use it.
+    walked once in canonical order, and at each input a term named more
+    than once is evaluated once, for the still-open relations that use it.
     Each relation keeps its own checked and masked counts and stops at its
     first mismatch, so its report is the one it gets on its own.  Terms
     are shared whole: a stage's linked plan depends on its consumer
@@ -236,24 +242,30 @@ def check_relations(specs, window=None):
     shared.  Term keys are the ids of the maps, which `specs` keeps alive
     for the call; nothing outlives it."""
     reports = [None] * len(specs)
-    groups = []     # (source, indices of the specs on it)
-    for i, spec in enumerate(specs):
-        for source, members in groups:
-            if source == spec.source:
-                members.append(i)
+    groups = []     # (source, [(index, spec)]) in order of first appearance
+    for item in enumerate(specs):
+        source = item[1].source
+        for group_source, members in groups:
+            if group_source == source:
+                members.append(item)
                 break
         else:
-            groups.append((spec.source, [i]))
+            groups.append((source, [item]))
     for source, members in groups:
-        _check_group(source, [(i, specs[i]) for i in members], window, reports)
+        _check_group(source, members, window, reports)
     return reports
 
 
 def _split(side):
     """A compiled side as (read once, shared): (sign, plans) for each term
     read once, (sign, slot, plans) for each shared term."""
-    return ([(sign, t.plans) for sign, t in side if t.slot is None],
-            [(sign, t.slot, t.plans) for sign, t in side if t.slot is not None])
+    fused, shared = [], []
+    for sign, t in side:
+        if t.slot is None:
+            fused.append((sign, t.plans))
+        else:
+            shared.append((sign, t.slot, t.plans))
+    return fused, shared
 
 
 def _compile(source, specs, window):
@@ -262,7 +274,7 @@ def _compile(source, specs, window):
     equal, their window weights), the (index, spec) of those whose sides
     are both empty, and the number of shared-term slots.  The term table
     is dropped on return; the sides hold what the walk needs."""
-    table = {}
+    table = {} if len(specs) > 1 else None
     compiled = []
     for i, spec in specs:
         lhs, lhs_space = _compile_side(spec.lhs, source, table)
@@ -271,7 +283,7 @@ def _compile(source, specs, window):
                          rhs_space if lhs_space is None else lhs_space,
                          lhs_space if rhs_space is None else rhs_space))
     slots = 0
-    for term in table.values():
+    for term in table.values() if table else ():
         if term.uses > 1 and term.plans:
             term.slot = slots
             slots += 1
@@ -297,7 +309,7 @@ def _check_group(source, specs, window, reports):
     else:
         inputs = window.valid_inputs(source)
         size = len(inputs)
-    masked = dict.fromkeys((i for i, _ in specs), 0)
+    masked = {}             # index -> coordinates masked so far
     checked = 0
     values = None
     for idx in inputs:
@@ -315,24 +327,24 @@ def _check_group(source, specs, window, reports):
             if window is not None:
                 n = len(lhs) + len(rhs)
                 lhs, rhs = _gate(lhs, weights[0], limit), _gate(rhs, weights[1], limit)
-                masked[i] += n - len(lhs) - len(rhs)
+                masked[i] = masked.get(i, 0) + n - len(lhs) - len(rhs)
             if lhs != rhs or not same_space:
                 witness = Witness(source.labels_of(idx),
                                   format_element(Element._trusted(lhs_space, lhs)),
                                   format_element(Element._trusted(rhs_space, rhs)))
                 inconclusive = _rank(source, idx) + 1 - checked
                 reports[i] = CheckReport(spec.name, FAIL, witness, checked, inconclusive,
-                                         masked[i], spec.note)
+                                         masked.get(i, 0), spec.note)
                 closed = True
         if closed:
             relations = [rel for rel in relations if reports[rel[0]] is None]
     for i, spec in [rel[:2] for rel in relations] + zero_maps:
         if size == 0:
             reports[i] = CheckReport(spec.name, INCONCLUSIVE, None, 0, source.size,
-                                     masked[i], spec.note or "no window-valid inputs")
+                                     masked.get(i, 0), spec.note or "no window-valid inputs")
         else:
             reports[i] = CheckReport(spec.name, PASS, None, size, source.size - size,
-                                     masked[i], spec.note)
+                                     masked.get(i, 0), spec.note)
 
 
 def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):

@@ -1,7 +1,8 @@
-"""`check_relation` against the loop it replaced, which visits every input,
-tests it against the window, applies each stage to a validated `Element`
-and gates coordinates by their labels: whole reports must agree on every
-relation of every data suite."""
+"""`check_relation` and `check_relations` against the loop they replaced,
+which visits every input, tests it against the window, applies each stage
+to a validated `Element` and gates coordinates by their labels: whole
+reports must agree on every relation of every data suite, and a batch of
+relations must report each one as it is reported alone."""
 
 import sys
 from dataclasses import replace

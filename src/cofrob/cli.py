@@ -66,10 +66,11 @@ def build_example(args):
     from . import models
     field = field_from_name(args.field)
     n = args.n
+    loop_n = 3 if n is None else n
     window = args.window
     name = args.name
     if name == "sphere":
-        return from_bialgebra(models.sphere_cohomology(n or 2, field=field))
+        return from_bialgebra(models.sphere_cohomology(2 if n is None else n, field=field))
     if name == "torus":
         cup = models.torus_cup_data()
         cup.field = field
@@ -79,18 +80,18 @@ def build_example(args):
         cup.field = field
         return from_bialgebra(models.manifold_from_cup(cup))
     if name == "loop-sphere":
-        return from_bialgebra(models.loop_sphere(n or 3, window, field=field))
+        return from_bialgebra(models.loop_sphere(loop_n, window, field=field))
     if name == "based-loop-sphere":
-        return from_bialgebra(models.based_loop_sphere(n or 3, window, field=field))
+        return from_bialgebra(models.based_loop_sphere(loop_n, window, field=field))
     if name == "rabinowitz-loop-sphere":
-        return from_bialgebra(models.rabinowitz_loop_sphere(n or 3, window, field=field))
+        return from_bialgebra(models.rabinowitz_loop_sphere(loop_n, window, field=field))
     if name == "based-rabinowitz-loop-sphere":
-        return from_bialgebra(models.based_rabinowitz_loop_sphere(n or 3, window, field=field))
+        return from_bialgebra(models.based_rabinowitz_loop_sphere(loop_n, window, field=field))
     if name == "circle":
         return from_bialgebra(models.circle_models(window, which=args.vector_field,
                                                    flavor=args.flavor, field=field))
     if name == "loop-tqft":
-        return from_tqft(models.loop_tqft_sphere(n or 3, window, field=field))
+        return from_tqft(models.loop_tqft_sphere(loop_n, window, field=field))
     if name == "submanifold":
         pair = {"equator": models.equator_pair, "diagonal": models.diagonal_pair,
                 "factor": models.factor_pair}[args.pair]

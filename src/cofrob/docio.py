@@ -134,6 +134,8 @@ def parse(text):
                 bound, slack = int(parts[1]), int(parts[3])
             except ValueError as exc:
                 raise ParseError("bound and slack must be integers", lineno) from exc
+            if bound < 0 or slack < 0:
+                raise ParseError("bound and slack must be non-negative", lineno)
             if name not in doc.modules:
                 raise ParseError(f"window for undeclared module {name!r}", lineno)
             raw_windows[name] = (bound, slack, {}, lineno)

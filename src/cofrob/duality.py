@@ -30,8 +30,7 @@ from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
                      DUAL_SUFFIX)
 from .reports import (Relation, check_relation, check_relations, check_elements_equal,
                       prefixed, PASS, FAIL)
-from .structures import (BialgebraData, _Ops, _commutativity, _cocommutativity,
-                         check_cofrobenius, sgn)
+from .structures import BialgebraData, _Ops, _run, check_cofrobenius, sgn
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -359,13 +358,13 @@ def cyclic_triple_checks(data):
         beta = [[o.c_map, o.c_map], [idm, data.mu, idm]]
         scal = scalar_space(data.field)
         specs.append(Relation("beta-cyclic", scal, [(1, [*beta, [sigma]])], [(1, beta)]))
-        if check_relation(*_cocommutativity(data, o)[:4], w).verdict == PASS:
+        if _run(data, ("cocommutativity",), o)[0].verdict == PASS:
             specs.append(Relation("beta-tau12", scal, [(1, [*beta, [tau12]])],
                                   [(sgn(o.l), beta)]))
     if data.eps is not None:
         big_b = [[idm, data.lam, idm], [o.p_map, o.p_map]]
         specs.append(Relation("B-cyclic", space3, [(1, [[sigma], *big_b])], [(1, big_b)]))
-        if check_relation(*_commutativity(data, o)[:4], w).verdict == PASS:
+        if _run(data, ("commutativity",), o)[0].verdict == PASS:
             specs.append(Relation("B-tau12", space3, [(1, [[tau12], *big_b])],
                                   [(sgn(o.m), big_b)]))
     return check_relations(specs, w)

@@ -278,6 +278,8 @@ def loop_sphere(n, window_bound, field=QQ):
     _check_odd(n)
     if n < 3:
         raise ValueError("use circle_models for n = 1")
+    if window_bound < 3:
+        raise ValueError("window bound must be >= 3")
     N = window_bound
     module, weights = _loop_module(n, 0, N, with_a=True, name=f"Loop(S{n})")
     space = TensorSpace((module,))
@@ -305,6 +307,8 @@ def based_rabinowitz_loop_sphere(n, window_bound, field=QQ):
     _check_odd(n)
     if n < 3:
         raise ValueError("use circle_models for n = 1")
+    if window_bound < 3:
+        raise ValueError("window bound must be >= 3")
     N = window_bound
     module, weights = _loop_module(n, -N, N, with_a=False, name=f"BasedRabinowitzLoop(S{n})")
     space = TensorSpace((module,))
@@ -332,6 +336,8 @@ def based_loop_sphere(n, window_bound, field=QQ):
     _check_odd(n)
     if n < 3:
         raise ValueError("use circle_models for n = 1")
+    if window_bound < 3:
+        raise ValueError("window bound must be >= 3")
     N = window_bound
     module, weights = _loop_module(n, 0, N, with_a=False, name=f"BasedLoop(S{n})")
     space = TensorSpace((module,))

@@ -18,8 +18,15 @@ each basis tuple.  Sign conventions (|m| = |mu|, |l| = |lam|):
     counit              (eps(x)1)lam = 1 = (-1)^l (1(x)eps)lam
 
 together with the unital/counital/biunital infinitesimal relations, the
-six-term anti-symmetry relations and their S-operator reformulation, and
-the coFrobenius relations.
+six-term anti-symmetry relations and their S-operator reformulation, the
+coFrobenius relations and their derived identities.
+
+Each relation is written once, as an entry of `RELATIONS`: what it needs
+(the unit eta, the counit eps, or both) and its builder over `_Ops`.
+Every checker and suite is a tuple of entry names, run by `_run`: it
+builds one `_Ops`, gives a skipped report named after each entry whose
+need is missing (noting the unit before the counit), and checks the
+other relations in one `check_relations` call.
 """
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
@@ -90,11 +97,9 @@ class BialgebraData:
 
 
 class _Ops:
-    """Precomputed building blocks for the relation pipelines.
-
-    A checker takes them as `o` from a caller that built them for the same
-    data and builds its own otherwise, so that one suite call builds them
-    once.  They are never cached on the data: they point back to it."""
+    """Precomputed building blocks for the relation pipelines, built once
+    per suite call by the runner (`_run`) or by the caller that hands them
+    to it.  They are never cached on the data: they point back to it."""
 
     def __init__(self, data):
         self.data = data
@@ -123,68 +128,194 @@ class _Ops:
             self.p_map = self.pm.scale(sgn(self.l))
 
 
-def _associativity(data, o):
-    return Relation("associativity", data.space3,
-                    [(1, [[o.mu, o.id], [o.mu]])],
-                    [(sgn(o.m), [[o.id, o.mu], [o.mu]])])
+# ---------------------------------------------------------- the relation table
+
+def _s_terms(o):
+    """The S-operator S = (mu(x)1)(1(x)tau lam) - (-1)^{|mu|} (1(x)mu)(tau lam(x)1),
+    of degree |mu|+|lam|, as a signed sum of pipelines, never materialized
+    on A(x)A(x)A."""
+    return [(1, [[o.id, o.tl], [o.mu, o.id]]),
+            (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
 
 
-def _commutativity(data, o):
-    return Relation("commutativity", data.space2,
-                    [(1, [[o.tau], [o.mu]])],
-                    [(sgn(o.m), [[o.mu]])])
+_ETA, _EPS, _BOTH = ("eta",), ("eps",), ("eta", "eps")
+_MISSING = {"eta": "no unit present", "eps": "no counit present"}
+
+# name -> (needs, builder).  A builder over (data, _Ops) gives the
+# relation's (source, lhs, rhs), or a list of finished items: the left and
+# right laws of `unit` and `counit`, or the report of an element equality.
+RELATIONS = {
+    "associativity": ((), lambda d, o: (
+        d.space3,
+        [(1, [[o.mu, o.id], [o.mu]])],
+        [(sgn(o.m), [[o.id, o.mu], [o.mu]])])),
+    "commutativity": ((), lambda d, o: (
+        d.space2, [(1, [[o.tau], [o.mu]])], [(sgn(o.m), [[o.mu]])])),
+    "unit": (_ETA, lambda d, o: [
+        Relation("unit-left", d.space, [(sgn(o.m), [[o.eta_map, o.id], [o.mu]])],
+                 [(1, [])]),
+        Relation("unit-right", d.space, [(1, [[o.id, o.eta_map], [o.mu]])], [(1, [])])]),
+    "coassociativity": ((), lambda d, o: (
+        d.space,
+        [(1, [[o.lam], [o.lam, o.id]])],
+        [(sgn(o.l), [[o.lam], [o.id, o.lam]])])),
+    "cocommutativity": ((), lambda d, o: (
+        d.space, [(1, [[o.lam], [o.tau]])], [(sgn(o.l), [[o.lam]])])),
+    "counit": (_EPS, lambda d, o: [
+        Relation("counit-left", d.space, [(1, [[o.lam], [d.eps, o.id]])], [(1, [])]),
+        Relation("counit-right", d.space, [(sgn(o.l), [[o.lam], [o.id, d.eps]])],
+                 [(1, [])])]),
+
+    # the infinitesimal relations and their bridges
+    "unital-infinitesimal": (_ETA, lambda d, o: (
+        d.space2,
+        [(1, [[o.mu], [o.lam]])],
+        [(sgn(o.l * o.m), [[o.lam, o.id], [o.id, o.mu]]),
+         (sgn(o.l * o.m), [[o.id, o.lam], [o.mu, o.id]]),
+         (-sgn(o.m), [[o.id, o.lh, o.id], [o.mu, o.mu]])])),
+    "counital-infinitesimal": (_EPS, lambda d, o: (
+        d.space2,
+        [(1, [[o.mu], [o.lam]])],
+        [(sgn(o.l * o.m), [[o.lam, o.id], [o.id, o.mu]]),
+         (sgn(o.l * o.m), [[o.id, o.lam], [o.mu, o.id]]),
+         (-sgn(o.l), [[o.lam, o.lam], [o.id, o.pm, o.id]])])),
+    "biunital-bridge": (_BOTH, lambda d, o: (
+        d.space2,
+        [(sgn(o.l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
+        [(sgn(o.m), [[o.id, o.lh, o.id], [o.mu, o.mu]])])),
+    "biunital-anti-bridge-1": (_BOTH, lambda d, o: (
+        d.space2,
+        [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
+        [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])])),
+    "biunital-anti-bridge-2": (_BOTH, lambda d, o: (
+        d.space2,
+        [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
+        [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])])),
+
+    # the six-term anti-symmetry relations and their consequences
+    "unital-anti-symmetry": (_ETA, lambda d, o: (
+        d.space2,
+        [(sgn(o.m * (o.l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
+         (sgn(o.l * (o.m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
+         (-sgn(o.l + o.m), [[o.id, o.lh, o.id], [o.mt, o.mu]])],
+        [(sgn(o.l * o.m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
+         (-sgn((o.l + 1) * (o.m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
+         (-sgn(o.m), [[o.id, o.lh, o.id], [o.mu, o.mt], [o.tau]])])),
+    "anti-symmetry-S-operator": (_ETA, lambda d, o: (
+        d.space2,
+        [(sign, [[o.tau], *stages, [o.tau]]) for sign, stages in _s_terms(o)],
+        [(-sgn(o.m + o.l) * sign, stages) for sign, stages in _s_terms(o)])),
+    "twist-of-lam-eta": (_ETA, lambda d, o: [check_elements_equal(
+        "twist-of-lam-eta", o.tau(o.lam_eta), o.lam_eta.scale(sgn(o.l)), d.window)]),
+    "counital-anti-symmetry": (_EPS, lambda d, o: (
+        d.space2,
+        [(sgn(o.m * (o.l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
+         (sgn(o.l * (o.m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
+         (-sgn(o.l + o.m), [[o.tl, o.lam], [o.id, o.pm, o.id]])],
+        [(sgn(o.l * o.m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
+         (-sgn((o.l + 1) * (o.m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
+         (-sgn(o.l), [[o.tau], [o.lam, o.tl], [o.id, o.pm, o.id]])])),
+    "eps-mu-twist": (_EPS, lambda d, o: (
+        d.space2, [(1, [[o.tau], [o.pm]])], [(sgn(o.m), [[o.pm]])])),
+
+    # the coFrobenius relations (see `check_cofrobenius`)
+    "unital-cofrobenius-left": (_ETA, lambda d, o: (
+        d.space, [(1, [[o.lam]])], [(1, [[o.c_map, o.id], [o.id, o.mu]])])),
+    "unital-cofrobenius-right": (_ETA, lambda d, o: (
+        d.space, [(1, [[o.lam]])], [(sgn(o.m), [[o.id, o.c_map], [o.mu, o.id]])])),
+    "copairing-symmetry": (_ETA, lambda d, o: [check_elements_equal(
+        "copairing-symmetry", o.tau(o.c), o.c.scale(sgn(o.l)), d.window)]),
+    "counital-cofrobenius-left": (_EPS, lambda d, o: (
+        d.space2,
+        [(1, [[o.mu]])],
+        [(sgn(o.m * o.l + o.l), [[o.id, o.lam], [o.p_map, o.id]])])),
+    "counital-cofrobenius-right": (_EPS, lambda d, o: (
+        d.space2, [(1, [[o.mu]])], [(sgn(o.m * o.l), [[o.lam, o.id], [o.id, o.p_map]])])),
+    "pairing-symmetry": (_EPS, lambda d, o: (
+        d.space2, [(1, [[o.tau], [o.p_map]])], [(sgn(o.m), [[o.p_map]])])),
+
+    # the derived identities of the coFrobenius propositions
+    "derived-c-c-triple": (_ETA, lambda d, o: (
+        scalar_space(d.field),
+        [(1, [[o.c_map, o.c_map], [o.id, o.mu, o.id]])],
+        [(1, [[o.c_map], [o.lam, o.id]])])),
+    "derived-lam-c-symmetric": (_ETA, lambda d, o: (
+        scalar_space(d.field),
+        [(1, [[o.c_map], [o.lam, o.id]])],
+        [(sgn(o.l), [[o.c_map], [o.id, o.lam]])])),
+    "derived-four-way-a": ((), lambda d, o: (
+        d.space2,
+        [(1, [[o.lam, o.id], [o.id, o.mu]])],
+        [(1, [[o.id, o.lam], [o.mu, o.id]])])),
+    "derived-four-way-b": (_ETA, lambda d, o: (
+        d.space2,
+        [(1, [[o.id, o.lam], [o.mu, o.id]])],
+        [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])])),
+    "derived-four-way-c": (_ETA, lambda d, o: (
+        d.space2,
+        [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])],
+        [(sgn(o.l * o.m), [[o.mu], [o.lam]])])),
+    "derived-p-p-triple": (_EPS, lambda d, o: (
+        d.space3,
+        [(sgn(o.p_map.degree * o.m), [[o.id, o.lam, o.id], [o.p_map, o.p_map]])],
+        [(1, [[o.mu, o.id], [o.p_map]])])),
+    "derived-p-mu-symmetric": (_EPS, lambda d, o: (
+        d.space3,
+        [(1, [[o.mu, o.id], [o.p_map]])],
+        [(sgn(o.m), [[o.id, o.mu], [o.p_map]])])),
+    "derived-lam-lam-p": (_EPS, lambda d, o: (
+        d.space2,
+        [(1, [[o.lam, o.lam], [o.id, o.p_map, o.id]])],
+        [(1, [[o.mu], [o.lam]])])),
+    "derived-eps-from-p-eta": (_BOTH, lambda d, o: (
+        d.space, [(sgn(o.l), [[d.eps]])], [(1, [[o.id, o.eta_map], [o.p_map]])])),
+    "derived-p-eta-sides": (_BOTH, lambda d, o: (
+        d.space,
+        [(1, [[o.id, o.eta_map], [o.p_map]])],
+        [(sgn(o.m), [[o.eta_map, o.id], [o.p_map]])])),
+    "derived-eta-from-eps-c": (_BOTH, lambda d, o: (
+        scalar_space(d.field),
+        [(sgn(o.l * o.m + o.m), [[o.eta_map]])],
+        [(1, [[o.c_map], [d.eps, o.id]])])),
+    "derived-eps-c-sides": (_BOTH, lambda d, o: (
+        scalar_space(d.field),
+        [(1, [[o.c_map], [d.eps, o.id]])],
+        [(sgn(o.l), [[o.c_map], [o.id, d.eps]])])),
+    "derived-p-c-left-inverse": (_BOTH, lambda d, o: (
+        d.space, [(1, [[o.c_map, o.id], [o.id, o.p_map]])], [(1, [])])),
+    "derived-p-c-right-inverse": (_BOTH, lambda d, o: (
+        d.space, [(sgn(o.l + o.m), [[o.id, o.c_map], [o.p_map, o.id]])], [(1, [])])),
+
+    # involutivity and its cross-checks
+    "involutive-mu-lam": ((), lambda d, o: (d.space, [(1, [[o.lam], [o.mu]])], [])),
+    "involutive-mu-c": (_ETA, lambda d, o: [check_elements_equal(
+        "involutive-mu-c", d.mu(o.c), Element(d.space), d.window)]),
+    "involutive-p-lam": (_EPS, lambda d, o: (d.space, [(1, [[o.lam], [o.p_map]])], [])),
+}
 
 
-def _unit(data, o):
-    if data.eta is None:
-        return [skipped("unit", "no unit present")]
-    return [Relation("unit-left", data.space,
-                     [(sgn(o.m), [[o.eta_map, o.id], [o.mu]])],
-                     [(1, [])]),
-            Relation("unit-right", data.space,
-                     [(1, [[o.id, o.eta_map], [o.mu]])],
-                     [(1, [])])]
+def _missing(data, name):
+    """The first need of entry `name` that `data` lacks, or None."""
+    return next((need for need in RELATIONS[name][0] if getattr(data, need) is None), None)
 
 
-def _coassociativity(data, o):
-    return Relation("coassociativity", data.space,
-                    [(1, [[o.lam], [o.lam, o.id]])],
-                    [(sgn(o.l), [[o.lam], [o.id, o.lam]])])
+def _run(data, names, o=None):
+    """The reports of the entries `names` on `data`, in order.
 
-
-def _cocommutativity(data, o):
-    return Relation("cocommutativity", data.space,
-                    [(1, [[o.lam], [o.tau]])],
-                    [(sgn(o.l), [[o.lam]])])
-
-
-def _counit(data, o):
-    if data.eps is None:
-        return [skipped("counit", "no counit present")]
-    return [Relation("counit-left", data.space,
-                     [(1, [[o.lam], [data.eps, o.id]])],
-                     [(1, [])]),
-            Relation("counit-right", data.space,
-                     [(sgn(o.l), [[o.lam], [o.id, data.eps]])],
-                     [(1, [])])]
-
-
-def _skip_all(names, note):
-    return [skipped(name, note) for name in names]
-
-
-def check_product_laws(data):
-    """Associativity, commutativity, and the unit law (skipped without eta)."""
-    o = _Ops(data)
-    return _checked([_associativity(data, o), _commutativity(data, o), *_unit(data, o)],
-                    data.window)
-
-
-def check_coproduct_laws(data):
-    """Coassociativity, cocommutativity, and the counit law (skipped without eps)."""
-    o = _Ops(data)
-    return _checked([_coassociativity(data, o), _cocommutativity(data, o), *_counit(data, o)],
-                    data.window)
+    An entry whose need is missing gives one skipped report under its own
+    name.  The relations of the others are checked in one
+    `check_relations` call.  `o` is the data's `_Ops` when the caller
+    already has them."""
+    o = o or _Ops(data)
+    items = []
+    for name in names:
+        missing = _missing(data, name)
+        if missing is not None:
+            items.append(skipped(name, _MISSING[missing]))
+            continue
+        built = RELATIONS[name][1](data, o)
+        items.extend(built if isinstance(built, list) else [Relation(name, *built)])
+    return _checked(items, data.window)
 
 
 def _checked(items, window):
@@ -196,129 +327,71 @@ def _checked(items, window):
     return [next(reports) if isinstance(item, Relation) else item for item in items]
 
 
-def _unital_infinitesimal(data, o):
-    if data.eta is None:
-        return skipped("unital-infinitesimal", "no unit present")
-    l, m = o.l, o.m
-    return Relation(
-        "unital-infinitesimal", data.space2,
-        [(1, [[o.mu], [o.lam]])],
-        [(sgn(l * m), [[o.lam, o.id], [o.id, o.mu]]),
-         (sgn(l * m), [[o.id, o.lam], [o.mu, o.id]]),
-         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])])
+# ------------------------------------------------------ suites of the table
+
+PRODUCT_LAWS = ("associativity", "commutativity", "unit")
+COPRODUCT_LAWS = ("coassociativity", "cocommutativity", "counit")
+UNITAL_ANTISYMMETRY = ("unital-anti-symmetry", "anti-symmetry-S-operator",
+                       "twist-of-lam-eta")
+COUNITAL_ANTISYMMETRY = ("counital-anti-symmetry", "eps-mu-twist")
+BIUNITAL_INFINITESIMAL = ("unital-infinitesimal", "counital-infinitesimal",
+                          "biunital-bridge", "biunital-anti-bridge-1",
+                          "biunital-anti-bridge-2", *UNITAL_ANTISYMMETRY,
+                          *COUNITAL_ANTISYMMETRY)
+_UNITAL_COFROBENIUS = ("unital-cofrobenius-left", "unital-cofrobenius-right",
+                       "copairing-symmetry")
+_COUNITAL_COFROBENIUS = ("counit", "counital-cofrobenius-left",
+                         "counital-cofrobenius-right", "pairing-symmetry")
+COFROBENIUS = {
+    "unital": ("associativity", "unit", "coassociativity", *_UNITAL_COFROBENIUS),
+    "counital": ("associativity", "coassociativity", *_COUNITAL_COFROBENIUS),
+    "biunital": ("associativity", "unit", "coassociativity", *_UNITAL_COFROBENIUS,
+                 *_COUNITAL_COFROBENIUS),
+}
+_UNITAL_DERIVED = ("derived-c-c-triple", "derived-lam-c-symmetric", "derived-four-way-a",
+                   "derived-four-way-b", "derived-four-way-c")
+_COUNITAL_DERIVED = ("derived-p-p-triple", "derived-p-mu-symmetric", "derived-lam-lam-p")
+DERIVED_IDENTITIES = {
+    "unital": _UNITAL_DERIVED,
+    "counital": _COUNITAL_DERIVED,
+    "biunital": (*_UNITAL_DERIVED, *_COUNITAL_DERIVED, "derived-eps-from-p-eta",
+                 "derived-p-eta-sides", "derived-eta-from-eps-c", "derived-eps-c-sides",
+                 "derived-p-c-left-inverse", "derived-p-c-right-inverse"),
+}
+INVOLUTIVE = ("involutive-mu-lam", "involutive-mu-c", "involutive-p-lam")
 
 
-def check_unital_infinitesimal(data, o=None):
-    return _checked([_unital_infinitesimal(data, o or _Ops(data))], data.window)[0]
+def check_product_laws(data):
+    """Associativity, commutativity, and the unit law (skipped without eta)."""
+    return _run(data, PRODUCT_LAWS)
 
 
-def _s_terms(o):
-    """The S-operator S = (mu(x)1)(1(x)tau lam) - (-1)^{|mu|} (1(x)mu)(tau lam(x)1),
-    of degree |mu|+|lam|, as a signed sum of pipelines, never materialized
-    on A(x)A(x)A."""
-    return [(1, [[o.id, o.tl], [o.mu, o.id]]),
-            (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
+def check_coproduct_laws(data):
+    """Coassociativity, cocommutativity, and the counit law (skipped without eps)."""
+    return _run(data, COPRODUCT_LAWS)
 
 
-def _unital_antisymmetry(data, o):
-    if data.eta is None:
-        return _skip_all(("unital-anti-symmetry", "anti-symmetry-S-operator",
-                          "twist-of-lam-eta"), "no unit present")
-    l, m = o.l, o.m
-    six = Relation(
-        "unital-anti-symmetry", data.space2,
-        [(sgn(m * (l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
-         (sgn(l * (m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
-         (-sgn(l + m), [[o.id, o.lh, o.id], [o.mt, o.mu]])],
-        [(sgn(l * m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
-         (-sgn((l + 1) * (m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
-         (-sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mt], [o.tau]])])
-    s_terms = _s_terms(o)
-    s_form = Relation(
-        "anti-symmetry-S-operator", data.space2,
-        [(sign, [[o.tau], *stages, [o.tau]]) for sign, stages in s_terms],
-        [(-sgn(m + l) * sign, stages) for sign, stages in s_terms])
-    consequence = check_elements_equal(
-        "twist-of-lam-eta",
-        o.tau(o.lam_eta),
-        o.lam_eta.scale(sgn(l)),
-        data.window)
-    return [six, s_form, consequence]
+def check_unital_infinitesimal(data):
+    return _run(data, ("unital-infinitesimal",))[0]
 
 
-def check_unital_antisymmetry(data, o=None):
+def check_unital_antisymmetry(data):
     """The six-term relation, its S-operator form, and the eta (x) eta consequence."""
-    return _checked(_unital_antisymmetry(data, o or _Ops(data)), data.window)
+    return _run(data, UNITAL_ANTISYMMETRY)
 
 
-def _counital_infinitesimal(data, o):
-    if data.eps is None:
-        return skipped("counital-infinitesimal", "no counit present")
-    l, m = o.l, o.m
-    return Relation(
-        "counital-infinitesimal", data.space2,
-        [(1, [[o.mu], [o.lam]])],
-        [(sgn(l * m), [[o.lam, o.id], [o.id, o.mu]]),
-         (sgn(l * m), [[o.id, o.lam], [o.mu, o.id]]),
-         (-sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])])
+def check_counital_infinitesimal(data):
+    return _run(data, ("counital-infinitesimal",))[0]
 
 
-def check_counital_infinitesimal(data, o=None):
-    return _checked([_counital_infinitesimal(data, o or _Ops(data))], data.window)[0]
+def check_counital_antisymmetry(data):
+    return _run(data, COUNITAL_ANTISYMMETRY)
 
 
-def _counital_antisymmetry(data, o):
-    if data.eps is None:
-        return _skip_all(("counital-anti-symmetry", "eps-mu-twist"), "no counit present")
-    l, m = o.l, o.m
-    six = Relation(
-        "counital-anti-symmetry", data.space2,
-        [(sgn(m * (l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
-         (sgn(l * (m + 1)), [[o.id, o.lam], [o.mt, o.id]]),
-         (-sgn(l + m), [[o.tl, o.lam], [o.id, o.pm, o.id]])],
-        [(sgn(l * m), [[o.lam, o.id], [o.id, o.mt], [o.tau]]),
-         (-sgn((l + 1) * (m + 1)), [[o.id, o.tl], [o.mu, o.id], [o.tau]]),
-         (-sgn(l), [[o.tau], [o.lam, o.tl], [o.id, o.pm, o.id]])])
-    consequence = Relation(
-        "eps-mu-twist", data.space2,
-        [(1, [[o.tau], [o.pm]])],
-        [(sgn(m), [[o.pm]])])
-    return [six, consequence]
-
-
-def check_counital_antisymmetry(data, o=None):
-    return _checked(_counital_antisymmetry(data, o or _Ops(data)), data.window)
-
-
-def _bridges(data, o):
-    """The bridging equalities of the biunital definition."""
-    names = ("biunital-bridge", "biunital-anti-bridge-1", "biunital-anti-bridge-2")
-    if data.eta is None or data.eps is None:
-        return _skip_all(names, "no unit present" if data.eta is None
-                         else "no counit present")
-    l, m = o.l, o.m
-    return [
-        Relation(names[0], data.space2,
-                 [(sgn(l), [[o.lam, o.lam], [o.id, o.pm, o.id]])],
-                 [(sgn(m), [[o.id, o.lh, o.id], [o.mu, o.mu]])]),
-        Relation(names[1], data.space2,
-                 [(1, [[o.id, o.lh, o.id], [o.mt, o.mu]])],
-                 [(1, [[o.tl, o.lam], [o.id, o.pm, o.id]])]),
-        Relation(names[2], data.space2,
-                 [(1, [[o.id, o.lh, o.id], [o.mu, o.mt]])],
-                 [(1, [[o.lam, o.tl], [o.id, o.pm, o.id]])])]
-
-
-def _biunital_infinitesimal(data, o):
-    return [_unital_infinitesimal(data, o), _counital_infinitesimal(data, o),
-            *_bridges(data, o), *_unital_antisymmetry(data, o),
-            *_counital_antisymmetry(data, o)]
-
-
-def check_biunital_infinitesimal(data, o=None):
+def check_biunital_infinitesimal(data):
     """Both infinitesimal relations, the bridging equalities of the biunital
     definition and both anti-symmetry relations."""
-    return _checked(_biunital_infinitesimal(data, o or _Ops(data)), data.window)
+    return _run(data, BIUNITAL_INFINITESIMAL)
 
 
 def copairing(data):
@@ -329,66 +402,15 @@ def pairing(data):
     return data.pairing()
 
 
-def check_copairing_symmetry(data, o=None):
-    if data.eta is None:
-        return skipped("copairing-symmetry", "no unit present")
-    o = o or _Ops(data)
-    return check_elements_equal(
-        "copairing-symmetry", o.tau(o.c), o.c.scale(sgn(o.l)), data.window)
+def check_copairing_symmetry(data):
+    return _run(data, ("copairing-symmetry",))[0]
 
 
-def _pairing_symmetry(data, o):
-    if data.eps is None:
-        return skipped("pairing-symmetry", "no counit present")
-    return Relation("pairing-symmetry", data.space2,
-                    [(1, [[o.tau], [o.p_map]])],
-                    [(sgn(o.m), [[o.p_map]])])
+def check_pairing_symmetry(data):
+    return _run(data, ("pairing-symmetry",))[0]
 
 
-def check_pairing_symmetry(data, o=None):
-    return _checked([_pairing_symmetry(data, o or _Ops(data))], data.window)[0]
-
-
-def _cofrobenius(data, flavor, o):
-    l, m = o.l, o.m
-    unital = flavor in ("unital", "biunital")
-    out = [_associativity(data, o)]
-    if unital:
-        out.extend(_unit(data, o))
-    out.append(_coassociativity(data, o))
-    if unital:
-        if data.eta is None:
-            out.extend(_skip_all(("unital-cofrobenius-left", "unital-cofrobenius-right"),
-                                 "no unit present"))
-        else:
-            out.append(Relation(
-                "unital-cofrobenius-left", data.space,
-                [(1, [[o.lam]])],
-                [(1, [[o.c_map, o.id], [o.id, o.mu]])]))
-            out.append(Relation(
-                "unital-cofrobenius-right", data.space,
-                [(1, [[o.lam]])],
-                [(sgn(m), [[o.id, o.c_map], [o.mu, o.id]])]))
-        out.append(check_copairing_symmetry(data, o))
-    if flavor in ("counital", "biunital"):
-        out.extend(_counit(data, o))
-        if data.eps is None:
-            out.extend(_skip_all(("counital-cofrobenius-left",
-                                  "counital-cofrobenius-right"), "no counit present"))
-        else:
-            out.append(Relation(
-                "counital-cofrobenius-left", data.space2,
-                [(1, [[o.mu]])],
-                [(sgn(m * l + l), [[o.id, o.lam], [o.p_map, o.id]])]))
-            out.append(Relation(
-                "counital-cofrobenius-right", data.space2,
-                [(1, [[o.mu]])],
-                [(sgn(m * l), [[o.lam, o.id], [o.id, o.p_map]])]))
-        out.append(_pairing_symmetry(data, o))
-    return out
-
-
-def check_cofrobenius(data, flavor="biunital", o=None):
+def check_cofrobenius(data, flavor="biunital"):
     """The defining relations of the requested coFrobenius flavor.
 
     unital:   lam = (1(x)mu)(c(x)1) = (-1)^m (mu(x)1)(1(x)c), tau c = (-1)^l c
@@ -397,87 +419,24 @@ def check_cofrobenius(data, flavor="biunital", o=None):
     plus unit/counit laws and (co)associativity for the flavor.  Relations
     that need a missing unit or counit are skipped.
     """
-    if flavor not in ("unital", "counital", "biunital"):
+    if flavor not in COFROBENIUS:
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
-    return _checked(_cofrobenius(data, flavor, o or _Ops(data)), data.window)
+    return _run(data, COFROBENIUS[flavor])
 
 
 def check_derived_identities(data, flavor="biunital"):
     """The derived identities of the coFrobenius propositions.  Relations
     that need a missing unit or counit are skipped."""
-    o = _Ops(data)
-    l, m = o.l, o.m
-    scal = scalar_space(data.field)
-    no_unit = "no unit present" if data.eta is None else None
-    no_counit = "no counit present" if data.eps is None else None
-    out = []
-
-    def relation(name, missing, source, lhs, rhs):
-        out.append(skipped(name, missing) if missing else Relation(name, source, lhs, rhs))
-
-    if flavor in ("unital", "biunital"):
-        relation("derived-c-c-triple", no_unit, scal,
-                 [(1, [[o.c_map, o.c_map], [o.id, o.mu, o.id]])],
-                 [(1, [[o.c_map], [o.lam, o.id]])])
-        relation("derived-lam-c-symmetric", no_unit, scal,
-                 [(1, [[o.c_map], [o.lam, o.id]])],
-                 [(sgn(l), [[o.c_map], [o.id, o.lam]])])
-        relation("derived-four-way-a", None, data.space2,
-                 [(1, [[o.lam, o.id], [o.id, o.mu]])],
-                 [(1, [[o.id, o.lam], [o.mu, o.id]])])
-        relation("derived-four-way-b", no_unit, data.space2,
-                 [(1, [[o.id, o.lam], [o.mu, o.id]])],
-                 [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])])
-        relation("derived-four-way-c", no_unit, data.space2,
-                 [(1, [[o.id, o.c_map, o.id], [o.mu, o.mu]])],
-                 [(sgn(l * m), [[o.mu], [o.lam]])])
-    if flavor in ("counital", "biunital"):
-        p_deg = o.p_map.degree if o.p_map is not None else 0
-        relation("derived-p-p-triple", no_counit, data.space3,
-                 [(sgn(p_deg * m), [[o.id, o.lam, o.id], [o.p_map, o.p_map]])],
-                 [(1, [[o.mu, o.id], [o.p_map]])])
-        relation("derived-p-mu-symmetric", no_counit, data.space3,
-                 [(1, [[o.mu, o.id], [o.p_map]])],
-                 [(sgn(m), [[o.id, o.mu], [o.p_map]])])
-        relation("derived-lam-lam-p", no_counit, data.space2,
-                 [(1, [[o.lam, o.lam], [o.id, o.p_map, o.id]])],
-                 [(1, [[o.mu], [o.lam]])])
-    if flavor == "biunital":
-        missing = no_unit or no_counit
-        relation("derived-eps-from-p-eta", missing, data.space,
-                 [(sgn(l), [[data.eps]])],
-                 [(1, [[o.id, o.eta_map], [o.p_map]])])
-        relation("derived-p-eta-sides", missing, data.space,
-                 [(1, [[o.id, o.eta_map], [o.p_map]])],
-                 [(sgn(m), [[o.eta_map, o.id], [o.p_map]])])
-        relation("derived-eta-from-eps-c", missing, scal,
-                 [(sgn(l * m + m), [[o.eta_map]])],
-                 [(1, [[o.c_map], [data.eps, o.id]])])
-        relation("derived-eps-c-sides", missing, scal,
-                 [(1, [[o.c_map], [data.eps, o.id]])],
-                 [(sgn(l), [[o.c_map], [o.id, data.eps]])])
-        relation("derived-p-c-left-inverse", missing, data.space,
-                 [(1, [[o.c_map, o.id], [o.id, o.p_map]])],
-                 [(1, [])])
-        relation("derived-p-c-right-inverse", missing, data.space,
-                 [(sgn(l + m), [[o.id, o.c_map], [o.p_map, o.id]])],
-                 [(1, [])])
-    return _checked(out, data.window)
+    if flavor not in DERIVED_IDENTITIES:
+        raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
+    return _run(data, DERIVED_IDENTITIES[flavor])
 
 
 def check_involutive(data):
     """mu lam = 0; for unital coFrobenius data also cross-checks mu c = 0,
-    for counital also p lam = 0 (equivalent formulations)."""
-    o = _Ops(data)
-    out = [Relation("involutive-mu-lam", data.space, [(1, [[o.lam], [o.mu]])], [])]
-    if data.eta is not None:
-        out.append(check_elements_equal(
-            "involutive-mu-c", data.mu(o.c),
-            Element(data.space), data.window))
-    if data.eps is not None:
-        out.append(Relation("involutive-p-lam", data.space,
-                            [(1, [[o.lam], [o.p_map]])], []))
-    return _checked(out, data.window)
+    for counital also p lam = 0 (equivalent formulations).  The cross-checks
+    the data lacks the maps for are left out, not skipped."""
+    return _run(data, [name for name in INVOLUTIVE if _missing(data, name) is None])
 
 
 def direct_sum(d1, d2):
@@ -545,6 +504,8 @@ def counit_solve(data):
     label -> scalar) or None when the linear system is infeasible.  On
     window models only window-valid equations are used, so infeasibility
     of the restricted system certifies infeasibility of the full one.
+  A
+    window that keeps no equation determines nothing and raises ValueError.
     """
     from .fields import solve_linear
     l = data.lam.degree
@@ -580,6 +541,8 @@ def counit_solve(data):
         if all(field.is_zero(b) for b in rhs):
             return GradedMap(data.space, scalar_space(field), -l, {})
         return None
+    if not rows:
+        raise ValueError("no window-valid equation determines the counit")
     sol = solve_linear(rows, rhs, field)
     if sol is None:
         return None

@@ -1,33 +1,30 @@
-"""Named check suites, as exposed by the command line."""
+"""Named check suites, as exposed by the command line.
 
-from .structures import (BialgebraData, _Ops, _associativity, _unit, _coassociativity,
-                         _counit, _checked, _unital_infinitesimal, _unital_antisymmetry,
-                         _counital_infinitesimal, _counital_antisymmetry,
-                         _biunital_infinitesimal, check_product_laws,
-                         check_coproduct_laws, check_cofrobenius,
-                         check_derived_identities, check_involutive)
+A data suite other than poincare-duality and cyclic is a tuple of entry
+names of the relation table (`structures.RELATIONS`), run by
+`structures._run`; derived-identities picks its tuple by the maps the
+structure has."""
+
+from functools import partial
+
+from .structures import (BialgebraData, _run, PRODUCT_LAWS, COPRODUCT_LAWS,
+                         UNITAL_ANTISYMMETRY, COUNITAL_ANTISYMMETRY,
+                         BIUNITAL_INFINITESIMAL, COFROBENIUS, check_derived_identities,
+                         check_involutive)
 from .duality import check_poincare_duality, cyclic_triple_checks
 from .tqft import OpenClosedTQFT, run_full_tqft_suite, check_cardy
 
-
-def _unital_infinitesimal_suite(data):
-    o = _Ops(data)
-    return _checked([_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
-                     _unital_infinitesimal(data, o), *_unital_antisymmetry(data, o)],
-                    data.window)
-
-
-def _counital_infinitesimal_suite(data):
-    o = _Ops(data)
-    return _checked([_associativity(data, o), _coassociativity(data, o), *_counit(data, o),
-                     _counital_infinitesimal(data, o), *_counital_antisymmetry(data, o)],
-                    data.window)
-
-
-def _biunital_infinitesimal_suite(data):
-    o = _Ops(data)
-    return _checked([_associativity(data, o), *_unit(data, o), _coassociativity(data, o),
-                     *_counit(data, o), *_biunital_infinitesimal(data, o)], data.window)
+SUITE_RELATIONS = {
+    "product-laws": PRODUCT_LAWS,
+    "coproduct-laws": COPRODUCT_LAWS,
+    "unital-infinitesimal": ("associativity", "unit", "coassociativity",
+                             "unital-infinitesimal", *UNITAL_ANTISYMMETRY),
+    "counital-infinitesimal": ("associativity", "coassociativity", "counit",
+                               "counital-infinitesimal", *COUNITAL_ANTISYMMETRY),
+    "biunital-infinitesimal": ("associativity", "unit", "coassociativity", "counit",
+                               *BIUNITAL_INFINITESIMAL),
+    **{f"{flavor}-cofrobenius": names for flavor, names in COFROBENIUS.items()},
+}
 
 
 def _derived_suite(data):
@@ -37,14 +34,7 @@ def _derived_suite(data):
 
 
 DATA_SUITES = {
-    "product-laws": check_product_laws,
-    "coproduct-laws": check_coproduct_laws,
-    "unital-infinitesimal": _unital_infinitesimal_suite,
-    "counital-infinitesimal": _counital_infinitesimal_suite,
-    "biunital-infinitesimal": _biunital_infinitesimal_suite,
-    "unital-cofrobenius": lambda d: check_cofrobenius(d, "unital"),
-    "counital-cofrobenius": lambda d: check_cofrobenius(d, "counital"),
-    "biunital-cofrobenius": lambda d: check_cofrobenius(d, "biunital"),
+    **{name: partial(_run, names=names) for name, names in SUITE_RELATIONS.items()},
     "derived-identities": _derived_suite,
     "involutivity": check_involutive,
     "poincare-duality": check_poincare_duality,

@@ -22,13 +22,18 @@ p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|} p_A(zeta (x) 1); given
 (1),(2),(3),(5) the cozipper is a coalgebra map; and the module relations
 (zeta (x) 1)c_C = (-1)^{|lam_C|+|lam_A|}(1 (x) zeta*)c_A and
 mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta) hold.
+
+Relations (1) and (2) are suites of the sectors' relation table
+(`structures.RELATIONS`), reported under "closed-" and "open-".  The
+others are the entries of `TQFT_RELATIONS`, built over the TQFT and the
+`_Ops` of both sectors (identities, twists, copairing maps, pairings),
+which one suite call builds once; `_run_tqft` checks a tuple of them in
+one `check_relations` call.
 """
 
 from .core import TensorSpace, GradedMap, scalar_space
-from .tensor import twist
-from .reports import CheckReport, check_relation, prefixed, PASS, FAIL
-from .structures import (_Ops, _checked, _cofrobenius, _commutativity, _cocommutativity,
-                         check_cofrobenius, sgn)
+from .reports import CheckReport, Relation, check_elements_equal, prefixed, PASS, FAIL
+from .structures import _Ops, _checked, _run, COFROBENIUS, sgn
 from .windows import merge_windows
 from .fields import solve_linear
 
@@ -60,138 +65,134 @@ class OpenClosedTQFT:
                 f"open={self.open.module.name or '?'})")
 
 
+def _cardy(t, c, a):
+    """Relation (6) with the degree gate evaluated first; the note gives
+    both coproduct degrees."""
+    gate = c.l == 2 * a.l
+    note = f"|lam_C| = {c.l}, 2|lam_A| = {2 * a.l}, gate {'passes' if gate else 'fails'}"
+    rhs = [(sgn(a.l), [[a.lam], [a.tau], [a.mu]])] if gate else []
+    return t.open.space, [(1, [[t.cozipper], [t.zipper]])], rhs, note
+
+
+def _rel5_equivalence(t, c, a):
+    """Relation (5) and its pairing form agree in verdict: a report made
+    from theirs once both are checked."""
+    def report(done):
+        rel5, form = done["rel5-cozipper-duality"], done["rel5-pairing-form"]
+        agree = (rel5.verdict == form.verdict
+                 or {rel5.verdict, form.verdict} <= {PASS, "window-inconclusive"})
+        return CheckReport(
+            "rel5-equivalence", PASS if agree else FAIL,
+            note=f"relation (5) verdict {rel5.verdict}, pairing form {form.verdict}")
+    return [report]
+
+
+# name -> builder over the TQFT and the `_Ops` of its closed and open
+# sectors, built once per call.  A builder gives the relation's (source,
+# lhs, rhs[, note]) or a list of finished items; a callable item makes its
+# report from the reports of the call, by name.
+TQFT_RELATIONS = {
+    "rel3-zipper-products": lambda t, c, a: (
+        t.closed.space2,
+        [(1, [[t.zipper, t.zipper], [a.mu]])],
+        [(1, [[c.mu], [t.zipper]])]),
+    "rel3-zipper-unit": lambda t, c, a: [check_elements_equal(
+        "rel3-zipper-unit", t.zipper(t.closed.eta), t.open.eta, t.window)],
+    "rel4-zipper-central": lambda t, c, a: (
+        TensorSpace((t.closed.module, t.open.module)),
+        [(1, [[t.zipper, a.id], [a.mu]])],
+        [(1, [[t.zipper, a.id], [a.tau], [a.mu]])]),
+    "rel5-cozipper-duality": lambda t, c, a: (
+        scalar_space(t.closed.field),
+        [(1, [[c.c_map], [c.id, t.zipper]])],
+        [(1, [[a.c_map], [t.cozipper, a.id]])]),
+    "rel6-cardy": _cardy,
+    "rel5-pairing-form": lambda t, c, a: (
+        TensorSpace((t.closed.module, t.open.module)),
+        [(1, [[c.id, t.cozipper], [c.p_map]])],
+        [(sgn(a.l + c.l), [[t.zipper, a.id], [a.p_map]])]),
+    "rel5-equivalence": _rel5_equivalence,
+    "cozipper-coproducts": lambda t, c, a: (
+        t.open.space,
+        [(1, [[a.lam], [t.cozipper, t.cozipper]])],
+        [(sgn(t.cozipper.degree * a.l), [[t.cozipper], [c.lam]])]),
+    "cozipper-counits": lambda t, c, a: (
+        t.open.space, [(1, [[t.open.eps]])], [(1, [[t.cozipper], [t.closed.eps]])]),
+    "module-rel-a": lambda t, c, a: (
+        scalar_space(t.closed.field),
+        [(1, [[c.c_map], [t.zipper, c.id]])],
+        [(sgn(c.l + a.l), [[a.c_map], [a.id, t.cozipper]])]),
+    "module-rel-b": lambda t, c, a: (
+        TensorSpace((t.open.module, t.closed.module)),
+        [(1, [[t.cozipper, c.id], [c.mu]])],
+        [(1, [[a.id, t.zipper], [a.mu], [t.cozipper]])]),
+}
+
+CLOSED_SECTOR = (*COFROBENIUS["biunital"], "commutativity", "cocommutativity")
+TQFT_FULL = tuple(TQFT_RELATIONS)
+
+
+def _run_tqft(t, names, ops=None):
+    """The reports of the entries `names` on `t`, in order, its relations
+    checked in one `check_relations` call under the TQFT's window.  `ops`
+    is the pair of sector `_Ops` when the caller already has it."""
+    c, a = ops or (_Ops(t.closed), _Ops(t.open))
+    items = []
+    for name in names:
+        built = TQFT_RELATIONS[name](t, c, a)
+        items.extend(built if isinstance(built, list) else [Relation(name, *built)])
+    out = _checked(items, t.window)
+    done = {r.name: r for r in out if not callable(r)}
+    return [r(done) if callable(r) else r for r in out]
+
+
 def check_zipper_algebra_map(t):
     """Relation (3): mu_A(zeta (x) zeta) = zeta mu_C and zeta eta_C = eta_A."""
-    z = t.zipper
-    c, a = t.closed, t.open
-    out = [check_relation(
-        "rel3-zipper-products", c.space2,
-        [(1, [[z, z], [a.mu]])],
-        [(1, [[c.mu], [z]])], t.window)]
-    got = z(c.eta)
-    from .reports import check_elements_equal
-    out.append(check_elements_equal("rel3-zipper-unit", got, a.eta, t.window))
-    return out
+    return _run_tqft(t, ("rel3-zipper-products", "rel3-zipper-unit"))
 
 
 def check_zipper_central(t):
     """Relation (4): mu_A(zeta (x) 1) = mu_A tau(zeta (x) 1)."""
-    z = t.zipper
-    a = t.open
-    src = TensorSpace((t.closed.module, a.module))
-    tau_a = twist(a.module, a.module)
-    ida = GradedMap.identity(a.space)
-    return check_relation(
-        "rel4-zipper-central", src,
-        [(1, [[z, ida], [a.mu]])],
-        [(1, [[z, ida], [tau_a], [a.mu]])], t.window)
+    return _run_tqft(t, ("rel4-zipper-central",))[0]
 
 
 def check_rel5(t):
     """Relation (5): (1 (x) zeta) c_C = (zeta* (x) 1) c_A."""
-    c, a = t.closed, t.open
-    idc = GradedMap.identity(c.space)
-    ida = GradedMap.identity(a.space)
-    cc = c.copairing_map()
-    ca = a.copairing_map()
-    return check_relation(
-        "rel5-cozipper-duality", scalar_space(c.field),
-        [(1, [[cc], [idc, t.zipper]])],
-        [(1, [[ca], [t.cozipper, ida]])], t.window)
+    return _run_tqft(t, ("rel5-cozipper-duality",))[0]
 
 
 def check_cardy(t):
     """Relation (6) with the degree gate evaluated first; the report notes
     both coproduct degrees."""
-    c, a = t.closed, t.open
-    la, lc = a.lam.degree, c.lam.degree
-    gate = (lc == 2 * la)
-    note = f"|lam_C| = {lc}, 2|lam_A| = {2 * la}, gate {'passes' if gate else 'fails'}"
-    tau_a = twist(a.module, a.module)
-    lhs = [(1, [[t.cozipper], [t.zipper]])]
-    if gate:
-        rhs = [(sgn(la), [[a.lam], [tau_a], [a.mu]])]
-    else:
-        rhs = []
-    rep = check_relation("rel6-cardy", a.space, lhs, rhs, t.window, note=note)
-    return rep
+    return _run_tqft(t, ("rel6-cardy",))[0]
 
 
-def check_rel5_pairing_form(t, rel5=None):
+def check_rel5_pairing_form(t):
     """p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|} p_A(zeta (x) 1), and the
-    equivalence with relation (5) as verdict agreement; `rel5` is the
-    report of relation (5) when the caller already has it."""
-    c, a = t.closed, t.open
-    idc = GradedMap.identity(c.space)
-    ida = GradedMap.identity(a.space)
-    src = TensorSpace((c.module, a.module))
-    pairing_form = check_relation(
-        "rel5-pairing-form", src,
-        [(1, [[idc, t.cozipper], [c.pairing()]])],
-        [(sgn(a.lam.degree + c.lam.degree), [[t.zipper, ida], [a.pairing()]])],
-        t.window)
-    rel5 = rel5 or check_rel5(t)
-    agree = (rel5.verdict == pairing_form.verdict
-             or {rel5.verdict, pairing_form.verdict} <= {PASS, "window-inconclusive"})
-    equivalence = CheckReport(
-        "rel5-equivalence", PASS if agree else FAIL,
-        note=f"relation (5) verdict {rel5.verdict}, pairing form {pairing_form.verdict}")
-    return [pairing_form, equivalence]
+    equivalence with relation (5) as verdict agreement."""
+    return _run_tqft(t, ("rel5-cozipper-duality", "rel5-pairing-form",
+                         "rel5-equivalence"))[1:]
 
 
 def check_cozipper_coalgebra(t):
     """(zeta* (x) zeta*) lam_A = (-1)^{|zeta*||lam_A|} lam_C zeta* and
     eps_A = eps_C zeta*."""
-    c, a = t.closed, t.open
-    zs = t.cozipper
-    out = [check_relation(
-        "cozipper-coproducts", a.space,
-        [(1, [[a.lam], [zs, zs]])],
-        [(sgn(zs.degree * a.lam.degree), [[zs], [c.lam]])], t.window)]
-    out.append(check_relation(
-        "cozipper-counits", a.space,
-        [(1, [[a.eps]])],
-        [(1, [[zs], [c.eps]])], t.window))
-    return out
+    return _run_tqft(t, ("cozipper-coproducts", "cozipper-counits"))
 
 
 def check_module_relations(t):
     """(a) (zeta (x) 1)c_C = (-1)^{|lam_C|+|lam_A|}(1 (x) zeta*)c_A;
     (b) mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta)."""
-    c, a = t.closed, t.open
-    z, zs = t.zipper, t.cozipper
-    idc = GradedMap.identity(c.space)
-    ida = GradedMap.identity(a.space)
-    out = [check_relation(
-        "module-rel-a", scalar_space(c.field),
-        [(1, [[c.copairing_map()], [z, idc]])],
-        [(sgn(c.lam.degree + a.lam.degree), [[a.copairing_map()], [ida, zs]])],
-        t.window)]
-    src = TensorSpace((a.module, c.module))
-    out.append(check_relation(
-        "module-rel-b", src,
-        [(1, [[zs, idc], [c.mu]])],
-        [(1, [[ida, z], [a.mu], [zs]])], t.window))
-    return out
+    return _run_tqft(t, ("module-rel-a", "module-rel-b"))
 
 
 def run_full_tqft_suite(t):
     """Relations (1)-(6) in order, plus the derived lemma checks; nothing
-    short-circuits."""
-    o = _Ops(t.closed)
-    out = prefixed("closed-", _checked([*_cofrobenius(t.closed, "biunital", o),
-                                        _commutativity(t.closed, o),
-                                        _cocommutativity(t.closed, o)], t.closed.window))
-    out.extend(prefixed("open-", check_cofrobenius(t.open, "biunital")))
-    out.extend(check_zipper_algebra_map(t))
-    out.append(check_zipper_central(t))
-    rel5 = check_rel5(t)
-    out.append(rel5)
-    out.append(check_cardy(t))
-    out.extend(check_rel5_pairing_form(t, rel5))
-    out.extend(check_cozipper_coalgebra(t))
-    out.extend(check_module_relations(t))
-    return out
+    short-circuits.  One pair of sector `_Ops` serves the whole suite."""
+    ops = c, a = _Ops(t.closed), _Ops(t.open)
+    return [*prefixed("closed-", _run(t.closed, CLOSED_SECTOR, c)),
+            *prefixed("open-", _run(t.open, COFROBENIUS["biunital"], a)),
+            *_run_tqft(t, TQFT_FULL, ops)]
 
 
 def derive_cozipper(closed, open, zipper):

@@ -39,6 +39,9 @@ class WindowSpec:
     def __init__(self, bound, slack, weights):
         self.bound = int(bound)
         self.slack = int(slack)
+        if self.bound < 0 or self.slack < 0:
+            raise ValueError(f"window bound and slack must be non-negative, "
+                             f"got bound {self.bound}, slack {self.slack}")
         self.weights = dict(weights)
 
     def weight(self, label):

@@ -196,3 +196,31 @@ def test_derived_identities_without_unit_or_counit_are_skipped(tmp_path):
     for name in ("derived-p-p-triple", "derived-p-mu-symmetric", "derived-lam-lam-p"):
         assert f"relation {name}: SKIPPED (checked=0, inconclusive=0) [no counit present]" in out
     assert out.strip().endswith("suite derived-identities: PASS")
+
+
+@pytest.mark.parametrize("slack", ["-1", "-2"])
+def test_negative_window_slack_exits_2(tmp_path, slack):
+    # the document passes biunital-cofrobenius at its own slack; a negative
+    # slack used to report failing relations with exit code 1
+    path = emit_example(tmp_path, "rabinowitz-loop-sphere", "--n", "3", "--window", "6")
+    text = open(path, encoding="utf-8").read().replace("slack 3:", f"slack {slack}:")
+    bad = tmp_path / "negative.cofrob"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("check", "--suite", "biunital-cofrobenius", str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error: line ") and "non-negative" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--name", "sphere", "--n", "0"), "sphere dimension must be >= 1"),
+    (("--name", "loop-sphere", "--n", "0"), "only odd sphere dimensions"),
+    (("--name", "loop-sphere", "--window", "-2"), "window bound must be >= 3"),
+    (("--name", "based-loop-sphere", "--window", "2"), "window bound must be >= 3"),
+    (("--name", "based-rabinowitz-loop-sphere", "--window", "-2"),
+     "window bound must be >= 3"),
+], ids=["sphere-n0", "loop-n0", "loop-window-2", "based-loop-window2",
+        "based-rabinowitz-window-2"])
+def test_bad_example_arguments_exit_2(argv, message):
+    code, out, err = run_cli("example", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err

@@ -135,3 +135,14 @@ def test_declared_suite_survives_round_trip():
     doc = parse("suite biunital-cofrobenius\n" + S2_TEXT)
     assert doc.suite == "biunital-cofrobenius"
     assert parse(render(doc)).suite == "biunital-cofrobenius"
+
+
+@pytest.mark.parametrize("bound,slack", [(6, -1), (6, -2), (-6, 3)])
+def test_negative_window_bound_or_slack_names_the_window_line(rab3, bound, slack):
+    text = render(from_bialgebra(rab3))
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("window"))
+    lines[lineno - 1] = f"window bound {bound} slack {slack}:"
+    with pytest.raises(ParseError, match=rf"line {lineno}: bound and slack must be "
+                                         "non-negative"):
+        parse("\n".join(lines))

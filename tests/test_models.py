@@ -5,7 +5,8 @@ import pytest
 
 from cofrob import (Element, apply, map_equal, sphere_cohomology,
                     manifold_from_cup, sphere_cup_data,
-                    rabinowitz_loop_sphere,
+                    rabinowitz_loop_sphere, loop_sphere, based_loop_sphere,
+                    based_rabinowitz_loop_sphere,
                     circle_models, loop_tqft_sphere, CupData,
                     check_cofrobenius, check_unital_infinitesimal,
                     check_biunital_infinitesimal, check_involutive,
@@ -205,6 +206,12 @@ def test_window_bound_validation():
         rabinowitz_loop_sphere(4, 6)
     with pytest.raises(ValueError, match="circle"):
         rabinowitz_loop_sphere(1, 6)
+    # the other loop builders refuse a small bound with the same message
+    # instead of building a module that lacks the labels their maps name
+    for build in (loop_sphere, based_loop_sphere, based_rabinowitz_loop_sphere):
+        for bound in (2, 0, -2):
+            with pytest.raises(ValueError, match="window bound must be >= 3"):
+                build(3, bound)
 
 
 # ------------------------------------------------------------------ circle

@@ -72,6 +72,13 @@ def test_no_counit_for_loop_model(loop3):
     assert counit_solve(loop3) is None
 
 
+def test_counit_solve_without_window_valid_equations_raises():
+    # at N = 3 the window keeps no input of the counit law, so no equation
+    # determines eps; solving the empty system used to raise IndexError
+    with pytest.raises(ValueError, match="no window-valid equation determines the counit"):
+        counit_solve(rabinowitz_loop_sphere(3, 3))
+
+
 def test_counit_solver_recovers_eps(rab3, based3):
     for data in (rab3, based3):
         found = counit_solve(data)
@@ -354,11 +361,20 @@ def _collapsed(names, law):
 @pytest.mark.parametrize("missing", ["eta", "eps"])
 def test_missing_unit_or_counit_is_skipped(sphere3, missing):
     """A checker skips each relation that needs a missing unit or counit,
-    one report per relation, and still checks every other relation."""
+    one report per relation, and still checks every other relation.
+    check_involutive leaves out the cross-check it lacks the map for."""
     from cofrob.suites import DATA_SUITES
     data = sphere3.replace(**{missing: None})
     law, note = (("unit", "no unit present") if missing == "eta"
                  else ("counit", "no counit present"))
+    bridges = {"biunital-bridge", "biunital-anti-bridge-1", "biunital-anti-bridge-2"}
+    needs = bridges | ({"unit", "unital-infinitesimal", "unital-anti-symmetry",
+                        "anti-symmetry-S-operator", "twist-of-lam-eta",
+                        "unital-cofrobenius-left", "unital-cofrobenius-right",
+                        "copairing-symmetry"} if missing == "eta"
+                       else {"counit", "counital-infinitesimal", "counital-anti-symmetry",
+                             "eps-mu-twist", "counital-cofrobenius-left",
+                             "counital-cofrobenius-right", "pairing-symmetry"})
     for suite in ("unital-infinitesimal", "counital-infinitesimal",
                   "biunital-infinitesimal", "unital-cofrobenius",
                   "counital-cofrobenius", "biunital-cofrobenius"):
@@ -366,7 +382,8 @@ def test_missing_unit_or_counit_is_skipped(sphere3, missing):
         full = [r.name for r in DATA_SUITES[suite](sphere3)]
         assert [r.name for r in reports] == _collapsed(full, law), suite
         for r in reports:
-            assert r.verdict == "pass" or (r.verdict == "skipped" and r.note == note)
+            expected = ("skipped", note) if r.name in needs else ("pass", "")
+            assert (r.verdict, r.note) == expected, (suite, r.name)
     biunital = {"derived-eps-from-p-eta", "derived-p-eta-sides", "derived-eta-from-eps-c",
                 "derived-eps-c-sides", "derived-p-c-left-inverse",
                 "derived-p-c-right-inverse"}
@@ -383,3 +400,41 @@ def test_missing_unit_or_counit_is_skipped(sphere3, missing):
                 assert (r.verdict, r.note) == ("skipped", note), (flavor, r.name)
             else:
                 assert r.verdict == "pass", (flavor, r.name)
+    left_out = "involutive-mu-c" if missing == "eta" else "involutive-p-lam"
+    full = [r.name for r in check_involutive(sphere3)]
+    assert [r.name for r in check_involutive(data)] == [n for n in full if n != left_out]
+
+
+def test_relation_tables_are_consistent(monkeypatch, sphere3, equator):
+    """Every suite and checker tuple names entries of its table, and every
+    entry is reached by some suite: none is dead."""
+    from cofrob import structures, tqft
+    from cofrob.suites import DATA_SUITES, SUITE_RELATIONS, TQFT_SUITES
+    tuples = [*SUITE_RELATIONS.values(), *structures.COFROBENIUS.values(),
+              *structures.DERIVED_IDENTITIES.values(), structures.INVOLUTIVE,
+              structures.PRODUCT_LAWS, structures.COPRODUCT_LAWS,
+              structures.UNITAL_ANTISYMMETRY, structures.COUNITAL_ANTISYMMETRY,
+              structures.BIUNITAL_INFINITESIMAL, tqft.CLOSED_SECTOR]
+    for names in tuples:
+        assert set(names) <= set(structures.RELATIONS), names
+    assert set(tqft.TQFT_FULL) <= set(tqft.TQFT_RELATIONS)
+
+    reached = {"structures": set(), "tqft": set()}
+
+    def recording(table, seen):
+        class Recording(dict):
+            def __getitem__(self, name):
+                seen.add(name)
+                return dict.__getitem__(self, name)
+        return Recording(table)
+
+    monkeypatch.setattr(structures, "RELATIONS",
+                        recording(structures.RELATIONS, reached["structures"]))
+    monkeypatch.setattr(tqft, "TQFT_RELATIONS",
+                        recording(tqft.TQFT_RELATIONS, reached["tqft"]))
+    for suite in DATA_SUITES.values():
+        suite(sphere3)
+    for suite in TQFT_SUITES.values():
+        suite(equator)
+    assert reached["structures"] == set(structures.RELATIONS)
+    assert reached["tqft"] == set(tqft.TQFT_RELATIONS)

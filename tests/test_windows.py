@@ -1,5 +1,6 @@
 """WindowSpec.valid_inputs against the per-tuple gate `input_valid`."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofrob import make_module, TensorSpace, WindowSpec
@@ -43,3 +44,11 @@ def test_arity_zero_and_unweighted_labels():
     assert window.valid_inputs(TensorSpace(())) == [()]
     # "free" weighs 0; u and v add to different sums, so (u, u) is out but (u, free) is in
     assert window.valid_inputs(TensorSpace((mod, mod))) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_negative_bound_or_slack_is_refused():
+    # a negative slack would mask coordinates the maps can reach and report
+    # false failures
+    for bound, slack in ((6, -1), (-2, 3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            WindowSpec(bound, slack, {"u": 1})

@@ -3,21 +3,23 @@
     python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
 For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
-a fresh process and times one `run_suite("biunital-infinitesimal", ...)`
-(the model build is not timed).  With each time it records the relations' summed checked
-and inconclusive counts and a SHA-256 digest of the JSON report, so that
-trees can be shown to give identical reports.  The same process then runs
-the suite once more, untimed, under `tracemalloc`, and records the traced
-heap peak (`heap_peak_kb`, the largest over a tree's runs), so that a
-change that buys speed with memory shows in the record.
+a fresh process and times the build (`build_s`) and then one
+`run_suite("biunital-infinitesimal", ...)` on it.  With each time it
+records the relations' summed checked and inconclusive counts and a
+SHA-256 digest of the JSON report, so that trees can be shown to give
+identical reports.  The same process then runs the suite once more,
+untimed, under `tracemalloc`, and records the traced heap peak
+(`heap_peak_kb`, the largest over a tree's runs), so that a change that
+buys speed with memory shows in the record.
 
 `--tree LABEL=SRC` names a `src/` directory to import `cofrob` from; give
 it once per tree (default: `this=` the `src/` next to this directory).
 For every bound, the trees' runs alternate, and the order flips from one
 round of runs to the next, so that a machine whose speed drifts slows each
-tree alike.  Each tree keeps its fastest of REPEAT runs, and every
-later tree is compared with the first one (time ratio, heap ratio, and whether the
-report digests agree).  Stdlib only.  The full run is made by hand;
+tree alike.  Each tree keeps its fastest of REPEAT suite runs and its
+fastest build, and every later tree is compared with the first one (suite
+time ratio, build time ratio, heap ratio, and whether the report digests
+agree).  Stdlib only.  The full run is made by hand;
 tests/test_bench_growth.py runs it at the smallest size.
 """
 
@@ -46,16 +48,18 @@ def worker(src, bound):
         raise ImportError(f"cofrob was imported from {cofrob.__file__}, not {src}")
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
-    data = cofrob.rabinowitz_loop_sphere(3, bound)
     start = perf_counter()
+    data = cofrob.rabinowitz_loop_sphere(3, bound)
+    built = perf_counter()
     reports = run_suite(SUITE, data)
-    elapsed = perf_counter() - start
+    elapsed = perf_counter() - built
     tracemalloc.start()
     run_suite(SUITE, data)
     heap_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(json.dumps({
         "s": elapsed,
+        "build_s": built - start,
         "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),
@@ -107,6 +111,7 @@ def measure(trees, bounds, repeat):
             results[label][str(bound)] = {
                 "best_s": round(best["s"], 3),
                 "runs_s": [round(r["s"], 3) for r in rows],
+                "build_s": round(min(r["build_s"] for r in rows), 4),
                 "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
                 **{key: best[key] for key in ("relations", "checked", "inconclusive",
                                               "report_sha256")},
@@ -122,6 +127,7 @@ def compare(results):
     base = results[labels[0]]
     return {f"{labels[0]}/{label}": {
                 n: {"time_ratio": round(base[n]["best_s"] / row["best_s"], 2),
+                    "build_ratio": round(base[n]["build_s"] / row["build_s"], 2),
                     "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 2),
                     "identical_reports": base[n]["report_sha256"] == row["report_sha256"]}
                 for n, row in results[label].items()}

@@ -24,10 +24,14 @@ coFrobenius relations and their derived identities.
 Each relation is written once, as an entry of `RELATIONS`: what it needs
 (the unit eta, the counit eps, or both) and its builder over `_Ops`.
 Every checker and suite is a tuple of entry names, run by `_run`: it
-builds one `_Ops`, gives a skipped report named after each entry whose
+makes one `_Ops`, gives a skipped report named after each entry whose
 need is missing (noting the unit before the counit), and checks the
-other relations in one `check_relations` call.
+other relations in one `check_relations` call.  `_Ops` builds each
+operator when a builder first reads it, so a suite builds only the
+operators of the relations it checks.
 """
+
+from functools import cached_property
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
@@ -97,35 +101,71 @@ class BialgebraData:
 
 
 class _Ops:
-    """Precomputed building blocks for the relation pipelines, built once
-    per suite call by the runner (`_run`) or by the caller that hands them
-    to it.  They are never cached on the data: they point back to it."""
+    """The building blocks of the relation pipelines, for one suite call
+    by the runner (`_run`) or by the caller that hands them to it.  They
+    are never cached on the data: they point back to it.
+
+    Each operator is built on first use, so a call pays only for what its
+    relations read: the identity `id`, the twist `tau`, tau lam (`tl`),
+    mu tau (`mt`), the unit group (`lh` = lam eta as a map, the copairing
+    map `c_map`, the elements `lam_eta` and `c`) and the pairing group
+    (`pm` = eps mu, `p_map`); the unit and pairing groups are None when
+    the data lacks their maps.  Only `eta_map` is built here: its
+    validating constructor refuses an eta of the wrong degree, whichever
+    relations the call reads."""
 
     def __init__(self, data):
         self.data = data
-        self.id = GradedMap.identity(data.space)
-        self.tau = twist(data.module, data.module)
         self.mu = data.mu
         self.lam = data.lam
         self.m = data.mu.degree if data.mu is not None else 0
         self.l = data.lam.degree if data.lam is not None else 0
-        if data.lam is not None:
-            self.tl = compose(self.tau, data.lam)
-        if data.mu is not None:
-            self.mt = compose(data.mu, self.tau)
-        self.lh = self.c_map = self.eta_map = self.lam_eta = self.c = None
-        self.pm = self.p_map = None
-        if data.eta is not None and data.mu is not None and data.lam is not None:
-            # lam(eta) is computed once, from validated maps; eta_map's own
-            # check guards the degree of eta.
-            self.eta_map = data.eta_map()
-            self.lh = compose(data.lam, self.eta_map)
-            self.c_map = self.lh.scale(sgn(self.l * self.m + self.m))
-            self.lam_eta = Element._trusted(data.space2, self.lh.entries.get((), {}))
-            self.c = Element._trusted(data.space2, self.c_map.entries.get((), {}))
-        if data.eps is not None and data.mu is not None:
-            self.pm = data.eps_mu()
-            self.p_map = self.pm.scale(sgn(self.l))
+        unital = data.eta is not None and data.mu is not None and data.lam is not None
+        self.eta_map = data.eta_map() if unital else None
+
+    @cached_property
+    def id(self):
+        return GradedMap.identity(self.data.space)
+
+    @cached_property
+    def tau(self):
+        return twist(self.data.module, self.data.module)
+
+    @cached_property
+    def tl(self):
+        return compose(self.tau, self.lam)
+
+    @cached_property
+    def mt(self):
+        return compose(self.mu, self.tau)
+
+    @cached_property
+    def lh(self):
+        # lam(eta) is computed once, from validated maps.
+        return None if self.eta_map is None else compose(self.lam, self.eta_map)
+
+    @cached_property
+    def c_map(self):
+        return None if self.lh is None else self.lh.scale(sgn(self.l * self.m + self.m))
+
+    @cached_property
+    def lam_eta(self):
+        return None if self.lh is None else Element._trusted(
+            self.data.space2, self.lh.entries.get((), {}))
+
+    @cached_property
+    def c(self):
+        return None if self.c_map is None else Element._trusted(
+            self.data.space2, self.c_map.entries.get((), {}))
+
+    @cached_property
+    def pm(self):
+        data = self.data
+        return None if data.eps is None or data.mu is None else data.eps_mu()
+
+    @cached_property
+    def p_map(self):
+        return None if self.pm is None else self.pm.scale(sgn(self.l))
 
 
 # ---------------------------------------------------------- the relation table
@@ -458,33 +498,31 @@ def direct_sum(d1, d2):
     sp1 = TensorSpace((module,))
     sp2 = TensorSpace((module, module))
 
-    def lift(idx, offset):
-        return tuple(i + offset for i in idx)
+    def lift(idx):
+        return tuple(i + off for i in idx)
 
-    mu_entries = {}
-    for src, row in d1.mu.entries.items():
-        mu_entries[src] = {dst: v for dst, v in row.items()}
-    for src, row in d2.mu.entries.items():
-        mu_entries[lift(src, off)] = {lift(dst, off): v for dst, v in row.items()}
-    mu = GradedMap(sp2, sp1, d1.mu.degree, mu_entries)
+    def lifted(f1, f2):
+        """f1's entries, then f2's moved past A1's basis."""
+        entries = dict(f1.entries)
+        entries.update({lift(src): {lift(dst): v for dst, v in row.items()}
+                        for src, row in f2.entries.items()})
+        return entries
 
-    lam_entries = {}
-    for src, row in d1.lam.entries.items():
-        lam_entries[src] = {dst: v for dst, v in row.items()}
-    for src, row in d2.lam.entries.items():
-        lam_entries[lift(src, off)] = {lift(dst, off): v for dst, v in row.items()}
-    lam = GradedMap(sp1, sp2, d1.lam.degree, lam_entries)
+    # The components' entries are validated, their supports are disjoint,
+    # the offset keeps each degree and the fields are equal, so the lifted
+    # mu and lam need no re-validation.
+    mu = GradedMap._trusted(sp2, sp1, d1.mu.degree, lifted(d1.mu, d2.mu))
+    lam = GradedMap._trusted(sp1, sp2, d1.lam.degree, lifted(d1.lam, d2.lam))
 
     eta = None
     if d1.eta is not None:
         coeffs = dict(d1.eta.coeffs)
-        coeffs.update({lift(idx, off): v for idx, v in d2.eta.coeffs.items()})
+        coeffs.update({lift(idx): v for idx, v in d2.eta.coeffs.items()})
         eta = Element(sp1, coeffs)
     eps = None
     if d1.eps is not None:
-        entries = {src: dict(row) for src, row in d1.eps.entries.items()}
-        entries.update({lift(src, off): dict(row) for src, row in d2.eps.entries.items()})
-        eps = GradedMap(sp1, scalar_space(d1.field), d1.eps.degree, entries)
+        # The counits' degrees are not compared, so the sum is validated.
+        eps = GradedMap(sp1, scalar_space(d1.field), d1.eps.degree, lifted(d1.eps, d2.eps))
 
     if d1.window is None and d2.window is None:
         window = None

@@ -294,8 +294,20 @@ def permute(rho, space):
 
 
 def twist(a, b):
-    """tau: A (x) B -> B (x) A, tau(x (x) y) = (-1)^{|x||y|} y (x) x."""
-    return permute(Permutation((2, 1)), TensorSpace((a, b)))
+    """tau: A (x) B -> B (x) A, tau(x (x) y) = (-1)^{|x||y|} y (x) x.
+
+    Built in one pass over the pairs of basis indices, the sign read from
+    the factors' degree parities; it equals
+    `permute(Permutation((2, 1)), TensorSpace((a, b)))`, the general path.
+    Every value is +-1, so the map is built without re-validation."""
+    source = TensorSpace((a, b))
+    one = source.field.one
+    signs = (one, source.field.neg(one))
+    odd_b = [d & 1 for d in b.degrees]
+    entries = {(i, j): {(j, i): signs[p & q]}
+               for i, p in enumerate([d & 1 for d in a.degrees])
+               for j, q in enumerate(odd_b)}
+    return GradedMap._trusted(source, TensorSpace((b, a)), 0, entries)
 
 
 def dual_module(a):
@@ -305,8 +317,17 @@ def dual_module(a):
                         name=f"({a.name}){DUAL_SUFFIX}" if a.name else "")
 
 
-def dual_space(space):
-    return TensorSpace(tuple(dual_module(m) for m in space.modules), field=space.field)
+def dual_spaces(*spaces):
+    """The dual A_1^v (x) ... (x) A_n^v of each space, in order.  One dual
+    module is built for each distinct factor (modules are equal by value)
+    and shared by every space that has it."""
+    duals = {}
+    for space in spaces:
+        for m in space.modules:
+            if m not in duals:
+                duals[m] = dual_module(m)
+    return tuple(TensorSpace(tuple(duals[m] for m in space.modules), field=space.field)
+                 for space in spaces)
 
 
 def raw_dual(f):
@@ -337,7 +358,7 @@ def iota(space):
     for finite bases.
     """
     flat, to_flat, _ = flatten_space(space)
-    source = dual_space(space)
+    source, = dual_spaces(space)
     target = TensorSpace((dual_module(flat),))
     field = space.field
     entries = {}
@@ -417,7 +438,7 @@ def dual_map(f):
     the dual of a counit is a unit on A^v and that of a copairing map a
     pairing.  Every value is +-1 times a validated nonzero value, so the
     map is built without re-validation."""
-    source, target = dual_space(f.target), dual_space(f.source)
+    source, target = dual_spaces(f.target, f.source)
     neg = f.source.field.neg
     odd_f = f.degree & 1
     entries = {}

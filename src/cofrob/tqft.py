@@ -27,8 +27,9 @@ Relations (1) and (2) are suites of the sectors' relation table
 (`structures.RELATIONS`), reported under "closed-" and "open-".  The
 others are the entries of `TQFT_RELATIONS`, built over the TQFT and the
 `_Ops` of both sectors (identities, twists, copairing maps, pairings),
-which one suite call builds once; `_run_tqft` checks a tuple of them in
-one `check_relations` call.
+which one suite call makes once and which build each operator on first
+use; `_run_tqft` checks a tuple of them in one `check_relations` call.
+Both sectors must have a unit and a counit (`require_biunital_sectors`).
 """
 
 from .core import TensorSpace, GradedMap, scalar_space
@@ -38,8 +39,19 @@ from .windows import merge_windows
 from .fields import solve_linear
 
 
+def require_biunital_sectors(closed, open):
+    """Refuse a sector without a unit or a counit: relations (3)-(6) and
+    the cozipper read both sectors' units and counits."""
+    for sector, data in (("closed", closed), ("open", open)):
+        for attr, what in (("eta", "unit"), ("eps", "counit")):
+            if getattr(data, attr) is None:
+                raise ValueError(f"TQFT {sector} sector has no {what} ({attr}); "
+                                 "both sectors must be biunital")
+
+
 class OpenClosedTQFT:
     def __init__(self, closed, open, zipper, cozipper):
+        require_biunital_sectors(closed, open)
         if closed.mu.degree != 0 or open.mu.degree != 0:
             raise ValueError("degree normalization violated: products must have "
                              f"degree 0 (got |mu_C| = {closed.mu.degree}, "

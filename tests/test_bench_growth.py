@@ -31,6 +31,8 @@ def test_growth_harness_writes_a_comparable_record(tmp_path, monkeypatch):
     assert row["relations"] == 16 and len(row["runs_s"]) == 1
     assert row["checked"] + row["inconclusive"] > 0
     assert row["heap_peak_kb"] > 0
+    assert row["build_s"] > 0
     assert record["trees"]["b"]["bounds"]["3"]["report_sha256"] == row["report_sha256"]
     assert record["comparison"]["a/b"]["3"]["identical_reports"] is True
     assert record["comparison"]["a/b"]["3"]["heap_ratio"] > 0
+    assert record["comparison"]["a/b"]["3"]["build_ratio"] > 0

@@ -98,6 +98,34 @@ def test_suite_structure_mismatch(tmp_path):
     assert "single structure" in err
 
 
+def drop_section(text, header):
+    """`text` without the section that starts with the line `header`."""
+    out, dropping = [], False
+    for line in text.splitlines(keepends=True):
+        if line.rstrip().endswith(":"):
+            dropping = line.startswith(header)
+        if not dropping:
+            out.append(line)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["given-cozipper", "derived-cozipper"])
+@pytest.mark.parametrize("header,message", [
+    ("eta closed", "TQFT closed sector has no unit (eta)"),
+    ("map open.eps", "TQFT open sector has no counit (eps)")])
+def test_tqft_sector_without_unit_or_counit_exits_2(tmp_path, header, message, derived):
+    text = drop_section(open(emit_example(tmp_path, "submanifold", "--pair", "equator")).read(),
+                        header)
+    if derived:
+        text = drop_section(text, "map cozipper")
+    path = tmp_path / "cut.cofrob"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli("check", "--suite", "tqft-full", str(path))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_transform_dual_then_check(tmp_path):
     path = emit_example(tmp_path, "sphere", "--n", "2")
     out_path = tmp_path / "dual.cofrob"

@@ -142,40 +142,38 @@ def test_scalar_space_basis():
 def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
     dual_map and GradedMap.scale returned, every element Element.scale
-    returned, and every lam(eta), copairing and pairing map an operator
-    context derived, while building each structure, dualizing it and
-    running every data suite on it."""
-    from cofrob import tensor
+    returned, the mu and lam of every direct_sum, and every lam(eta),
+    copairing and pairing map an operator context built on demand, while
+    building each structure, dualizing it and running every data suite on
+    it."""
+    from cofrob import structures, tensor
     from cofrob.structures import _Ops
     from cofrob.suites import DATA_SUITES
     from cofrob.duality import dualize
     built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": [],
-             "dual_map": [], "scale": [], "element_scale": [],
+             "dual_map": [], "scale": [], "element_scale": [], "direct_sum": [],
              "lh": [], "c_map": [], "p_map": []}
+    contexts = []
     ops_init = _Ops.__init__
 
     def recording_ops(o, data):
         ops_init(o, data)
-        for name in ("lh", "c_map", "p_map"):
-            if getattr(o, name) is not None:
-                built[name].append(getattr(o, name))
-        if o.c_map is not None:
-            assert o.lh == compose(data.lam, data.eta_map()) and o.c_map == data.copairing_map()
-            assert o.lam_eta == data.lam_eta() and o.c == data.copairing()
-        if o.p_map is not None:
-            assert o.p_map == data.pairing()
+        contexts.append(o)
 
-    def recording(fn, name):
+    def recording(fn, name, outputs=lambda out: [out]):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            built[name].append(out)
+            built[name].extend(outputs(out))
             return out
         return wrapper
 
     with monkeypatch.context() as patch:
-        for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps,
-                   tensor.dual_map):
-            wrapper = recording(fn, fn.__name__)
+        wrappers = [(fn, recording(fn, fn.__name__))
+                    for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps,
+                               tensor.dual_map)]
+        wrappers.append((structures.direct_sum, recording(
+            structures.direct_sum, "direct_sum", lambda data: [data.mu, data.lam])))
+        for fn, wrapper in wrappers:
             for modname, module in list(sys.modules.items()):
                 if modname.startswith("cofrob"):
                     for attr, value in list(vars(module).items()):
@@ -191,20 +189,31 @@ def _library_built_maps(monkeypatch, builders):
             dualize(data)
             for suite in DATA_SUITES.values():
                 suite(data)
+    for o in contexts:
+        ops, data = vars(o), o.data
+        for name in ("lh", "c_map", "p_map"):
+            if ops.get(name) is not None:
+                built[name].append(ops[name])
+        if ops.get("c_map") is not None:
+            assert o.lh == compose(data.lam, data.eta_map()) and o.c_map == data.copairing_map()
+            assert o.lam_eta == data.lam_eta() and o.c == data.copairing()
+        if ops.get("p_map") is not None:
+            assert o.p_map == data.pairing()
     return built
 
 
 def test_library_built_maps_pass_full_validation(monkeypatch):
     """compose, permute, twist, GradedMap.identity, tensor_maps, dual_map,
-    GradedMap.scale, Element.scale and the lam(eta), copairing and pairing
-    maps of the operator context skip the validating constructor; every
-    map and element they build for the models, their duals and the data
-    suites is exactly what it builds, with no zero value and no empty row,
-    and the context's maps equal what the validating BialgebraData methods
-    build. F2 matters because -1 is 1 there."""
+    GradedMap.scale, Element.scale, the lifted mu and lam of direct_sum and
+    the lam(eta), copairing and pairing maps of the operator context skip
+    the validating constructor; every map and element they build for the
+    models, their duals and the data suites is exactly what it builds,
+    with no zero value and no empty row, and the context's maps equal what
+    the validating BialgebraData methods build. F2 matters because -1 is 1
+    there."""
     from cofrob import (PrimeField, QQ, sphere_cup_data, torus_cup_data,
                         s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere,
-                        shift_structure, sphere_cohomology)
+                        shift_structure, sphere_cohomology, circle_models)
 
     def manifold(cup_data, field):
         def build():
@@ -218,6 +227,8 @@ def test_library_built_maps_pass_full_validation(monkeypatch):
                 for field in (QQ, PrimeField(2), PrimeField(3))]
     builders.append(lambda: rabinowitz_loop_sphere(3, 4))
     builders.append(lambda: shift_structure(sphere_cohomology(3)))  # c = -lam(eta)
+    builders.append(lambda: circle_models(4))
+    builders.append(lambda: circle_models(4, flavor="based-rabinowitz"))
     built = _library_built_maps(monkeypatch, builders)
     for name, maps in built.items():
         assert maps, f"{name} was never called"

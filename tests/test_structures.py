@@ -438,3 +438,62 @@ def test_relation_tables_are_consistent(monkeypatch, sphere3, equator):
         suite(equator)
     assert reached["structures"] == set(structures.RELATIONS)
     assert reached["tqft"] == set(tqft.TQFT_RELATIONS)
+
+
+def _operators_built(monkeypatch, run):
+    """The names of the `_Ops` operators that `run()` builds, and the
+    number of twists the library builds, by any caller."""
+    import sys
+    from cofrob import tensor
+    contexts, twists = [], []
+    init, original = _Ops.__init__, tensor.twist
+
+    def recording_init(o, data):
+        init(o, data)
+        contexts.append(o)
+
+    def counting_twist(a, b):
+        twists.append((a, b))
+        return original(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Ops, "__init__", recording_init)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("cofrob") and getattr(module, "twist", None) is original:
+                patch.setattr(module, "twist", counting_twist)
+        run()
+    return set().union(*(vars(o) for o in contexts)), len(twists)
+
+
+@pytest.mark.parametrize("build", [lambda: sphere_cohomology(3),
+                                   lambda: rabinowitz_loop_sphere(3, 4)],
+                         ids=["sphere3", "rab3-4"])
+def test_operators_are_built_only_when_a_relation_reads_them(monkeypatch, build):
+    """derived-identities and involutivity build no twist; no coFrobenius
+    flavor, poincare-duality or cyclic (which reads tau only for its
+    (co)commutativity preconditions) builds tau lam or mu tau, which the
+    anti-symmetry relations of biunital-infinitesimal do read."""
+    from cofrob.suites import DATA_SUITES
+    data = build()
+    for suite in ("derived-identities", "involutivity"):
+        built, twists = _operators_built(monkeypatch, lambda: DATA_SUITES[suite](data))
+        assert "tau" not in built and twists == 0, suite
+    for suite in ("unital-cofrobenius", "counital-cofrobenius", "biunital-cofrobenius",
+                  "poincare-duality", "cyclic"):
+        built, _ = _operators_built(monkeypatch, lambda: DATA_SUITES[suite](data))
+        assert not {"tl", "mt"} & built, suite
+    built, twists = _operators_built(
+        monkeypatch, lambda: DATA_SUITES["biunital-infinitesimal"](data))
+    assert {"tau", "tl", "mt"} <= built and twists == 1
+
+
+def test_wrong_degree_unit_is_refused_by_every_data_suite(sphere3):
+    """An eta outside degree -|mu| is refused by the operator context of
+    every data suite, also by those whose relations read no unit."""
+    from cofrob.suites import DATA_SUITES
+    assert len(DATA_SUITES) == 12
+    top = sphere3.module.index["w"]
+    bad = sphere3.replace(eta=Element.basis(sphere3.space, (top,)))
+    for name, suite in DATA_SUITES.items():
+        with pytest.raises(ValueError, match="homogeneity"):
+            suite(bad)

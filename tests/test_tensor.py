@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, compose,
+from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, QQ, compose,
                     map_equal, tensor_modules, tensor_maps, twist, permute,
                     Permutation, dual_module, dual_map, double_dual, iota,
                     iota_inverse, ShiftMaps, shift_map, sphere_cohomology,
@@ -113,6 +113,36 @@ def test_twist_involution():
     assert map_equal(compose(t1, t1), GradedMap.identity(TensorSpace((MOD, MOD))))
 
 
+@st.composite
+def module_pairs(draw):
+    """Two different modules over one of Q, F2 and F3, with random degrees
+    (odd degrees included)."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    degrees = st.lists(st.integers(min_value=-3, max_value=3), max_size=5)
+    a = make_module([(f"a{i}", d) for i, d in enumerate(draw(degrees))], field=field)
+    b = make_module([(f"b{i}", d) for i, d in enumerate(draw(degrees))], field=field)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(module_pairs())
+def test_twist_equals_the_general_permutation(pair):
+    """The one-pass twist is the transposition `permute` builds, on A(x)B,
+    B(x)A and A(x)A, entry order included."""
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        t = twist(x, y)
+        ref = permute(Permutation((2, 1)), TensorSpace((x, y)))
+        assert (t.source, t.target, t.degree) == (ref.source, ref.target, ref.degree)
+        assert list(t.entries.items()) == list(ref.entries.items())
+
+
+def test_twist_refuses_modules_over_different_fields():
+    f3 = make_module([("u", 1)], field=PrimeField(3))
+    with pytest.raises(ValueError, match="different fields"):
+        twist(MOD, f3)
+
+
 def test_sigma_action_formula():
     # sigma(a (x) b (x) c) = (-1)^{(|a|+|b|)|c|} c (x) a (x) b
     sp3 = TensorSpace((MOD, MOD, MOD))
@@ -163,6 +193,21 @@ def test_dual_module_degrees():
     assert d.degrees == (1, 0, -2)
     assert map_equal(raw_dual(GradedMap.identity(SP1)),
                      GradedMap.identity(TensorSpace((d,))))
+
+
+def test_dual_map_builds_one_dual_module_per_distinct_factor(monkeypatch):
+    """Each dual_map call on the maps of H*(S^2) builds A^v once, for both
+    sides together, and the sides share it."""
+    from cofrob import tensor
+    calls = []
+    monkeypatch.setattr(tensor, "dual_module", lambda a: calls.append(a) or dual_module(a))
+    data = sphere_cohomology(2)
+    for f in (data.mu, data.lam, data.eps, data.eta_map()):
+        calls.clear()
+        fv = dual_map(f)
+        assert calls == [data.module]
+        (dmod,) = {*fv.source.modules, *fv.target.modules}
+        assert dmod == dual_module(data.module)
 
 
 def test_iota_is_isomorphism_on_sphere_pair():

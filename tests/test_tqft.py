@@ -28,6 +28,21 @@ def test_degree_normalization_enforced(sphere2, sphere3):
         OpenClosedTQFT(shifted, shifted, z, z)
 
 
+@pytest.mark.parametrize("sector,missing,message", [
+    ("closed", "eta", "closed sector has no unit"),
+    ("closed", "eps", "closed sector has no counit"),
+    ("open", "eta", "open sector has no unit"),
+    ("open", "eps", "open sector has no counit")])
+def test_sectors_without_unit_or_counit_are_refused(equator, sector, missing, message):
+    closed, open_ = equator.closed, equator.open
+    if sector == "closed":
+        closed = closed.replace(**{missing: None})
+    else:
+        open_ = open_.replace(**{missing: None})
+    with pytest.raises(ValueError, match=message):
+        OpenClosedTQFT(closed, open_, equator.zipper, equator.cozipper)
+
+
 def test_cozipper_degree_enforced(tqft3):
     bad = GradedMap.zero(tqft3.open.space, tqft3.closed.space, 0)
     with pytest.raises(ValueError, match=r"\|zeta\*\|"):

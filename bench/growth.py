@@ -3,11 +3,11 @@
     python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
 For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
-a fresh process and times the build (`build_s`) and then one
-`run_suite("biunital-infinitesimal", ...)` on it.  With each time it
-records the relations' summed checked and inconclusive counts and a
-SHA-256 digest of the JSON report, so that trees can be shown to give
-identical reports.  The same process then runs the suite once more,
+a fresh process BUILDS times, keeping the fastest build (`build_s`), and
+then times one `run_suite("biunital-infinitesimal", ...)` on it.  With
+each time it records the relations' summed checked and inconclusive
+counts and a SHA-256 digest of the JSON report, so that trees can be
+shown to give identical reports.  The same process then runs the suite once more,
 untimed, under `tracemalloc`, and records the traced heap peak
 (`heap_peak_kb`, the largest over a tree's runs), so that a change that
 buys speed with memory shows in the record.
@@ -38,6 +38,7 @@ ROOT = os.path.dirname(HERE)
 SUITE = "biunital-infinitesimal"
 BOUNDS = (6, 10, 14)
 REPEAT = 3
+BUILDS = 5   # builds per run: a first build in a fresh process is noisy
 
 
 def worker(src, bound):
@@ -48,18 +49,21 @@ def worker(src, bound):
         raise ImportError(f"cofrob was imported from {cofrob.__file__}, not {src}")
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
+    builds = []
+    for _ in range(BUILDS):
+        start = perf_counter()
+        data = cofrob.rabinowitz_loop_sphere(3, bound)
+        builds.append(perf_counter() - start)
     start = perf_counter()
-    data = cofrob.rabinowitz_loop_sphere(3, bound)
-    built = perf_counter()
     reports = run_suite(SUITE, data)
-    elapsed = perf_counter() - built
+    elapsed = perf_counter() - start
     tracemalloc.start()
     run_suite(SUITE, data)
     heap_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(json.dumps({
         "s": elapsed,
-        "build_s": built - start,
+        "build_s": min(builds),
         "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),

@@ -358,12 +358,11 @@ def to_bialgebra(doc):
 def to_tqft(doc):
     """Build the open-closed TQFT; a missing cozipper is derived from the
     pairing relation."""
-    from .tqft import OpenClosedTQFT, derive_cozipper, require_biunital_sectors
+    from .tqft import OpenClosedTQFT, derive_cozipper
     if not doc.is_pair:
         raise ValueError("document describes a single structure; expected a TQFT pair")
     closed = _build_data(doc, "closed")
     open_ = _build_data(doc, "open")
-    require_biunital_sectors(closed, open_)
     zipper = _build_map(doc, "zipper", closed.space, open_.space)
     if zipper is None:
         raise ValueError("TQFT document needs a zipper map")

@@ -41,7 +41,7 @@ from .fields import solve_linear
 
 def require_biunital_sectors(closed, open):
     """Refuse a sector without a unit or a counit: relations (3)-(6) and
-    the cozipper read both sectors' units and counits."""
+    the cozipper solver read both sectors' units and counits."""
     for sector, data in (("closed", closed), ("open", open)):
         for attr, what in (("eta", "unit"), ("eps", "counit")):
             if getattr(data, attr) is None:
@@ -217,6 +217,7 @@ def derive_cozipper(closed, open, zipper):
     equation is used; coordinates left undetermined by the truncation are
     set to zero (truncation-consistent).
     """
+    require_biunital_sectors(closed, open)
     field = closed.field
     p_c = closed.pairing()
     p_a = open.pairing()

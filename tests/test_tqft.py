@@ -41,6 +41,8 @@ def test_sectors_without_unit_or_counit_are_refused(equator, sector, missing, me
         open_ = open_.replace(**{missing: None})
     with pytest.raises(ValueError, match=message):
         OpenClosedTQFT(closed, open_, equator.zipper, equator.cozipper)
+    with pytest.raises(ValueError, match=message):
+        derive_cozipper(closed, open_, equator.zipper)
 
 
 def test_cozipper_degree_enforced(tqft3):

@@ -1,6 +1,8 @@
 """Axiom suites of the bialgebra flavors on the built-in structures,
 including deliberately corrupted negative controls."""
 
+import sys
+
 import pytest
 
 from cofrob import (Element, GradedMap, map_equal, twist,
@@ -443,7 +445,6 @@ def test_relation_tables_are_consistent(monkeypatch, sphere3, equator):
 def _operators_built(monkeypatch, run):
     """The names of the `_Ops` operators that `run()` builds, and the
     number of twists the library builds, by any caller."""
-    import sys
     from cofrob import tensor
     contexts, twists = [], []
     init, original = _Ops.__init__, tensor.twist

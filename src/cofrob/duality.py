@@ -29,8 +29,9 @@ from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
 from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
                      DUAL_SUFFIX)
 from .reports import (Relation, check_relation, check_relations, check_elements_equal,
-                      prefixed, PASS, FAIL)
-from .structures import BialgebraData, _Ops, _run, check_cofrobenius, sgn
+                      prefixed, PASS)
+from .structures import (BialgebraData, _Ops, _run, check_cofrobenius,
+                         require_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -96,19 +97,13 @@ def check_perfect(pair, copair, window=None):
     a_space = vec_p.source
     c_map = element_as_map(c, degree=vec_c.degree)
     idm = GradedMap.identity(a_space)
-    out = [
-        check_relation("perfect-left", a_space,
-                       [(1, [[c_map, idm], [idm, p]])], [(1, [])], window),
-        check_relation("perfect-right", a_space,
-                       [(sgn(p.degree * vec_c.degree), [[idm, c_map], [p, idm]])],
-                       [(1, [])], window),
-        check_relation("vec-c-after-vec-p", a_space,
-                       [(1, [[vec_p], [vec_c]])], [(1, [])], window),
-        check_relation("vec-p-after-vec-c", vec_c.source,
-                       [(1, [[vec_c], [vec_p]])], [(1, [])],
-                       window.dualized(DUAL_SUFFIX).merged(window) if window else None),
-    ]
-    return out
+    return check_relations([
+        Relation("perfect-left", a_space, [(1, [[c_map, idm], [idm, p]])], [(1, [])]),
+        Relation("perfect-right", a_space,
+                 [(sgn(p.degree * vec_c.degree), [[idm, c_map], [p, idm]])], [(1, [])]),
+        Relation("vec-c-after-vec-p", a_space, [(1, [[vec_p], [vec_c]])], [(1, [])]),
+        Relation("vec-p-after-vec-c", vec_c.source, [(1, [[vec_c], [vec_p]])], [(1, [])]),
+    ], window.merged(window.dualized(DUAL_SUFFIX)) if window else None)
 
 
 def _dual_unit(eps):
@@ -156,10 +151,7 @@ def transpose_structure(data):
     if data.eta is None or data.eps is None:
         raise ValueError("transpose refused: input is not biunital coFrobenius "
                          "(missing unit or counit)")
-    pre = check_cofrobenius(data, "biunital")
-    bad = next((r for r in pre if r.verdict == FAIL), None)
-    if bad is not None:
-        raise ValueError(f"transpose refused: input fails {bad.name}")
+    require_cofrobenius(data, "transpose refused: input fails")
     tau = twist(data.module, data.module)
     return data.replace(
         mu=compose(data.mu, tau),
@@ -227,11 +219,7 @@ def check_poincare_duality(data):
     if data.eta is None or data.eps is None:
         raise ValueError("poincare duality needs a biunital coFrobenius input "
                          "(missing unit or counit)")
-    pre = check_cofrobenius(data, "biunital")
-    bad = next((r for r in pre if r.verdict == FAIL), None)
-    if bad is not None:
-        raise ValueError(f"poincare duality needs a biunital coFrobenius input; "
-                         f"fails {bad.name}")
+    require_cofrobenius(data, "poincare duality needs a biunital coFrobenius input; fails")
     target = poincare_dual_structure(data)
     out = prefixed("dual-", check_cofrobenius(target, "biunital"))
     handle_p = pairing_handle(data)
@@ -334,11 +322,7 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
             entries[idx] = dict(img.coeffs)
     lam = GradedMap(space, TensorSpace((module, module)), lam_degree, entries)
     data = BialgebraData(module, mu, lam, eta, eps, window)
-    suite = check_cofrobenius(data, "biunital")
-    bad = next((r for r in suite if r.verdict == FAIL), None)
-    if bad is not None:
-        raise ValueError(f"input (mu, eta, eps) is not Frobenius-compatible: "
-                         f"fails {bad.name}")
+    require_cofrobenius(data, "input (mu, eta, eps) is not Frobenius-compatible: fails")
     return data
 
 

@@ -6,29 +6,38 @@ product, eta = 1, eps = integration over the fundamental class (nonzero
 exactly on degree n), and the coproduct is produced by
 complete_from_pairing, so |lam| = n.
 
-Loop space models (odd n >= 3, window bound N, labels U^k / AU^k with
-|U| = n-1, |A| = -n):
+Loop space models (odd n, window bound N, labels U^k / AU^k with
+|U| = n-1, |A| = -n) are all one exterior Laurent algebra, built by
+`_laurent_model`:
 
-    rabinowitz:  lam(AU^k) = sum_{i+j=k-1} AU^i (x) AU^j
-                 lam(U^k)  = sum_{i+j=k-1} (AU^i (x) U^j - U^i (x) AU^j)
-                 eps(AU^-1) = 1, all other values 0
-    loop:        same sums restricted to i, j >= 0; no counit
-    based:       Laurent algebra on U alone, lam(U^k) = sum U^i (x) U^j
+    mu:   U^i U^j = U^{i+j},  AU^i U^j = U^i AU^j = AU^{i+j},  A^2 = 0
+    lam:  lam(AU^k) = sum_{i+j=k+s} c AU^i (x) AU^j
+          lam(U^k)  = sum_{i+j=k+s} c (AU^i (x) U^j - U^i (x) AU^j)
+          (without A: lam(U^k) = sum_{i+j=k+s} c U^i (x) U^j)
+    eps:  eps((A)U^s) = 1, all other values 0
 
-For n = 1 the exponent shift disappears (sums over i+j = k, counit at
-k = 0) and the free-loop model is a direct sum of two components, one per
-connected component of the unit cotangent bundle.  Ordinary circle
-homology carries the two vector-field coproducts lam_+ / lam_- with their
-piecewise boundary formulas.
+Its parameters are the exponent range ([-N, N] for the Rabinowitz
+flavors and the circle, [0, N] for ordinary loops of S^n), whether A is
+present (free loops) or not (based loops), a label suffix per connected
+component, whether there is a counit, and the coefficient rule: c = 1 over
+every i whose partner j lies in range, or the piecewise lam_+ / lam_- of
+ordinary circle homology.  It derives the rest from n: the shift s = -1
+(s = 0 for n = 1), |lam| = 1-2n with A and 1-n without, and
+|eps| = -|lam|.  The Rabinowitz circle is a direct sum of two components,
+one per connected component of the unit cotangent bundle.
+
+Only the counit reads `field`: the module is built over Q, so a loop model
+asked for another field is built over Q when it has no counit and is
+refused ("source and target over different fields") when it has one.
 
 Completions are realized only as symmetric truncation windows with an
 explicit validity predicate (slack 3: the deepest shipped relation
 composes three exponent-shifting maps).
 """
 
-from .core import GradedModule, TensorSpace, Element, GradedMap, compose, scalar_space
+from .core import GradedModule, TensorSpace, Element, GradedMap, scalar_space
 from .fields import QQ
-from .structures import BialgebraData, direct_sum
+from .structures import BialgebraData, _run, direct_sum
 from .duality import complete_from_pairing
 from .tqft import OpenClosedTQFT, derive_cozipper, run_full_tqft_suite
 from .reports import FAIL
@@ -107,14 +116,11 @@ def manifold_from_cup(cup):
         rows.append(((x, y), [(c, (z,)) for c, z in terms]))
     mu = GradedMap.from_labels(space2, space, 0, rows)
     # graded commutativity and associativity of the input data
-    from .tensor import twist
-    tau = twist(module, module)
-    from .core import map_equal
-    if not map_equal(compose(mu, tau), mu):
+    commutative, associative = _run(BialgebraData(module, mu, None),
+                                    ("commutativity", "associativity"))
+    if commutative.verdict == FAIL:
         raise ValueError("input is not graded-commutative")
-    idm = GradedMap.identity(space)
-    from .tensor import tensor_maps
-    if not map_equal(compose(mu, tensor_maps(mu, idm)), compose(mu, tensor_maps(idm, mu))):
+    if associative.verdict == FAIL:
         raise ValueError("input is not associative")
     eta = Element.from_labels(space, [(1, (cup.unit,))])
     for lbl, val in cup.integral.items():
@@ -199,40 +205,79 @@ def _u_label(k, marker="", comp=""):
     return f"{marker}U{comp}^{k}"
 
 
-def _loop_module(n, kmin, kmax, with_a, comp="", field=QQ, name=""):
-    """Basis U^k (degree (n-1)k) and optionally AU^k (degree -n + (n-1)k)."""
-    basis = []
-    weights = {}
-    for k in range(kmin, kmax + 1):
-        lbl = _u_label(k, "", comp)
-        basis.append((lbl, (n - 1) * k))
-        weights[lbl] = k
-    if with_a:
-        for k in range(kmin, kmax + 1):
-            lbl = _u_label(k, "A", comp)
-            basis.append((lbl, -n + (n - 1) * k))
-            weights[lbl] = k
-    return GradedModule(basis, field=field, name=name), weights
+def _plus_range(k):
+    """lam_+ on U^k: the sign and the exponents i of its terms."""
+    if k >= 0:
+        return 1, range(0, k + 1)
+    return -1, range(k + 1, 0)
 
 
-def _exterior_laurent_mu(module, n, kmin, kmax, with_a, comp=""):
-    """U^i U^j = U^{i+j}, U^i AU^j = AU^i U^j = AU^{i+j}, A^2 = 0,
-    truncated to the window."""
+def _minus_range(k):
+    """lam_- on U^k: the sign and the exponents i of its terms."""
+    if k > 0:
+        return 1, range(1, k)
+    return -1, range(k, 1)
+
+
+def _laurent_model(n, window_bound, laurent, with_a, counit, comp="", which=None,
+                   field=QQ):
+    """The exterior Laurent model on U (and A) with exponents in [-N, N]
+    (`laurent`) or [0, N]; see the module docstring.  `comp` suffixes every
+    label, `which` picks the piecewise vector-field coefficients of the
+    ordinary circle (None: coefficient 1 wherever j is in range), and the
+    module name ends in both."""
+    N = window_bound
+    ks = range(-N if laurent else 0, N + 1)
+    shift = 0 if n == 1 else -1
+    lam_degree = 1 - 2 * n if with_a else 1 - n
+    markers = ("", "A") if with_a else ("",)
+
+    def u(k, marker=""):
+        return _u_label(k, marker, comp)
+
+    name = (f"{'' if with_a else 'Based'}{'Rabinowitz' if counit else ''}"
+            f"Loop(S{n}){comp}{which or ''}")
+    # over Q whatever `field` is: only the counit reads it (module docstring)
+    module = GradedModule([(u(k, m), (n - 1) * k - (n if m else 0))
+                           for m in markers for k in ks], name=name)
     space = TensorSpace((module,))
     space2 = TensorSpace((module, module))
-    rows = []
-    ks = range(kmin, kmax + 1)
+
+    mu_rows = []
     for i in ks:
         for j in ks:
-            if kmin <= i + j <= kmax:
-                rows.append(((_u_label(i, "", comp), _u_label(j, "", comp)),
-                             [(1, (_u_label(i + j, "", comp),))]))
+            if i + j in ks:
+                mu_rows.append(((u(i), u(j)), [(1, (u(i + j),))]))
                 if with_a:
-                    rows.append(((_u_label(i, "A", comp), _u_label(j, "", comp)),
-                                 [(1, (_u_label(i + j, "A", comp),))]))
-                    rows.append(((_u_label(i, "", comp), _u_label(j, "A", comp)),
-                                 [(1, (_u_label(i + j, "A", comp),))]))
-    return GradedMap.from_labels(space2, space, 0, rows)
+                    mu_rows.append(((u(i, "A"), u(j)), [(1, (u(i + j, "A"),))]))
+                    mu_rows.append(((u(i), u(j, "A")), [(1, (u(i + j, "A"),))]))
+    mu = GradedMap.from_labels(space2, space, 0, mu_rows)
+
+    def constant(k):
+        return 1, [i for i in ks if k + shift - i in ks]
+
+    rule = {"+": _plus_range, "-": _minus_range}.get(which, constant)
+    lam_rows = []
+    for k in ks:
+        coeff, rng = rule(k)
+        pairs = [(i, k + shift - i) for i in rng]
+        if with_a:
+            lam_rows.append(((u(k, "A"),),
+                             [(coeff, (u(i, "A"), u(j, "A"))) for i, j in pairs]))
+            lam_rows.append(((u(k),), [term for i, j in pairs
+                                       for term in ((coeff, (u(i, "A"), u(j))),
+                                                    (-coeff, (u(i), u(j, "A"))))]))
+        else:
+            lam_rows.append(((u(k),), [(coeff, (u(i), u(j))) for i, j in pairs]))
+    lam = GradedMap.from_labels(space, space2, lam_degree, lam_rows)
+
+    eta = Element.from_labels(space, [(1, (u(0),))])
+    eps = None
+    if counit:
+        eps = GradedMap.from_labels(space, scalar_space(field), -lam_degree,
+                                    [((u(shift, "A" if with_a else ""),), [(1, ())])])
+    weights = {u(k, m): k for m in markers for k in ks}
+    return BialgebraData(module, mu, lam, eta, eps, WindowSpec(N, WINDOW_SLACK, weights))
 
 
 def _check_odd(n):
@@ -240,198 +285,47 @@ def _check_odd(n):
         raise ValueError(f"only odd sphere dimensions are supported, got {n}")
 
 
-def rabinowitz_loop_sphere(n, window_bound, field=QQ):
-    """Rabinowitz loop homology of S^n (odd n >= 3) on the window
-    |exponent| <= window_bound; biunital coFrobenius on window-valid inputs."""
+def _check_sphere(n, window_bound):
     _check_odd(n)
     if n < 3:
         raise ValueError("use circle_models for n = 1")
     if window_bound < 3:
         raise ValueError("window bound must be >= 3")
-    N = window_bound
-    module, weights = _loop_module(n, -N, N, with_a=True, name=f"RabinowitzLoop(S{n})")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, n, -N, N, with_a=True)
-    lam_rows = []
-    for k in range(-N, N + 1):
-        a_terms, u_terms = [], []
-        for i in range(-N, N + 1):
-            j = k - 1 - i
-            if -N <= j <= N:
-                a_terms.append((1, (_u_label(i, "A"), _u_label(j, "A"))))
-                u_terms.append((1, (_u_label(i, "A"), _u_label(j))))
-                u_terms.append((-1, (_u_label(i), _u_label(j, "A"))))
-        lam_rows.append(((_u_label(k, "A"),), a_terms))
-        lam_rows.append(((_u_label(k),), u_terms))
-    lam = GradedMap.from_labels(space, space2, 1 - 2 * n, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0),))])
-    eps = GradedMap.from_labels(space, scalar_space(field), 2 * n - 1,
-                                [((_u_label(-1, "A"),), [(1, ())])])
-    return BialgebraData(module, mu, lam, eta, eps,
-                         WindowSpec(N, WINDOW_SLACK, weights))
+
+
+def rabinowitz_loop_sphere(n, window_bound, field=QQ):
+    """Rabinowitz loop homology of S^n (odd n >= 3) on the window
+    |exponent| <= window_bound; biunital coFrobenius on window-valid inputs."""
+    _check_sphere(n, window_bound)
+    return _laurent_model(n, window_bound, laurent=True, with_a=True, counit=True,
+                          field=field)
 
 
 def loop_sphere(n, window_bound, field=QQ):
     """Ordinary loop homology of S^n (odd n >= 3): exponents >= 0, the sums
     restricted to i, j >= 0; unital infinitesimal anti-symmetric, no counit."""
-    _check_odd(n)
-    if n < 3:
-        raise ValueError("use circle_models for n = 1")
-    if window_bound < 3:
-        raise ValueError("window bound must be >= 3")
-    N = window_bound
-    module, weights = _loop_module(n, 0, N, with_a=True, name=f"Loop(S{n})")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, n, 0, N, with_a=True)
-    lam_rows = []
-    for k in range(0, N + 1):
-        a_terms, u_terms = [], []
-        for i in range(0, k):
-            j = k - 1 - i
-            a_terms.append((1, (_u_label(i, "A"), _u_label(j, "A"))))
-            u_terms.append((1, (_u_label(i, "A"), _u_label(j))))
-            u_terms.append((-1, (_u_label(i), _u_label(j, "A"))))
-        lam_rows.append(((_u_label(k, "A"),), a_terms))
-        lam_rows.append(((_u_label(k),), u_terms))
-    lam = GradedMap.from_labels(space, space2, 1 - 2 * n, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0),))])
-    return BialgebraData(module, mu, lam, eta, None,
-                         WindowSpec(N, WINDOW_SLACK, weights))
+    _check_sphere(n, window_bound)
+    return _laurent_model(n, window_bound, laurent=False, with_a=True, counit=False,
+                          field=field)
 
 
 def based_rabinowitz_loop_sphere(n, window_bound, field=QQ):
     """Based Rabinowitz loop homology of S^n: Laurent algebra on U with
     lam(U^k) = sum_{i+j=k-1} U^i (x) U^j; biunital coFrobenius."""
-    _check_odd(n)
-    if n < 3:
-        raise ValueError("use circle_models for n = 1")
-    if window_bound < 3:
-        raise ValueError("window bound must be >= 3")
-    N = window_bound
-    module, weights = _loop_module(n, -N, N, with_a=False, name=f"BasedRabinowitzLoop(S{n})")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, n, -N, N, with_a=False)
-    lam_rows = []
-    for k in range(-N, N + 1):
-        terms = []
-        for i in range(-N, N + 1):
-            j = k - 1 - i
-            if -N <= j <= N:
-                terms.append((1, (_u_label(i), _u_label(j))))
-        lam_rows.append(((_u_label(k),), terms))
-    lam = GradedMap.from_labels(space, space2, 1 - n, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0),))])
-    eps = GradedMap.from_labels(space, scalar_space(field), n - 1,
-                                [((_u_label(-1),), [(1, ())])])
-    return BialgebraData(module, mu, lam, eta, eps,
-                         WindowSpec(N, WINDOW_SLACK, weights))
+    _check_sphere(n, window_bound)
+    return _laurent_model(n, window_bound, laurent=True, with_a=False, counit=True,
+                          field=field)
 
 
 def based_loop_sphere(n, window_bound, field=QQ):
     """Based loop homology of S^n: polynomial algebra on U, sums over
     i, j >= 0; no counit."""
-    _check_odd(n)
-    if n < 3:
-        raise ValueError("use circle_models for n = 1")
-    if window_bound < 3:
-        raise ValueError("window bound must be >= 3")
-    N = window_bound
-    module, weights = _loop_module(n, 0, N, with_a=False, name=f"BasedLoop(S{n})")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, n, 0, N, with_a=False)
-    lam_rows = []
-    for k in range(0, N + 1):
-        terms = [(1, (_u_label(i), _u_label(k - 1 - i))) for i in range(0, k)]
-        lam_rows.append(((_u_label(k),), terms))
-    lam = GradedMap.from_labels(space, space2, 1 - n, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0),))])
-    return BialgebraData(module, mu, lam, eta, None,
-                         WindowSpec(N, WINDOW_SLACK, weights))
+    _check_sphere(n, window_bound)
+    return _laurent_model(n, window_bound, laurent=False, with_a=False, counit=False,
+                          field=field)
 
 
 # ------------------------------------------------------------- the circle
-
-def _circle_component(window_bound, comp, based, field=QQ):
-    """One connected component of the (based) Rabinowitz circle model:
-    |U| = 0, |A| = -1, sums over i+j = k, counit at exponent 0."""
-    N = window_bound
-    module, weights = _loop_module(1, -N, N, with_a=not based, comp=comp,
-                                   name=f"{'Based' if based else ''}RabinowitzLoop(S1){comp}")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, 1, -N, N, with_a=not based, comp=comp)
-    lam_rows = []
-    for k in range(-N, N + 1):
-        if based:
-            terms = []
-            for i in range(-N, N + 1):
-                j = k - i
-                if -N <= j <= N:
-                    terms.append((1, (_u_label(i, "", comp), _u_label(j, "", comp))))
-            lam_rows.append(((_u_label(k, "", comp),), terms))
-        else:
-            a_terms, u_terms = [], []
-            for i in range(-N, N + 1):
-                j = k - i
-                if -N <= j <= N:
-                    a_terms.append((1, (_u_label(i, "A", comp), _u_label(j, "A", comp))))
-                    u_terms.append((1, (_u_label(i, "A", comp), _u_label(j, "", comp))))
-                    u_terms.append((-1, (_u_label(i, "", comp), _u_label(j, "A", comp))))
-            lam_rows.append(((_u_label(k, "A", comp),), a_terms))
-            lam_rows.append(((_u_label(k, "", comp),), u_terms))
-    lam = GradedMap.from_labels(space, space2, 0 if based else -1, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0, "", comp),))])
-    counit_on = _u_label(0, "", comp) if based else _u_label(0, "A", comp)
-    eps = GradedMap.from_labels(space, scalar_space(field), 0 if based else 1,
-                                [((counit_on,), [(1, ())])])
-    return BialgebraData(module, mu, lam, eta, eps,
-                         WindowSpec(N, WINDOW_SLACK, weights))
-
-
-def _circle_ordinary(window_bound, sign, based, field=QQ):
-    """Ordinary (based) loop homology of S^1 with the vector-field coproduct
-    lam_+ or lam_-; unital infinitesimal anti-symmetric, no counit."""
-    N = window_bound
-    module, weights = _loop_module(1, -N, N, with_a=not based,
-                                   name=f"{'Based' if based else ''}Loop(S1){sign}")
-    space = TensorSpace((module,))
-    space2 = TensorSpace((module, module))
-    mu = _exterior_laurent_mu(module, 1, -N, N, with_a=not based)
-
-    def plus_range(k):
-        if k >= 0:
-            return 1, range(0, k + 1)
-        return -1, range(k + 1, 0)
-
-    def minus_range(k):
-        if k > 0:
-            return 1, range(1, k)
-        return -1, range(k, 1)
-
-    pick = plus_range if sign == "+" else minus_range
-    lam_rows = []
-    for k in range(-N, N + 1):
-        coeff, rng = pick(k)
-        if based:
-            terms = [(coeff, (_u_label(i), _u_label(k - i))) for i in rng]
-            lam_rows.append(((_u_label(k),), terms))
-        else:
-            a_terms, u_terms = [], []
-            for i in rng:
-                a_terms.append((coeff, (_u_label(i, "A"), _u_label(k - i, "A"))))
-                u_terms.append((coeff, (_u_label(i, "A"), _u_label(k - i))))
-                u_terms.append((-coeff, (_u_label(i), _u_label(k - i, "A"))))
-            lam_rows.append(((_u_label(k, "A"),), a_terms))
-            lam_rows.append(((_u_label(k),), u_terms))
-    lam = GradedMap.from_labels(space, space2, 0 if based else -1, lam_rows)
-    eta = Element.from_labels(space, [(1, (_u_label(0),))])
-    return BialgebraData(module, mu, lam, eta, None,
-                         WindowSpec(N, WINDOW_SLACK, weights))
-
 
 def circle_models(window_bound, which="+", flavor="rabinowitz", field=QQ):
     """The S^1 family.
@@ -445,16 +339,14 @@ def circle_models(window_bound, which="+", flavor="rabinowitz", field=QQ):
         raise ValueError("window bound must be >= 3")
     if which not in ("+", "-"):
         raise ValueError(f"vector field must be '+' or '-', got {which!r}")
-    if flavor == "rabinowitz":
-        return direct_sum(_circle_component(window_bound, "+", based=False, field=field),
-                          _circle_component(window_bound, "-", based=False, field=field))
-    if flavor == "based-rabinowitz":
-        return direct_sum(_circle_component(window_bound, "+", based=True, field=field),
-                          _circle_component(window_bound, "-", based=True, field=field))
-    if flavor == "loop":
-        return _circle_ordinary(window_bound, which, based=False, field=field)
-    if flavor == "based-loop":
-        return _circle_ordinary(window_bound, which, based=True, field=field)
+    if flavor in ("rabinowitz", "based-rabinowitz"):
+        with_a = flavor == "rabinowitz"
+        return direct_sum(*(_laurent_model(1, window_bound, laurent=True, with_a=with_a,
+                                           counit=True, comp=comp, field=field)
+                            for comp in ("+", "-")))
+    if flavor in ("loop", "based-loop"):
+        return _laurent_model(1, window_bound, laurent=True, with_a=flavor == "loop",
+                              counit=False, which=which, field=field)
     raise ValueError(f"unknown circle flavor {flavor!r}")
 
 

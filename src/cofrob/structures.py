@@ -36,7 +36,7 @@ from functools import cached_property
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import twist
-from .reports import Relation, check_relations, check_elements_equal, skipped
+from .reports import Relation, check_relations, check_elements_equal, skipped, FAIL
 
 
 def sgn(e):
@@ -462,6 +462,14 @@ def check_cofrobenius(data, flavor="biunital"):
     if flavor not in COFROBENIUS:
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
     return _run(data, COFROBENIUS[flavor])
+
+
+def require_cofrobenius(data, refusal):
+    """Raise ValueError(f"{refusal} {name}") with the name of the first
+    biunital coFrobenius relation that `data` fails."""
+    bad = next((r for r in check_cofrobenius(data, "biunital") if r.verdict == FAIL), None)
+    if bad is not None:
+        raise ValueError(f"{refusal} {bad.name}")
 
 
 def check_derived_identities(data, flavor="biunital"):

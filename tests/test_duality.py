@@ -311,6 +311,25 @@ def test_poincare_duality_requires_cofrobenius(loop3):
         check_poincare_duality(loop3.replace(eps=None))
 
 
+def test_poincare_duality_refuses_failing_cofrobenius(sphere3):
+    # a unit and a counit, but (eps (x) 1) lam = 2
+    bad = sphere3.replace(lam=sphere3.lam.scale(2))
+    with pytest.raises(ValueError) as exc:
+        check_poincare_duality(bad)
+    assert str(exc.value) == ("poincare duality needs a biunital coFrobenius input; "
+                              "fails counit-left")
+
+
+def test_prechecks_name_the_failing_relation(sphere2, sphere3):
+    with pytest.raises(ValueError) as exc:
+        transpose_structure(sphere3.replace(lam=sphere3.lam.scale(2)))
+    assert str(exc.value) == "transpose refused: input fails counit-left"
+    with pytest.raises(ValueError) as exc:
+        complete_from_pairing(sphere2.module, sphere2.mu.scale(2), sphere2.eta, sphere2.eps)
+    assert str(exc.value) == ("input (mu, eta, eps) is not Frobenius-compatible: "
+                              "fails unit-left")
+
+
 def test_poincare_twice_recovers_original(sphere2, sphere3):
     # dualize-with-theorem-signs twice returns the original under the
     # canonical double dual, up to the uniform sign (-1)^{m+ml+l} coming

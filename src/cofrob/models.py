@@ -40,7 +40,7 @@ from .fields import QQ
 from .structures import BialgebraData, _run, direct_sum
 from .duality import complete_from_pairing
 from .tqft import OpenClosedTQFT, derive_cozipper, run_full_tqft_suite
-from .reports import FAIL
+from .reports import FAIL, Relation, check_relations
 from .windows import WindowSpec
 
 WINDOW_SLACK = 3
@@ -157,13 +157,14 @@ def submanifold_tqft(m_cup, z_cup, restriction):
     rows = [((x,), [(c, (z,)) for c, z in terms]) for x, terms in restriction.items()]
     zipper = GradedMap.from_labels(closed.space, open_.space, 0, rows)
     # ring map: r(1) = 1 and r(x cup y) = r(x) cup r(y)
-    if zipper(closed.eta) != open_.eta:
+    unital, ring = check_relations([
+        Relation("restriction-unital", scalar_space(closed.field),
+                 [(1, [[closed.eta_map()], [zipper]])], [(1, [[open_.eta_map()]])]),
+        Relation("restriction-ring-map", closed.space2,
+                 [(1, [[closed.mu], [zipper]])],
+                 [(1, [[zipper, zipper], [open_.mu]])])])
+    if unital.verdict == FAIL:
         raise ValueError("restriction is not unital")
-    from .reports import check_relation
-    ring = check_relation(
-        "restriction-ring-map", closed.space2,
-        [(1, [[closed.mu], [zipper]])],
-        [(1, [[zipper, zipper], [open_.mu]])], None)
     if ring.verdict == FAIL:
         raise ValueError(f"restriction is not a ring map: "
                          f"{ring.witness.input_labels}")

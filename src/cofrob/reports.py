@@ -2,18 +2,20 @@
 
 A relation is an equality of two linear maps, each given as a sum of
 signed pipelines (lists of stages; a stage is a list of maps tensored side
-by side).  `check_relations` checks a list of relations in one call and
-`check_relation` is its one-relation case.  The relations on one source
-space are checked together, input-major: every distinct term (a pipeline,
-told apart by the identity of its maps) is compiled once, stage by stage,
-into `StagePlan`s, and the window-valid inputs are walked once in
-canonical order.  At each input a term named more than once is evaluated
-once and its value added, with each use's sign, into every still-open
-side that names it; a term named once is seeded with its sign and its
-last plan adds straight into its side.  A call with a single relation
-compiles its terms as given and shares none.  Both sides are expanded
-on basis tuples rather than materialized as composite matrices, which
-keeps sparse intermediates small.  Each plan is linked to the next plan of
+by side).  An element of V is a map R -> V, so an identity between
+elements (a copairing's symmetry, a unit's transport) is a relation whose
+source is the scalar space R, checked like any other.  `check_relations`
+checks a list of relations in one call and `check_relation` is its
+one-relation case.  The relations on one source space are checked
+together, input-major: every distinct term (a pipeline, told apart by the
+identity of its maps) is compiled once, stage by stage, into `StagePlan`s,
+and the window-valid inputs are walked once in canonical order.  At each
+input a term named more than once is evaluated once and its value added,
+with each use's sign, into every still-open side that names it; a term
+named once is seeded with its sign and its last plan adds straight into
+its side.  Both sides are expanded on basis tuples rather than
+materialized as composite matrices, which keeps sparse intermediates
+small.  Each plan is linked to the next plan of
 its term, its consumer (`StagePlan.feed`), so a stage never builds a
 product term the next stage would skip for lack of a row: pairings such as
 (1(x)p(x)1)(lam(x)lam) discard most terms of lam(x) (x) lam(y).  Only such
@@ -127,22 +129,17 @@ def _compile_side(terms, source, table):
     space the side lands in (None for the zero map, an empty side).
 
     `table` holds the call's terms by the ids of their maps, stage by
-    stage, so each distinct pipeline is compiled once.  It is None when
-    the call checks a single relation: its terms are compiled as given and
-    none is shared.  Terms of one side that land in different spaces
-    cannot be added and raise ValueError."""
+    stage, so each distinct pipeline is compiled once.  Terms of one side
+    that land in different spaces cannot be added and raise ValueError."""
     field = source.field
     compiled = []
     space = None
     for sign, stages in terms:
-        if table is None:
-            term = _Term(stages, source)
-        else:
-            key = tuple([tuple(map(id, maps)) for maps in stages])
-            term = table.get(key)
-            if term is None:
-                term = table[key] = _Term(stages, source)
-            term.uses += 1
+        key = tuple([tuple(map(id, maps)) for maps in stages])
+        term = table.get(key)
+        if term is None:
+            term = table[key] = _Term(stages, source)
+        term.uses += 1
         if space is not None and term.space != space:
             raise ValueError("cannot add elements of different spaces")
         space = term.space
@@ -202,12 +199,6 @@ def _gate(coeffs, weights, limit):
     return {idx: v for idx, v in coeffs.items()
             if sum(map(at, positive, idx)) <= limit
             and sum(map(at, negative, idx)) <= limit}
-
-
-def _restrict(elem, weights, limit):
-    """`elem` gated by `_gate`, and how many coordinates were masked."""
-    kept = _gate(elem.coeffs, weights, limit)
-    return Element._trusted(elem.space, kept), len(elem.coeffs) - len(kept)
 
 
 def _rank(space, idx):
@@ -274,7 +265,7 @@ def _compile(source, specs, window):
     equal, their window weights), the (index, spec) of those whose sides
     are both empty, and the number of shared-term slots.  The term table
     is dropped on return; the sides hold what the walk needs."""
-    table = {} if len(specs) > 1 else None
+    table = {}
     compiled = []
     for i, spec in specs:
         lhs, lhs_space = _compile_side(spec.lhs, source, table)
@@ -283,7 +274,7 @@ def _compile(source, specs, window):
                          rhs_space if lhs_space is None else lhs_space,
                          lhs_space if rhs_space is None else rhs_space))
     slots = 0
-    for term in table.values() if table else ():
+    for term in table.values():
         if term.uses > 1 and term.plans:
             term.slot = slots
             slots += 1
@@ -351,20 +342,6 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
     """Compare two signed-pipeline sums on every (window-valid) basis tuple
     of `source`: `check_relations` with one relation."""
     return check_relations([Relation(name, source, lhs_terms, rhs_terms, note)], window)[0]
-
-
-def check_elements_equal(name, lhs, rhs, window=None, note=""):
-    """Equality of two elements, coordinate-gated under a window."""
-    masked = 0
-    if window is not None:
-        limit = window.coordinate_limit(())
-        lhs, m1 = _restrict(lhs, window.factor_weights(lhs.space), limit)
-        rhs, m2 = _restrict(rhs, window.factor_weights(rhs.space), limit)
-        masked = m1 + m2
-    if lhs != rhs:
-        witness = Witness((), format_element(lhs), format_element(rhs))
-        return CheckReport(name, FAIL, witness, 1, 0, masked, note)
-    return CheckReport(name, PASS, None, 1, 0, masked, note)
 
 
 def render_text(suite_name, reports):

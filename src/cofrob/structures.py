@@ -36,7 +36,8 @@ from functools import cached_property
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import twist
-from .reports import Relation, check_relations, check_elements_equal, skipped, FAIL
+from .reports import Relation, check_relations, skipped, FAIL
+from .windows import merge_windows
 
 
 def sgn(e):
@@ -107,12 +108,13 @@ class _Ops:
 
     Each operator is built on first use, so a call pays only for what its
     relations read: the identity `id`, the twist `tau`, tau lam (`tl`),
-    mu tau (`mt`), the unit group (`lh` = lam eta as a map, the copairing
-    map `c_map`, the elements `lam_eta` and `c`) and the pairing group
-    (`pm` = eps mu, `p_map`); the unit and pairing groups are None when
-    the data lacks their maps.  Only `eta_map` is built here: its
-    validating constructor refuses an eta of the wrong degree, whichever
-    relations the call reads."""
+    mu tau (`mt`), the unit group (`lh` = lam eta and the copairing map
+    `c_map`, both maps R -> A(x)A) and the pairing group (`pm` = eps mu,
+    `p_map`); the unit and pairing groups are None when the data lacks
+    their maps.  An identity between elements reads the element's map out
+    of R.  Only `eta_map` is built here: its validating constructor
+    refuses an eta of the wrong degree, whichever relations the call
+    reads."""
 
     def __init__(self, data):
         self.data = data
@@ -149,16 +151,6 @@ class _Ops:
         return None if self.lh is None else self.lh.scale(sgn(self.l * self.m + self.m))
 
     @cached_property
-    def lam_eta(self):
-        return None if self.lh is None else Element._trusted(
-            self.data.space2, self.lh.entries.get((), {}))
-
-    @cached_property
-    def c(self):
-        return None if self.c_map is None else Element._trusted(
-            self.data.space2, self.c_map.entries.get((), {}))
-
-    @cached_property
     def pm(self):
         data = self.data
         return None if data.eps is None or data.mu is None else data.eps_mu()
@@ -182,8 +174,9 @@ _ETA, _EPS, _BOTH = ("eta",), ("eps",), ("eta", "eps")
 _MISSING = {"eta": "no unit present", "eps": "no counit present"}
 
 # name -> (needs, builder).  A builder over (data, _Ops) gives the
-# relation's (source, lhs, rhs), or a list of finished items: the left and
-# right laws of `unit` and `counit`, or the report of an element equality.
+# relation's (source, lhs, rhs), or a list of relations: the left and right
+# laws of `unit` and `counit`.  An identity between elements is a relation
+# on the scalar space R, whose pipelines start at the element's map R -> V.
 RELATIONS = {
     "associativity": ((), lambda d, o: (
         d.space3,
@@ -245,8 +238,8 @@ RELATIONS = {
         d.space2,
         [(sign, [[o.tau], *stages, [o.tau]]) for sign, stages in _s_terms(o)],
         [(-sgn(o.m + o.l) * sign, stages) for sign, stages in _s_terms(o)])),
-    "twist-of-lam-eta": (_ETA, lambda d, o: [check_elements_equal(
-        "twist-of-lam-eta", o.tau(o.lam_eta), o.lam_eta.scale(sgn(o.l)), d.window)]),
+    "twist-of-lam-eta": (_ETA, lambda d, o: (
+        scalar_space(d.field), [(1, [[o.lh], [o.tau]])], [(sgn(o.l), [[o.lh]])])),
     "counital-anti-symmetry": (_EPS, lambda d, o: (
         d.space2,
         [(sgn(o.m * (o.l + 1)), [[o.tl, o.id], [o.id, o.mu]]),
@@ -263,8 +256,8 @@ RELATIONS = {
         d.space, [(1, [[o.lam]])], [(1, [[o.c_map, o.id], [o.id, o.mu]])])),
     "unital-cofrobenius-right": (_ETA, lambda d, o: (
         d.space, [(1, [[o.lam]])], [(sgn(o.m), [[o.id, o.c_map], [o.mu, o.id]])])),
-    "copairing-symmetry": (_ETA, lambda d, o: [check_elements_equal(
-        "copairing-symmetry", o.tau(o.c), o.c.scale(sgn(o.l)), d.window)]),
+    "copairing-symmetry": (_ETA, lambda d, o: (
+        scalar_space(d.field), [(1, [[o.c_map], [o.tau]])], [(sgn(o.l), [[o.c_map]])])),
     "counital-cofrobenius-left": (_EPS, lambda d, o: (
         d.space2,
         [(1, [[o.mu]])],
@@ -328,8 +321,8 @@ RELATIONS = {
 
     # involutivity and its cross-checks
     "involutive-mu-lam": ((), lambda d, o: (d.space, [(1, [[o.lam], [o.mu]])], [])),
-    "involutive-mu-c": (_ETA, lambda d, o: [check_elements_equal(
-        "involutive-mu-c", d.mu(o.c), Element(d.space), d.window)]),
+    "involutive-mu-c": (_ETA, lambda d, o: (
+        scalar_space(d.field), [(1, [[o.c_map], [o.mu]])], [])),
     "involutive-p-lam": (_EPS, lambda d, o: (d.space, [(1, [[o.lam], [o.p_map]])], [])),
 }
 
@@ -360,8 +353,9 @@ def _run(data, names, o=None):
 
 def _checked(items, window):
     """The report of each item, in order.  The `Relation` items are checked
-    together in one `check_relations` call; the others are finished
-    reports (skipped relations, element equalities)."""
+    together in one `check_relations` call; the others pass through: the
+    skipped reports, and the callables of `tqft.TQFT_RELATIONS` that make
+    their report from the call's."""
     specs = [item for item in items if isinstance(item, Relation)]
     reports = iter(check_relations(specs, window))
     return [next(reports) if isinstance(item, Relation) else item for item in items]
@@ -532,15 +526,7 @@ def direct_sum(d1, d2):
         # The counits' degrees are not compared, so the sum is validated.
         eps = GradedMap(sp1, scalar_space(d1.field), d1.eps.degree, lifted(d1.eps, d2.eps))
 
-    if d1.window is None and d2.window is None:
-        window = None
-    elif d1.window is None:
-        window = d2.window
-    elif d2.window is None:
-        window = d1.window
-    else:
-        window = d1.window.merged(d2.window)
-    return BialgebraData(module, mu, lam, eta, eps, window)
+    return BialgebraData(module, mu, lam, eta, eps, merge_windows(d1.window, d2.window))
 
 
 def counit_solve(data):
@@ -549,8 +535,7 @@ def counit_solve(data):
     Returns the counit as an Element of A^v-coefficients (a dict
     label -> scalar) or None when the linear system is infeasible.  On
     window models only window-valid equations are used, so infeasibility
-    of the restricted system certifies infeasibility of the full one.
-  A
+    of the restricted system certifies infeasibility of the full one.  A
     window that keeps no equation determines nothing and raises ValueError.
     """
     from .fields import solve_linear

@@ -33,7 +33,7 @@ Both sectors must have a unit and a counit (`require_biunital_sectors`).
 """
 
 from .core import TensorSpace, GradedMap, scalar_space
-from .reports import CheckReport, Relation, check_elements_equal, prefixed, PASS, FAIL
+from .reports import CheckReport, Relation, prefixed, PASS, FAIL
 from .structures import _Ops, _checked, _run, COFROBENIUS, sgn
 from .windows import merge_windows
 from .fields import solve_linear
@@ -108,8 +108,8 @@ TQFT_RELATIONS = {
         t.closed.space2,
         [(1, [[t.zipper, t.zipper], [a.mu]])],
         [(1, [[c.mu], [t.zipper]])]),
-    "rel3-zipper-unit": lambda t, c, a: [check_elements_equal(
-        "rel3-zipper-unit", t.zipper(t.closed.eta), t.open.eta, t.window)],
+    "rel3-zipper-unit": lambda t, c, a: (
+        scalar_space(t.closed.field), [(1, [[c.eta_map], [t.zipper]])], [(1, [[a.eta_map]])]),
     "rel4-zipper-central": lambda t, c, a: (
         TensorSpace((t.closed.module, t.open.module)),
         [(1, [[t.zipper, a.id], [a.mu]])],

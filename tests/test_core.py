@@ -196,7 +196,6 @@ def _library_built_maps(monkeypatch, builders):
                 built[name].append(ops[name])
         if ops.get("c_map") is not None:
             assert o.lh == compose(data.lam, data.eta_map()) and o.c_map == data.copairing_map()
-            assert o.lam_eta == data.lam_eta() and o.c == data.copairing()
         if ops.get("p_map") is not None:
             assert o.p_map == data.pairing()
     return built

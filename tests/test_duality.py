@@ -398,6 +398,30 @@ def test_cyclic_checks(sphere2, sphere3, rab3):
     assert not failing(cyclic_triple_checks(rab3))
 
 
+def _doubled(f, side):
+    """f with its first coefficient at an off-diagonal pair (a, b), a != b,
+    of its source (side 0) or target (side 1) doubled."""
+    entries = {src: dict(row) for src, row in f.entries.items()}
+    src, dst = next((src, dst) for src, row in entries.items() for dst in row
+                    if len(set((src, dst)[side])) == 2)
+    entries[src][dst] *= 2
+    return GradedMap(f.source, f.target, f.degree, entries)
+
+
+def test_cyclic_reports_a_tau12_refinement_only_where_its_gate_passes(sphere3):
+    """beta-tau12 is reported only where cocommutativity passes and B-tau12
+    only where commutativity passes; neither gate is reported."""
+    from cofrob import check_coproduct_laws, check_product_laws
+    skew_lam = sphere3.replace(lam=_doubled(sphere3.lam, 1))
+    skew_mu = sphere3.replace(mu=_doubled(sphere3.mu, 0))
+    assert check_coproduct_laws(skew_lam)[1].failed
+    assert check_product_laws(skew_mu)[1].failed
+    for data, names in ((sphere3, ["beta-cyclic", "beta-tau12", "B-cyclic", "B-tau12"]),
+                        (skew_lam, ["beta-cyclic", "B-cyclic", "B-tau12"]),
+                        (skew_mu, ["beta-cyclic", "beta-tau12", "B-cyclic"])):
+        assert [r.name for r in cyclic_triple_checks(data)] == names
+
+
 def test_beta_tau12_sign_odd_lambda(sphere3):
     # tau_12 beta = -beta for odd |lam|: check the sign by direct expansion
     from cofrob.tensor import permute, Permutation

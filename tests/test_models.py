@@ -111,6 +111,20 @@ def test_manifold_rejects_degenerate_pairing():
         manifold_from_cup(bad)
 
 
+@pytest.mark.parametrize("restriction, message", [
+    ({"1": [], "w1": [(1, "w1")], "w2": [(1, "w2")], "w1w2": []},
+     "restriction is not unital"),
+    ({"1": [(1, "1")], "w1": [(1, "w1")], "w2": [(1, "w2")], "w1w2": []},
+     "restriction is not a ring map: ('w1', 'w2')"),
+], ids=["not-unital", "not-multiplicative"])
+def test_submanifold_refuses_a_restriction_that_is_not_a_unital_ring_map(restriction,
+                                                                         message):
+    from cofrob import s2xs2_cup_data, submanifold_tqft
+    with pytest.raises(ValueError) as refusal:
+        submanifold_tqft(s2xs2_cup_data(), s2xs2_cup_data(), restriction)
+    assert str(refusal.value) == message
+
+
 # --------------------------------------------------------------- loop space
 
 def test_rabinowitz_formulas(rab3):

@@ -15,8 +15,7 @@ from cofrob import (BialgebraData, Element, PrimeField, TensorSpace, WindowSpec,
                     rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
 from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, SKIPPED, Relation,
-                            Witness, _restrict, check_elements_equal, check_relation,
-                            check_relations)
+                            Witness, _gate, check_relation, check_relations)
 from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
 from cofrob.tensor import apply_pipeline
@@ -85,11 +84,10 @@ def reference_check_relation(name, source, lhs_terms, rhs_terms, window=None, no
 
 def _unbacked(out, produced):
     """The names of the non-skipped reports in `out` that are not among
-    `produced`, the reports of the compared relations and element
-    equalities.  A prefixed report ("dual-...") matches the report it was
-    renamed from; the latest one is taken first, since a suite may check a
-    relation of the same name beforehand without reporting it (the
-    poincare-duality precheck)."""
+    `produced`, the reports of the compared relations.  A prefixed report
+    ("dual-...") matches the report it was renamed from; the latest one is
+    taken first, since a suite may check a relation of the same name
+    beforehand without reporting it (the poincare-duality precheck)."""
     pool = list(produced)
     missing = []
     for r in out:
@@ -109,10 +107,9 @@ def _compared_calls(monkeypatch, data):
     """(relation, window, report, reference report) for every relation that
     every data suite that `data` has the maps for checks, through
     `check_relation` or in a `check_relations` batch.  Every non-skipped
-    report a suite returns must come from one of them or from an element
-    equality, so a relation checked any other way fails."""
+    report a suite returns must come from one of them, so a relation
+    checked any other way fails."""
     calls = []
-    equalities = []
 
     def compare(spec, window, report):
         ref = reference_check_relation(*spec[:4], window, spec.note)
@@ -129,13 +126,7 @@ def _compared_calls(monkeypatch, data):
             compare(spec, window, report)
         return out
 
-    def equal(*args, **kwargs):
-        report = check_elements_equal(*args, **kwargs)
-        equalities.append(report)
-        return report
-
-    wrappers = {"check_relation": one, "check_relations": batch,
-                "check_elements_equal": equal}
+    wrappers = {"check_relation": one, "check_relations": batch}
     with monkeypatch.context() as patch:
         for modname, module in list(sys.modules.items()):
             if modname.startswith("cofrob.") and module is not reports:
@@ -145,10 +136,9 @@ def _compared_calls(monkeypatch, data):
         for name, suite in DATA_SUITES.items():
             if name == "poincare-duality" and (data.eta is None or data.eps is None):
                 continue    # refused with a ValueError (tests/test_duality.py)
-            first, first_equality = len(calls), len(equalities)
+            first = len(calls)
             out = suite(data)
             produced = [report for _, _, report, _ in calls[first:]]
-            produced += equalities[first_equality:]
             assert not _unbacked(out, produced), (name, _unbacked(out, produced))
     return calls
 
@@ -224,6 +214,35 @@ def test_reports_match_visit_every_input(monkeypatch, model):
         assert REACHES[model](calls)
 
 
+# the identities between elements, each a relation on R, with the model and
+# suite that report them; the TQFT reports its sectors' copairing symmetry
+ELEMENT_IDENTITIES = [
+    ("rab3", "biunital-infinitesimal", "twist-of-lam-eta"),
+    ("rab3", "biunital-cofrobenius", "copairing-symmetry"),
+    ("rab3", "involutivity", "involutive-mu-c"),
+    ("rab3", "poincare-duality", "unit-transport"),
+    ("rab3", "poincare-duality", "inverse-unit-transport"),
+    ("loop-tqft3", "tqft-full", "closed-copairing-symmetry"),
+    ("loop-tqft3", "tqft-full", "open-copairing-symmetry"),
+    ("loop-tqft3", "tqft-full", "rel3-zipper-unit"),
+]
+
+
+@pytest.mark.parametrize("model, suite, name", ELEMENT_IDENTITIES,
+                         ids=[f"{m}-{n}" for m, _, n in ELEMENT_IDENTITIES])
+def test_element_identities_are_window_inconclusive_without_valid_inputs(model, suite, name):
+    """At bound 3 with slack 3 no input is window-valid, R's one input
+    included, so an identity between elements is window-inconclusive like
+    every other relation, not a pass with every coordinate masked."""
+    from cofrob import loop_tqft_sphere, run_suite
+    obj = (rabinowitz_loop_sphere(3, 3) if model == "rab3" else loop_tqft_sphere(3, 3))
+    window = obj.window
+    assert window.bound <= window.slack
+    [report] = [r for r in run_suite(suite, obj) if r.name == name]
+    assert (report.verdict, report.checked, report.inconclusive) == (INCONCLUSIVE, 0, 1)
+    assert report.masked_coords == 0 and report.witness is None
+
+
 @st.composite
 def gated_elements(draw):
     """A window over random weights, a bound and a slack, an input's labels,
@@ -244,12 +263,14 @@ def gated_elements(draw):
 @settings(max_examples=150, deadline=None)
 @given(gated_elements())
 def test_index_gate_keeps_what_coordinate_reliable_keeps(case):
-    """`_restrict`'s index-level gate keeps exactly the coordinates that
-    the label-based `coordinate_reliable` keeps, and masks the rest."""
+    """`_gate`'s index-level test keeps exactly the coordinates that the
+    label-based `coordinate_reliable` keeps, and masks the rest."""
     window, input_labels, elem = case
-    gated = _restrict(elem, window.factor_weights(elem.space),
-                      window.coordinate_limit(input_labels))
-    assert gated == _reliable(elem, input_labels, window)
+    kept = _gate(elem.coeffs, window.factor_weights(elem.space),
+                 window.coordinate_limit(input_labels))
+    reliable, masked = _reliable(elem, input_labels, window)
+    assert kept == reliable.coeffs
+    assert len(elem.coeffs) - len(kept) == masked
 
 
 @st.composite
@@ -311,21 +332,28 @@ def test_batched_relations_report_as_checked_one_by_one(batch):
 def test_each_distinct_term_runs_once_per_input(monkeypatch):
     """On `rabinowitz_loop_sphere(3, 4)` the biunital infinitesimal
     relations name some terms more than once, yet each distinct term's
-    plans are compiled once and run once on each checked input."""
+    plans are compiled once and run once on each input checked for its
+    source.  The batch has two sources: the twist of lam(eta) is a
+    relation on R."""
     from collections import Counter
     from cofrob import structures
     from cofrob.tensor import StagePlan
     data = rabinowitz_loop_sphere(3, 4)
-    batches, runs = [], Counter()
-    run = StagePlan.run
+    batches, runs, terms = [], Counter(), []
+    run, term_init = StagePlan.run, reports._Term.__init__
 
     def counting(plan, coeffs, out=None):
         runs[plan] += 1
         return run(plan, coeffs, out)
 
+    def recording(term, stages, source):
+        term_init(term, stages, source)
+        terms.append((source, term))
+
     def batch(specs, window=None):
         with monkeypatch.context() as patch:
             patch.setattr(StagePlan, "run", counting)
+            patch.setattr(reports._Term, "__init__", recording)
             out = check_relations(specs, window)
         batches.append((specs, out))
         return out
@@ -333,12 +361,20 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
     monkeypatch.setattr(structures, "check_relations", batch)
     structures.check_biunital_infinitesimal(data)
     [(specs, out)] = batches
-    occurrences = [stages for spec in specs for _, stages in (*spec.lhs, *spec.rhs)
-                   if stages]
-    distinct = {tuple(tuple(map(id, maps)) for maps in stages): stages
-                for stages in occurrences}
-    assert len(occurrences) > len(distinct)
     assert all(r.passed for r in out)
-    [checked] = {r.checked for r in out}
-    assert len(runs) == sum(len(stages) for stages in distinct.values())
-    assert set(runs.values()) == {checked}
+    sources = {spec.source for spec in specs}
+    assert len(sources) == 2
+    repeated = False
+    for source in sources:
+        named = [(spec, r) for spec, r in zip(specs, out) if spec.source == source]
+        occurrences = [stages for spec, _ in named
+                       for _, stages in (*spec.lhs, *spec.rhs) if stages]
+        distinct = {tuple(tuple(map(id, maps)) for maps in stages)
+                    for stages in occurrences}
+        repeated |= len(occurrences) > len(distinct)
+        compiled = [term for s, term in terms if s == source and term.plans]
+        assert len(compiled) == len(distinct)
+        [checked] = {r.checked for _, r in named}
+        assert {runs[plan] for term in compiled for plan in term.plans} == {checked}
+    assert repeated
+    assert len(runs) == sum(len(term.plans) for _, term in terms)

@@ -10,9 +10,8 @@ open-closed TQFTs by exact map equality.
 from .fields import QQ, RationalField, PrimeField, field_from_name
 from .core import (GradedModule, TensorSpace, Element, GradedMap, make_module,
                    apply, compose, map_equal, element_as_map, scalar_space)
-from .tensor import (tensor_modules, tensor_maps, twist, permute, Permutation,
-                     dual_module, dual_map, double_dual, iota, iota_inverse,
-                     ShiftMaps, shift_map, shift_module)
+from .tensor import (tensor_maps, twist, permute, Permutation, dual_module,
+                     dual_map, ShiftMaps, shift_map, shift_module)
 from .windows import WindowSpec
 from .reports import (CheckReport, Witness, Relation, check_relation, check_relations,
                       suite_passes)

@@ -5,7 +5,7 @@ coFrobenius bialgebras:
 
 - dualize:     (A^v, lam^v, mu^v, eps^v, eta^v) with copairing p^v and
                pairing c^v (the dual of a map between tensor powers is
-               taken through iota; see `tensor.dual_map`);
+               built by `tensor.dual_map`'s sign rule);
 - shift:       (A[1], s mu (w(x)w), (s(x)s) lam w, (-1)^m s eta,
                (-1)^l eps w) with c-bar = (-1)^l (s(x)s)c and
                p-bar = (-1)^{l+1} p (w(x)w);
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
-from .tensor import (twist, dual_module, dual_map, ShiftMaps, shift_map,
-                     DUAL_SUFFIX)
+from .tensor import (twist, tensor_maps, dual_module, dual_map, ShiftMaps,
+                     shift_map, DUAL_SUFFIX)
 from .reports import Relation, check_relations, prefixed
 from .structures import (BialgebraData, _Ops, RELATIONS, check_cofrobenius,
                          require_cofrobenius, sgn)
@@ -60,11 +60,9 @@ def vec_p_map(p):
     return GradedMap(TensorSpace((a,)), target, p.degree, entries)
 
 
-def vec_c_map(c, c_degree=None):
+def vec_c_map(c, c_degree):
     """vec c : A^v -> A with vec_c(b^v) = (-1)^{|b||c|} sum_y c_{b,y} y."""
     a = c.space.modules[0]
-    if c_degree is None:
-        c_degree = 0 if c.is_zero else c.degree()
     source = TensorSpace((dual_module(a),))
     target = TensorSpace((a,))
     field = a.field
@@ -305,17 +303,10 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
     vec_p = vec_p_map(p)
     vec_c = _invert_vec_p(vec_p, window)
     c = copairing_from_vec_c(vec_c)
-    space = TensorSpace((module,))
-    idm = GradedMap.identity(space)
+    idm = GradedMap.identity(TensorSpace((module,)))
     c_map = element_as_map(c, degree=lam_degree)
-    # lam = (1 (x) mu)(c (x) 1), materialized row by row
-    entries = {}
-    from .tensor import apply_pipeline
-    for idx in space.basis():
-        img = apply_pipeline([[c_map, idm], [idm, mu]], Element.basis(space, idx))
-        if img.coeffs:
-            entries[idx] = dict(img.coeffs)
-    lam = GradedMap(space, TensorSpace((module, module)), lam_degree, entries)
+    # lam = (1 (x) mu)(c (x) 1); |id| = |mu| = 0, so neither tensor has a sign
+    lam = compose(tensor_maps(idm, mu), tensor_maps(c_map, idm))
     data = BialgebraData(module, mu, lam, eta, eps, window)
     require_cofrobenius(data, "input (mu, eta, eps) is not Frobenius-compatible: fails")
     return data

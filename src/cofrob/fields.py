@@ -163,40 +163,46 @@ def field_from_name(name):
     raise ValueError(f"unknown field descriptor {name!r}")
 
 
+def _eliminate(rows, ncols, field):
+    """Gauss-Jordan elimination on the first `ncols` columns of the
+    augmented `rows`, in place: each pivot is scaled to one and cleared
+    from every other row.  Returns the pivot columns in order; pivot i
+    sits in row i, so their number is the rank."""
+    nrows = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if not field.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        top = rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not field.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], top)]
+        pivots.append(c)
+    return pivots
+
+
 def solve_linear(rows, rhs, field):
     """Solve M x = rhs exactly over the field; rows is a list of lists.
 
     Returns a solution vector with free variables set to zero, or None if
     the system is inconsistent.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     aug = [[field.coerce(v) for v in row] + [field.coerce(rhs[i])]
            for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not field.is_zero(aug[i][c])), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [field.sub(aug[i][j], field.mul(f, aug[r][j]))
-                          for j in range(ncols + 1)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not field.is_zero(aug[i][ncols]):
-            return None
+    pivots = _eliminate(aug, ncols, field)
+    if any(not field.is_zero(row[ncols]) for row in aug[len(pivots):]):
+        return None
     x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+    for row, c in zip(aug, pivots):
+        x[c] = row[ncols]
     return x
 
 
@@ -205,20 +211,9 @@ def invert_matrix(rows, field):
     n = len(rows)
     if any(len(row) != n for row in rows):
         return None
-    a = [[field.coerce(v) for v in row] for row in rows]
-    inv = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not field.is_zero(a[i][c])), None)
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        inv[c], inv[pivot] = inv[pivot], inv[c]
-        f = field.inv(a[c][c])
-        a[c] = [field.mul(f, v) for v in a[c]]
-        inv[c] = [field.mul(f, v) for v in inv[c]]
-        for i in range(n):
-            if i != c and not field.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [field.sub(a[i][j], field.mul(f, a[c][j])) for j in range(n)]
-                inv[i] = [field.sub(inv[i][j], field.mul(f, inv[c][j])) for j in range(n)]
-    return inv
+    aug = [[field.coerce(v) for v in row] + [field.one if i == j else field.zero
+                                            for j in range(n)]
+           for i, row in enumerate(rows)]
+    if len(_eliminate(aug, n, field)) < n:
+        return None
+    return [row[n:] for row in aug]

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, QQ, compose,
-                    map_equal, tensor_modules, tensor_maps, twist, permute,
-                    Permutation, dual_module, dual_map, double_dual, iota,
-                    iota_inverse, ShiftMaps, shift_map, sphere_cohomology,
+                    map_equal, tensor_maps, twist, permute, Permutation,
+                    dual_module, dual_map, ShiftMaps, shift_map, sphere_cohomology,
                     manifold_from_cup, torus_cup_data, s2xs2_cup_data,
                     rabinowitz_loop_sphere, circle_models)
-from cofrob.tensor import raw_dual, flattener, unflattener
+
+from dual_reference import (tensor_modules, raw_dual, iota, iota_inverse, flattener,
+                            unflattener, double_dual)
 
 
 MOD = make_module([("x", -1), ("y", 0), ("z", 2)])

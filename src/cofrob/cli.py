@@ -109,7 +109,7 @@ def cmd_derive(args):
     from .duality import complete_from_pairing
     doc = _read_document(args.from_pairing)
     data = to_bialgebra(doc)
-    if data.mu is None or data.eta is None or data.eps is None:
+    if data.eta is None or data.eps is None:
         raise ValueError("derive needs mu, eta, and eps in the input document")
     completed = complete_from_pairing(data.module, data.mu, data.eta, data.eps,
                                       window=data.window)

@@ -2,7 +2,7 @@
 
 Grammar (one statement per line; `#` starts a comment only at line start):
 
-    field Q | F<p>
+    field Q | F<p>                    optional; once, before every section
     suite <name>                      optional default check suite
     module:                           single-structure documents
     module closed: / module open:     TQFT pair documents
@@ -87,6 +87,7 @@ def parse(text):
     raw_maps = {}
     raw_etas = {}
     raw_windows = {}
+    field_open = True       # until the first section or field statement
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#") or not raw.strip():
             continue
@@ -98,11 +99,12 @@ def parse(text):
         if head == "field":
             if len(tokens) != 2:
                 raise ParseError("expected: field Q | F<p>", lineno)
+            if not field_open:
+                raise ParseError("field must precede every section and appear once", lineno)
             try:
                 doc.field = field_from_name(tokens[1])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
-            section = None
         elif head == "suite":
             if len(tokens) != 2:
                 raise ParseError("expected: suite <name>", lineno)
@@ -205,6 +207,7 @@ def parse(text):
                 raw_etas[section[1]][0].append((coeff, dst[0]))
         else:
             raise ParseError(f"unrecognized statement {line!r}", lineno)
+        field_open = field_open and head == "suite"
 
     if not doc.modules:
         raise ParseError("no module section", 1)
@@ -393,10 +396,10 @@ def _emit_data(doc, data, name=""):
         doc.windows[name] = (data.window.bound, data.window.slack,
                              dict(sorted(weights.items())))
     prefix = f"{name}." if name else ""
-    if data.mu is not None:
+    if data._mu is not None:
         doc.maps[prefix + "mu"] = (data.mu.degree,
                                    _map_rows(data.mu, module, (module,)))
-    if data.lam is not None:
+    if data._lam is not None:
         doc.maps[prefix + "lambda"] = (data.lam.degree,
                                        _map_rows(data.lam, module, (module, module)))
     if data.eps is not None:

@@ -29,8 +29,8 @@ from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
 from .tensor import (twist, tensor_maps, dual_module, dual_map, ShiftMaps,
                      shift_map, DUAL_SUFFIX)
 from .reports import Relation, check_relations, prefixed
-from .structures import (BialgebraData, _Ops, RELATIONS, check_cofrobenius,
-                         require_cofrobenius, sgn)
+from .structures import (BialgebraData, _Ops, _morphisms, _run, RELATIONS, MORPHISMS,
+                         COFROBENIUS, require_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -157,38 +157,25 @@ def transpose_structure(data):
         eps=data.eps.scale(sgn(data.lam.degree)))
 
 
-def check_intertwines_product(phi, data_a, data_b, window=None):
-    """phi mu_A = (-1)^{|phi||mu_A|} mu_B phi^{(x)2}; with bijective phi and
-    units on both sides, also the unit transport eta_B = (-1)^{|phi|} phi(eta_A)."""
+def _intertwines(phi, data_a, data_b, window, names):
     if window is None:
         window = merge_windows(data_a.window, data_b.window)
-    specs = [Relation(
-        "intertwines-product", data_a.space2,
-        [(1, [[data_a.mu], [phi]])],
-        [(sgn(phi.degree * data_a.mu.degree), [[phi, phi], [data_b.mu]])])]
-    if data_a.eta is not None and data_b.eta is not None:
-        specs.append(Relation(
-            "unit-transport", scalar_space(data_a.field),
-            [(1, [[data_b.eta_map()]])],
-            [(sgn(phi.degree), [[data_a.eta_map()], [phi]])]))
-    return check_relations(specs, window)
+    return check_relations(_morphisms(phi, _Ops(data_a), _Ops(data_b), names), window)
+
+
+def check_intertwines_product(phi, data_a, data_b, window=None):
+    """phi mu_A = (-1)^{|phi||mu_A|} mu_B phi^{(x)2}; with bijective phi and
+    units on both sides, also the unit transport eta_B = (-1)^{|phi|} phi(eta_A)
+    (`structures.MORPHISMS`)."""
+    return _intertwines(phi, data_a, data_b, window,
+                        ("intertwines-product", "unit-transport"))
 
 
 def check_intertwines_coproduct(phi, data_a, data_b, window=None):
     """phi^{(x)2} lam_A = (-1)^{|phi||lam_A|} lam_B phi; with counits on both
-    sides also the counit transport eps_A = eps_B phi."""
-    if window is None:
-        window = merge_windows(data_a.window, data_b.window)
-    specs = [Relation(
-        "intertwines-coproduct", data_a.space,
-        [(1, [[data_a.lam], [phi, phi]])],
-        [(sgn(phi.degree * data_a.lam.degree), [[phi], [data_b.lam]])])]
-    if data_a.eps is not None and data_b.eps is not None:
-        specs.append(Relation(
-            "counit-transport", data_a.space,
-            [(1, [[data_a.eps]])],
-            [(1, [[phi], [data_b.eps]])]))
-    return check_relations(specs, window)
+    sides also the counit transport eps_A = eps_B phi (`structures.MORPHISMS`)."""
+    return _intertwines(phi, data_a, data_b, window,
+                        ("intertwines-coproduct", "counit-transport"))
 
 
 def poincare_dual_structure(data):
@@ -208,22 +195,22 @@ def poincare_dual_structure(data):
 
 def check_poincare_duality(data):
     """vec p realizes an isomorphism of biunital coFrobenius bialgebras onto
-    the sign-twisted dual, with vec c as the inverse intertwiner."""
+    the sign-twisted dual, with vec c as the inverse intertwiner: the
+    dual's biunital suite under "dual-", then the four `MORPHISMS`
+    relations of vec p and those of vec c under "inverse-", in one call,
+    then perfectness."""
     if data.eta is None or data.eps is None:
         raise ValueError("poincare duality needs a biunital coFrobenius input "
                          "(missing unit or counit)")
     require_cofrobenius(data, "poincare duality needs a biunital coFrobenius input; fails")
     target = poincare_dual_structure(data)
-    out = prefixed("dual-", check_cofrobenius(target, "biunital"))
-    handle_p = pairing_handle(data)
-    handle_c = copairing_handle(data)
-    window = merge_windows(data.window, target.window)
-    out.extend(check_intertwines_product(handle_p.vec_p, data, target, window))
-    out.extend(check_intertwines_coproduct(handle_p.vec_p, data, target, window))
-    out.extend(prefixed("inverse-", check_intertwines_product(handle_c.vec_c, target,
-                                                              data, window)))
-    out.extend(prefixed("inverse-", check_intertwines_coproduct(handle_c.vec_c, target,
-                                                                data, window)))
+    ops, target_ops = _Ops(data), _Ops(target)
+    out = prefixed("dual-", _run(target, COFROBENIUS["biunital"], target_ops))
+    handle_p, handle_c = pairing_handle(data), copairing_handle(data)
+    out.extend(check_relations(
+        _morphisms(handle_p.vec_p, ops, target_ops, MORPHISMS)
+        + _morphisms(handle_c.vec_c, target_ops, ops, MORPHISMS, "inverse-"),
+        merge_windows(data.window, target.window)))
     out.extend(check_perfect(handle_p, handle_c, data.window))
     return out
 

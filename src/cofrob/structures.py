@@ -58,20 +58,25 @@ class BialgebraData:
             raise ValueError("eta must be an element of A")
         if eps is not None and (eps.source != self.space or eps.target.arity != 0):
             raise ValueError("eps must map A -> R")
-        self.mu = mu
-        self.lam = lam
+        self._mu = mu
+        self._lam = lam
         self.eta = eta
         self.eps = eps
         self.window = window
         self.field = module.field
 
+    mu = property(lambda self: self._present(self._mu, "mu"))
+    lam = property(lambda self: self._present(self._lam, "lambda"))
+
+    def _present(self, gmap, name):
+        """`gmap`, or the refusal of data that lacks it, named as documents do."""
+        if gmap is None:
+            raise ValueError(f"{self.module.name or 'structure'} has no map {name}")
+        return gmap
+
     def eta_map(self):
         """eta as a map R -> A of degree |eta| = -|mu|."""
         return element_as_map(self.eta, degree=-self.mu.degree)
-
-    def lam_eta(self):
-        """The unsigned element lam(eta)."""
-        return self.lam(self.eta)
 
     def eps_mu(self):
         """The unsigned map eps mu : A(x)A -> R."""
@@ -80,7 +85,7 @@ class BialgebraData:
     def copairing(self):
         """c = (-1)^{|lam||mu| + |mu|} lam(eta)."""
         l, m = self.lam.degree, self.mu.degree
-        return self.lam_eta().scale(sgn(l * m + m))
+        return self.lam(self.eta).scale(sgn(l * m + m))
 
     def copairing_map(self):
         return element_as_map(self.copairing(), degree=self.lam.degree - self.mu.degree)
@@ -90,13 +95,13 @@ class BialgebraData:
         return self.eps_mu().scale(sgn(self.lam.degree))
 
     def replace(self, **kw):
-        args = dict(module=self.module, mu=self.mu, lam=self.lam,
+        args = dict(module=self.module, mu=self._mu, lam=self._lam,
                     eta=self.eta, eps=self.eps, window=self.window)
         args.update(kw)
         return BialgebraData(**args)
 
     def __repr__(self):
-        parts = [p for p, v in [("mu", self.mu), ("lam", self.lam),
+        parts = [p for p, v in [("mu", self._mu), ("lam", self._lam),
                                 ("eta", self.eta), ("eps", self.eps)] if v is not None]
         return f"BialgebraData({self.module.name or self.module!r}; {', '.join(parts)})"
 
@@ -106,58 +111,34 @@ class _Ops:
     by the runner (`_run`) or by the caller that hands them to it.  They
     are never cached on the data: they point back to it.
 
-    Each operator is built on first use, so a call pays only for what its
-    relations read: the identity `id`, the twist `tau`, tau lam (`tl`),
-    mu tau (`mt`), the unit group (`lh` = lam eta and the copairing map
-    `c_map`, both maps R -> A(x)A) and the pairing group (`pm` = eps mu,
-    `p_map`); the unit and pairing groups are None when the data lacks
-    their maps.  An identity between elements reads the element's map out
-    of R.  Only `eta_map` is built here: its validating constructor
-    refuses an eta of the wrong degree, whichever relations the call
-    reads."""
+    Each operator is built on its first read, so a call pays only for what
+    its relations read, and reading mu or lam refuses data that lacks it
+    (`BialgebraData._present`).  Only relations that need a unit read the
+    unit group (`eta_map`, `lh` = lam eta, the copairing map `c_map`) and
+    only those that need a counit read the pairing group (`pm` = eps mu,
+    `p_map`).  An identity between elements reads the element's map out
+    of R.  Only `eta_map` is built here, when the data has eta and mu: its
+    validating constructor refuses an eta of the wrong degree, whichever
+    relations the call reads."""
 
     def __init__(self, data):
         self.data = data
-        self.mu = data.mu
-        self.lam = data.lam
-        self.m = data.mu.degree if data.mu is not None else 0
-        self.l = data.lam.degree if data.lam is not None else 0
-        unital = data.eta is not None and data.mu is not None and data.lam is not None
-        self.eta_map = data.eta_map() if unital else None
+        if data.eta is not None and data._mu is not None:
+            self.eta_map = data.eta_map()
 
-    @cached_property
-    def id(self):
-        return GradedMap.identity(self.data.space)
-
-    @cached_property
-    def tau(self):
-        return twist(self.data.module, self.data.module)
-
-    @cached_property
-    def tl(self):
-        return compose(self.tau, self.lam)
-
-    @cached_property
-    def mt(self):
-        return compose(self.mu, self.tau)
-
-    @cached_property
-    def lh(self):
-        # lam(eta) is computed once, from validated maps.
-        return None if self.eta_map is None else compose(self.lam, self.eta_map)
-
-    @cached_property
-    def c_map(self):
-        return None if self.lh is None else self.lh.scale(sgn(self.l * self.m + self.m))
-
-    @cached_property
-    def pm(self):
-        data = self.data
-        return None if data.eps is None or data.mu is None else data.eps_mu()
-
-    @cached_property
-    def p_map(self):
-        return None if self.pm is None else self.pm.scale(sgn(self.l))
+    mu = cached_property(lambda o: o.data.mu)
+    lam = cached_property(lambda o: o.data.lam)
+    m = cached_property(lambda o: o.mu.degree)
+    l = cached_property(lambda o: o.lam.degree)
+    id = cached_property(lambda o: GradedMap.identity(o.data.space))
+    tau = cached_property(lambda o: twist(o.data.module, o.data.module))
+    tl = cached_property(lambda o: compose(o.tau, o.lam))
+    mt = cached_property(lambda o: compose(o.mu, o.tau))
+    eta_map = cached_property(lambda o: o.data.eta_map())
+    lh = cached_property(lambda o: compose(o.lam, o.eta_map))
+    c_map = cached_property(lambda o: o.lh.scale(sgn(o.l * o.m + o.m)))
+    pm = cached_property(lambda o: o.data.eps_mu())
+    p_map = cached_property(lambda o: o.pm.scale(sgn(o.l)))
 
 
 # ---------------------------------------------------------- the relation table
@@ -327,9 +308,38 @@ RELATIONS = {
 }
 
 
-def _missing(data, name):
-    """The first need of entry `name` that `data` lacks, or None."""
-    return next((need for need in RELATIONS[name][0] if getattr(data, need) is None), None)
+# name -> (needs, builder) for a map phi: A -> B.  A builder over phi and
+# the `_Ops` of A and B gives the relation's (source, lhs, rhs): phi is an
+# algebra map by the first two entries and a coalgebra map by the last two.
+MORPHISMS = {
+    "intertwines-product": ((), lambda phi, a, b: (
+        a.data.space2,
+        [(1, [[a.mu], [phi]])],
+        [(sgn(phi.degree * a.m), [[phi, phi], [b.mu]])])),
+    "unit-transport": (_ETA, lambda phi, a, b: (
+        scalar_space(a.data.field),
+        [(1, [[b.eta_map]])],
+        [(sgn(phi.degree), [[a.eta_map], [phi]])])),
+    "intertwines-coproduct": ((), lambda phi, a, b: (
+        a.data.space,
+        [(1, [[a.lam], [phi, phi]])],
+        [(sgn(phi.degree * a.l), [[phi], [b.lam]])])),
+    "counit-transport": (_EPS, lambda phi, a, b: (
+        a.data.space, [(1, [[a.data.eps]])], [(1, [[phi], [b.data.eps]])])),
+}
+
+
+def _missing(data, needs):
+    """The first of `needs` that `data` lacks, or None."""
+    return next((need for need in needs if getattr(data, need) is None), None)
+
+
+def _morphisms(phi, a, b, names, prefix=""):
+    """The relations of the `MORPHISMS` entries `names` for phi from the
+    structure of the `_Ops` a to that of b, each named with `prefix`.  An
+    entry whose need either structure lacks is left out."""
+    return [Relation(prefix + name, *MORPHISMS[name][1](phi, a, b)) for name in names
+            if not any(_missing(o.data, MORPHISMS[name][0]) for o in (a, b))]
 
 
 def _run(data, names, o=None):
@@ -342,7 +352,7 @@ def _run(data, names, o=None):
     o = o or _Ops(data)
     items = []
     for name in names:
-        missing = _missing(data, name)
+        missing = _missing(data, RELATIONS[name][0])
         if missing is not None:
             items.append(skipped(name, _MISSING[missing]))
             continue
@@ -478,7 +488,8 @@ def check_involutive(data):
     """mu lam = 0; for unital coFrobenius data also cross-checks mu c = 0,
     for counital also p lam = 0 (equivalent formulations).  The cross-checks
     the data lacks the maps for are left out, not skipped."""
-    return _run(data, [name for name in INVOLUTIVE if _missing(data, name) is None])
+    return _run(data, [name for name in INVOLUTIVE
+                       if _missing(data, RELATIONS[name][0]) is None])
 
 
 def direct_sum(d1, d2):
@@ -532,11 +543,11 @@ def direct_sum(d1, d2):
 def counit_solve(data):
     """Solve (eps(x)1)lam = 1 = (-1)^l (1(x)eps)lam exactly for eps.
 
-    Returns the counit as an Element of A^v-coefficients (a dict
-    label -> scalar) or None when the linear system is infeasible.  On
-    window models only window-valid equations are used, so infeasibility
-    of the restricted system certifies infeasibility of the full one.  A
-    window that keeps no equation determines nothing and raises ValueError.
+    Returns the counit as a GradedMap A -> R, or None when the linear
+    system is infeasible.  On window models only window-valid equations
+    are used, so infeasibility of the restricted system certifies
+    infeasibility of the full one.  A window that keeps no equation
+    determines nothing and raises ValueError.
     """
     from .fields import solve_linear
     l = data.lam.degree

@@ -26,15 +26,17 @@ mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta) hold.
 Relations (1) and (2) are suites of the sectors' relation table
 (`structures.RELATIONS`), reported under "closed-" and "open-".  The
 others are the entries of `TQFT_RELATIONS`, built over the TQFT and the
-`_Ops` of both sectors (identities, twists, copairing maps, pairings),
-which one suite call makes once and which build each operator on first
-use; `_run_tqft` checks a tuple of them in one `check_relations` call.
+`_Ops` of both sectors, which one suite call makes once; `_run_tqft`
+checks a tuple of them in one `check_relations` call.  Relation (3) and
+the cozipper's coalgebra-map relations read `structures.MORPHISMS`.
 Both sectors must have a unit and a counit (`require_biunital_sectors`).
 """
 
+from functools import partial
+
 from .core import TensorSpace, GradedMap, scalar_space
 from .reports import CheckReport, Relation, prefixed, PASS, FAIL
-from .structures import _Ops, _checked, _run, COFROBENIUS, sgn
+from .structures import _Ops, _checked, _run, COFROBENIUS, MORPHISMS, sgn
 from .windows import merge_windows
 from .fields import solve_linear
 
@@ -99,17 +101,21 @@ def _rel5_equivalence(t, c, a):
     return [report]
 
 
+def _rel3(name, t, c, a):
+    """Relation (3) as the `MORPHISMS` entry `name` on the zipper C -> A,
+    its sides swapped to the paper's: mu_A(zeta (x) zeta) and zeta eta_C
+    on the left."""
+    source, lhs, rhs = MORPHISMS[name][1](t.zipper, c, a)
+    return source, rhs, lhs
+
+
 # name -> builder over the TQFT and the `_Ops` of its closed and open
 # sectors, built once per call.  A builder gives the relation's (source,
 # lhs, rhs[, note]) or a list of finished items; a callable item makes its
 # report from the reports of the call, by name.
 TQFT_RELATIONS = {
-    "rel3-zipper-products": lambda t, c, a: (
-        t.closed.space2,
-        [(1, [[t.zipper, t.zipper], [a.mu]])],
-        [(1, [[c.mu], [t.zipper]])]),
-    "rel3-zipper-unit": lambda t, c, a: (
-        scalar_space(t.closed.field), [(1, [[c.eta_map], [t.zipper]])], [(1, [[a.eta_map]])]),
+    "rel3-zipper-products": partial(_rel3, "intertwines-product"),
+    "rel3-zipper-unit": partial(_rel3, "unit-transport"),
     "rel4-zipper-central": lambda t, c, a: (
         TensorSpace((t.closed.module, t.open.module)),
         [(1, [[t.zipper, a.id], [a.mu]])],
@@ -125,11 +131,8 @@ TQFT_RELATIONS = {
         [(sgn(a.l + c.l), [[t.zipper, a.id], [a.p_map]])]),
     "rel5-equivalence": _rel5_equivalence,
     "cozipper-coproducts": lambda t, c, a: (
-        t.open.space,
-        [(1, [[a.lam], [t.cozipper, t.cozipper]])],
-        [(sgn(t.cozipper.degree * a.l), [[t.cozipper], [c.lam]])]),
-    "cozipper-counits": lambda t, c, a: (
-        t.open.space, [(1, [[t.open.eps]])], [(1, [[t.cozipper], [t.closed.eps]])]),
+        MORPHISMS["intertwines-coproduct"][1](t.cozipper, a, c)),
+    "cozipper-counits": lambda t, c, a: MORPHISMS["counit-transport"][1](t.cozipper, a, c),
     "module-rel-a": lambda t, c, a: (
         scalar_space(t.closed.field),
         [(1, [[c.c_map], [t.zipper, c.id]])],

@@ -5,8 +5,10 @@ import json
 import contextlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cofrob.cli import main
+from cofrob.suites import DATA_SUITES, TQFT_SUITES
 
 
 def run_cli(*argv):
@@ -252,3 +254,111 @@ def test_bad_example_arguments_exit_2(argv, message):
     code, out, err = run_cli("example", *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and message in err
+
+
+def write(tmp_path, text, name="doc.cofrob"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("edit,lineno", [
+    # 1/5 was parsed over Q, then the late field F5 divided by zero
+    (lambda text: text.replace("field Q\n", "").replace("w -> 1 * R", "w -> 1/5 * R")
+     + "field F5\n", 15),
+    # the coefficients were parsed over Q and the structure built over F5
+    (lambda text: text.replace("field Q\n", "field Q\nfield F5\n"), 2),
+], ids=["trailing", "repeated"])
+def test_late_or_repeated_field_exits_2_at_its_line(tmp_path, edit, lineno):
+    text = edit(open(emit_example(tmp_path, "sphere", "--n", "2")).read())
+    code, out, err = run_cli("check", "--suite", "biunital-cofrobenius", write(tmp_path, text))
+    assert code == 2 and not out
+    assert err == f"error: line {lineno}: field must precede every section and appear once\n"
+
+
+@pytest.mark.parametrize("header,argv", [
+    *[("map lambda", ("check", "--suite", suite))
+      for suite in ("coproduct-laws", "biunital-cofrobenius", "biunital-infinitesimal",
+                    "involutivity", "derived-identities", "poincare-duality", "cyclic")],
+    *[("map lambda", ("transform", "--op", op)) for op in ("dual", "shift", "rescale")],
+    ("map mu", ("check", "--suite", "product-laws")),
+    ("map mu", ("transform", "--op", "dual")),
+], ids=lambda value: value if isinstance(value, str) else value[-1])
+def test_missing_mu_or_lambda_exits_2_naming_the_map(tmp_path, header, argv):
+    text = drop_section(open(emit_example(tmp_path, "sphere", "--n", "2")).read(), header)
+    code, out, err = run_cli(*argv, write(tmp_path, text))
+    assert code == 2 and not out
+    assert err == f"error: structure has no map {header.split()[1]}\n"
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["given-cozipper", "derived-cozipper"])
+@pytest.mark.parametrize("header", ["map closed.lambda", "map open.mu"])
+def test_tqft_sector_without_mu_or_lambda_exits_2(tmp_path, header, derived):
+    text = drop_section(open(emit_example(tmp_path, "submanifold", "--pair", "equator")).read(),
+                        header)
+    if derived:
+        text = drop_section(text, "map cozipper")
+    code, out, err = run_cli("check", "--suite", "tqft-full", write(tmp_path, text))
+    assert code == 2 and not out
+    sector, name = header.split()[1].split(".")
+    assert err == f"error: {sector} has no map {name}\n"
+
+
+@pytest.mark.parametrize("headers", [("map lambda",), ("map lambda", "eta", "map eps")],
+                         ids=["no-lambda", "mu-only"])
+def test_product_laws_read_no_lambda(tmp_path, headers):
+    text = open(emit_example(tmp_path, "sphere", "--n", "2")).read()
+    for header in headers:
+        text = drop_section(text, header)
+    code, out, err = run_cli("check", "--suite", "product-laws", write(tmp_path, text))
+    assert code == 0, err
+    assert out.strip().endswith("suite product-laws: PASS")
+
+
+# ------------------------------------------------- line mutations of documents
+
+@pytest.fixture(scope="module")
+def mutation_documents(tmp_path_factory):
+    """The rendered documents to mutate, and a directory for the mutants."""
+    from cofrob import (docio, sphere_cohomology, manifold_from_cup, torus_cup_data,
+                        rabinowitz_loop_sphere, equator_pair)
+    documents = {
+        "S2": docio.render(docio.from_bialgebra(sphere_cohomology(2))),
+        "T2": docio.render(docio.from_bialgebra(manifold_from_cup(torus_cup_data()))),
+        "rab3-3": docio.render(docio.from_bialgebra(rabinowitz_loop_sphere(3, 3))),
+        "equator": docio.render(docio.from_tqft(equator_pair()))}
+    return documents, tmp_path_factory.mktemp("mutants")
+
+
+def mutate(text, kind, at):
+    """`text` with one line dropped, duplicated or moved to the end, or
+    with one whole section dropped; `at` picks the line or the section."""
+    lines = text.splitlines(keepends=True)
+    if kind == "drop-section":
+        headers = [line for line in lines if line.rstrip().endswith(":")]
+        return drop_section(text, headers[at % len(headers)].rstrip())
+    i = at % len(lines)
+    rest = lines[:i] + lines[i + 1:]
+    return "".join({"drop": rest, "duplicate": lines[:i + 1] + lines[i:],
+                    "move-to-end": rest + [lines[i]]}[kind])
+
+
+SINGLE_COMMANDS = ([("check", "--suite", suite) for suite in DATA_SUITES]
+                   + [("transform", "--op", op)
+                      for op in ("dual", "shift", "transpose", "rescale")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["S2", "T2", "rab3-3", "equator"]),
+       kind=st.sampled_from(["drop", "duplicate", "move-to-end", "drop-section"]),
+       at=st.integers(0, 10 ** 4), pick=st.integers(0, 10 ** 4))
+def test_no_line_mutation_gives_a_traceback(mutation_documents, name, kind, at, pick):
+    """Whatever one line or one section of a document is dropped, doubled
+    or moved, every command ends with exit code 0, 1 or 2."""
+    documents, directory = mutation_documents
+    commands = ([("check", "--suite", suite) for suite in TQFT_SUITES]
+                if name == "equator" else SINGLE_COMMANDS)
+    path = directory / "mutant.cofrob"
+    path.write_text(mutate(documents[name], kind, at), encoding="utf-8")
+    code, _, _ = run_cli(*commands[pick % len(commands)], str(path))
+    assert code in (0, 1, 2)

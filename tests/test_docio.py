@@ -146,3 +146,26 @@ def test_negative_window_bound_or_slack_names_the_window_line(rab3, bound, slack
     with pytest.raises(ParseError, match=rf"line {lineno}: bound and slack must be "
                                          "non-negative"):
         parse("\n".join(lines))
+
+
+@pytest.mark.parametrize("text,lineno", [
+    # a field after a section would apply only to the coefficients after it
+    (S2_TEXT.replace("field Q\n", "") + "field F5\n", 16),
+    (S2_TEXT.replace("module:\n", "module:\nfield F5\n"), 4),
+    (S2_TEXT.replace("field Q\n", "field Q\nfield F5\n"), 3),
+], ids=["trailing", "in-a-section", "repeated"])
+def test_field_must_come_before_every_section_and_once(text, lineno):
+    with pytest.raises(ParseError, match=rf"^line {lineno}: field must precede every "
+                                         "section and appear once$"):
+        parse(text)
+
+
+def test_field_after_comments_and_suite_is_read():
+    doc = parse("# comment\n\nsuite product-laws\n" + S2_TEXT.replace("field Q", "field F5"))
+    assert doc.field == PrimeField(5)
+
+
+def test_structure_without_lambda_round_trips(sphere3):
+    doc = from_bialgebra(sphere3.replace(lam=None))
+    assert "map lambda" not in render(doc)
+    assert parse(render(doc)) == doc

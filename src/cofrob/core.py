@@ -136,10 +136,6 @@ class TensorSpace:
         return " (x) ".join(m.name or "?" for m in self.modules)
 
 
-def space(*modules):
-    return TensorSpace(modules)
-
-
 def scalar_space(field=QQ):
     return TensorSpace((), field=field)
 
@@ -227,20 +223,6 @@ class Element:
 
     def __neg__(self):
         return self.scale(-1)
-
-    def tensor(self, other):
-        """Plain bilinear tensor of elements (no Koszul sign; signs belong to maps)."""
-        out_space = self.space.concat(other.space)
-        field = out_space.field
-        coeffs = {}
-        for i1, v1 in self.coeffs.items():
-            for i2, v2 in other.coeffs.items():
-                coeffs[i1 + i2] = field.mul(v1, v2)
-        return Element(out_space, coeffs)
-
-    def coefficient(self, labels):
-        idx = tuple(m.index[lbl] for m, lbl in zip(self.space.modules, labels))
-        return self.coeffs.get(idx, self.space.field.zero)
 
     def __eq__(self, other):
         return (isinstance(other, Element)

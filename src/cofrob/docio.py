@@ -16,7 +16,8 @@ Grammar (one statement per line; `#` starts a comment only at line start):
 
 Map names are mu, lambda, eps for single documents; closed.mu, open.lambda,
 ..., zipper, cozipper for pairs.  Counit entries target the literal `R`.
-Coefficients are integers or fractions a/b.  parse(render(doc)) == doc.
+Coefficients are integers or fractions a/b.  A repeated map source, row
+target, window label or eta term is refused.  parse(render(doc)) == doc.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -77,6 +78,8 @@ def _parse_terms(text, fieldobj, lineno):
             dst = tuple(p.strip() for p in dst_text.split("#"))
             if any(not p for p in dst):
                 raise ParseError(f"malformed target {dst_text!r}", lineno)
+        if any(dst == seen for _, seen in terms):
+            raise ParseError(f"duplicate term for {dst_text!r}", lineno)
         terms.append((coeff, dst))
     return tuple(terms)
 
@@ -189,6 +192,8 @@ def parse(text):
                 weight = int(w_text)
             except ValueError as exc:
                 raise ParseError(f"malformed weight {w_text!r}", lineno) from exc
+            if label in raw_windows[section[1]][2]:
+                raise ParseError(f"duplicate window label {label!r}", lineno)
             raw_windows[section[1]][2][label] = weight
         elif section is not None and section[0] == "map":
             if "->" not in line:
@@ -197,6 +202,8 @@ def parse(text):
             src = tuple(p.strip() for p in src_text.strip().split(","))
             if any(not p for p in src):
                 raise ParseError("malformed source tuple", lineno)
+            if any(row[0] == src for row in raw_maps[section[1]][1]):
+                raise ParseError(f"duplicate source {','.join(src)!r}", lineno)
             terms = _parse_terms(terms_text.strip(), doc.field, lineno)
             raw_maps[section[1]][1].append((src, terms, lineno))
         elif section is not None and section[0] == "eta":
@@ -204,6 +211,8 @@ def parse(text):
             for coeff, dst in terms:
                 if len(dst) != 1:
                     raise ParseError("eta terms must be single generators", lineno)
+                if any(lbl == dst[0] for _, lbl in raw_etas[section[1]][0]):
+                    raise ParseError(f"duplicate term for {dst[0]!r}", lineno)
                 raw_etas[section[1]][0].append((coeff, dst[0]))
         else:
             raise ParseError(f"unrecognized statement {line!r}", lineno)

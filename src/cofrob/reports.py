@@ -27,6 +27,8 @@ is evaluated.  With one, only the window-valid tuples are enumerated and
 evaluated (`WindowSpec.valid_inputs`); the rest are never built and are
 counted as inconclusive.
 
+`solve_map` uses the same steps to solve relations for an unknown map.
+
 Verdicts are `pass`, `fail` (always with a witness), `window-inconclusive`
 (no input survived the validity gate), or `skipped`: a checker returns one
 skipped report per relation that needs a unit or counit the structure
@@ -38,9 +40,11 @@ first witness, so its report is the one it gets when checked alone.
 """
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import NamedTuple
 
-from .core import Element, TensorSpace, format_element
+from .core import Element, GradedMap, TensorSpace, format_element
+from .fields import solve_linear
 from .tensor import StagePlan
 
 PASS = "pass"
@@ -342,6 +346,78 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
     """Compare two signed-pipeline sums on every (window-valid) basis tuple
     of `source`: `check_relations` with one relation."""
     return check_relations([Relation(name, source, lhs_terms, rhs_terms, note)], window)[0]
+
+
+def _residuals(specs, window):
+    """lhs - rhs of each relation of `specs`, evaluated and gated as
+    `check_relations` compares them: the nonzero values by (position,
+    input, coordinate).  Only the window-valid inputs on which the first
+    stage of some term has a row are evaluated: on the others it is zero."""
+    out = {}
+    for i, spec in enumerate(specs):
+        source, field = spec.source, spec.source.field
+        compiled, _, slots = _compile(source, [(i, spec)], window)
+        for _, _, lhs, rhs, _, _, _, weights in compiled:
+            inputs = source.basis() if window is None else window.valid_inputs(source)
+            firsts = [plans[0].groups if plans else None
+                      for *_, plans in lhs[0] + lhs[1] + rhs[0] + rhs[1]]
+            if None not in firsts:      # an identity term has a row everywhere
+                rows = {sum(keys, ()) for groups in firsts
+                        for keys in product(*[entries for _, _, entries in groups])}
+                inputs = sorted(rows if window is None else rows.intersection(inputs))
+            for idx in inputs:
+                values = [None] * slots
+                left, right = (_evaluate(lhs, idx, field, values),
+                               _evaluate(rhs, idx, field, values))
+                if window is not None:
+                    limit = window.coordinate_limit(source.labels_of(idx))
+                    left, right = _gate(left, weights[0], limit), _gate(right, weights[1], limit)
+                for coord in left.keys() | right.keys():
+                    v = field.sub(left.get(coord, field.zero), right.get(coord, field.zero))
+                    if not field.is_zero(v):
+                        out[i, idx, coord] = v
+    return out
+
+
+def _naming(x, terms):
+    """The signed terms that have the map `x` in a stage."""
+    return [(sign, stages) for sign, stages in terms
+            if any(f is x for stage in stages for f in stage)]
+
+
+def solve_map(name, source, target, degree, relations, window=None):
+    """The map X: source -> target of `degree` for which every relation of
+    `relations(X)` holds on the window-valid inputs, or None if none does.
+
+    A term may name X once, as a map of a stage, so lhs - rhs is affine in
+    X: its value at X = 0 and that of the terms naming X at each
+    homogeneous basis entry of X, evaluated as `check_relations` evaluates
+    them, give one `solve_linear` call.  Unknowns left free are set to
+    zero.  A window that leaves no input to determine an unknown raises
+    ValueError naming the map."""
+    field, zero = source.field, source.field.zero
+    unknowns = [(src, dst) for src in source.basis() for dst in target.basis()
+                if target.degree(dst) == source.degree(src) + degree]
+    specs = relations(GradedMap._trusted(source, target, degree, {}))
+    if unknowns and window is not None and not any(
+            window.valid_inputs(spec.source) for spec in specs):
+        raise ValueError(f"no window-valid equation determines the {name}")
+    base = _residuals(specs, window)
+    columns = []
+    for src, dst in unknowns:
+        x = GradedMap._trusted(source, target, degree, {src: {dst: field.one}})
+        columns.append(_residuals([spec._replace(lhs=_naming(x, spec.lhs),
+                                                 rhs=_naming(x, spec.rhs))
+                                   for spec in relations(x)], window))
+    keys = dict.fromkeys(key for part in (base, *columns) for key in part)
+    solution = solve_linear([[column.get(key, zero) for column in columns] for key in keys],
+                            [field.neg(base.get(key, zero)) for key in keys], field)
+    if solution is None:
+        return None
+    entries = {}
+    for (src, dst), v in zip(unknowns, solution):
+        entries.setdefault(src, {})[dst] = v    # the constructor drops zeros
+    return GradedMap(source, target, degree, entries)
 
 
 def render_text(suite_name, reports):

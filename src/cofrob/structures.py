@@ -36,7 +36,7 @@ from functools import cached_property
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
 from .tensor import twist
-from .reports import Relation, check_relations, skipped, FAIL
+from .reports import Relation, check_relations, skipped, solve_map, FAIL
 from .windows import merge_windows
 
 
@@ -541,7 +541,8 @@ def direct_sum(d1, d2):
 
 
 def counit_solve(data):
-    """Solve (eps(x)1)lam = 1 = (-1)^l (1(x)eps)lam exactly for eps.
+    """Solve (eps(x)1)lam = 1 = (-1)^l (1(x)eps)lam exactly for eps: the
+    `RELATIONS` entry "counit", solved by `solve_map`.
 
     Returns the counit as a GradedMap A -> R, or None when the linear
     system is infeasible.  On window models only window-valid equations
@@ -549,45 +550,7 @@ def counit_solve(data):
     infeasibility of the full one.  A window that keeps no equation
     determines nothing and raises ValueError.
     """
-    from .fields import solve_linear
-    l = data.lam.degree
-    field = data.field
-    module = data.module
-    unknowns = [i for i in range(module.dim) if module.degree(i) == l]
-    col = {i: k for k, i in enumerate(unknowns)}
-    rows, rhs = [], []
-    w = data.window
-    for x in range(module.dim):
-        labels = (module.labels[x],)
-        if w is not None and not w.input_valid(labels):
-            continue
-        expansion = data.lam((x,))
-        for y in range(module.dim):
-            if w is not None and not w.coordinate_reliable(labels, (module.labels[y],)):
-                continue
-            row_left = [field.zero] * len(unknowns)
-            row_right = [field.zero] * len(unknowns)
-            for (u, v), cf in expansion.coeffs.items():
-                if v == y and u in col:
-                    row_left[col[u]] = field.add(row_left[col[u]], cf)
-                if u == y and v in col:
-                    s = sgn(l * (module.degree(u) % 2)) * sgn(l)
-                    row_right[col[v]] = field.add(row_right[col[v]],
-                                                  field.mul(field.coerce(s), cf))
-            target = field.one if x == y else field.zero
-            rows.append(row_left)
-            rhs.append(target)
-            rows.append(row_right)
-            rhs.append(target)
-    if not unknowns:
-        if all(field.is_zero(b) for b in rhs):
-            return GradedMap(data.space, scalar_space(field), -l, {})
-        return None
-    if not rows:
-        raise ValueError("no window-valid equation determines the counit")
-    sol = solve_linear(rows, rhs, field)
-    if sol is None:
-        return None
-    entries = {(unknowns[k],): {(): sol[k]}
-               for k in range(len(unknowns)) if not field.is_zero(sol[k])}
-    return GradedMap(data.space, scalar_space(field), -l, entries)
+    o = _Ops(data)
+    return solve_map("counit", data.space, scalar_space(data.field), -o.l,
+                     lambda eps: RELATIONS["counit"][1](data.replace(eps=eps), o),
+                     data.window)

@@ -29,16 +29,18 @@ others are the entries of `TQFT_RELATIONS`, built over the TQFT and the
 `_Ops` of both sectors, which one suite call makes once; `_run_tqft`
 checks a tuple of them in one `check_relations` call.  Relation (3) and
 the cozipper's coalgebra-map relations read `structures.MORPHISMS`.
-Both sectors must have a unit and a counit (`require_biunital_sectors`).
+`derive_cozipper` solves the entry "rel5-pairing-form" for zeta*
+(`reports.solve_map`).  Both sectors must have a unit and a counit
+(`require_biunital_sectors`), and the zipper must map C -> A.
 """
 
 from functools import partial
+from types import SimpleNamespace
 
-from .core import TensorSpace, GradedMap, scalar_space
-from .reports import CheckReport, Relation, prefixed, PASS, FAIL
+from .core import TensorSpace, scalar_space
+from .reports import CheckReport, Relation, prefixed, solve_map, PASS, FAIL
 from .structures import _Ops, _checked, _run, COFROBENIUS, MORPHISMS, sgn
 from .windows import merge_windows
-from .fields import solve_linear
 
 
 def require_biunital_sectors(closed, open):
@@ -212,56 +214,23 @@ def run_full_tqft_suite(t):
 
 def derive_cozipper(closed, open, zipper):
     """The unique zeta* with p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|}
-    p_A(zeta (x) 1), solved exactly per basis element of A.
+    p_A(zeta (x) 1): `solve_map` over the entry "rel5-pairing-form".
 
     Both sectors must be biunital coFrobenius with perfect pairings; a
-    degenerate system raises.  On window models the pairing entries of the
-    shipped models are exact for in-window arguments, so every in-window
-    equation is used; coordinates left undetermined by the truncation are
-    set to zero (truncation-consistent).
+    degenerate system raises.  Every equation is used (no window): the
+    pairing entries of the shipped window models are exact for in-window
+    arguments, and coordinates the truncation leaves undetermined are set
+    to zero (truncation-consistent).
     """
     require_biunital_sectors(closed, open)
-    field = closed.field
-    p_c = closed.pairing()
-    p_a = open.pairing()
-    deg_zs = closed.lam.degree - open.lam.degree
-    cmod, amod = closed.module, open.module
-    sign_rel = sgn(closed.lam.degree + open.lam.degree)
-    entries = {}
-    for x in range(amod.dim):
-        target_deg = amod.degree(x) + deg_zs
-        cols = [i for i in range(cmod.dim) if cmod.degree(i) == target_deg]
-        rows, rhs = [], []
-        used_any = False
-        for y in range(cmod.dim):
-            # LHS: p_C(1 (x) zeta*)(y (x) x) = (-1)^{|zs||y|} p_C(y (x) zs(x))
-            s_l = sgn(deg_zs * cmod.degree(y))
-            row = []
-            for i in cols:
-                v = p_c.entries.get((y, i), {}).get((), field.zero)
-                row.append(field.mul(field.coerce(s_l), v))
-            # RHS: sign * p_A(zeta(y) (x) x)
-            zy = zipper((y,))
-            val = field.zero
-            for (u,), w_ in zy.coeffs.items():
-                val = field.add(val, field.mul(
-                    w_, p_a.entries.get((u, x), {}).get((), field.zero)))
-            val = field.mul(field.coerce(sign_rel), val)
-            if any(not field.is_zero(v) for v in row) or not field.is_zero(val):
-                rows.append(row)
-                rhs.append(val)
-                used_any = True
-        if not cols:
-            if any(not field.is_zero(b) for b in rhs):
-                raise ValueError(f"no cozipper: inconsistent at {amod.labels[x]}")
-            continue
-        if not used_any:
-            continue
-        sol = solve_linear(rows, rhs, field)
-        if sol is None:
-            raise ValueError(f"pairing degenerate: no cozipper value at {amod.labels[x]}")
-        row_out = {(cols[k],): sol[k] for k in range(len(cols))
-                   if not field.is_zero(sol[k])}
-        if row_out:
-            entries[(x,)] = row_out
-    return GradedMap(open.space, closed.space, deg_zs, entries)
+    if zipper.source != closed.space or zipper.target != open.space:
+        raise ValueError("zipper must map C -> A")
+    ops = _Ops(closed), _Ops(open)
+    form = TQFT_RELATIONS["rel5-pairing-form"]
+    cozipper = solve_map(
+        "cozipper", open.space, closed.space, closed.lam.degree - open.lam.degree,
+        lambda x: [Relation("rel5-pairing-form", *form(
+            SimpleNamespace(closed=closed, open=open, zipper=zipper, cozipper=x), *ops))])
+    if cozipper is None:
+        raise ValueError("no cozipper satisfies rel5-pairing-form")
+    return cozipper

@@ -362,3 +362,24 @@ def test_no_line_mutation_gives_a_traceback(mutation_documents, name, kind, at, 
     path.write_text(mutate(documents[name], kind, at), encoding="utf-8")
     code, _, _ = run_cli(*commands[pick % len(commands)], str(path))
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("example,edit,suite", [
+    # mu(1, w) became 2w, and product-laws failed with exit code 1
+    (("sphere", "--n", "2"), lambda text: text.replace("1,w -> 1 * w\n",
+                                                      "1,w -> 1 * w\n1,w -> 1 * w\n"),
+     "product-laws"),
+    # eta became 2 * 1
+    (("sphere", "--n", "2"), lambda text: text.replace("eta:\n1 * 1\n", "eta:\n1 * 1\n1 * 1\n"),
+     "product-laws"),
+    # the last weight was kept, and the check passed with exit code 0
+    (("rabinowitz-loop-sphere", "--n", "3", "--window", "6"),
+     lambda text: text.replace("slack 3:\n", "slack 3:\nU^0 5\n"), "biunital-cofrobenius"),
+], ids=["map-source", "eta", "window-label"])
+def test_repeated_entries_exit_2_at_their_line(tmp_path, example, edit, suite):
+    text = open(emit_example(tmp_path, *example)).read()
+    edited = edit(text)
+    assert edited != text
+    code, out, err = run_cli("check", "--suite", suite, write(tmp_path, edited))
+    assert code == 2 and not out
+    assert err.startswith("error: line ") and "duplicate" in err

@@ -169,3 +169,27 @@ def test_structure_without_lambda_round_trips(sphere3):
     doc = from_bialgebra(sphere3.replace(lam=None))
     assert "map lambda" not in render(doc)
     assert parse(render(doc)) == doc
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    # each repeat used to be summed (or, for a window label, overwritten)
+    (S2_TEXT.replace("1,w -> 1 * w\n", "1,w -> 1 * w\n1,w -> 1 * w\n"), 9,
+     "duplicate source '1,w'"),
+    (S2_TEXT.replace("eta:\n1 * 1\n", "eta:\n1 * 1\n1 * 1\n"), 15, "duplicate term for '1'"),
+    (S2_TEXT.replace("eta:\n1 * 1\n", "eta:\n1 * 1 + 1 * 1\n"), 14, "duplicate term for '1'"),
+    (S2_TEXT.replace("w -> 1 * w#w", "w -> 1 * w#w + 2 * w#w"), 12,
+     "duplicate term for 'w#w'"),
+], ids=["map-source", "eta-line", "eta-term", "map-target"])
+def test_repeated_entries_are_refused_at_their_line(text, lineno, message):
+    with pytest.raises(ParseError, match=rf"^line {lineno}: {message}$"):
+        parse(text)
+
+
+def test_repeated_window_label_is_refused_at_its_line(rab3):
+    lines = render(from_bialgebra(rab3)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("window")) + 1
+    label = lines[at].split()[0]
+    lines.insert(at + 1, f"{label} 0")
+    with pytest.raises(ParseError) as refused:
+        parse("\n".join(lines))
+    assert str(refused.value) == f"line {at + 2}: duplicate window label {label!r}"

@@ -7,7 +7,8 @@ T^2 and S^2 x S^2 over Q, F2, F3 and F5, each also dualized and shifted;
 `derive_cozipper` on the equator, diagonal and factor pairs with the
 zipper zeta and with 2 zeta, and on `loop_tqft_sphere(1|3|5, 3..6)`.
 Both solvers must give the same map, the same None or a refusal on the
-same case.  Refusal messages are pinned separately below.
+same case.  Refusal messages are pinned separately below; the counit's
+"no window-valid equation" refusal is pinned in `test_structures.py`.
 """
 
 from functools import lru_cache
@@ -15,14 +16,15 @@ from functools import lru_cache
 import pytest
 
 import solver_reference as reference
-from cofrob import (OpenClosedTQFT, PrimeField, QQ, Relation, check_relations,
+from cofrob import (GradedMap, GradedModule, OpenClosedTQFT, PrimeField, QQ, Relation,
+                    TensorSpace, check_relations, scalar_space,
                     circle_models, counit_solve, derive_cozipper, diagonal_pair, dualize,
                     equator_pair, factor_pair, loop_tqft_sphere, manifold_from_cup,
                     rabinowitz_loop_sphere, loop_sphere, based_loop_sphere,
                     based_rabinowitz_loop_sphere, s2xs2_cup_data, shift_structure,
                     sphere_cup_data, torus_cup_data)
 from cofrob.reports import PASS, INCONCLUSIVE
-from cofrob.structures import _Ops, _run
+from cofrob.structures import BialgebraData, _Ops, _run
 from cofrob.tqft import TQFT_RELATIONS
 
 FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
@@ -125,3 +127,35 @@ def test_a_derived_cozipper_passes_the_pairing_form(case):
     t = OpenClosedTQFT(closed, open_, zipper, derive_cozipper(closed, open_, zipper))
     built = TQFT_RELATIONS["rel5-pairing-form"](t, _Ops(closed), _Ops(open_))
     assert check_relations([Relation("rel5-pairing-form", *built)])[0].verdict == PASS
+
+
+# ------------------------------------------------------------------ refusals
+
+@pytest.mark.parametrize("pair", [equator_pair, diagonal_pair])
+def test_a_degenerate_closed_pairing_names_the_pairing_form(pair):
+    # was "pairing degenerate: no cozipper value at ..."
+    t = pair()
+    closed = t.closed.replace(eps=t.closed.eps.scale(0))
+    with pytest.raises(ValueError, match="^no cozipper satisfies rel5-pairing-form$"):
+        derive_cozipper(closed, t.open, t.zipper)
+
+
+def test_a_zipper_that_is_not_c_to_a_is_refused():
+    # was "no cozipper: inconsistent at 1"
+    t = equator_pair()
+    with pytest.raises(ValueError, match="^zipper must map C -> A$"):
+        derive_cozipper(t.closed, t.open, t.cozipper)
+
+
+def test_the_zero_module_has_the_zero_counit():
+    module = GradedModule([], name="zero")
+    space, space2 = TensorSpace((module,)), TensorSpace((module, module))
+    data = BialgebraData(module, GradedMap.zero(space2, space, 0),
+                         GradedMap.zero(space, space2, 3))
+    eps = counit_solve(data)
+    assert (eps.source, eps.target, eps.degree, eps.entries) == (space, scalar_space(QQ), -3, {})
+
+
+def test_a_coproduct_degree_no_basis_element_has_gives_no_counit():
+    sphere = manifold_from_cup(sphere_cup_data(2))
+    assert counit_solve(sphere.replace(lam=GradedMap.zero(sphere.space, sphere.space2, 5))) is None

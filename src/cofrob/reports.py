@@ -362,9 +362,9 @@ def _residuals(specs, window):
             firsts = [plans[0].groups if plans else None
                       for *_, plans in lhs[0] + lhs[1] + rhs[0] + rhs[1]]
             if None not in firsts:      # an identity term has a row everywhere
-                rows = {sum(keys, ()) for groups in firsts
-                        for keys in product(*[entries for _, _, entries in groups])}
-                inputs = sorted(rows if window is None else rows.intersection(inputs))
+                reached = {sum(keys, ()) for groups in firsts
+                           for keys in product(*[entries for _, _, entries in groups])}
+                inputs = sorted(reached if window is None else reached.intersection(inputs))
             for idx in inputs:
                 values = [None] * slots
                 left, right = (_evaluate(lhs, idx, field, values),

@@ -9,7 +9,7 @@ from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, QQ
                     map_equal, tensor_maps, twist, permute, Permutation,
                     dual_module, dual_map, ShiftMaps, shift_map, sphere_cohomology,
                     manifold_from_cup, torus_cup_data, s2xs2_cup_data,
-                    rabinowitz_loop_sphere, circle_models)
+                    rabinowitz_loop_sphere, circle_models, WindowSpec)
 
 from dual_reference import (tensor_modules, raw_dual, iota, iota_inverse, flattener,
                             unflattener, double_dual)
@@ -354,9 +354,21 @@ def test_dualize_and_poincare_dual_match_the_iota_route(monkeypatch, dual_exampl
             assert got.eta == want.eta and map_equal(got.eps, want.eps), name
 
 
+# Accepts every input and masks nothing, so the suites report what they
+# report without a window; but only a windowed check runs stage plans (an
+# unwindowed one composes each side into one map).
+OPEN_WINDOW = WindowSpec(1, 0, {})
+
+
+def _windowed(data):
+    """`data` checked through stage plans: under OPEN_WINDOW if it has no window."""
+    return data if data.window is not None else data.replace(window=OPEN_WINDOW)
+
+
 def _recorded_plans(monkeypatch, structures):
     """Every stage plan the built-in data suites compile, with the
-    coefficient dicts the relation pipelines ran it on."""
+    coefficient dicts the relation pipelines ran it on (each structure
+    without a window is checked under OPEN_WINDOW)."""
     from cofrob.tensor import StagePlan
     from cofrob.suites import DATA_SUITES
     original = StagePlan.run
@@ -370,7 +382,7 @@ def _recorded_plans(monkeypatch, structures):
         patch.setattr(StagePlan, "run", record)
         for data in structures:
             for suite in DATA_SUITES.values():
-                suite(data)
+                suite(_windowed(data))
     return list(seen.values())
 
 
@@ -414,14 +426,15 @@ def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):
 
 def _linked_pairs(monkeypatch, data):
     """Every (plan, consumer, unlinked plan, fed) the data suites compile
-    for `data`: each plan linked to the next plan of its term, the same
-    stage compiled without a consumer, and the coefficient dicts the
-    relation pipelines fed the plan."""
+    for `data` (under OPEN_WINDOW if it has none): each plan linked to the
+    next plan of its term, the same stage compiled without a consumer, and
+    the coefficient dicts the relation pipelines fed the plan."""
     from cofrob import reports
     from cofrob.tensor import StagePlan
     from cofrob.suites import DATA_SUITES
     term_init, run = reports._Term.__init__, StagePlan.run
     terms_seen, fed = [], {}
+    data = _windowed(data)
 
     def record_term(term, stages, source):
         term_init(term, stages, source)

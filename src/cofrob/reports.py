@@ -152,8 +152,7 @@ class _Composite:
     __slots__ = ("map", "space", "uses")
 
     def __init__(self, stages, source, stage_maps):
-        term = GradedMap.identity(source) if not stages else None
-        space = source
+        term, space = None, source
         for maps in stages:
             key = tuple(map(id, maps))
             stage = stage_maps.get(key)
@@ -164,7 +163,7 @@ class _Composite:
                     "apply_stage: the stage's sources do not match the element's factors")
             term = stage if term is None else compose(stage, term)
             space = stage.target
-        self.map = term
+        self.map = GradedMap.identity(source) if term is None else term
         self.space = space
         self.uses = 0
 

@@ -167,10 +167,11 @@ def _s_terms(o):
          tau S tau + (-1)^l S = (-1)^l ((mu(x)1)(1(x)D) - (-1)^m (1(x)mu)(D(x)1)).
 
     So on graded commutative data the sign -(-1)^l makes the relation hold
-    wherever lam is graded cocommutative (D = 0).  The sign
-    -(-1)^{m+l} would differ from it by -2(-1)^l S for odd m, and demand
-    S = 0 there.  With a unit and D(eta) = 0 (twist-of-lam-eta), the right
-    side at eta (x) b is +-D(b), so the relation then forces D = 0 too."""
+    wherever lam is graded cocommutative (D = 0).  With the sign
+    -(-1)^{m+l} the residual would gain -2(-1)^l S for odd m, so there it
+    would demand S = 0.  With a unit and D(eta) = 0 (twist-of-lam-eta),
+    the right side at eta (x) b is +-D(b), so the relation then forces
+    D = 0 too."""
     return [(1, [[o.id, o.tl], [o.mu, o.id]]),
             (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
 

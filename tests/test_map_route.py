@@ -9,7 +9,7 @@ examples and their transforms, and on the engine's error cases."""
 
 import pytest
 
-from cofrob import (GradedMap, PrimeField, QQ, TensorSpace, WindowSpec, dualize,
+from cofrob import (GradedMap, PrimeField, QQ, TensorSpace, dualize,
                     equator_pair, diagonal_pair, factor_pair, make_module,
                     manifold_from_cup, s2xs2_cup_data, shift_structure, sphere_cohomology,
                     torus_cup_data, transpose_structure)
@@ -18,7 +18,8 @@ from cofrob.suites import DATA_SUITES, TQFT_SUITES
 from cofrob.tensor import StagePlan
 from cofrob.tqft import OpenClosedTQFT
 
-OPEN_WINDOW = WindowSpec(1, 0, {})
+from test_tensor import OPEN_WINDOW
+
 FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -59,6 +60,104 @@ def test_homogeneity_enforced():
     sp = TensorSpace((mod,))
     with pytest.raises(ValueError, match="homogeneity"):
         GradedMap.from_labels(sp, sp, 1, [(("1",), [(1, ("w",))])])
+
+
+# ------------------------------------------------ what the constructors check
+
+def named_spaces(field=None):
+    """A = H*(S^2) named "H" over `field` (Q by default): A and A (x) A."""
+    kwargs = {"field": field} if field is not None else {}
+    mod = make_module([("1", 0), ("w", 2)], name="H", **kwargs)
+    return TensorSpace((mod,)), TensorSpace((mod, mod))
+
+
+# out of range, negative, wrong arity (too long, too short)
+BAD_KEYS = [(2,), (-1,), (-3,), (0, 0), ()]
+
+
+@pytest.mark.parametrize("key", BAD_KEYS)
+def test_graded_map_refuses_a_bad_source_key(key):
+    sp, _ = named_spaces()
+    message = re.escape(f"index {key} not a basis tuple of the source")
+    with pytest.raises(ValueError, match=message):
+        GradedMap(sp, sp, 0, {key: {(0,): 1}})
+    with pytest.raises(ValueError, match=message):   # checked before its row is read
+        GradedMap(sp, sp, 0, {(0,): {(0,): 1}, key: {}})
+
+
+@pytest.mark.parametrize("key", BAD_KEYS)
+def test_graded_map_refuses_a_bad_target_key(key):
+    sp, _ = named_spaces()
+    message = re.escape(f"index {key} not a basis tuple of the target")
+    with pytest.raises(ValueError, match=message):
+        GradedMap(sp, sp, 0, {(0,): {(0,): 1, key: 1}})
+    with pytest.raises(ValueError, match=message):   # checked before its value is read
+        GradedMap(sp, sp, 0, {(1,): {key: 0}})
+
+
+@pytest.mark.parametrize("key", BAD_KEYS)
+def test_element_refuses_a_bad_key(key):
+    sp, _ = named_spaces()
+    message = re.escape(f"index {key} not a basis tuple of H")
+    with pytest.raises(ValueError, match=message):
+        Element(sp, {(0,): 1, key: 1})
+    with pytest.raises(ValueError, match=message):
+        Element(sp, {key: 0})
+
+
+def test_graded_map_homogeneity_message():
+    sp, sp2 = named_spaces()
+    with pytest.raises(ValueError, match=re.escape(
+            "entry ('w', '1') -> ('1',) violates homogeneity: 0 != 2 + (0)")):
+        GradedMap(sp2, sp, 0, {(0, 0): {(0,): 1}, (1, 0): {(0,): 1}})
+    with pytest.raises(ValueError, match=re.escape(
+            "entry ('1',) -> ('1',) violates homogeneity: 0 != 0 + (-2)")):
+        GradedMap(sp, sp, -2, {(1,): {(0,): 1}, (0,): {(0,): 0}})   # a zero value too
+
+
+def test_graded_map_refuses_mixed_fields():
+    from cofrob import PrimeField
+    sp, _ = named_spaces()
+    sp_f2, _ = named_spaces(PrimeField(2))
+    for source, target in ((sp, sp_f2), (sp_f2, sp), (sp, scalar_space(PrimeField(2))),
+                           (scalar_space(PrimeField(2)), sp)):
+        with pytest.raises(ValueError, match="source and target over different fields"):
+            GradedMap(source, target, 0, {})
+
+
+def test_constructors_drop_zero_values_and_empty_rows():
+    from fractions import Fraction
+    from cofrob import PrimeField
+    sp, _ = named_spaces()
+    f = GradedMap(sp, sp, 0, {(0,): {(0,): 0}, (1,): {(1,): Fraction(6, 2)}})
+    assert f.entries == {(1,): {(1,): 3}} and type(f.entries[(1,)][(1,)]) is int
+    assert GradedMap(sp, sp, 0, {(0,): {}, (1,): {(1,): 0}}).entries == {}
+    assert Element(sp, {(0,): 0, (1,): "1/2"}).coeffs == {(1,): Fraction(1, 2)}
+    sp_f2, _ = named_spaces(PrimeField(2))
+    g = GradedMap(sp_f2, sp_f2, 0, {(0,): {(0,): -1}, (1,): {(1,): 2}})
+    assert g.entries == {(0,): {(0,): 1}}
+    assert Element(sp_f2, {(0,): -1, (1,): 4}).coeffs == {(0,): 1}
+
+
+def test_constructors_on_the_ground_ring():
+    sp, _ = named_spaces()
+    r = scalar_space()
+    assert GradedMap(r, sp, 2, {(): {(1,): 3}}).entries == {(): {(1,): 3}}
+    assert GradedMap(sp, r, -2, {(1,): {(): 1}}).entries == {(1,): {(): 1}}
+    assert GradedMap(r, r, 0, {(): {(): 5}}).entries == {(): {(): 5}}
+    assert Element(r, {(): 5}).coeffs == {(): 5}
+    with pytest.raises(ValueError, match=re.escape("index (0,) not a basis tuple of the source")):
+        GradedMap(r, sp, 0, {(0,): {(0,): 1}})
+    with pytest.raises(ValueError, match=re.escape("index (0,) not a basis tuple of the target")):
+        GradedMap(sp, r, 0, {(0,): {(0,): 1}})
+    with pytest.raises(ValueError, match=re.escape("index (0,) not a basis tuple of R")):
+        Element(r, {(0,): 1})
+    with pytest.raises(ValueError, match=re.escape(
+            "entry () -> ('w',) violates homogeneity: 2 != 0 + (0)")):
+        GradedMap(r, sp, 0, {(): {(1,): 1}})
+    with pytest.raises(ValueError, match=re.escape(
+            "entry ('1',) -> () violates homogeneity: 0 != 0 + (-2)")):
+        GradedMap(sp, r, -2, {(0,): {(): 1}})
 
 
 def test_compose_identity_neutral():

@@ -113,10 +113,6 @@ class TensorSpace:
     def labels_of(self, idx):
         return tuple(m.labels[i] for m, i in zip(self.modules, idx))
 
-    def contains(self, idx):
-        return (len(idx) == len(self.modules)
-                and all(0 <= i < m.dim for m, i in zip(self.modules, idx)))
-
     def concat(self, other):
         if self.arity == 0 and other.arity == 0 and self.field != other.field:
             raise ValueError("tensor factors over different fields")
@@ -140,19 +136,44 @@ def scalar_space(field=QQ):
     return TensorSpace((), field=field)
 
 
+def _degree(idx, degrees):
+    """The degree of `idx` in a space whose factors have the degree tuples
+    `degrees`, or None if `idx` is not a basis tuple of it: a wrong arity,
+    a negative index, or one out of range (its lookup's IndexError)."""
+    if len(idx) != len(degrees) or (idx and min(idx) < 0):
+        return None
+    try:
+        return sum(map(tuple.__getitem__, degrees, idx))
+    except IndexError:
+        return None
+
+
+def _label_indices(space, labels, side=None):
+    """The index tuple of basis labels of `space`, one per factor; an
+    unknown label raises ValueError naming it and the `side` of a map
+    ("source" or "target"), or else the space."""
+    try:
+        return tuple([m.index[lbl] for m, lbl in zip(space.modules, labels)])
+    except KeyError as exc:
+        where = f"the {side}" if side else repr(space)
+        raise ValueError(f"unknown basis label {exc.args[0]!r} of {where}") from None
+
+
 class Element:
     """A sparse vector in a tensor space: dict basis-index-tuple -> scalar."""
 
     def __init__(self, space, coeffs=None):
         self.space = space
         field = space.field
+        coerce, is_zero = field.coerce, field.is_zero
+        degrees = [m.degrees for m in space.modules]
         clean = {}
         for idx, v in (coeffs or {}).items():
             idx = tuple(idx)
-            if not space.contains(idx):
+            if _degree(idx, degrees) is None:
                 raise ValueError(f"index {idx} not a basis tuple of {space!r}")
-            v = field.coerce(v)
-            if not field.is_zero(v):
+            v = coerce(v)
+            if not is_zero(v):
                 clean[idx] = v
         self.coeffs = clean
 
@@ -179,7 +200,7 @@ class Element:
         coeffs = {}
         field = space.field
         for coeff, labels in terms:
-            idx = tuple(m.index[lbl] for m, lbl in zip(space.modules, labels))
+            idx = _label_indices(space, labels)
             coeffs[idx] = field.add(coeffs.get(idx, field.zero), field.coerce(coeff))
         return cls(space, coeffs)
 
@@ -251,6 +272,12 @@ class GradedMap:
     """A degree-homogeneous linear map between tensor spaces, stored sparsely.
 
     entries: dict src-index-tuple -> dict dst-index-tuple -> scalar.
+
+    The constructor checks each key once: its arity, no negative index,
+    and then its degree read from the factors' degree tuples (hoisted per
+    call), an out-of-range index failing that lookup; each target key's
+    degree must be its source key's plus the map's.  Values are coerced
+    into the field, and zero values and empty rows are dropped.
     """
 
     def __init__(self, source, target, degree, entries=None):
@@ -260,24 +287,28 @@ class GradedMap:
         self.target = target
         self.degree = int(degree)
         field = source.field
+        coerce, is_zero = field.coerce, field.is_zero
+        src_degrees = [m.degrees for m in source.modules]
+        dst_degrees = [m.degrees for m in target.modules]
         clean = {}
         for src, row in (entries or {}).items():
             src = tuple(src)
-            if not source.contains(src):
+            srcdeg = _degree(src, src_degrees)
+            if srcdeg is None:
                 raise ValueError(f"index {src} not a basis tuple of the source")
-            srcdeg = source.degree(src)
+            want = srcdeg + self.degree
             crow = {}
             for dst, v in row.items():
                 dst = tuple(dst)
-                if not target.contains(dst):
+                dstdeg = _degree(dst, dst_degrees)
+                if dstdeg is None:
                     raise ValueError(f"index {dst} not a basis tuple of the target")
-                if target.degree(dst) != srcdeg + self.degree:
+                if dstdeg != want:
                     raise ValueError(
                         f"entry {source.labels_of(src)} -> {target.labels_of(dst)} "
-                        f"violates homogeneity: {target.degree(dst)} != "
-                        f"{srcdeg} + ({self.degree})")
-                v = field.coerce(v)
-                if not field.is_zero(v):
+                        f"violates homogeneity: {dstdeg} != {srcdeg} + ({self.degree})")
+                v = coerce(v)
+                if not is_zero(v):
                     crow[dst] = v
             if crow:
                 clean[src] = crow
@@ -303,12 +334,11 @@ class GradedMap:
     def from_labels(cls, source, target, degree, rows):
         """rows: iterable of (src_labels, [(coeff, dst_labels), ...])."""
         entries = {}
+        field = source.field
         for src_labels, terms in rows:
-            src = tuple(m.index[lbl] for m, lbl in zip(source.modules, src_labels))
-            row = entries.setdefault(src, {})
-            field = source.field
+            row = entries.setdefault(_label_indices(source, src_labels, "source"), {})
             for coeff, dst_labels in terms:
-                dst = tuple(m.index[lbl] for m, lbl in zip(target.modules, dst_labels))
+                dst = _label_indices(target, dst_labels, "target")
                 row[dst] = field.add(row.get(dst, field.zero), field.coerce(coeff))
         return cls(source, target, degree, entries)
 

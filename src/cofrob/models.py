@@ -231,51 +231,51 @@ def _laurent_model(n, window_bound, laurent, with_a, counit, comp="", which=None
     lam_degree = 1 - 2 * n if with_a else 1 - n
     markers = ("", "A") if with_a else ("",)
 
-    def u(k, marker=""):
-        return _u_label(k, marker, comp)
-
     name = (f"{'' if with_a else 'Based'}{'Rabinowitz' if counit else ''}"
             f"Loop(S{n}){comp}{which or ''}")
     # over Q whatever `field` is: only the counit reads it (module docstring)
-    module = GradedModule([(u(k, m), (n - 1) * k - (n if m else 0))
+    module = GradedModule([(_u_label(k, m, comp), (n - 1) * k - (n if m else 0))
                            for m in markers for k in ks], name=name)
     space = TensorSpace((module,))
     space2 = TensorSpace((module, module))
+    # (marker)U^k has index (k - lo) + (a if marker else 0)
+    lo, a = ks[0], len(ks)
 
-    mu_rows = []
+    mu_entries = {}
     for i in ks:
         for j in ks:
             if i + j in ks:
-                mu_rows.append(((u(i), u(j)), [(1, (u(i + j),))]))
+                ui, uj, uij = i - lo, j - lo, i + j - lo
+                mu_entries[ui, uj] = {(uij,): 1}
                 if with_a:
-                    mu_rows.append(((u(i, "A"), u(j)), [(1, (u(i + j, "A"),))]))
-                    mu_rows.append(((u(i), u(j, "A")), [(1, (u(i + j, "A"),))]))
-    mu = GradedMap.from_labels(space2, space, 0, mu_rows)
+                    mu_entries[ui + a, uj] = {(uij + a,): 1}
+                    mu_entries[ui, uj + a] = {(uij + a,): 1}
 
     def constant(k):
         return 1, [i for i in ks if k + shift - i in ks]
 
     rule = {"+": _plus_range, "-": _minus_range}.get(which, constant)
-    lam_rows = []
+    lam_entries = {}
     for k in ks:
         coeff, rng = rule(k)
-        pairs = [(i, k + shift - i) for i in rng]
+        pairs = [(i - lo, k + shift - i - lo) for i in rng]
         if with_a:
-            lam_rows.append(((u(k, "A"),),
-                             [(coeff, (u(i, "A"), u(j, "A"))) for i, j in pairs]))
-            lam_rows.append(((u(k),), [term for i, j in pairs
-                                       for term in ((coeff, (u(i, "A"), u(j))),
-                                                    (-coeff, (u(i), u(j, "A"))))]))
+            lam_entries[(k - lo + a,)] = {(i + a, j + a): coeff for i, j in pairs}
+            row = lam_entries[(k - lo,)] = {}
+            for i, j in pairs:
+                row[i + a, j] = coeff
+                row[i, j + a] = -coeff
         else:
-            lam_rows.append(((u(k),), [(coeff, (u(i), u(j))) for i, j in pairs]))
-    lam = GradedMap.from_labels(space, space2, lam_degree, lam_rows)
+            lam_entries[(k - lo,)] = {(i, j): coeff for i, j in pairs}
+    mu = GradedMap(space2, space, 0, mu_entries)
+    lam = GradedMap(space, space2, lam_degree, lam_entries)
 
-    eta = Element.from_labels(space, [(1, (u(0),))])
+    eta = Element(space, {(-lo,): 1})
     eps = None
     if counit:
-        eps = GradedMap.from_labels(space, scalar_space(field), -lam_degree,
-                                    [((u(shift, "A" if with_a else ""),), [(1, ())])])
-    weights = {u(k, m): k for m in markers for k in ks}
+        eps = GradedMap(space, scalar_space(field), -lam_degree,
+                        {(shift - lo + (a if with_a else 0),): {(): 1}})
+    weights = dict(zip(module.labels, [k for _ in markers for k in ks]))
     return BialgebraData(module, mu, lam, eta, eps, WindowSpec(N, WINDOW_SLACK, weights))
 
 

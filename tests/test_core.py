@@ -160,6 +160,18 @@ def test_constructors_on_the_ground_ring():
         GradedMap(sp, r, -2, {(0,): {(): 1}})
 
 
+def test_from_labels_names_an_unknown_label():
+    sp, sp2 = named_spaces()
+    with pytest.raises(ValueError, match=re.escape("unknown basis label 'x' of the source")):
+        GradedMap.from_labels(sp, sp, 0, [(("x",), [(1, ("1",))])])
+    with pytest.raises(ValueError, match=re.escape("unknown basis label 'y' of the target")):
+        GradedMap.from_labels(sp, sp2, 0, [(("1",), [(1, ("1", "y"))])])
+    with pytest.raises(ValueError, match=re.escape("unknown basis label 'x' of H")):
+        Element.from_labels(sp, [(1, ("x",))])
+    with pytest.raises(ValueError, match=re.escape("unknown basis label 'x' of H (x) H")):
+        Element.from_labels(sp2, [(1, ("w", "x"))])
+
+
 def test_compose_identity_neutral():
     mod = two_sphere_carrier()
     sp = TensorSpace((mod,))

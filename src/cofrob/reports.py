@@ -378,8 +378,10 @@ def _compile(source, specs, window):
     relations (index, spec, lhs, rhs, their spaces, whether the spaces are
     equal, their window weights), the (index, spec) of those whose sides
     are both empty, and the number of shared-term slots.  The term table
-    is dropped on return; the sides hold what the walk needs."""
+    and the window weights of each distinct space are dropped on return;
+    the sides hold what the walk needs."""
     table = {}
+    space_weights = {}
     compiled = []
     for i, spec in specs:
         lhs, lhs_space = _compile_side(spec.lhs, source, table)
@@ -398,8 +400,12 @@ def _compile(source, specs, window):
         if lhs_space is None:
             zero_maps.append((i, spec))
             continue
-        weights = ((window.factor_weights(lhs_space), window.factor_weights(rhs_space))
-                   if window is not None else None)
+        weights = None
+        if window is not None:
+            for space in (lhs_space, rhs_space):
+                if space not in space_weights:
+                    space_weights[space] = window.factor_weights(space)
+            weights = space_weights[lhs_space], space_weights[rhs_space]
         relations.append((i, spec, _split(lhs), _split(rhs), lhs_space, rhs_space,
                           lhs_space == rhs_space, weights))
     return relations, zero_maps, slots

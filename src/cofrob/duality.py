@@ -283,6 +283,13 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
     sets lam = (1 (x) mu)(c (x) 1), and runs the full biunital coFrobenius
     suite, which must pass.
     """
+    return _complete(module, mu, eta, eps, window)
+
+
+def _complete(module, mu, eta, eps, window=None, checked=()):
+    """`complete_from_pairing`, taking the reports `checked` of relations
+    of the biunital suite that the caller has already checked on `mu`
+    under `window` as they are (`require_cofrobenius`)."""
     if mu.degree != 0:
         raise ValueError("complete_from_pairing requires |mu| = 0; shift first")
     lam_degree = -eps.degree
@@ -295,7 +302,8 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
     # lam = (1 (x) mu)(c (x) 1); |id| = |mu| = 0, so neither tensor has a sign
     lam = compose(tensor_maps(idm, mu), tensor_maps(c_map, idm))
     data = BialgebraData(module, mu, lam, eta, eps, window)
-    require_cofrobenius(data, "input (mu, eta, eps) is not Frobenius-compatible: fails")
+    require_cofrobenius(data, "input (mu, eta, eps) is not Frobenius-compatible: fails",
+                        checked)
     return data
 
 

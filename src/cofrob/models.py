@@ -38,7 +38,7 @@ deepest shipped relation composes three exponent-shifting maps).
 from .core import GradedModule, TensorSpace, Element, GradedMap, scalar_space
 from .fields import QQ
 from .structures import BialgebraData, _run, direct_sum
-from .duality import complete_from_pairing
+from .duality import _complete
 from .tqft import OpenClosedTQFT, derive_cozipper, _run_tqft, TQFT_FULL
 from .reports import FAIL, prefixed
 from .windows import WindowSpec
@@ -128,8 +128,8 @@ def manifold_from_cup(cup):
             raise ValueError(f"integral must be supported on top degree {cup.dim}")
     eps = GradedMap.from_labels(space, scalar_space(field), -cup.dim,
                                 [((lbl,), [(v, ())]) for lbl, v in cup.integral.items()])
-    try:
-        return complete_from_pairing(module, mu, eta, eps)
+    try:    # the completion checks the rest of the biunital suite
+        return _complete(module, mu, eta, eps, checked=[associative])
     except ValueError as exc:
         raise ValueError(f"input is not a Poincare-duality algebra: {exc}") from exc
 

@@ -493,10 +493,16 @@ def check_cofrobenius(data, flavor="biunital"):
     return _run(data, COFROBENIUS[flavor])
 
 
-def require_cofrobenius(data, refusal):
+def require_cofrobenius(data, refusal, checked=()):
     """Raise ValueError(f"{refusal} {name}") with the name of the first
-    biunital coFrobenius relation that `data` fails."""
-    bad = next((r for r in check_cofrobenius(data, "biunital") if r.verdict == FAIL), None)
+    biunital coFrobenius relation that `data` fails.  `checked` holds
+    reports the caller has already made on `data`'s maps and window of
+    entries of that suite that check one relation under their own name
+    (such as associativity); those entries are not checked again, and
+    their reports are read first."""
+    done = {r.name for r in checked}
+    reports = _run(data, [name for name in COFROBENIUS["biunital"] if name not in done])
+    bad = next((r for r in [*checked, *reports] if r.verdict == FAIL), None)
     if bad is not None:
         raise ValueError(f"{refusal} {bad.name}")
 

@@ -111,6 +111,36 @@ def test_manifold_rejects_degenerate_pairing():
         manifold_from_cup(bad)
 
 
+def test_manifold_rejects_a_unit_that_is_not_one():
+    # two points: u and v are orthogonal idempotents, so the pairing is
+    # perfect, but u is not the unit (u v = 0)
+    bad = CupData(dim=0, basis=[("u", 0), ("v", 0)],
+                  products={("u", "u"): [(1, "u")], ("v", "v"): [(1, "v")]},
+                  integral={"u": 1, "v": 1}, unit="u")
+    with pytest.raises(ValueError) as refusal:
+        manifold_from_cup(bad)
+    assert str(refusal.value) == ("input is not a Poincare-duality algebra: input "
+                                  "(mu, eta, eps) is not Frobenius-compatible: fails unit-left")
+
+
+def test_manifold_build_checks_each_relation_once(monkeypatch):
+    """The completion reads the precheck's associativity report instead of
+    checking associativity again."""
+    from collections import Counter
+    from cofrob import s2xs2_cup_data, structures
+    counts = Counter()
+    check_relations = structures.check_relations
+
+    def counting(specs, window=None):
+        counts.update(spec.name for spec in specs)
+        return check_relations(specs, window)
+
+    monkeypatch.setattr(structures, "check_relations", counting)
+    manifold_from_cup(s2xs2_cup_data())
+    assert counts["associativity"] == 1 and counts["counit-left"] == 1
+    assert set(counts.values()) == {1}, counts
+
+
 @pytest.mark.parametrize("restriction, message", [
     ({"1": [], "w1": [(1, "w1")], "w2": [(1, "w2")], "w1w2": []},
      "restriction is not unital"),

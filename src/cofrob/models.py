@@ -26,6 +26,12 @@ ordinary circle homology.  It derives the rest from n: the shift s = -1
 |eps| = -|lam|.  The Rabinowitz circle is a direct sum of two components,
 one per connected component of the unit cotangent bundle.
 
+The basis lists U^k, then AU^k, over the exponent range [lo, N], so
+(marker)U^k has index (k - lo), plus the range's length for A.  The
+builder emits the entries of mu, lam, eta and eps by these indices, never
+formatting or looking up a label per entry, and hands them to the
+validating constructors, which check every entry as for any other map.
+
 Only the counit reads `field`: the module is built over Q, so a loop model
 asked for another field is built over Q when it has no counit and is
 refused ("source and target over different fields") when it has one.

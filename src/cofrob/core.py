@@ -150,13 +150,16 @@ def _degree(idx, degrees):
 
 def _label_indices(space, labels, side=None):
     """The index tuple of basis labels of `space`, one per factor; an
-    unknown label raises ValueError naming it and the `side` of a map
-    ("source" or "target"), or else the space."""
-    try:
-        return tuple([m.index[lbl] for m, lbl in zip(space.modules, labels)])
-    except KeyError as exc:
-        where = f"the {side}" if side else repr(space)
-        raise ValueError(f"unknown basis label {exc.args[0]!r} of {where}") from None
+    unknown label, or a label count other than the arity, raises ValueError
+    naming the `side` of a map ("source" or "target"), or else the space."""
+    if len(labels) == space.arity:
+        try:
+            return tuple([m.index[lbl] for m, lbl in zip(space.modules, labels)])
+        except KeyError as exc:
+            problem = f"unknown basis label {exc.args[0]!r} of"
+    else:
+        problem = f"{len(labels)} labels {tuple(labels)!r}, not {space.arity}, for"
+    raise ValueError(f"{problem} {f'the {side}' if side else repr(space)}")
 
 
 class Element:

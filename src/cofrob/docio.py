@@ -15,7 +15,8 @@ Grammar (one statement per line; `#` starts a comment only at line start):
     <coeff> * <label> [ + <term> ...]
 
 Map names are mu, lambda, eps for single documents; closed.mu, open.lambda,
-..., zipper, cozipper for pairs.  Counit entries target the literal `R`.
+..., zipper, cozipper for pairs.  Counit entries target the literal `R`;
+every other source and target has as many labels as the map's arity.
 Coefficients are integers or fractions a/b.  A repeated map source, row
 target, window label or eta term is refused.  parse(render(doc)) == doc.
 """
@@ -30,6 +31,7 @@ from .windows import WindowSpec
 SINGLE_MAPS = ("mu", "lambda", "eps")
 PAIR_MAPS = ("closed.mu", "closed.lambda", "closed.eps",
              "open.mu", "open.lambda", "open.eps", "zipper", "cozipper")
+ARITIES = {"mu": (2, 1), "lambda": (1, 2), "eps": (1, 0), "zipper": (1, 1), "cozipper": (1, 1)}
 
 
 class ParseError(ValueError):
@@ -251,8 +253,12 @@ def parse(text):
         src_mod = module_of(name, "src")
         dst_mod = module_of(name, "dst")
         is_counit = name.endswith("eps")
+        src_arity, dst_arity = ARITIES[name.rpartition(".")[2]]
         clean_rows = []
         for src, terms, lineno in rows:
+            if len(src) != src_arity:
+                raise ParseError(f"source {','.join(src)!r} has arity {len(src)}; "
+                                 f"{name} takes {src_arity}", lineno)
             for lbl in src:
                 if lbl not in degrees[src_mod]:
                     raise ParseError(f"undeclared label {lbl!r}", lineno)
@@ -265,6 +271,9 @@ def parse(text):
                 else:
                     if dst == ():
                         raise ParseError("only counit entries may target R", lineno)
+                    if len(dst) != dst_arity:
+                        raise ParseError(f"target {'#'.join(dst)!r} has arity {len(dst)}; "
+                                         f"{name} gives {dst_arity}", lineno)
                     for lbl in dst:
                         if lbl not in degrees[dst_mod]:
                             raise ParseError(f"undeclared label {lbl!r}", lineno)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
-from .tensor import (twist, tensor_maps, dual_module, dual_map, ShiftMaps,
-                     shift_map, DUAL_SUFFIX)
+from .tensor import twist, tensor_maps, dual_module, dual_map, ShiftMaps, shift_map
 from .reports import Relation, check_relations, prefixed
 from .structures import (BialgebraData, _Ops, _morphisms, _run, RELATIONS, MORPHISMS,
                          COFROBENIUS, require_cofrobenius, sgn)
@@ -100,7 +99,7 @@ def check_perfect(pair, copair, window=None):
                  [(sgn(p.degree * vec_c.degree), [[idm, c_map], [p, idm]])], [(1, [])]),
         Relation("vec-c-after-vec-p", a_space, [(1, [[vec_p], [vec_c]])], [(1, [])]),
         Relation("vec-p-after-vec-c", vec_c.source, [(1, [[vec_c], [vec_p]])], [(1, [])]),
-    ], window.merged(window.dualized(DUAL_SUFFIX)) if window else None)
+    ], window.merged(window.dualized()) if window else None)
 
 
 def _dual_unit(eps):
@@ -116,7 +115,7 @@ def dualize(data):
     lam_d = dual_map(data.mu)
     eta_d = _dual_unit(data.eps) if data.eps is not None else None
     eps_d = dual_map(data.eta_map()) if data.eta is not None else None
-    window = data.window.dualized(DUAL_SUFFIX) if data.window is not None else None
+    window = data.window.dualized() if data.window is not None else None
     return BialgebraData(dmod, mu_d, lam_d, eta_d, eps_d, window)
 
 
@@ -189,7 +188,7 @@ def poincare_dual_structure(data):
     lam_b = compose(tau_d, dual_map(data.mu)).scale(sgn(m * l + l))
     eta_b = _dual_unit(data.eps)
     eps_b = dual_map(data.eta_map()).scale(sgn(m * l + l + m))
-    window = data.window.dualized(DUAL_SUFFIX) if data.window is not None else None
+    window = data.window.dualized() if data.window is not None else None
     return BialgebraData(dmod, mu_b, lam_b, eta_b, eps_b, window)
 
 
@@ -229,7 +228,7 @@ def _invert_vec_p(vec_p, window=None):
     field = a.field
     win_all = None
     if window is not None:
-        win_all = window.merged(window.dualized(DUAL_SUFFIX))
+        win_all = window.merged(window.dualized())
     entries = {}
     for deg in sorted(set(a.degrees)):
         rows_idx = list(a.basis_at(deg))

@@ -41,8 +41,9 @@ are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest are
 never built and are counted as inconclusive.  On either route the
 composed maps, plans and per-input values live only for that one call.
 
-`solve_map` uses the input-major steps, with or without a window, to solve
-relations for an unknown map.
+Checks with a window walk inputs; every other job composes maps.  So
+`solve_map` reads lhs - rhs from composed sides, under a window from the
+window-valid rows only, gated as a windowed check gates them.
 
 Verdicts are `pass`, `fail` (always with a witness), `window-inconclusive`
 (no input survived the validity gate), or `skipped`: a checker returns one
@@ -55,7 +56,6 @@ first witness, so its report is the one it gets when checked alone.
 """
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import NamedTuple
 
 from .core import Element, GradedMap, TensorSpace, compose, format_element
@@ -328,29 +328,36 @@ def _first_mismatch(source, left, right, same_space):
     return None
 
 
+def _composed_sides(spec, table, stage_maps):
+    """The sides of `spec` composed into maps: the entries of each side's
+    `_signed_sum` of `_Composite` terms, and each side's space (an empty
+    side takes the other's; None if both are empty).  `table` and
+    `stage_maps` hold the caller's terms and stages by the ids of their
+    maps, and are dropped when its call ends."""
+    source = spec.source
+
+    def make(stages, src):
+        return _Composite(stages, src, stage_maps)
+
+    lhs, lhs_space = _compile_side(spec.lhs, source, table, make)
+    rhs, rhs_space = _compile_side(spec.rhs, source, table, make)
+    return (_signed_sum(lhs, source.field), _signed_sum(rhs, source.field),
+            lhs_space or rhs_space, rhs_space or lhs_space)
+
+
 def _check_maps(source, specs, reports):
     """Fill `reports` for the (index, spec) pairs of one source checked
     without a window.  Each distinct stage and term is built once; each
     side is the signed sum of its terms' maps, and the first input, in
     basis order, on which the two sides' rows differ is the witness."""
-    field = source.field
     table, stage_maps = {}, {}
-
-    def make(stages, src):
-        return _Composite(stages, src, stage_maps)
-
     for i, spec in specs:
-        lhs, lhs_space = _compile_side(spec.lhs, source, table, make)
-        rhs, rhs_space = _compile_side(spec.rhs, source, table, make)
+        left, right, lhs_space, rhs_space = _composed_sides(spec, table, stage_maps)
         if source.size == 0:
             reports[i] = CheckReport(spec.name, INCONCLUSIVE, None, 0, 0, 0,
                                      spec.note or "no window-valid inputs")
             continue
-        mismatch = None
-        if lhs_space is not None or rhs_space is not None:
-            lhs_space, rhs_space = lhs_space or rhs_space, rhs_space or lhs_space
-            left, right = _signed_sum(lhs, field), _signed_sum(rhs, field)
-            mismatch = _first_mismatch(source, left, right, lhs_space == rhs_space)
+        mismatch = _first_mismatch(source, left, right, lhs_space == rhs_space)
         if mismatch is None:
             reports[i] = CheckReport(spec.name, PASS, None, source.size, 0, 0, spec.note)
             continue
@@ -400,14 +407,12 @@ def _compile(source, specs, window):
         if lhs_space is None:
             zero_maps.append((i, spec))
             continue
-        weights = None
-        if window is not None:
-            for space in (lhs_space, rhs_space):
-                if space not in space_weights:
-                    space_weights[space] = window.factor_weights(space)
-            weights = space_weights[lhs_space], space_weights[rhs_space]
+        for space in (lhs_space, rhs_space):
+            if space not in space_weights:
+                space_weights[space] = window.factor_weights(space)
         relations.append((i, spec, _split(lhs), _split(rhs), lhs_space, rhs_space,
-                          lhs_space == rhs_space, weights))
+                          lhs_space == rhs_space,
+                          (space_weights[lhs_space], space_weights[rhs_space])))
     return relations, zero_maps, slots
 
 
@@ -461,33 +466,27 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
 
 
 def _residuals(specs, window):
-    """lhs - rhs of each relation of `specs`, evaluated and gated as
-    `check_relations` compares them: the nonzero values by (position,
-    input, coordinate).  Only the window-valid inputs on which the first
-    stage of some term has a row are evaluated: on the others it is zero."""
+    """lhs - rhs of each relation of `specs`, read from its sides composed
+    into maps and, under a window, from the window-valid inputs only, gated
+    as `check_relations` gates them: the nonzero values by (position,
+    input, coordinate)."""
     out = {}
     for i, spec in enumerate(specs):
         source, field = spec.source, spec.source.field
-        compiled, _, slots = _compile(source, [(i, spec)], window)
-        for _, _, lhs, rhs, _, _, _, weights in compiled:
-            inputs = source.basis() if window is None else window.valid_inputs(source)
-            firsts = [plans[0].groups if plans else None
-                      for *_, plans in lhs[0] + lhs[1] + rhs[0] + rhs[1]]
-            if None not in firsts:      # an identity term has a row everywhere
-                reached = {sum(keys, ()) for groups in firsts
-                           for keys in product(*[entries for _, _, entries in groups])}
-                inputs = sorted(reached if window is None else reached.intersection(inputs))
-            for idx in inputs:
-                values = [None] * slots
-                left, right = (_evaluate(lhs, idx, field, values),
-                               _evaluate(rhs, idx, field, values))
-                if window is not None:
-                    limit = window.coordinate_limit(source.labels_of(idx))
-                    left, right = _gate(left, weights[0], limit), _gate(right, weights[1], limit)
-                for coord in left.keys() | right.keys():
-                    v = field.sub(left.get(coord, field.zero), right.get(coord, field.zero))
-                    if not field.is_zero(v):
-                        out[i, idx, coord] = v
+        left, right, lhs_space, rhs_space = _composed_sides(spec, {}, {})
+        inputs = left.keys() | right.keys()
+        if window is not None and inputs:
+            inputs &= set(window.valid_inputs(source))
+            weights = window.factor_weights(lhs_space), window.factor_weights(rhs_space)
+        for idx in inputs:
+            lrow, rrow = left.get(idx, {}), right.get(idx, {})
+            if window is not None:
+                limit = window.coordinate_limit(source.labels_of(idx))
+                lrow, rrow = _gate(lrow, weights[0], limit), _gate(rrow, weights[1], limit)
+            for coord in lrow.keys() | rrow.keys():
+                v = field.sub(lrow.get(coord, field.zero), rrow.get(coord, field.zero))
+                if not field.is_zero(v):
+                    out[i, idx, coord] = v
     return out
 
 
@@ -503,10 +502,10 @@ def solve_map(name, source, target, degree, relations, window=None):
 
     A term may name X once, as a map of a stage, so lhs - rhs is affine in
     X: its value at X = 0 and that of the terms naming X at each
-    homogeneous basis entry of X, evaluated as `check_relations` evaluates
-    them, give one `solve_linear` call.  Unknowns left free are set to
-    zero.  A window that leaves no input to determine an unknown raises
-    ValueError naming the map."""
+    homogeneous basis entry of X, read from the sides composed into maps
+    and gated as `check_relations` gates them, give one `solve_linear`
+    call.  Unknowns left free are set to zero.  A window that leaves no
+    input to determine an unknown raises ValueError naming the map."""
     field, zero = source.field, source.field.zero
     unknowns = [(src, dst) for src in source.basis() for dst in target.basis()
                 if target.degree(dst) == source.degree(src) + degree]

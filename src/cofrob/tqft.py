@@ -213,11 +213,14 @@ def run_full_tqft_suite(t):
 
 
 def derive_cozipper(closed, open, zipper):
-    """The unique zeta* with p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|}
-    p_A(zeta (x) 1): `solve_map` over the entry "rel5-pairing-form".
+    """A zeta* with p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|} p_A(zeta (x) 1):
+    `solve_map` over the entry "rel5-pairing-form".
 
-    Both sectors must be biunital coFrobenius with perfect pairings; a
-    degenerate system raises.  Every equation is used (no window): the
+    Both sectors must have a unit and a counit.  An inconsistent system
+    raises ValueError; otherwise unknowns the system leaves free are set
+    to zero, and the rank is not reported, so zeta* is unique only when
+    p_C is perfect (with both pairings scaled to 0 every unknown is free
+    and zeta* is the zero map).  Every equation is used (no window): the
     pairing entries of the shipped window models are exact for in-window
     arguments, and coordinates the truncation leaves undetermined are set
     to zero (truncation-consistent).

@@ -34,6 +34,8 @@ are both at most `coordinate_limit(x)` = bound - slack - M(x).
 labels of a coordinate are never looked up.
 """
 
+from .tensor import DUAL_SUFFIX, SHIFT_PREFIX
+
 
 class WindowSpec:
     def __init__(self, bound, slack, weights):
@@ -98,13 +100,15 @@ class WindowSpec:
         return ([tuple(max(w, 0) for w in ws) for ws in weights],
                 [tuple(max(-w, 0) for w in ws) for ws in weights])
 
-    def dualized(self, dual_suffix="'"):
+    def dualized(self):
+        """The window of the dual modules, whose labels `dual_module` names."""
         return WindowSpec(self.bound, self.slack,
-                          {lbl + dual_suffix: -w for lbl, w in self.weights.items()})
+                          {lbl + DUAL_SUFFIX: -w for lbl, w in self.weights.items()})
 
-    def shifted(self, prefix="s."):
+    def shifted(self):
+        """The window of the shifted modules, whose labels `shift_module` names."""
         return WindowSpec(self.bound, self.slack,
-                          {prefix + lbl: w for lbl, w in self.weights.items()})
+                          {SHIFT_PREFIX + lbl: w for lbl, w in self.weights.items()})
 
     def merged(self, other):
         if other is None:

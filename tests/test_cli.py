@@ -276,6 +276,25 @@ def test_late_or_repeated_field_exits_2_at_its_line(tmp_path, edit, lineno):
     assert err == f"error: line {lineno}: field must precede every section and appear once\n"
 
 
+@pytest.mark.parametrize("edit,message", [
+    # the extra label was dropped, and biunital-cofrobenius passed
+    (lambda text: text.replace("w -> 1 * w#w\n", "w -> 1 * w#w#1\n"),
+     "line 11: target 'w#w#1' has arity 3; lambda gives 2"),
+    # the row was truncated to 1,1 and added to it: mu(1, 1) = 2*1
+    (lambda text: text.replace("map mu degree 0:\n", "map mu degree 0:\n1,1,1 -> 1 * 1\n"),
+     "line 6: source '1,1,1' has arity 3; mu takes 2"),
+    # refused when the map was built, without a line number
+    (lambda text: text.replace("1,w -> 1 * w\n", "1 -> 1 * 1\n"),
+     "line 7: source '1' has arity 1; mu takes 2"),
+    (lambda text: text + "w,w -> 1 * R\n", "line 16: source 'w,w' has arity 2; eps takes 1"),
+], ids=["lambda-target", "mu-source-long", "mu-source-short", "eps-source"])
+def test_map_rows_of_the_wrong_arity_exit_2_at_their_line(tmp_path, edit, message):
+    text = edit(open(emit_example(tmp_path, "sphere", "--n", "2")).read())
+    code, out, err = run_cli("check", "--suite", "biunital-cofrobenius", write(tmp_path, text))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("header,argv", [
     *[("map lambda", ("check", "--suite", suite))
       for suite in ("coproduct-laws", "biunital-cofrobenius", "biunital-infinitesimal",

@@ -172,6 +172,24 @@ def test_from_labels_names_an_unknown_label():
         Element.from_labels(sp2, [(1, ("w", "x"))])
 
 
+def test_from_labels_refuses_a_label_count_other_than_the_arity():
+    """Labels used to be zipped with the factors, so extra ones were dropped:
+    the second row below was added to the first, giving mu(1, 1) = 2*1."""
+    sp, sp2 = named_spaces()
+    with pytest.raises(ValueError, match=re.escape(
+            "3 labels ('1', '1', 'w'), not 2, for the source")):
+        GradedMap.from_labels(sp2, sp, 0, [(("1", "1"), [(1, ("1",))]),
+                                           (("1", "1", "w"), [(1, ("1",))])])
+    with pytest.raises(ValueError, match=re.escape("2 labels ('1', 'w'), not 1, for the target")):
+        GradedMap.from_labels(sp, sp, 0, [(("1",), [(1, ("1", "w"))])])
+    with pytest.raises(ValueError, match=re.escape("1 labels ('1',), not 2, for the source")):
+        GradedMap.from_labels(sp2, sp, 0, [(("1",), [(1, ("1",))])])
+    with pytest.raises(ValueError, match=re.escape("2 labels ('1', 'w'), not 1, for H")):
+        Element.from_labels(sp, [(1, ("1", "w"))])
+    with pytest.raises(ValueError, match=re.escape("1 labels ('w',), not 2, for H (x) H")):
+        Element.from_labels(sp2, [(1, ("w",))])
+
+
 def test_compose_identity_neutral():
     mod = two_sphere_carrier()
     sp = TensorSpace((mod,))

@@ -378,3 +378,26 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
         assert {runs[plan] for term in compiled for plan in term.plans} == {checked}
     assert repeated
     assert len(runs) == sum(len(term.plans) for _, term in terms)
+
+
+def test_solves_build_no_stage_plan(monkeypatch):
+    """`solve_map` reads its residuals from composed maps, with or without
+    a window: only windowed checks walk inputs through stage plans."""
+    from cofrob import counit_solve, derive_cozipper, equator_pair, map_equal
+    from cofrob.structures import _run
+    from cofrob.tensor import StagePlan
+    built = []
+    init = StagePlan.__init__
+
+    def record(plan, maps, source):
+        built.append(plan)
+        init(plan, maps, source)
+
+    monkeypatch.setattr(StagePlan, "__init__", record)
+    data, pair = rabinowitz_loop_sphere(3, 6), equator_pair()
+    assert data.window is not None
+    assert map_equal(counit_solve(data), data.eps)
+    assert map_equal(derive_cozipper(pair.closed, pair.open, pair.zipper), pair.cozipper)
+    assert not built
+    _run(data, ("counit",))
+    assert built

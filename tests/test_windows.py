@@ -52,3 +52,14 @@ def test_negative_bound_or_slack_is_refused():
     for bound, slack in ((6, -1), (-2, 3)):
         with pytest.raises(ValueError, match="non-negative"):
             WindowSpec(bound, slack, {"u": 1})
+
+
+def test_dualized_and_shifted_windows_weigh_the_renamed_labels():
+    """A label the window misses weighs 0, always safe, so the renamed
+    windows must use the labels `dual_module` and `shift_module` give."""
+    from cofrob import dual_module, shift_module
+    module = make_module([("a", 0), ("b", 1), ("free", 2)])
+    window = WindowSpec(6, 1, {"a": 2, "b": -3})
+    dual, shifted = dual_module(module), shift_module(module)
+    assert window.dualized().weights == {dual.labels[0]: -2, dual.labels[1]: 3}
+    assert window.shifted().weights == {shifted.labels[0]: 2, shifted.labels[1]: -3}

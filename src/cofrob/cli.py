@@ -44,8 +44,11 @@ def _emit(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args):

@@ -25,6 +25,11 @@ the composite, are kept in `tests/dual_reference.py` as its reference.
 Relation pipelines run through `StagePlan`, one compiled stage each; a plan
 linked to the stage that reads its output (its consumer) skips the product
 terms that stage would drop, which leaves the consumer's result unchanged.
+The common terms cost little: identity factors, marked once per plan from
+their entries, are copied into the output key with no lookup and no
+multiply; a term whose rows each have one entry is carried as one (key,
+coefficient) pair; and the Koszul sign is an XOR over a per-plan table of
+factor degree parities.
 """
 
 from .core import GradedModule, TensorSpace, Element, GradedMap, compose
@@ -38,11 +43,24 @@ class StagePlan:
 
     Applies the stage with the Koszul sign
     (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.  The
-    output space, the factor range each map reads, the starts of the
-    odd-degree maps and the factor degrees are worked out once here, so
-    `run` only multiplies and adds.  The maps' sources, concatenated, must
-    be the source's factors: a stage that leaves a factor out or reads past
-    the last one raises ValueError.
+    output space, the factor range each map reads and the sign table are
+    worked out once here, so `run` only multiplies and adds.  The maps'
+    sources, concatenated, must be the source's factors: a stage that
+    leaves a factor out or reads past the last one raises ValueError.
+
+    Three things spare `run` work on every term:
+
+    - a map that is an identity (degree 0, target equal to source, and
+      each basis tuple's row holding only that tuple with coefficient
+      one) is marked in `identities` from its entries here, and `run`
+      copies its factors into the key with no lookup and no multiply;
+    - a factor i enters the sign once for each odd-degree map that starts
+      after it, so only the factors with an odd count of those matter;
+      `signs` holds (i, parity of each basis degree of factor i) for
+      them, and a term's sign is the XOR of its factors' parities;
+    - most rows have a single entry, so `run` carries one (key,
+      coefficient) pair and builds a list of partial terms only after a
+      row with more than one entry.
 
     A plan may be linked to its consumer, the plan that reads its output
     (`feed`).  Expanding the product terms map by map, a linked plan then
@@ -52,7 +70,7 @@ class StagePlan:
     maps are linear and a dropped key is dropped whole, so what the
     consumer computes is unchanged; only the dead terms are never built."""
 
-    __slots__ = ("source", "space", "maps", "groups", "odd_starts", "degrees", "probes")
+    __slots__ = ("source", "space", "maps", "groups", "identities", "signs", "probes")
 
     def __init__(self, maps, source):
         if tuple(m for f in maps for m in f.source.modules) != source.modules:
@@ -62,16 +80,19 @@ class StagePlan:
             tuple(m for f in maps for m in f.target.modules), field=source.field)
         self.maps = maps
         self.groups = []      # (first factor, end factor, entries) read by each map
-        self.odd_starts = []  # first factors of the odd-degree maps
+        self.identities = [_is_identity(f) for f in maps]
+        odd_starts = []
         pos = 0
         for f in maps:
             k = f.source.arity
             self.groups.append((pos, pos + k, f.entries))
             if f.degree % 2:
-                self.odd_starts.append(pos)
+                odd_starts.append(pos)
             pos += k
-        self.degrees = [m.degrees for m in source.modules]
-        self.probes = None    # per map, the consumer groups it completes (see feed)
+        self.signs = [(i, tuple(d % 2 for d in m.degrees))
+                      for i, m in enumerate(source.modules)
+                      if sum(a > i for a in odd_starts) % 2]
+        self.probes = [()] * len(maps)  # per map, the consumer groups it completes (see feed)
 
     def feed(self, consumer):
         """Link this plan to the plan that reads its output.
@@ -80,20 +101,17 @@ class StagePlan:
         source has basis tuples, are probed: a group (a, b) of one is
         probed after the map whose output holds factor b - 1, the first
         map after which key[a:b] is complete; a map that completes no such
-        group keeps every key.  A plan whose consumer has no partial map
-        stays unlinked and expands its terms without probing."""
+        group keeps every key.  A plan whose consumer has no partial map,
+        like an unlinked one, has no group to probe after any map."""
         partial = [g for g, f in zip(consumer.groups, consumer.maps)
                    if len(f.entries) < f.source.size]
-        if not partial:
-            return
         probes = []
         start = 0
         for f in self.maps:
             end = start + f.target.arity
             probes.append([g for g in partial if start < g[1] <= end])
             start = end
-        if any(probes):
-            self.probes = probes
+        self.probes = probes
 
     def run(self, coeffs, out=None):
         """The stage applied to a coefficient dict of the source space.
@@ -101,47 +119,80 @@ class StagePlan:
         Every output index concatenates target indices of the maps'
         validated entries and zero sums are dropped as they arise, so the
         result needs no re-validation.  Results are added into `out` when
-        it is given (a dict of the output space) and returned."""
+        it is given (a dict of the output space) and returned.
+
+        Each term's sign is read from the parity table, an identity map
+        appends its factors of the input, and a single-entry row extends
+        the one (key, coefficient) pair carried so far; the list of partial
+        terms is built only from the first row with more than one entry."""
         field = self.space.field
-        groups, odd_starts, degrees = self.groups, self.odd_starts, self.degrees
-        probes = self.probes
-        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+        signs = self.signs
+        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+        zero, one = field.zero, field.one
+        steps = list(zip(self.groups, self.identities, self.probes))
         if out is None:
             out = {}
         for idx, v in coeffs.items():
-            rows = [entries.get(idx[a:b]) for a, b, entries in groups]
-            if not all(rows):
-                continue
-            if odd_starts:
-                degs = list(map(tuple.__getitem__, degrees, idx))
-                if sum(sum(degs[:a]) for a in odd_starts) % 2:
-                    v = field.neg(v)
-            partial = [((), v)]
-            # The comprehension is the fast path; probing every map of every
-            # plan instead costs the unlinked plans a few per cent.
-            if probes is None:
-                for row in rows:
-                    partial = [(prefix + dst, mul(c, w))
-                               for prefix, c in partial for dst, w in row.items()]
-            else:
-                for row, checks in zip(rows, probes):
+            if signs:
+                odd = 0
+                for i, par in signs:
+                    odd ^= par[idx[i]]
+                if odd:
+                    v = neg(v)
+            key, partial = (), None
+            for (a, b, entries), identity, checks in steps:
+                if identity:
+                    if partial is None:
+                        key += idx[a:b]
+                        if checks and not all(key[x:y] in e for x, y, e in checks):
+                            break
+                        continue
+                    row = {idx[a:b]: one}
+                else:
+                    row = entries.get(idx[a:b])
+                    if row is None:
+                        break
+                    if partial is None:
+                        if len(row) == 1:
+                            (dst, w), = row.items()
+                            key += dst
+                            if checks and not all(key[x:y] in e for x, y, e in checks):
+                                break
+                            v = mul(v, w)
+                            continue
+                        partial = [(key, v)]
+                # The comprehension is the fast path; probing every map of every
+                # plan instead costs the unlinked plans a few per cent.
+                if checks:
                     kept = []
                     for prefix, c in partial:
                         for dst, w in row.items():
-                            key = prefix + dst
-                            for a, b, entries in checks:
-                                if key[a:b] not in entries:
+                            k = prefix + dst
+                            for x, y, e in checks:
+                                if k[x:y] not in e:
                                     break
                             else:
-                                kept.append((key, mul(c, w)))
+                                kept.append((k, mul(c, w)))
                     partial = kept
-            for dst, c in partial:
-                s = add(out.get(dst, zero), c)
-                if is_zero(s):
-                    out.pop(dst, None)
                 else:
-                    out[dst] = s
+                    partial = [(prefix + dst, mul(c, w))
+                               for prefix, c in partial for dst, w in row.items()]
+            else:
+                for dst, c in ([(key, v)] if partial is None else partial):
+                    s = add(out.get(dst, zero), c)
+                    if is_zero(s):
+                        out.pop(dst, None)
+                    else:
+                        out[dst] = s
         return out
+
+
+def _is_identity(f):
+    """Whether f is the identity of its source, read from its entries."""
+    if f.degree or f.target != f.source or len(f.entries) != f.source.size:
+        return False
+    one = f.source.field.one
+    return all(len(row) == 1 and row.get(src) == one for src, row in f.entries.items())
 
 
 def apply_stage(maps, elem):

@@ -256,6 +256,20 @@ def test_bad_example_arguments_exit_2(argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["example", "derive", "transform"])
+def test_an_unwritable_emit_path_exits_2(tmp_path, command):
+    """`--emit` into a directory that does not exist is refused with one
+    error line and exit 2, as an unreadable input is, not a traceback."""
+    target = tmp_path / "missing" / "out.cofrob"
+    argv = {"example": ("example", "--name", "sphere"),
+            "derive": ("derive", "--from-pairing", emit_example(tmp_path, "sphere")),
+            "transform": ("transform", "--op", "dual", emit_example(tmp_path, "sphere"))}
+    code, out, err = run_cli(*argv[command], "--emit", str(target))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def write(tmp_path, text, name="doc.cofrob"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

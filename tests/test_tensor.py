@@ -490,10 +490,11 @@ F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
 
 
 @st.composite
-def f3_maps(draw, k, t, degrees=(-1, 0, 1)):
-    """A sparse homogeneous map F3_MOD^k -> F3_MOD^t of a degree in `degrees`."""
-    source = TensorSpace((F3_MOD,) * k)
-    target = TensorSpace((F3_MOD,) * t, field=F3_MOD.field)
+def f3_maps(draw, k, t, degrees=(-1, 0, 1), module=F3_MOD):
+    """A sparse homogeneous map module^k -> module^t of a degree in `degrees`
+    (F3_MOD unless another module is given)."""
+    source = TensorSpace((module,) * k, field=module.field)
+    target = TensorSpace((module,) * t, field=module.field)
     degree = draw(st.sampled_from(degrees))
     entries = {}
     for src in source.basis():
@@ -541,6 +542,80 @@ def test_linked_plan_drops_exactly_the_keys_its_consumer_skips(stages):
     assert pruned == {key: v for key, v in full.items()
                       if all(key[a:b] in entries for a, b, entries in reader.groups)}
     assert reader.run(pruned) == reader.run(full)
+
+
+KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3))
+
+
+@st.composite
+def kernel_maps(draw, module, k):
+    """A map a stage reads from k factors of `module`: a nonzero sparse one
+    of degree -1, 0 or 1 into 0 to 2 factors, the identity, or a near-identity
+    (the identity with one row missing or one coefficient 2, or the
+    degree-0 swap `twist` on module (x) module)."""
+    space = TensorSpace((module,) * k, field=module.field)
+    kind = draw(st.sampled_from(("sparse", "sparse", "identity", "row missing",
+                                 "coefficient 2") + (("twist",) if k == 2 else ())))
+    if kind == "sparse":
+        t = draw(st.integers(min_value=0, max_value=2))
+        return draw(f3_maps(k, t, module=module).filter(lambda f: f.entries))
+    if kind == "identity":
+        return GradedMap.identity(space)
+    if kind == "twist":
+        return twist(module, module)
+    entries = {src: dict(row) for src, row in GradedMap.identity(space).entries.items()}
+    src = draw(st.sampled_from(sorted(entries)))
+    if kind == "row missing":
+        del entries[src]
+    else:
+        entries[src] = {src: 2}
+    return GradedMap(space, space, 0, entries)
+
+
+@st.composite
+def kernel_stages(draw):
+    """Over Q, F2 or F3: a stage of two to four maps reading at most four
+    factors, one of them the identity on R, on A or on A (x) A at any
+    position among sparse maps, identities and near-identities; the stage
+    that reads its output, whose maps read one or two factors each; and a
+    coefficient dict of its source.  A has two basis elements of one
+    degree, so rows with several entries are common."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    module = make_module([("a", 0), ("b", 1), ("c", 1)], field=field)
+    arities = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3)
+                   .filter(lambda ks: sum(ks) <= 4))
+    maps = [draw(kernel_maps(module, k)) for k in arities]
+    k = draw(st.integers(min_value=0, max_value=min(2, 4 - sum(arities))))
+    maps.insert(draw(st.integers(min_value=0, max_value=len(maps))),
+                GradedMap.identity(TensorSpace((module,) * k, field=field)))
+    width, consumer = sum(f.target.arity for f in maps), []
+    while width:
+        k = draw(st.integers(min_value=1, max_value=min(2, width)))
+        consumer.append(draw(kernel_maps(module, k)))
+        width -= k
+    source = TensorSpace(tuple(m for f in maps for m in f.source.modules), field=field)
+    coeffs = {idx: v for idx in source.basis()
+              if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, 2, -1)))))}
+    return maps, consumer, source, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_stages())
+def test_stage_plan_applies_the_tensor_of_its_maps(stages):
+    """The stage kernel, with its identity pass-through, single-entry
+    folding and parity-table signs, computes what the materialized tensor
+    of the stage's maps computes; linked to the stage that reads its
+    output, it returns that result restricted to the keys every map of the
+    reader has a row for."""
+    from cofrob.tensor import StagePlan, tensor_many
+    maps, consumer, source, coeffs = stages
+    expected = tensor_many(maps)(Element(source, coeffs)).coeffs
+    plan = StagePlan(maps, source)
+    assert plan.run(coeffs) == expected
+    reader = StagePlan(consumer, plan.space)
+    plan.feed(reader)
+    assert plan.run(coeffs) == {key: v for key, v in expected.items()
+                                if all(key[a:b] in entries for a, b, entries in reader.groups)}
 
 
 @settings(max_examples=80, deadline=None)

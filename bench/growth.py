@@ -3,8 +3,10 @@
     python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
 For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
-a fresh process BUILDS times, keeping the fastest build (`build_s`), and
-then times one `run_suite("biunital-infinitesimal", ...)` on it.  With
+a fresh process BUILDS times, keeping the fastest build (`build_s`),
+parses the model's rendered document BUILDS times, keeping the fastest
+`docio.parse` (`parse_s`), and then times one
+`run_suite("biunital-infinitesimal", ...)` on the model.  With
 each time it records the relations' summed checked and inconclusive
 counts and a SHA-256 digest of the JSON report, so that trees can be
 shown to give identical reports.  The same process then runs the suite once more,
@@ -16,11 +18,15 @@ buys speed with memory shows in the record.
 it once per tree (default: `this=` the `src/` next to this directory).
 For every bound, the trees' runs alternate, and the order flips from one
 round of runs to the next, so that a machine whose speed drifts slows each
-tree alike.  Each tree keeps its fastest of REPEAT suite runs and its
-fastest build, and every later tree is compared with the first one (suite
-time ratio, build time ratio, heap ratio, and whether the report digests
-agree).  Stdlib only.  The full run is made by hand;
-tests/test_bench_growth.py runs it at the smallest size.
+tree alike.  Each tree keeps its fastest of REPEAT suite runs, its
+fastest build and its fastest parse, and every later tree is compared
+with the first one (suite time, build time, parse time and heap ratios,
+and whether the report digests agree).  Each tree is recorded with the
+commit its directory is checked out at (null outside a git checkout),
+whether `src/` differs from that commit (`dirty`), and a SHA-256 of its
+`src/cofrob/*.py` files, which tells trees apart in every case.  Stdlib
+only.  The full run is made by hand; tests/test_bench_growth.py runs it at
+the smallest size.
 """
 
 import argparse
@@ -47,6 +53,7 @@ def worker(src, bound):
     import cofrob
     if os.path.dirname(os.path.dirname(os.path.abspath(cofrob.__file__))) != src:
         raise ImportError(f"cofrob was imported from {cofrob.__file__}, not {src}")
+    from cofrob import docio
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
     builds = []
@@ -54,6 +61,12 @@ def worker(src, bound):
         start = perf_counter()
         data = cofrob.rabinowitz_loop_sphere(3, bound)
         builds.append(perf_counter() - start)
+    text = docio.render(docio.from_bialgebra(data))
+    parses = []
+    for _ in range(BUILDS):
+        start = perf_counter()
+        docio.parse(text)
+        parses.append(perf_counter() - start)
     start = perf_counter()
     reports = run_suite(SUITE, data)
     elapsed = perf_counter() - start
@@ -64,6 +77,7 @@ def worker(src, bound):
     print(json.dumps({
         "s": elapsed,
         "build_s": min(builds),
+        "parse_s": min(parses),
         "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),
@@ -78,13 +92,37 @@ def run_once(src, bound):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def commit_of(src):
+def _git(src, *args):
+    """The output of a git command run in `src`, or None if it fails."""
     try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=src,
-                             capture_output=True, text=True, check=True)
+        out = subprocess.run(["git", *args], cwd=src, capture_output=True, text=True,
+                             check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def tree_of(src):
+    """{commit, dirty, src_sha256} of the tree whose `src/` is `src`.
+
+    `commit` is the short HEAD of the git checkout rooted at the tree, and
+    `dirty` whether `src/` holds changes or new files against it; both are
+    None when the tree is no checkout's root (a `git archive` copy, say).
+    `src_sha256` digests the names and bytes of `src/cofrob/*.py`."""
+    top = _git(src, "rev-parse", "--show-toplevel")
+    commit = dirty = None
+    if top is not None and os.path.samefile(top, os.path.dirname(src)):
+        commit = _git(src, "rev-parse", "--short", "HEAD")
+        status = _git(src, "status", "--porcelain", "--", ".")
+        dirty = None if status is None else bool(status)
+    digest = hashlib.sha256()
+    package = os.path.join(src, "cofrob")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                data = handle.read()
+            digest.update(f"{name}\n{len(data)}\n".encode() + data)
+    return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest()}
 
 
 def cpu_model():
@@ -116,6 +154,7 @@ def measure(trees, bounds, repeat):
                 "best_s": round(best["s"], 3),
                 "runs_s": [round(r["s"], 3) for r in rows],
                 "build_s": round(min(r["build_s"] for r in rows), 4),
+                "parse_s": round(min(r["parse_s"] for r in rows), 4),
                 "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
                 **{key: best[key] for key in ("relations", "checked", "inconclusive",
                                               "report_sha256")},
@@ -132,6 +171,7 @@ def compare(results):
     return {f"{labels[0]}/{label}": {
                 n: {"time_ratio": round(base[n]["best_s"] / row["best_s"], 2),
                     "build_ratio": round(base[n]["build_s"] / row["build_s"], 2),
+                    "parse_ratio": round(base[n]["parse_s"] / row["parse_s"], 2),
                     "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 2),
                     "identical_reports": base[n]["report_sha256"] == row["report_sha256"]}
                 for n, row in results[label].items()}
@@ -160,7 +200,7 @@ def main(argv=None):
         "machine": {"arch": platform.machine(), "cpu": cpu_model(),
                     "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
         "repeat": REPEAT,
-        "trees": {label: {"commit": commit_of(src), "bounds": results[label]}
+        "trees": {label: {**tree_of(src), "bounds": results[label]}
                   for label, src in trees.items()},
         "comparison": compare(results),
     }

@@ -81,11 +81,42 @@ class RationalField:
         return "Q"
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981     # the witnesses above decide every n below it
+
+
+def is_prime(n):
+    """Whether n < PRIME_LIMIT is prime: Miller-Rabin to the bases 2 to 41,
+    which no composite below the limit passes."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field F_p for a prime p; scalars are ints in [0, p)."""
+    """The field F_p for a prime p below PRIME_LIMIT; scalars are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"{p} is too large: prime fields need p < {PRIME_LIMIT}")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -552,10 +552,34 @@ def render_text(suite_name, reports):
 
 
 def render_json(suite_name, reports):
-    import json
-    payload = {
-        "suite": suite_name,
-        "relations": [r.as_dict() for r in reports],
-        "pass": suite_passes(reports),
-    }
-    return json.dumps(payload, indent=2)
+    """The reports as JSON: byte for byte `json.dumps(payload, indent=2)`
+    of {"suite": suite_name, "relations": [r.as_dict() ...], "pass":
+    suite_passes(reports)}.
+
+    The schema is fixed, so the layout is written out here and each string
+    goes through `encode_basestring_ascii`, the C escaper `json.dumps` uses
+    with `ensure_ascii`.  `json.dumps` with an indent runs the pure-Python
+    encoder instead, whose closures leave reference cycles behind."""
+    from json.encoder import encode_basestring_ascii as q
+    out = ['{\n  "suite": ', q(suite_name), ',\n  "relations": [']
+    sep = "\n    {"
+    for r in reports:
+        out += (sep, '\n      "name": ', q(r.name), ',\n      "verdict": ', q(r.verdict),
+                f',\n      "checked": {r.checked},\n      "inconclusive": {r.inconclusive}')
+        if r.masked_coords:
+            out.append(f',\n      "masked_coords": {r.masked_coords}')
+        if r.note:
+            out += (',\n      "note": ', q(r.note))
+        w = r.witness
+        if w:
+            labels = ",\n          ".join(map(q, w.input_labels))
+            out += (',\n      "witness": {\n        "input": ',
+                    f"[\n          {labels}\n        ]" if labels else "[]",
+                    ',\n        "lhs": ', q(w.lhs), ',\n        "rhs": ', q(w.rhs),
+                    "\n      }\n    }")
+        else:
+            out.append(',\n      "witness": null\n    }')
+        sep = ",\n    {"
+    out.append("]" if sep == "\n    {" else "\n  ]")
+    out.append(',\n  "pass": true\n}' if suite_passes(reports) else ',\n  "pass": false\n}')
+    return "".join(out)

@@ -68,9 +68,12 @@ class StagePlan:
     rows than its source has basis tuples) whose input the key completes
     has a row for it.  The consumer skips every key without a row, its
     maps are linear and a dropped key is dropped whole, so what the
-    consumer computes is unchanged; only the dead terms are never built."""
+    consumer computes is unchanged; only the dead terms are never built.
+    A partial consumer map on R has no row at all, so it makes every key
+    dead (`dead`), and the plan then builds no term."""
 
-    __slots__ = ("source", "space", "maps", "groups", "identities", "signs", "probes")
+    __slots__ = ("source", "space", "maps", "groups", "identities", "signs", "probes",
+                 "dead")
 
     def __init__(self, maps, source):
         if tuple(m for f in maps for m in f.source.modules) != source.modules:
@@ -93,6 +96,7 @@ class StagePlan:
                       for i, m in enumerate(source.modules)
                       if sum(a > i for a in odd_starts) % 2]
         self.probes = [()] * len(maps)  # per map, the consumer groups it completes (see feed)
+        self.dead = False               # whether the consumer reads no key (see feed)
 
     def feed(self, consumer):
         """Link this plan to the plan that reads its output.
@@ -102,9 +106,12 @@ class StagePlan:
         probed after the map whose output holds factor b - 1, the first
         map after which key[a:b] is complete; a map that completes no such
         group keeps every key.  A plan whose consumer has no partial map,
-        like an unlinked one, has no group to probe after any map."""
+        like an unlinked one, has no group to probe after any map.  A
+        partial map on R, a group (a, a), has no row for any key: the plan
+        is then dead and `run` adds nothing."""
         partial = [g for g, f in zip(consumer.groups, consumer.maps)
                    if len(f.entries) < f.source.size]
+        self.dead = any(a == b for a, b, _ in partial)
         probes = []
         start = 0
         for f in self.maps:
@@ -124,14 +131,17 @@ class StagePlan:
         Each term's sign is read from the parity table, an identity map
         appends its factors of the input, and a single-entry row extends
         the one (key, coefficient) pair carried so far; the list of partial
-        terms is built only from the first row with more than one entry."""
+        terms is built only from the first row with more than one entry.
+        A dead plan adds nothing."""
+        if out is None:
+            out = {}
+        if self.dead:
+            return out
         field = self.space.field
         signs = self.signs
         add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
         zero, one = field.zero, field.one
         steps = list(zip(self.groups, self.identities, self.probes))
-        if out is None:
-            out = {}
         for idx, v in coeffs.items():
             if signs:
                 odd = 0

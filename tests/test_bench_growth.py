@@ -3,6 +3,10 @@
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,7 +36,55 @@ def test_growth_harness_writes_a_comparable_record(tmp_path, monkeypatch):
     assert row["checked"] + row["inconclusive"] > 0
     assert row["heap_peak_kb"] > 0
     assert row["build_s"] > 0
+    assert row["parse_s"] > 0
     assert record["trees"]["b"]["bounds"]["3"]["report_sha256"] == row["report_sha256"]
     assert record["comparison"]["a/b"]["3"]["identical_reports"] is True
     assert record["comparison"]["a/b"]["3"]["heap_ratio"] > 0
     assert record["comparison"]["a/b"]["3"]["build_ratio"] > 0
+    assert record["comparison"]["a/b"]["3"]["parse_ratio"] > 0
+    tree = record["trees"]["a"]
+    assert tree["src_sha256"] == growth.tree_of(src)["src_sha256"]
+    assert (tree["commit"] is None) == (tree["dirty"] is None)
+
+
+def _copy_tree(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(os.path.join(ROOT, "src", "cofrob"), tree / "src" / "cofrob",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def test_a_copy_outside_git_is_recorded_by_its_digest_alone(tmp_path):
+    """A `git archive` copy was recorded as null; the digest depends on the
+    files' names and bytes only, so a copy reads as its original."""
+    growth = load_growth()
+    src = str(_copy_tree(tmp_path) / "src")
+    digest = growth.tree_of(os.path.join(ROOT, "src"))["src_sha256"]
+    assert growth.tree_of(src) == {"commit": None, "dirty": None, "src_sha256": digest}
+
+
+def test_a_changed_checkout_is_recorded_as_dirty(tmp_path):
+    """A checkout with an uncommitted change to src/ was recorded as its
+    clean parent commit; it is now marked dirty and told apart by digest."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    growth = load_growth()
+    tree = _copy_tree(tmp_path)
+    src = str(tree / "src")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tree, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "tree")
+    clean = growth.tree_of(src)
+    assert clean == {"commit": git("rev-parse", "--short", "HEAD"), "dirty": False,
+                     "src_sha256": growth.tree_of(os.path.join(ROOT, "src"))["src_sha256"]}
+    with open(os.path.join(src, "cofrob", "fields.py"), "a", encoding="utf-8") as handle:
+        handle.write("\n")
+    changed = growth.tree_of(src)
+    assert changed["commit"] == clean["commit"] and changed["dirty"] is True
+    assert changed["src_sha256"] != clean["src_sha256"]

@@ -416,3 +416,17 @@ def test_repeated_entries_exit_2_at_their_line(tmp_path, example, edit, suite):
     code, out, err = run_cli("check", "--suite", suite, write(tmp_path, edited))
     assert code == 2 and not out
     assert err.startswith("error: line ") and "duplicate" in err
+
+
+def test_a_large_prime_field_is_checked_and_a_too_large_one_exits_2(tmp_path):
+    """Trial division kept `check` on F(10^20 + 39) running for over 10 s;
+    a modulus past the primality test's range is refused at its line."""
+    path = emit_example(tmp_path, "sphere", "--n", "2", "--field", "F100000000000000000039")
+    text = open(path).read()
+    assert text.startswith("field F100000000000000000039\n")
+    code, out, _ = run_cli("check", "--suite", "product-laws", path)
+    assert code == 0 and out.strip().endswith("suite product-laws: PASS")
+    huge = text.replace("F100000000000000000039", "F618970019642690137449562111", 1)
+    code, out, err = run_cli("check", "--suite", "product-laws", write(tmp_path, huge))
+    assert code == 2 and not out
+    assert err.startswith("error: line 1: 618970019642690137449562111 is too large")

@@ -1,5 +1,7 @@
 """The line-oriented structure file format: round trips and diagnostics."""
 
+from fractions import Fraction
+
 import pytest
 
 from cofrob import (parse, render, to_bialgebra, to_tqft, from_bialgebra,
@@ -193,3 +195,80 @@ def test_repeated_window_label_is_refused_at_its_line(rab3):
     with pytest.raises(ParseError) as refused:
         parse("\n".join(lines))
     assert str(refused.value) == f"line {at + 2}: duplicate window label {label!r}"
+
+
+def test_a_large_model_document_round_trips():
+    from cofrob import rabinowitz_loop_sphere
+    doc = from_bialgebra(rabinowitz_loop_sphere(3, 14))
+    text = render(doc)
+    assert sum("->" in line for line in text.splitlines()) == 1952
+    assert parse(text) == doc
+
+
+def _long_document(repeat):
+    """A document with 1,100 labels, counit rows, mu terms and eta lines, and
+    the first copy of `repeat` ('label', 'source', 'target' or 'eta') written
+    again 1,000 entries later; returns its text and the repeat's line."""
+    labels = [f"x{i}" for i in range(1100)]
+    lines = ["field Q", "module:"] + [f"{x} 0" for x in labels]
+    if repeat == "label":
+        lines.insert(1002, "x0 0")
+        return "\n".join(lines) + "\n", 1003
+    lines.append("map mu degree 0:")
+    terms = [f"1 * {x}" for x in labels[:1000]]
+    if repeat == "target":
+        terms.append("-2 * x0")
+    lines.append("x0,x0 -> " + " + ".join(terms))
+    target_line = len(lines)
+    lines.append("eta:")
+    lines += [f"1 * {x}" for x in labels[:1000]]
+    if repeat == "eta":
+        lines.append("3 * x0")
+    eta_line = len(lines)
+    lines.append("map eps degree 0:")
+    lines += [f"{x} -> 1 * R" for x in labels]
+    if repeat == "source":
+        lines.insert(len(lines) - 100, "x0 -> 2 * R")    # right after x999's row
+    source_line = len(lines) - 100
+    line = {"target": target_line, "eta": eta_line, "source": source_line}[repeat]
+    return "\n".join(lines) + "\n", line
+
+
+@pytest.mark.parametrize("repeat,message", [
+    ("label", "duplicate basis label 'x0'"),
+    ("source", "duplicate source 'x0'"),
+    ("target", "duplicate term for 'x0'"),
+    ("eta", "duplicate term for 'x0'"),
+])
+def test_a_far_repeat_is_refused_at_its_own_line(repeat, message):
+    text, line = _long_document(repeat)
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_the_long_document_parses_without_its_repeat():
+    text, _ = _long_document("target")
+    doc = parse(text.replace(" + -2 * x0", ""))
+    assert len(doc.modules[""]) == 1100 and len(doc.maps["eps"][1]) == 1100
+    assert len(doc.maps["mu"][1][0][1]) == 1000 and len(doc.etas[""]) == 1000
+
+
+@pytest.mark.parametrize("token,value", [
+    ("1", 1), ("-1", -1), ("+1", 1), ("007", 7), ("-0", 0), ("1/2", Fraction(1, 2)),
+    ("-3/6", Fraction(-1, 2)), ("1_000", 1000), ("٣", 3), ("-٣", -3),
+    ("１", 1), ("--1", None), ("-", None), ("0x1", None), ("1" * 5000, None),
+])
+def test_rational_coefficient_tokens(token, value):
+    """A plain integer is an int, a non-integral rational a Fraction, and
+    the tokens Fraction reads besides (a sign, leading zeros, underscores,
+    non-ASCII digits) give what Fraction gives; the rest are refused."""
+    text = f"module:\nx 0\neta:\n{token} * x\n"
+    if value is None:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"line 4: malformed rational scalar {token!r}"
+    else:
+        ((coeff, _),) = parse(text).etas[""]
+        assert coeff == value and type(coeff) is type(value)

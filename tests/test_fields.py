@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofrob.fields import QQ, PrimeField, field_from_name, solve_linear, invert_matrix
+from cofrob.fields import PRIME_LIMIT, is_prime
 
 
 def test_rational_arithmetic():
@@ -115,3 +116,28 @@ def test_rational_ops_match_fractions(a, b):
     for got, want in cases:
         assert_exact(got)
         assert got == want
+
+
+PRIME_CHECKS = [561, 41041, 2**61 - 1, 10**20 + 39, 2**64 - 59,
+                # strong pseudoprimes to every prime base up to 31 and 37
+                3825123056546413051, 318665857834031151167461]
+PRIME_SQUARES = [p * p for p in (2, 3, 5, 41, 43, 65521, 2**31 - 1, 2**61 - 1)]
+
+
+def test_primality_matches_sympy():
+    """The Miller-Rabin test agrees with sympy on 0..2000, on Carmichael
+    numbers, on squares of primes and on primes near 2^61, 10^20 and 2^64."""
+    sympy = pytest.importorskip("sympy")
+    for n in list(range(2001)) + PRIME_CHECKS + PRIME_SQUARES:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_large_prime_fields_are_built_or_refused_at_once():
+    # trial division to sqrt(p) took more than 20 s on 2^61 - 1
+    f = PrimeField(2**61 - 1)
+    assert f.mul(2**60, 2) == 1
+    assert PrimeField(10**20 + 39).name == "F100000000000000000039"
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(10**20 + 41)
+    with pytest.raises(ValueError, match=f"prime fields need p < {PRIME_LIMIT}"):
+        PrimeField(2**89 - 1)

@@ -401,3 +401,29 @@ def test_solves_build_no_stage_plan(monkeypatch):
     assert not built
     _run(data, ("counit",))
     assert built
+
+
+# Quotes, backslashes, control characters, a DEL, non-ASCII letters and an
+# astral character (escaped as a surrogate pair).
+json_text = st.text(alphabet=st.sampled_from(
+    ['a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\x00', '\x1f', '\x7f',
+     'é', 'λ', '⊗', ' ', '\U0001d4ae']), max_size=8)
+json_reports = st.builds(
+    CheckReport, name=json_text, verdict=st.sampled_from((PASS, FAIL, INCONCLUSIVE, SKIPPED)),
+    witness=st.none() | st.builds(Witness, st.lists(json_text, max_size=3).map(tuple),
+                                  json_text, json_text),
+    checked=st.integers(min_value=0, max_value=10**6),
+    inconclusive=st.integers(min_value=0, max_value=10**6),
+    masked_coords=st.sampled_from((0, 0, 1, 37)), note=json_text | st.just(""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_text, st.lists(json_reports, max_size=4))
+def test_render_json_is_json_dumps_with_indent_2(suite, reports_):
+    """The hand-written emitter gives the bytes of the stdlib encoder it
+    replaced, on every string escape, an empty or missing witness input, a
+    report with and without masked coordinates and note, and no reports."""
+    import json
+    payload = {"suite": suite, "relations": [r.as_dict() for r in reports_],
+               "pass": reports.suite_passes(reports_)}
+    assert reports.render_json(suite, reports_) == json.dumps(payload, indent=2)

@@ -577,9 +577,10 @@ def kernel_stages(draw):
     """Over Q, F2 or F3: a stage of two to four maps reading at most four
     factors, one of them the identity on R, on A or on A (x) A at any
     position among sparse maps, identities and near-identities; the stage
-    that reads its output, whose maps read one or two factors each; and a
-    coefficient dict of its source.  A has two basis elements of one
-    degree, so rows with several entries are common."""
+    that reads its output, whose maps read one or two factors each, with at
+    times a map on R among them (the identity, twice it, the zero map or a
+    sparse map out of R); and a coefficient dict of its source.  A has two
+    basis elements of one degree, so rows with several entries are common."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     module = make_module([("a", 0), ("b", 1), ("c", 1)], field=field)
     arities = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3)
@@ -593,6 +594,9 @@ def kernel_stages(draw):
         k = draw(st.integers(min_value=1, max_value=min(2, width)))
         consumer.append(draw(kernel_maps(module, k)))
         width -= k
+    if draw(st.booleans()):
+        consumer.insert(draw(st.integers(min_value=0, max_value=len(consumer))),
+                        draw(kernel_maps(module, 0)))
     source = TensorSpace(tuple(m for f in maps for m in f.source.modules), field=field)
     coeffs = {idx: v for idx in source.basis()
               if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, 2, -1)))))}
@@ -616,6 +620,18 @@ def test_stage_plan_applies_the_tensor_of_its_maps(stages):
     plan.feed(reader)
     assert plan.run(coeffs) == {key: v for key, v in expected.items()
                                 if all(key[a:b] in entries for a, b, entries in reader.groups)}
+
+
+def test_a_plan_fed_to_a_zero_map_on_r_keeps_nothing():
+    """The zero map R -> R has no row for the empty key, so the plan that
+    feeds it, here the identity on R, keeps no key."""
+    from cofrob import scalar_space
+    from cofrob.tensor import StagePlan
+    r = scalar_space(QQ)
+    plan = StagePlan([GradedMap.identity(r)], r)
+    plan.feed(StagePlan([GradedMap(r, r, 0, {})], r))
+    assert plan.run({(): 1}) == {}
+    assert plan.run({(): 1}, {(): 5}) == {(): 5}
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,8 +17,9 @@ Grammar (one statement per line; `#` starts a comment only at line start):
 Map names are mu, lambda, eps for single documents; closed.mu, open.lambda,
 ..., zipper, cozipper for pairs.  Counit entries target the literal `R`;
 every other source and target has as many labels as the map's arity.
-Coefficients are integers or fractions a/b.  A repeated basis label, map
-source, row target, window label or eta term is refused at its line.
+Coefficients are integers or fractions a/b.  A repeated section (module,
+window, map or eta) and a repeated basis label, map source, row target,
+window label or eta term are refused at their line.
 parse(render(doc)) == doc.
 
 `parse` takes time linear in the document: repeats are found in a dict or
@@ -194,6 +195,8 @@ def parse(text):
                 raise ParseError("bound and slack must be non-negative", lineno)
             if name not in doc.modules:
                 raise ParseError(f"window for undeclared module {name!r}", lineno)
+            if name in raw_windows:
+                raise ParseError(f"duplicate window section {name!r}", lineno)
             raw_windows[name] = (bound, slack, {}, lineno)
             section = ("window", name)
         elif is_header and base == "map":

@@ -38,8 +38,16 @@ terms are dropped, so every sum, verdict and witness is what the unlinked
 plans give.  Because a linked plan depends on its consumer, terms are
 shared whole and stage prefixes are not.  Only the window-valid tuples
 are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest are
-never built and are counted as inconclusive.  On either route the
-composed maps, plans and per-input values live only for that one call.
+never built and are counted as inconclusive.  The gate masks each
+coordinate that is not reliable for the input, by index: an input's
+limit is `WindowSpec.input_limit` of its indices, and a coordinate is
+kept when both its signed weight sums stay within it.  Each module's
+weights are built once per call (`factor_weights`), and the window keeps
+none of them.  Equal sides gated by equal weights stay equal, so when a
+relation's sides land in one space and agree on an input, one side is
+gated and its masked count doubled; sides that differ are both gated and
+then compared.  On either route the composed maps, plans, weights and
+per-input values live only for that one call.
 
 Checks with a window walk inputs; every other job composes maps.  So
 `solve_map` reads lhs - rhs from composed sides, under a window from the
@@ -237,7 +245,7 @@ def _evaluate(side, idx, field, values):
 
 def _gate(coeffs, weights, limit):
     """The coordinates of `coeffs` reliable for an input whose
-    `WindowSpec.coordinate_limit` is `limit`; `weights` is
+    `WindowSpec.input_limit` is `limit`; `weights` is
     `WindowSpec.factor_weights` of their space."""
     positive, negative = weights
     at = tuple.__getitem__
@@ -380,15 +388,14 @@ def _split(side):
     return fused, shared
 
 
-def _compile(source, specs, window):
+def _compile(source, specs, window, known):
     """The relations of one source compiled for `_check_group`: the open
     relations (index, spec, lhs, rhs, their spaces, whether the spaces are
     equal, their window weights), the (index, spec) of those whose sides
-    are both empty, and the number of shared-term slots.  The term table
-    and the window weights of each distinct space are dropped on return;
-    the sides hold what the walk needs."""
+    are both empty, and the number of shared-term slots.  `known` is the
+    caller's `WindowSpec.factor_weights` dict.  The term table is dropped
+    on return; the sides hold what the walk needs."""
     table = {}
-    space_weights = {}
     compiled = []
     for i, spec in specs:
         lhs, lhs_space = _compile_side(spec.lhs, source, table)
@@ -407,12 +414,10 @@ def _compile(source, specs, window):
         if lhs_space is None:
             zero_maps.append((i, spec))
             continue
-        for space in (lhs_space, rhs_space):
-            if space not in space_weights:
-                space_weights[space] = window.factor_weights(space)
         relations.append((i, spec, _split(lhs), _split(rhs), lhs_space, rhs_space,
                           lhs_space == rhs_space,
-                          (space_weights[lhs_space], space_weights[rhs_space])))
+                          (window.factor_weights(lhs_space, known),
+                           window.factor_weights(rhs_space, known))))
     return relations, zero_maps, slots
 
 
@@ -420,8 +425,10 @@ def _check_group(source, specs, window, reports):
     """Fill `reports` for the (index, spec) pairs of one source checked
     under `window`, input-major."""
     field = source.field
-    relations, zero_maps, slots = _compile(source, specs, window)
-    inputs = window.valid_inputs(source)
+    known = {}      # module -> its window weights, for this call
+    relations, zero_maps, slots = _compile(source, specs, window, known)
+    inputs = window.valid_inputs(source, known)
+    source_weights = window.factor_weights(source, known)
     size = len(inputs)
     masked = {}             # index -> coordinates masked so far
     checked = 0
@@ -432,11 +439,15 @@ def _check_group(source, specs, window, reports):
         checked += 1
         if slots:
             values = [None] * slots
-        limit = window.coordinate_limit(source.labels_of(idx))
+        limit = window.input_limit(source_weights, idx)
         closed = False
         for i, spec, lhs, rhs, lhs_space, rhs_space, same_space, weights in relations:
             lhs = _evaluate(lhs, idx, field, values)
             rhs = _evaluate(rhs, idx, field, values)
+            if same_space and lhs == rhs:   # equal sides stay equal under one gate
+                kept = _gate(lhs, weights[0], limit)
+                masked[i] = masked.get(i, 0) + 2 * (len(lhs) - len(kept))
+                continue
             n = len(lhs) + len(rhs)
             lhs, rhs = _gate(lhs, weights[0], limit), _gate(rhs, weights[1], limit)
             masked[i] = masked.get(i, 0) + n - len(lhs) - len(rhs)
@@ -465,23 +476,26 @@ def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
     return check_relations([Relation(name, source, lhs_terms, rhs_terms, note)], window)[0]
 
 
-def _residuals(specs, window):
+def _residuals(specs, window, known):
     """lhs - rhs of each relation of `specs`, read from its sides composed
     into maps and, under a window, from the window-valid inputs only, gated
     as `check_relations` gates them: the nonzero values by (position,
-    input, coordinate)."""
+    input, coordinate).  `known` is the caller's
+    `WindowSpec.factor_weights` dict."""
     out = {}
     for i, spec in enumerate(specs):
         source, field = spec.source, spec.source.field
         left, right, lhs_space, rhs_space = _composed_sides(spec, {}, {})
         inputs = left.keys() | right.keys()
         if window is not None and inputs:
-            inputs &= set(window.valid_inputs(source))
-            weights = window.factor_weights(lhs_space), window.factor_weights(rhs_space)
+            inputs &= set(window.valid_inputs(source, known))
+            source_weights = window.factor_weights(source, known)
+            weights = (window.factor_weights(lhs_space, known),
+                       window.factor_weights(rhs_space, known))
         for idx in inputs:
             lrow, rrow = left.get(idx, {}), right.get(idx, {})
             if window is not None:
-                limit = window.coordinate_limit(source.labels_of(idx))
+                limit = window.input_limit(source_weights, idx)
                 lrow, rrow = _gate(lrow, weights[0], limit), _gate(rrow, weights[1], limit)
             for coord in lrow.keys() | rrow.keys():
                 v = field.sub(lrow.get(coord, field.zero), rrow.get(coord, field.zero))
@@ -510,16 +524,17 @@ def solve_map(name, source, target, degree, relations, window=None):
     unknowns = [(src, dst) for src in source.basis() for dst in target.basis()
                 if target.degree(dst) == source.degree(src) + degree]
     specs = relations(GradedMap._trusted(source, target, degree, {}))
+    known = {}      # module -> its window weights, for this call
     if unknowns and window is not None and not any(
-            window.valid_inputs(spec.source) for spec in specs):
+            window.valid_inputs(spec.source, known) for spec in specs):
         raise ValueError(f"no window-valid equation determines the {name}")
-    base = _residuals(specs, window)
+    base = _residuals(specs, window, known)
     columns = []
     for src, dst in unknowns:
         x = GradedMap._trusted(source, target, degree, {src: {dst: field.one}})
         columns.append(_residuals([spec._replace(lhs=_naming(x, spec.lhs),
                                                  rhs=_naming(x, spec.rhs))
-                                   for spec in relations(x)], window))
+                                   for spec in relations(x)], window, known))
     keys = dict.fromkeys(key for part in (base, *columns) for key in part)
     solution = solve_linear([[column.get(key, zero) for column in columns] for key in keys],
                             [field.neg(base.get(key, zero)) for key in keys], field)

@@ -26,12 +26,14 @@ sums are the largest subset sums of each sign, and neither can shrink as
 factors are appended, so a prefix that exceeds the limit has no valid
 extension and the pruning drops exactly the invalid tuples.
 
-The coordinate test is made on indices the same way.  With
-M(x) = max|subset sum of x|, a coordinate y is reliable for x iff its sum
-of positive weights and its sum of negative weights (in absolute value)
-are both at most `coordinate_limit(x)` = bound - slack - M(x).
-`factor_weights(space)` gives those weights per factor of a space, so the
-labels of a coordinate are never looked up.
+The coordinate test is made on indices the same way.  M(x), the largest
+|subset sum| of x, is the larger of x's two signed weight sums, and a
+coordinate y is reliable for x iff its own two sums are both at most
+`input_limit(weights, x)` = bound - slack - M(x).  `factor_weights(space)`
+gives those weights per factor of a space, so neither the labels of an
+input nor those of a coordinate are looked up.  Its `known` dict, kept by
+the caller for one call, builds each module's weights once however many
+spaces name it; the window itself keeps nothing.
 """
 
 from .tensor import DUAL_SUFFIX, SHIFT_PREFIX
@@ -62,12 +64,13 @@ class WindowSpec:
     def input_valid(self, labels):
         return self._max_subset_abs(labels) + self.slack <= self.bound - 1
 
-    def valid_inputs(self, space):
-        """The basis tuples of `space` that pass `input_valid`, in basis order."""
+    def valid_inputs(self, space, known=None):
+        """The basis tuples of `space` that pass `input_valid`, in basis
+        order; `known` is passed to `factor_weights`."""
         limit = self.bound - 1 - self.slack
         if limit < 0:
             return []
-        factors = list(zip(*self.factor_weights(space)))
+        factors = list(zip(*self.factor_weights(space, known)))
         if not factors:
             return [()]
         prefixes = [((), 0, 0)]  # (index tuple, positive sum, -negative sum)
@@ -87,18 +90,33 @@ class WindowSpec:
                 + self._max_subset_abs(coord_labels)
                 + self.slack <= self.bound)
 
-    def coordinate_limit(self, input_labels):
+    def input_limit(self, weights, idx):
         """The most either signed weight sum of a coordinate may reach and
-        still be reliable for the input with these labels."""
-        return self.bound - self.slack - self._max_subset_abs(input_labels)
+        still be reliable for the input `idx`, whose space has the
+        `factor_weights` `weights`."""
+        positive, negative = weights
+        at = tuple.__getitem__
+        return (self.bound - self.slack
+                - max(sum(map(at, positive, idx)), sum(map(at, negative, idx))))
 
-    def factor_weights(self, space):
+    def factor_weights(self, space, known=None):
         """(positive, negative): per factor of `space`, a tuple holding
         each basis label's weight if positive (else 0), and the same for
-        the absolute value of the negative weights."""
-        weights = [tuple(map(self.weight, module.labels)) for module in space.modules]
-        return ([tuple(max(w, 0) for w in ws) for ws in weights],
-                [tuple(max(-w, 0) for w in ws) for ws in weights])
+        the absolute value of the negative weights.  `known`, a dict that
+        the caller keeps for one call, holds each module's pair of tuples
+        once it is built."""
+        if known is None:
+            known = {}
+        positive, negative = [], []
+        for module in space.modules:
+            pair = known.get(module)
+            if pair is None:
+                ws = [self.weights.get(lbl, 0) for lbl in module.labels]
+                pair = known[module] = (tuple([max(w, 0) for w in ws]),
+                                        tuple([max(-w, 0) for w in ws]))
+            positive.append(pair[0])
+            negative.append(pair[1])
+        return positive, negative
 
     def dualized(self):
         """The window of the dual modules, whose labels `dual_module` names."""

@@ -181,7 +181,10 @@ def test_structure_without_lambda_round_trips(sphere3):
     (S2_TEXT.replace("eta:\n1 * 1\n", "eta:\n1 * 1 + 1 * 1\n"), 14, "duplicate term for '1'"),
     (S2_TEXT.replace("w -> 1 * w#w", "w -> 1 * w#w + 2 * w#w"), 12,
      "duplicate term for 'w#w'"),
-], ids=["map-source", "eta-line", "eta-term", "map-target"])
+    # a second window section used to replace the first
+    (S2_TEXT + "window bound 3 slack 1:\nw 1\nwindow bound 5 slack 2:\nw 2\n", 19,
+     "duplicate window section ''"),
+], ids=["map-source", "eta-line", "eta-term", "map-target", "window-section"])
 def test_repeated_entries_are_refused_at_their_line(text, lineno, message):
     with pytest.raises(ParseError, match=rf"^line {lineno}: {message}$"):
         parse(text)

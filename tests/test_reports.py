@@ -8,9 +8,9 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cofrob import (BialgebraData, Element, PrimeField, TensorSpace, WindowSpec,
+from cofrob import (BialgebraData, Element, GradedMap, PrimeField, TensorSpace, WindowSpec,
                     circle_models, loop_sphere, make_module, manifold_from_cup,
                     rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
@@ -245,9 +245,9 @@ def test_element_identities_are_window_inconclusive_without_valid_inputs(model, 
 
 @st.composite
 def gated_elements(draw):
-    """A window over random weights, a bound and a slack, an input's labels,
-    and an element of a tensor space of arity 0 to 3 with every basis tuple
-    as a coordinate."""
+    """A window over random weights, a bound and a slack, an input (its
+    space and index tuple, of arity 0 to 3), and an element of a tensor
+    space of arity 0 to 3 with every basis tuple as a coordinate."""
     weights = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3))
     labels = ("u", "v", "w")
     window = WindowSpec(draw(st.integers(min_value=0, max_value=10)),
@@ -256,19 +256,20 @@ def gated_elements(draw):
     module = make_module([(lbl, 0) for lbl in labels])
     space = TensorSpace((module,) * draw(st.integers(min_value=0, max_value=3)))
     elem = Element(space, {idx: 1 for idx in space.basis()})
-    input_labels = tuple(draw(st.lists(st.sampled_from(labels), max_size=3)))
-    return window, input_labels, elem
+    input_idx = tuple(draw(st.lists(st.integers(min_value=0, max_value=2), max_size=3)))
+    return window, TensorSpace((module,) * len(input_idx)), input_idx, elem
 
 
 @settings(max_examples=150, deadline=None)
 @given(gated_elements())
 def test_index_gate_keeps_what_coordinate_reliable_keeps(case):
-    """`_gate`'s index-level test keeps exactly the coordinates that the
-    label-based `coordinate_reliable` keeps, and masks the rest."""
-    window, input_labels, elem = case
+    """`_gate`'s index-level test, under the limit `input_limit` reads from
+    the input's indices, keeps exactly the coordinates that the label-based
+    `coordinate_reliable` keeps, and masks the rest."""
+    window, input_space, input_idx, elem = case
     kept = _gate(elem.coeffs, window.factor_weights(elem.space),
-                 window.coordinate_limit(input_labels))
-    reliable, masked = _reliable(elem, input_labels, window)
+                 window.input_limit(window.factor_weights(input_space), input_idx))
+    reliable, masked = _reliable(elem, input_space.labels_of(input_idx), window)
     assert kept == reliable.coeffs
     assert len(elem.coeffs) - len(kept) == masked
 
@@ -315,8 +316,26 @@ def relation_batches(draw):
     return specs, window
 
 
+def _against_identity(name, scales):
+    """The relation id = D on F3_MOD, D the degree-0 map that multiplies
+    each basis vector by its entry of `scales`."""
+    space = TensorSpace((F3_MOD,))
+    diagonal = GradedMap(space, space, 0, {(i,): {(i,): c} for i, c in enumerate(scales)})
+    return Relation(name, space, [(1, [])], [(1, [[diagonal]])])
+
+
+# Only `a` has a weight: the input a is window-valid (2 + 0 <= 3 - 1), and
+# its coordinate a is masked (2 + 2 + 0 > 3); b and c weigh 0 and are kept.
+MASK_A = WindowSpec(3, 0, {"a": 2})
+# The sides differ only at the masked coordinate a, or also at the kept c.
+DIFFER_WHERE_MASKED = ([_against_identity("differ-where-masked", (2, 1, 1))], MASK_A)
+DIFFER_WHERE_KEPT = ([_against_identity("differ-where-kept", (2, 1, 2))], MASK_A)
+
+
 @settings(max_examples=150, deadline=None)
 @given(relation_batches())
+@example(DIFFER_WHERE_MASKED)
+@example(DIFFER_WHERE_KEPT)
 def test_batched_relations_report_as_checked_one_by_one(batch):
     """Over F3: `check_relations` gives each relation the report that
     `check_relation` gives it alone, and that the visit-every-input
@@ -327,6 +346,17 @@ def test_batched_relations_report_as_checked_one_by_one(batch):
     for spec, report in zip(specs, reports_):
         assert report == check_relation(*spec[:4], window, spec.note), spec.name
         assert report == reference_check_relation(*spec[:4], window, spec.note), spec.name
+
+
+def test_sides_that_differ_are_gated_each():
+    """Sides that differ before the gate are gated one by one: differing
+    only where it masks, they pass with both sides' masked coordinate
+    counted; differing at a kept coordinate, they fail there."""
+    [passed] = check_relations(*DIFFER_WHERE_MASKED)
+    assert (passed.verdict, passed.checked, passed.masked_coords) == (PASS, 3, 2)
+    [failed] = check_relations(*DIFFER_WHERE_KEPT)
+    assert (failed.verdict, failed.checked, failed.masked_coords) == (FAIL, 3, 2)
+    assert failed.witness == Witness(("c",), "1*c", "2*c")
 
 
 def test_each_distinct_term_runs_once_per_input(monkeypatch):

@@ -2,28 +2,37 @@
 
     python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
-For each N in BOUNDS, a run builds `rabinowitz_loop_sphere(3, N)` over Q in
-a fresh process BUILDS times, keeping the fastest build (`build_s`),
-parses the model's rendered document BUILDS times, keeping the fastest
-`docio.parse` (`parse_s`), and then times one
-`run_suite("biunital-infinitesimal", ...)` on the model.  With
-each time it records the relations' summed checked and inconclusive
-counts and a SHA-256 digest of the JSON report, so that trees can be
-shown to give identical reports.  The same process then runs the suite once more,
-untimed, under `tracemalloc`, and records the traced heap peak
-(`heap_peak_kb`, the largest over a tree's runs), so that a change that
-buys speed with memory shows in the record.
+Times come from one long-lived worker process per tree, and the trees'
+runs alternate.  For each N in BOUNDS, ROUNDS rounds are made; in each
+round every tree's worker, in turn, builds `rabinowitz_loop_sphere(3, N)`
+over Q BUILDS times and keeps the fastest build, parses the model's
+rendered document BUILDS times and keeps the fastest `docio.parse`, and
+runs `run_suite("biunital-infinitesimal", ...)` on the model once.  Each
+of these is timed in the worker's CPU time (`time.process_time`), so time
+the machine gives to other processes does not count, and the order of
+the trees flips from one round to the next, so that a machine whose speed
+drifts slows each tree alike.  A tree's `cpu_s`, `build_cpu_s` and
+`parse_cpu_s` are the medians over its rounds, and `runs_cpu_s` lists its
+suite times round by round.
+
+Reports and heap peaks come from fresh processes: each tree runs REPEAT
+of them per N, alternated the same way, each building the model, running
+the suite once and recording the relations' summed checked and
+inconclusive counts and a SHA-256 digest of the JSON report (which must
+agree across runs), then running it once more, untimed, under
+`tracemalloc` for the traced heap peak (`heap_peak_kb`, the largest over
+a tree's runs), so that a change that buys speed with memory shows in the
+record.
 
 `--tree LABEL=SRC` names a `src/` directory to import `cofrob` from; give
 it once per tree (default: `this=` the `src/` next to this directory).
-For every bound, the trees' runs alternate, and the order flips from one
-round of runs to the next, so that a machine whose speed drifts slows each
-tree alike.  Each tree keeps its fastest of REPEAT suite runs, its
-fastest build and its fastest parse, and every later tree is compared
-with the first one (suite time, build time, parse time and heap ratios,
-and whether the report digests agree).  Each tree is recorded with the
-commit its directory is checked out at (null outside a git checkout),
-whether `src/` differs from that commit (`dirty`), and a SHA-256 of its
+Every later tree is compared with the first one: the ratios of the median
+suite, build and parse CPU times (above 1 when the later tree is faster),
+`rounds_faster`, the rounds in which its suite ran in less CPU time than
+the first tree's in the same round, the heap ratio, and whether the
+report digests agree.  Each tree is recorded with the commit its
+directory is checked out at (null outside a git checkout), whether `src/`
+differs from that commit (`dirty`), and a SHA-256 of its
 `src/cofrob/*.py` files, which tells trees apart in every case.  Stdlib
 only.  The full run is made by hand; tests/test_bench_growth.py runs it at
 the smallest size.
@@ -34,50 +43,68 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tracemalloc
-from time import perf_counter
+from time import process_time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SUITE = "biunital-infinitesimal"
 BOUNDS = (6, 10, 14)
-REPEAT = 3
-BUILDS = 5   # builds per run: a first build in a fresh process is noisy
+REPEAT = 3   # fresh-process runs per tree and bound, for reports and heap peaks
+ROUNDS = 10  # alternated timing rounds per bound, in each tree's long-lived worker
+BUILDS = 5   # builds and parses per round, the fastest kept
 
 
-def worker(src, bound):
-    """One timed run, in this process; prints one JSON line."""
+def _import(src):
+    """cofrob imported from `src`, never from anywhere else."""
     sys.path.insert(0, src)
     import cofrob
     if os.path.dirname(os.path.dirname(os.path.abspath(cofrob.__file__))) != src:
         raise ImportError(f"cofrob was imported from {cofrob.__file__}, not {src}")
+    return cofrob
+
+
+def _cpu_min(call, times):
+    """The fastest of `times` calls of `call`, in CPU seconds, and its last result."""
+    best = None
+    for _ in range(times):
+        start = process_time()
+        result = call()
+        elapsed = process_time() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def serve(src):
+    """A long-lived timing worker: for each window bound read from standard
+    input, one line each, time one round and print it as one JSON line."""
+    cofrob = _import(src)
     from cofrob import docio
+    from cofrob.suites import run_suite
+    for line in sys.stdin:
+        bound = int(line)
+        build_s, data = _cpu_min(lambda: cofrob.rabinowitz_loop_sphere(3, bound), BUILDS)
+        text = docio.render(docio.from_bialgebra(data))
+        parse_s, _ = _cpu_min(lambda: docio.parse(text), BUILDS)
+        suite_s, _ = _cpu_min(lambda: run_suite(SUITE, data), 1)
+        print(json.dumps({"s": suite_s, "build_s": build_s, "parse_s": parse_s}), flush=True)
+
+
+def worker(src, bound):
+    """One fresh-process run: the report and the heap peak; prints one JSON line."""
+    cofrob = _import(src)
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
-    builds = []
-    for _ in range(BUILDS):
-        start = perf_counter()
-        data = cofrob.rabinowitz_loop_sphere(3, bound)
-        builds.append(perf_counter() - start)
-    text = docio.render(docio.from_bialgebra(data))
-    parses = []
-    for _ in range(BUILDS):
-        start = perf_counter()
-        docio.parse(text)
-        parses.append(perf_counter() - start)
-    start = perf_counter()
+    data = cofrob.rabinowitz_loop_sphere(3, bound)
     reports = run_suite(SUITE, data)
-    elapsed = perf_counter() - start
     tracemalloc.start()
     run_suite(SUITE, data)
     heap_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(json.dumps({
-        "s": elapsed,
-        "build_s": min(builds),
-        "parse_s": min(parses),
         "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),
@@ -136,43 +163,75 @@ def cpu_model():
     return platform.processor() or None
 
 
-def measure(trees, bounds, repeat):
-    """{label: {bound: row}} with the runs of the trees interleaved."""
+def _alternated(labels, rounds):
+    """The order of the trees in each round, flipped from one round to the next."""
+    return [labels if k % 2 == 0 else labels[::-1] for k in range(rounds)]
+
+
+def measure(trees, bounds, repeat, rounds):
+    """{label: {bound: row}}: reports and heap peaks from `repeat` fresh
+    processes per tree, times from `rounds` rounds of the trees'
+    long-lived workers, the trees alternated in both."""
+    labels = list(trees)
+    workers = {label: subprocess.Popen(
+                   [sys.executable, os.path.abspath(__file__), "--serve", src],
+                   stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for label, src in trees.items()}
     results = {label: {} for label in trees}
-    for bound in bounds:
-        runs = {label: [] for label in trees}
-        for k in range(repeat):
-            order = list(trees) if k % 2 == 0 else list(trees)[::-1]
-            for label in order:
-                runs[label].append(run_once(trees[label], bound))
-        for label, rows in runs.items():
-            digests = {r["report_sha256"] for r in rows}
-            if len(digests) != 1:
-                raise RuntimeError(f"{label} N={bound}: reports differ between runs")
-            best = min(rows, key=lambda r: r["s"])
-            results[label][str(bound)] = {
-                "best_s": round(best["s"], 3),
-                "runs_s": [round(r["s"], 3) for r in rows],
-                "build_s": round(min(r["build_s"] for r in rows), 4),
-                "parse_s": round(min(r["parse_s"] for r in rows), 4),
-                "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
-                **{key: best[key] for key in ("relations", "checked", "inconclusive",
-                                              "report_sha256")},
-            }
-            print(f"{label} N={bound}: {best['s']:.3f} s (best of {repeat}), "
-                  f"checked={best['checked']}, inconclusive={best['inconclusive']}",
-                  flush=True)
+    try:
+        for bound in bounds:
+            runs = {label: [] for label in trees}
+            for order in _alternated(labels, repeat):
+                for label in order:
+                    runs[label].append(run_once(trees[label], bound))
+            times = {label: [] for label in trees}
+            for order in _alternated(labels, rounds):
+                for label in order:
+                    proc = workers[label]
+                    proc.stdin.write(f"{bound}\n")
+                    proc.stdin.flush()
+                    line = proc.stdout.readline()
+                    if not line:
+                        raise RuntimeError(f"{label}: the timing worker exited")
+                    times[label].append(json.loads(line))
+            for label in labels:
+                rows, timed = runs[label], times[label]
+                if len({r["report_sha256"] for r in rows}) != 1:
+                    raise RuntimeError(f"{label} N={bound}: reports differ between runs")
+                cpu = [t["s"] for t in timed]
+                results[label][str(bound)] = {
+                    "cpu_s": round(statistics.median(cpu), 4),
+                    "runs_cpu_s": [round(t, 4) for t in cpu],
+                    "build_cpu_s": round(statistics.median(t["build_s"] for t in timed), 5),
+                    "parse_cpu_s": round(statistics.median(t["parse_s"] for t in timed), 5),
+                    "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
+                    **{key: rows[0][key] for key in ("relations", "checked", "inconclusive",
+                                                     "report_sha256")},
+                }
+                print(f"{label} N={bound}: {statistics.median(cpu):.3f} CPU s "
+                      f"(median of {rounds}), checked={rows[0]['checked']}, "
+                      f"inconclusive={rows[0]['inconclusive']}", flush=True)
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait()
     return results
 
 
 def compare(results):
     labels = list(results)
     base = results[labels[0]]
+
+    def ratio(n, row, key):
+        return round(base[n][key] / row[key], 3)
+
     return {f"{labels[0]}/{label}": {
-                n: {"time_ratio": round(base[n]["best_s"] / row["best_s"], 2),
-                    "build_ratio": round(base[n]["build_s"] / row["build_s"], 2),
-                    "parse_ratio": round(base[n]["parse_s"] / row["parse_s"], 2),
-                    "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 2),
+                n: {"time_ratio": ratio(n, row, "cpu_s"),
+                    "rounds_faster": sum(t < b for t, b in zip(row["runs_cpu_s"],
+                                                               base[n]["runs_cpu_s"])),
+                    "build_ratio": ratio(n, row, "build_cpu_s"),
+                    "parse_ratio": ratio(n, row, "parse_cpu_s"),
+                    "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 3),
                     "identical_reports": base[n]["report_sha256"] == row["report_sha256"]}
                 for n, row in results[label].items()}
             for label in labels[1:]}
@@ -182,6 +241,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
         worker(argv[1], int(argv[2]))
+        return
+    if argv[:1] == ["--serve"]:
+        serve(argv[1])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC")
@@ -193,13 +255,15 @@ def main(argv=None):
         if not sep or not label or not src:
             parser.error(f"--tree expects LABEL=SRC, got {spec!r}")
         trees[label] = os.path.abspath(src)
-    results = measure(trees, BOUNDS, REPEAT)
+    results = measure(trees, BOUNDS, REPEAT, ROUNDS)
     payload = {
         "workload": f"{SUITE} on rabinowitz_loop_sphere(3, N) over Q",
         "python": platform.python_version(),
         "machine": {"arch": platform.machine(), "cpu": cpu_model(),
                     "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
         "repeat": REPEAT,
+        "rounds": ROUNDS,
+        "timer": "time.process_time in one long-lived worker per tree",
         "trees": {label: {**tree_of(src), "bounds": results[label]}
                   for label, src in trees.items()},
         "comparison": compare(results),

@@ -281,7 +281,13 @@ class GradedMap:
     call), an out-of-range index failing that lookup; each target key's
     degree must be its source key's plus the map's.  Values are coerced
     into the field, and zero values and empty rows are dropped.
+
+    `is_identity` is True only on the maps `identity` returns, so a stage
+    reads it in O(1); any other map, even one with the identity's entries,
+    reads False.
     """
+
+    is_identity = False
 
     def __init__(self, source, target, degree, entries=None):
         if source.field != target.field:
@@ -348,7 +354,9 @@ class GradedMap:
     @classmethod
     def identity(cls, space):
         one = space.field.one
-        return cls._trusted(space, space, 0, {idx: {idx: one} for idx in space.basis()})
+        f = cls._trusted(space, space, 0, {idx: {idx: one} for idx in space.basis()})
+        f.is_identity = True
+        return f
 
     @classmethod
     def zero(cls, source, target, degree):

@@ -203,14 +203,15 @@ def _compile_side(terms, source, table, make=_Term):
 def _evaluate(side, idx, field, values):
     """The summed value of a compiled side on the basis tuple `idx`.
 
-    `side` is (read once, shared).  A term read once is seeded with its
-    sign and its last plan adds into the sum.  A shared term is evaluated
-    unsigned at its first use on this input, kept in `values` under its
-    slot, and added with its sign by every use."""
+    `side` is (read once, shared), as `_split` gives it.  A term read once
+    is seeded with its sign, run through its head plans, and its last plan
+    adds into the sum.  A shared term is evaluated unsigned at its first
+    use on this input, kept in `values` under its slot, and added with its
+    sign by every use."""
     fused, shared = side
     total = {}
-    for sign, plans in fused:
-        if not plans:       # a signed identity term
+    for sign, head, last in fused:
+        if last is None:    # a signed identity term
             s = field.add(total.get(idx, field.zero), sign)
             if field.is_zero(s):
                 total.pop(idx, None)
@@ -218,23 +219,25 @@ def _evaluate(side, idx, field, values):
                 total[idx] = s
             continue
         coeffs = {idx: sign}
-        for plan in plans[:-1]:
+        for plan in head:
             coeffs = plan.run(coeffs)
-        plans[-1].run(coeffs, total)
+        last.run(coeffs, total)
+    if not shared:
+        return total
+    add, mul, is_zero, zero, one = field.add, field.mul, field.is_zero, field.zero, field.one
     for sign, slot, plans in shared:
         value = values[slot]
         if value is None:
-            value = {idx: field.one}
+            value = {idx: one}
             for plan in plans:
                 value = plan.run(value)
             values[slot] = value
-        if sign == field.one and not total:
+        if sign == one and not total:
             total.update(value)
             continue
-        add, is_zero, zero = field.add, field.is_zero, field.zero
         for k, v in value.items():
-            if sign != field.one:
-                v = field.mul(sign, v)
+            if sign != one:
+                v = mul(sign, v)
             s = add(total.get(k, zero), v)
             if is_zero(s):
                 total.pop(k, None)
@@ -377,12 +380,13 @@ def _check_maps(source, specs, reports):
 
 
 def _split(side):
-    """A compiled side as (read once, shared): (sign, plans) for each term
-    read once, (sign, slot, plans) for each shared term."""
+    """A compiled side as (read once, shared): (sign, head plans, last plan)
+    for each term read once (last None for an identity term, which has no
+    plan), (sign, slot, plans) for each shared term."""
     fused, shared = [], []
     for sign, t in side:
         if t.slot is None:
-            fused.append((sign, t.plans))
+            fused.append((sign, t.plans[:-1], t.plans[-1] if t.plans else None))
         else:
             shared.append((sign, t.slot, t.plans))
     return fused, shared

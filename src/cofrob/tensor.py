@@ -25,11 +25,13 @@ the composite, are kept in `tests/dual_reference.py` as its reference.
 Relation pipelines run through `StagePlan`, one compiled stage each; a plan
 linked to the stage that reads its output (its consumer) skips the product
 terms that stage would drop, which leaves the consumer's result unchanged.
-The common terms cost little: identity factors, marked once per plan from
-their entries, are copied into the output key with no lookup and no
-multiply; a term whose rows each have one entry is carried as one (key,
-coefficient) pair; and the Koszul sign is an XOR over a per-plan table of
-factor degree parities.
+A plan binds its step table and its field operations once, so a call
+builds nothing before its first term.  The common terms cost little:
+identity factors, marked by the flag `GradedMap.identity` sets (read in
+O(1)), are copied into the output key with no lookup and no multiply; a
+term whose rows each have one entry is carried as one (key, coefficient)
+pair; and the Koszul sign is an XOR over a per-plan table of factor
+degree parities.
 """
 
 from .core import GradedModule, TensorSpace, Element, GradedMap, compose
@@ -43,17 +45,19 @@ class StagePlan:
 
     Applies the stage with the Koszul sign
     (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.  The
-    output space, the factor range each map reads and the sign table are
-    worked out once here, so `run` only multiplies and adds.  The maps'
-    sources, concatenated, must be the source's factors: a stage that
-    leaves a factor out or reads past the last one raises ValueError.
+    output space, the factor range each map reads, the sign table, the
+    step table `run` walks and the field operations it calls are worked
+    out once here, so `run` builds nothing per call and only multiplies
+    and adds.  The maps' sources, concatenated, must be the source's
+    factors: a stage that leaves a factor out or reads past the last one
+    raises ValueError.
 
     Three things spare `run` work on every term:
 
-    - a map that is an identity (degree 0, target equal to source, and
-      each basis tuple's row holding only that tuple with coefficient
-      one) is marked in `identities` from its entries here, and `run`
-      copies its factors into the key with no lookup and no multiply;
+    - a map built by `GradedMap.identity` (its `is_identity` flag, read
+      in O(1)) is marked in its step, and `run` copies its factors into
+      the key with no lookup and no multiply; a map that only equals the
+      identity takes the lookup path, which gives the same terms;
     - a factor i enters the sign once for each odd-degree map that starts
       after it, so only the factors with an odd count of those matter;
       `signs` holds (i, parity of each basis degree of factor i) for
@@ -72,8 +76,7 @@ class StagePlan:
     A partial consumer map on R has no row at all, so it makes every key
     dead (`dead`), and the plan then builds no term."""
 
-    __slots__ = ("source", "space", "maps", "groups", "identities", "signs", "probes",
-                 "dead")
+    __slots__ = ("source", "space", "maps", "groups", "signs", "dead", "steps", "ops")
 
     def __init__(self, maps, source):
         if tuple(m for f in maps for m in f.source.modules) != source.modules:
@@ -83,7 +86,6 @@ class StagePlan:
             tuple(m for f in maps for m in f.target.modules), field=source.field)
         self.maps = maps
         self.groups = []      # (first factor, end factor, entries) read by each map
-        self.identities = [_is_identity(f) for f in maps]
         odd_starts = []
         pos = 0
         for f in maps:
@@ -95,8 +97,17 @@ class StagePlan:
         self.signs = [(i, tuple(d % 2 for d in m.degrees))
                       for i, m in enumerate(source.modules)
                       if sum(a > i for a in odd_starts) % 2]
-        self.probes = [()] * len(maps)  # per map, the consumer groups it completes (see feed)
-        self.dead = False               # whether the consumer reads no key (see feed)
+        self.dead = False  # whether the consumer reads no key (see feed)
+        field = source.field
+        self.ops = (field.add, field.mul, field.neg, field.is_zero, field.zero, field.one)
+        self._bind_steps([()] * len(maps))
+
+    def _bind_steps(self, probes):
+        """Set the step table `run` walks: (a, b, entries, is_identity,
+        probes) per map, `probes` being the consumer groups the map
+        completes (see `feed`)."""
+        self.steps = [(a, b, entries, f.is_identity, checks)
+                      for (a, b, entries), f, checks in zip(self.groups, self.maps, probes)]
 
     def feed(self, consumer):
         """Link this plan to the plan that reads its output.
@@ -118,7 +129,7 @@ class StagePlan:
             end = start + f.target.arity
             probes.append([g for g in partial if start < g[1] <= end])
             start = end
-        self.probes = probes
+        self._bind_steps(probes)
 
     def run(self, coeffs, out=None):
         """The stage applied to a coefficient dict of the source space.
@@ -137,11 +148,8 @@ class StagePlan:
             out = {}
         if self.dead:
             return out
-        field = self.space.field
-        signs = self.signs
-        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-        zero, one = field.zero, field.one
-        steps = list(zip(self.groups, self.identities, self.probes))
+        signs, steps = self.signs, self.steps
+        add, mul, neg, is_zero, zero, one = self.ops
         for idx, v in coeffs.items():
             if signs:
                 odd = 0
@@ -150,13 +158,16 @@ class StagePlan:
                 if odd:
                     v = neg(v)
             key, partial = (), None
-            for (a, b, entries), identity, checks in steps:
+            for a, b, entries, identity, checks in steps:
                 if identity:
                     if partial is None:
                         key += idx[a:b]
-                        if checks and not all(key[x:y] in e for x, y, e in checks):
-                            break
-                        continue
+                        for x, y, e in checks:
+                            if key[x:y] not in e:
+                                break
+                        else:
+                            continue
+                        break
                     row = {idx[a:b]: one}
                 else:
                     row = entries.get(idx[a:b])
@@ -166,10 +177,13 @@ class StagePlan:
                         if len(row) == 1:
                             (dst, w), = row.items()
                             key += dst
-                            if checks and not all(key[x:y] in e for x, y, e in checks):
-                                break
-                            v = mul(v, w)
-                            continue
+                            for x, y, e in checks:
+                                if key[x:y] not in e:
+                                    break
+                            else:
+                                v = mul(v, w)
+                                continue
+                            break
                         partial = [(key, v)]
                 # The comprehension is the fast path; probing every map of every
                 # plan instead costs the unlinked plans a few per cent.
@@ -197,25 +211,10 @@ class StagePlan:
         return out
 
 
-def _is_identity(f):
-    """Whether f is the identity of its source, read from its entries."""
-    if f.degree or f.target != f.source or len(f.entries) != f.source.size:
-        return False
-    one = f.source.field.one
-    return all(len(row) == 1 and row.get(src) == one for src, row in f.entries.items())
-
-
 def apply_stage(maps, elem):
     """Apply f_1 (x) ... (x) f_m to an element (see `StagePlan`)."""
     plan = StagePlan(maps, elem.space)
     return Element._trusted(plan.space, plan.run(elem.coeffs))
-
-
-def apply_pipeline(stages, elem):
-    """Apply a list of stages (each a list of maps tensored side by side)."""
-    for stage in stages:
-        elem = apply_stage(stage, elem)
-    return elem
 
 
 def tensor_maps(f, g):

@@ -23,25 +23,31 @@ def test_growth_harness_writes_a_comparable_record(tmp_path, monkeypatch):
     growth = load_growth()
     monkeypatch.setattr(growth, "BOUNDS", (3,))
     monkeypatch.setattr(growth, "REPEAT", 1)
+    monkeypatch.setattr(growth, "ROUNDS", 3)
     src = os.path.join(ROOT, "src")
     out = tmp_path / "growth.json"
     growth.main(["--tree", f"a={src}", "--tree", f"b={src}", "--out", str(out)])
     record = json.loads(out.read_text())
-    assert set(record) == {"workload", "python", "machine", "repeat", "trees",
-                           "comparison"}
-    assert record["repeat"] == 1
+    assert set(record) == {"workload", "python", "machine", "repeat", "rounds", "timer",
+                           "trees", "comparison"}
+    assert record["repeat"] == 1 and record["rounds"] == 3
+    assert "process_time" in record["timer"]
     assert list(record["trees"]) == ["a", "b"]
     row = record["trees"]["a"]["bounds"]["3"]
-    assert row["relations"] == 16 and len(row["runs_s"]) == 1
+    assert row["relations"] == 16 and len(row["runs_cpu_s"]) == 3
+    assert row["cpu_s"] == sorted(row["runs_cpu_s"])[1]
     assert row["checked"] + row["inconclusive"] > 0
     assert row["heap_peak_kb"] > 0
-    assert row["build_s"] > 0
-    assert row["parse_s"] > 0
+    assert row["build_cpu_s"] > 0
+    assert row["parse_cpu_s"] > 0
     assert record["trees"]["b"]["bounds"]["3"]["report_sha256"] == row["report_sha256"]
-    assert record["comparison"]["a/b"]["3"]["identical_reports"] is True
-    assert record["comparison"]["a/b"]["3"]["heap_ratio"] > 0
-    assert record["comparison"]["a/b"]["3"]["build_ratio"] > 0
-    assert record["comparison"]["a/b"]["3"]["parse_ratio"] > 0
+    comparison = record["comparison"]["a/b"]["3"]
+    assert comparison["identical_reports"] is True
+    assert comparison["time_ratio"] > 0
+    assert 0 <= comparison["rounds_faster"] <= 3
+    assert comparison["heap_ratio"] > 0
+    assert comparison["build_ratio"] > 0
+    assert comparison["parse_ratio"] > 0
     tree = record["trees"]["a"]
     assert tree["src_sha256"] == growth.tree_of(src)["src_sha256"]
     assert (tree["commit"] is None) == (tree["dirty"] is None)

@@ -425,7 +425,7 @@ def test_cyclic_reports_a_tau12_refinement_only_where_its_gate_passes(sphere3):
 def test_beta_tau12_sign_odd_lambda(sphere3):
     # tau_12 beta = -beta for odd |lam|: check the sign by direct expansion
     from cofrob.tensor import permute, Permutation
-    from cofrob.tensor import apply_pipeline
+    from pipeline_reference import apply_pipeline
     c_map = sphere3.copairing_map()
     idm = GradedMap.identity(sphere3.space)
     beta = apply_pipeline([[c_map, c_map], [idm, sphere3.mu, idm]],

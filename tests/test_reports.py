@@ -18,8 +18,8 @@ from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, SKIPPED, Rela
                             Witness, _gate, check_relation, check_relations)
 from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
-from cofrob.tensor import apply_pipeline
 
+from pipeline_reference import apply_pipeline
 from test_tensor import F3_MOD, f3_maps
 
 

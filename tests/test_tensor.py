@@ -550,12 +550,15 @@ KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3))
 @st.composite
 def kernel_maps(draw, module, k):
     """A map a stage reads from k factors of `module`: a nonzero sparse one
-    of degree -1, 0 or 1 into 0 to 2 factors, the identity, or a near-identity
-    (the identity with one row missing or one coefficient 2, or the
-    degree-0 swap `twist` on module (x) module)."""
+    of degree -1, 0 or 1 into 0 to 2 factors, the identity, the identity's
+    entries built by the validating constructor (no identity flag, so the
+    stage reads it by lookup), or a near-identity (the identity with one
+    row missing or one coefficient 2, or the degree-0 swap `twist` on
+    module (x) module)."""
     space = TensorSpace((module,) * k, field=module.field)
-    kind = draw(st.sampled_from(("sparse", "sparse", "identity", "row missing",
-                                 "coefficient 2") + (("twist",) if k == 2 else ())))
+    kind = draw(st.sampled_from(("sparse", "sparse", "identity", "identity by constructor",
+                                 "row missing", "coefficient 2")
+                                + (("twist",) if k == 2 else ())))
     if kind == "sparse":
         t = draw(st.integers(min_value=0, max_value=2))
         return draw(f3_maps(k, t, module=module).filter(lambda f: f.entries))
@@ -564,6 +567,8 @@ def kernel_maps(draw, module, k):
     if kind == "twist":
         return twist(module, module)
     entries = {src: dict(row) for src, row in GradedMap.identity(space).entries.items()}
+    if kind == "identity by constructor":
+        return GradedMap(space, space, 0, entries)
     src = draw(st.sampled_from(sorted(entries)))
     if kind == "row missing":
         del entries[src]
@@ -620,6 +625,22 @@ def test_stage_plan_applies_the_tensor_of_its_maps(stages):
     plan.feed(reader)
     assert plan.run(coeffs) == {key: v for key, v in expected.items()
                                 if all(key[a:b] in entries for a, b, entries in reader.groups)}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_only_the_identity_constructor_sets_the_identity_flag(k):
+    """`GradedMap.identity` flags the map it returns; a map with the same
+    entries built any other way reads False, so a stage reads it by lookup."""
+    space = TensorSpace((MOD,) * k)
+    idm = GradedMap.identity(space)
+    assert idm.is_identity is True
+    others = {"validating constructor": GradedMap(space, space, 0, idm.entries),
+              "compose": compose(idm, idm),
+              "scale by one": idm.scale(1)}
+    for name, f in others.items():
+        assert f.entries == idm.entries, name
+        assert f.is_identity is False, name
+    assert GradedMap.is_identity is False
 
 
 def test_a_plan_fed_to_a_zero_map_on_r_keeps_nothing():

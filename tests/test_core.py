@@ -2,6 +2,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cofrob import (make_module, TensorSpace, Element, GradedMap, apply, compose,
                     map_equal, scalar_space)
@@ -383,3 +384,79 @@ def test_compose_drops_cancelled_sums(p):
     f = GradedMap.from_labels(data.space, data.space2, 0,
                               [(("w",), [(1, ("1", "w")), (-1, ("w", "1"))])])
     assert compose(data.mu, f).entries == {}
+
+
+def _compose_reference(g, f):
+    """g after f by the loop `compose` ran before first-touch sums: every
+    product is added to the running sum from zero, and a sum that cancels
+    is popped, so a key that comes back goes to the end of its row."""
+    field = f.source.field
+    entries = {}
+    for src, row in f.entries.items():
+        out = {}
+        for mid, v in row.items():
+            for dst, w in g.entries.get(mid, {}).items():
+                s = field.add(out.get(dst, field.zero), field.mul(v, w))
+                if field.is_zero(s):
+                    out.pop(dst, None)
+                else:
+                    out[dst] = s
+        if out:
+            entries[src] = out
+    return entries
+
+
+@st.composite
+def composable_maps(draw):
+    """(g, f) with f: S -> M and g: M -> T homogeneous of degree 0 over Q,
+    F2 or F3.  The middle space is wide and the target narrow, and values
+    are small, so products often cancel and cancelled keys come back."""
+    from fractions import Fraction
+    from cofrob import PrimeField, QQ
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    values = [1, -1, 1, -1, 2] + ([Fraction(1, 2), Fraction(-1, 2)] if field == QQ else [])
+    spaces = []
+    for name, least, most in (("S", 1, 3), ("M", 3, 6), ("T", 1, 2)):
+        degrees = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=least,
+                                max_size=most))
+        spaces.append(TensorSpace((make_module(
+            [(f"{name}{i}", d) for i, d in enumerate(degrees)], field=field, name=name),)))
+
+    def draw_map(source, target):
+        entries = {}
+        for i, d in enumerate(source.modules[0].degrees):
+            entries[(i,)] = {(j,): draw(st.sampled_from(values))
+                             for j, e in enumerate(target.modules[0].degrees)
+                             if e == d and draw(st.integers(0, 3))}
+        return GradedMap(source, target, 0, entries)
+
+    f = draw_map(spaces[0], spaces[1])
+    return draw_map(spaces[1], spaces[2]), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_maps())
+def test_compose_matches_the_add_from_zero_loop(maps):
+    """Entries, the order of the rows and of each row's keys, and no zero
+    value or empty row: `compose` is the loop it replaced, key for key."""
+    g, f = maps
+    field = f.source.field
+    got = compose(g, f)
+    want = _compose_reference(g, f)
+    assert [(src, list(row.items())) for src, row in got.entries.items()] == \
+        [(src, list(row.items())) for src, row in want.items()]
+    assert all(got.entries.values())
+    assert not any(field.is_zero(v) for row in got.entries.values() for v in row.values())
+    assert got == GradedMap(f.source, g.target, 0, want)
+
+
+def test_compose_puts_a_cancelled_key_that_comes_back_last():
+    """Over F2, m0 + m1 + m2 all reach t0 (1 + 1 + 1: cancelled, then back)
+    and m0 also reaches t1, so t1 comes first in the composite's row."""
+    from cofrob import PrimeField
+    field = PrimeField(2)
+    s, m, t = (TensorSpace((make_module([(f"{n}{i}", 0) for i in range(k)], field=field),))
+               for n, k in (("s", 1), ("m", 3), ("t", 2)))
+    f = GradedMap(s, m, 0, {(0,): {(0,): 1, (1,): 1, (2,): 1}})
+    g = GradedMap(m, t, 0, {(0,): {(0,): 1, (1,): 1}, (1,): {(0,): 1}, (2,): {(0,): 1}})
+    assert list(compose(g, f).entries[(0,)].items()) == [((1,), 1), ((0,), 1)]

@@ -13,7 +13,7 @@ from cofrob import (GradedMap, PrimeField, QQ, TensorSpace, dualize,
                     equator_pair, diagonal_pair, factor_pair, make_module,
                     manifold_from_cup, s2xs2_cup_data, shift_structure, sphere_cohomology,
                     torus_cup_data, transpose_structure)
-from cofrob.reports import FAIL, INCONCLUSIVE, Relation, check_relations
+from cofrob.reports import FAIL, INCONCLUSIVE, PASS, Relation, check_relations
 from cofrob.suites import DATA_SUITES, TQFT_SUITES
 from cofrob.tensor import StagePlan
 from cofrob.tqft import OpenClosedTQFT
@@ -150,3 +150,33 @@ def test_only_a_window_runs_stage_plans(monkeypatch):
     assert not built
     check_relations(specs, OPEN_WINDOW)
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("field, zero", [(QQ, 0), (PrimeField(5), 5)], ids=["0-over-Q", "5-over-F5"])
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    ("zero mu-lam + id", "id", (PASS, 2, None)),
+    ("zero mu-lam", "", (PASS, 2, None)),
+    ("zero mu-lam + 2 id", "id", (FAIL, 1, ("2*1", "1*1"))),
+    ("zero mu-lam", "mu-lam", (FAIL, 1, ("0", "2*w"))),
+], ids=["beside-pass", "alone-pass", "beside-fail", "alone-fail"])
+def test_a_term_whose_sign_coerces_to_zero_contributes_nothing(field, zero, lhs, rhs, expected):
+    """On H*(S2), mu lam(1) = 2w.  A term whose sign is zero in the field,
+    beside other terms or as a side's only term, adds nothing to its side:
+    not a 0*w coordinate to a witness, nor a mismatch to a passing check."""
+    data = sphere_cohomology(2, field=field)
+    terms = {"zero mu-lam": (zero, [[data.lam], [data.mu]]),
+             "mu-lam": (1, [[data.lam], [data.mu]]),
+             "id": (1, []), "2 id": (2, [])}
+
+    def side(text):
+        return [terms[name] for name in text.split(" + ")] if text else []
+
+    plain, windowed = _both_routes([Relation("zero-sign", data.space, side(lhs), side(rhs))])
+    assert plain == windowed
+    [report] = plain
+    verdict, checked, witness = expected
+    assert (report["verdict"], report["checked"]) == (verdict, checked)
+    if witness is None:
+        assert report["witness"] is None
+    else:
+        assert report["witness"] == {"input": ["1"], "lhs": witness[0], "rhs": witness[1]}

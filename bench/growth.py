@@ -1,4 +1,5 @@
-"""Growth of `biunital-infinitesimal` with the window bound N.
+"""Growth of `biunital-infinitesimal` with the window bound N, and the
+unwindowed maps route at one size.
 
     python3 bench/growth.py [--tree LABEL=SRC ...] [--out BENCH_growth.json]
 
@@ -15,6 +16,15 @@ drifts slows each tree alike.  A tree's `cpu_s`, `build_cpu_s` and
 `parse_cpu_s` are the medians over its rounds, and `runs_cpu_s` lists its
 suite times round by round.
 
+The maps row is recorded once per tree, not per N: after the bounds,
+ROUNDS more rounds are made, in each of which every tree's worker, in
+turn, builds `manifold_from_cup` of T^2 and S^2 x S^2 over Q and F3
+(MAPS_CASES) and runs the six base suites of perfbench's manifold-docs
+workload (MAPS_SUITES) on each of them BUILDS times, keeping the fastest
+CPU time of the suites (a check keeps nothing on the structures).  None of these checks has a window, so they time
+the maps route of `check_relations`, which composes each relation's sides
+into maps.
+
 Reports and heap peaks come from fresh processes: each tree runs REPEAT
 of them per N, alternated the same way, each building the model, running
 the suite once and recording the relations' summed checked and
@@ -22,7 +32,7 @@ inconclusive counts and a SHA-256 digest of the JSON report (which must
 agree across runs), then running it once more, untimed, under
 `tracemalloc` for the traced heap peak (`heap_peak_kb`, the largest over
 a tree's runs), so that a change that buys speed with memory shows in the
-record.
+record.  The maps row's fresh processes do the same with its suites.
 
 `--tree LABEL=SRC` names a `src/` directory to import `cofrob` from; give
 it once per tree (default: `this=` the `src/` next to this directory).
@@ -30,7 +40,8 @@ Every later tree is compared with the first one: the ratios of the median
 suite, build and parse CPU times (above 1 when the later tree is faster),
 `rounds_faster`, the rounds in which its suite ran in less CPU time than
 the first tree's in the same round, the heap ratio, and whether the
-report digests agree.  Each tree is recorded with the commit its
+report digests agree; the maps row has all of these but the build and
+parse ratios.  Each tree is recorded with the commit its
 directory is checked out at (null outside a git checkout), whether `src/`
 differs from that commit (`dirty`), and a SHA-256 of its
 `src/cofrob/*.py` files, which tells trees apart in every case.  Stdlib
@@ -56,6 +67,12 @@ BOUNDS = (6, 10, 14)
 REPEAT = 3   # fresh-process runs per tree and bound, for reports and heap peaks
 ROUNDS = 10  # alternated timing rounds per bound, in each tree's long-lived worker
 BUILDS = 5   # builds and parses per round, the fastest kept
+MAPS = "maps"   # the key of the maps row, per tree and per comparison
+# perfbench's manifold-docs base suites, run on each of MAPS_CASES
+MAPS_SUITES = ("biunital-cofrobenius", "poincare-duality", "derived-identities",
+               "cyclic", "biunital-infinitesimal", "involutivity")
+MAPS_CASES = (("torus_cup_data", "Q"), ("s2xs2_cup_data", "Q"),
+              ("torus_cup_data", "F3"), ("s2xs2_cup_data", "F3"))
 
 
 def _import(src):
@@ -78,13 +95,34 @@ def _cpu_min(call, times):
     return best, result
 
 
+def _maps_structures(cofrob):
+    """The structures of MAPS_CASES, built afresh."""
+    out = []
+    for cup_data, field in MAPS_CASES:
+        cup = getattr(cofrob, cup_data)()
+        cup.field = cofrob.field_from_name(field)
+        out.append(cofrob.manifold_from_cup(cup))
+    return out
+
+
+def _maps_suites(run_suite, structures):
+    """(suite name, reports) of each of MAPS_SUITES on each structure."""
+    return [(name, run_suite(name, data)) for data in structures for name in MAPS_SUITES]
+
+
 def serve(src):
-    """A long-lived timing worker: for each window bound read from standard
-    input, one line each, time one round and print it as one JSON line."""
+    """A long-lived timing worker: for each window bound, or MAPS, read from
+    standard input, one line each, time one round and print it as one JSON
+    line."""
     cofrob = _import(src)
     from cofrob import docio
     from cofrob.suites import run_suite
     for line in sys.stdin:
+        if line.strip() == MAPS:
+            structures = _maps_structures(cofrob)
+            suite_s, _ = _cpu_min(lambda: _maps_suites(run_suite, structures), BUILDS)
+            print(json.dumps({"s": suite_s}), flush=True)
+            continue
         bound = int(line)
         build_s, data = _cpu_min(lambda: cofrob.rabinowitz_loop_sphere(3, bound), BUILDS)
         text = docio.render(docio.from_bialgebra(data))
@@ -93,29 +131,44 @@ def serve(src):
         print(json.dumps({"s": suite_s, "build_s": build_s, "parse_s": parse_s}), flush=True)
 
 
-def worker(src, bound):
-    """One fresh-process run: the report and the heap peak; prints one JSON line."""
+def worker(src, key):
+    """One fresh-process run of a window bound, or of the maps row when `key`
+    is MAPS: the reports and the heap peak; prints one JSON line.  The maps
+    row's digest covers the JSON reports of all its suites, in order."""
     cofrob = _import(src)
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
-    data = cofrob.rabinowitz_loop_sphere(3, bound)
-    reports = run_suite(SUITE, data)
+    if key == MAPS:
+        structures = _maps_structures(cofrob)
+
+        def run():
+            return _maps_suites(run_suite, structures)
+    else:
+        data = cofrob.rabinowitz_loop_sphere(3, int(key))
+
+        def run():
+            return [(SUITE, run_suite(SUITE, data))]
+    suites = run()
     tracemalloc.start()
-    run_suite(SUITE, data)
+    run()
     heap_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    reports = [r for _, rs in suites for r in rs]
+    digest = hashlib.sha256()
+    for name, rs in suites:
+        digest.update(render_json(name, rs).encode())
     print(json.dumps({
         "heap_peak_kb": round(heap_peak / 1024, 1),
         "relations": len(reports),
         "checked": sum(r.checked for r in reports),
         "inconclusive": sum(r.inconclusive for r in reports),
-        "report_sha256": hashlib.sha256(render_json(SUITE, reports).encode()).hexdigest(),
+        "report_sha256": digest.hexdigest(),
     }))
 
 
-def run_once(src, bound):
+def run_once(src, key):
     done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", src,
-                           str(bound)], capture_output=True, text=True, check=True)
+                           str(key)], capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -169,9 +222,9 @@ def _alternated(labels, rounds):
 
 
 def measure(trees, bounds, repeat, rounds):
-    """{label: {bound: row}}: reports and heap peaks from `repeat` fresh
-    processes per tree, times from `rounds` rounds of the trees'
-    long-lived workers, the trees alternated in both."""
+    """{label: {bound: row, MAPS: row}}: reports and heap peaks from
+    `repeat` fresh processes per tree, times from `rounds` rounds of the
+    trees' long-lived workers, the trees alternated in both."""
     labels = list(trees)
     workers = {label: subprocess.Popen(
                    [sys.executable, os.path.abspath(__file__), "--serve", src],
@@ -179,7 +232,7 @@ def measure(trees, bounds, repeat, rounds):
                for label, src in trees.items()}
     results = {label: {} for label in trees}
     try:
-        for bound in bounds:
+        for bound in [*map(str, bounds), MAPS]:
             runs = {label: [] for label in trees}
             for order in _alternated(labels, repeat):
                 for label in order:
@@ -196,19 +249,20 @@ def measure(trees, bounds, repeat, rounds):
                     times[label].append(json.loads(line))
             for label in labels:
                 rows, timed = runs[label], times[label]
+                name = MAPS if bound == MAPS else f"N={bound}"
                 if len({r["report_sha256"] for r in rows}) != 1:
-                    raise RuntimeError(f"{label} N={bound}: reports differ between runs")
+                    raise RuntimeError(f"{label} {name}: reports differ between runs")
                 cpu = [t["s"] for t in timed]
-                results[label][str(bound)] = {
+                row = results[label][bound] = {
                     "cpu_s": round(statistics.median(cpu), 4),
-                    "runs_cpu_s": [round(t, 4) for t in cpu],
-                    "build_cpu_s": round(statistics.median(t["build_s"] for t in timed), 5),
-                    "parse_cpu_s": round(statistics.median(t["parse_s"] for t in timed), 5),
-                    "heap_peak_kb": max(r["heap_peak_kb"] for r in rows),
-                    **{key: rows[0][key] for key in ("relations", "checked", "inconclusive",
-                                                     "report_sha256")},
-                }
-                print(f"{label} N={bound}: {statistics.median(cpu):.3f} CPU s "
+                    "runs_cpu_s": [round(t, 4) for t in cpu]}
+                if bound != MAPS:
+                    row["build_cpu_s"] = round(statistics.median(t["build_s"] for t in timed), 5)
+                    row["parse_cpu_s"] = round(statistics.median(t["parse_s"] for t in timed), 5)
+                row["heap_peak_kb"] = max(r["heap_peak_kb"] for r in rows)
+                row.update({key: rows[0][key] for key in ("relations", "checked", "inconclusive",
+                                                          "report_sha256")})
+                print(f"{label} {name}: {statistics.median(cpu):.3f} CPU s "
                       f"(median of {rounds}), checked={rows[0]['checked']}, "
                       f"inconclusive={rows[0]['inconclusive']}", flush=True)
     finally:
@@ -225,22 +279,25 @@ def compare(results):
     def ratio(n, row, key):
         return round(base[n][key] / row[key], 3)
 
-    return {f"{labels[0]}/{label}": {
-                n: {"time_ratio": ratio(n, row, "cpu_s"),
-                    "rounds_faster": sum(t < b for t, b in zip(row["runs_cpu_s"],
-                                                               base[n]["runs_cpu_s"])),
-                    "build_ratio": ratio(n, row, "build_cpu_s"),
-                    "parse_ratio": ratio(n, row, "parse_cpu_s"),
-                    "heap_ratio": round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 3),
-                    "identical_reports": base[n]["report_sha256"] == row["report_sha256"]}
-                for n, row in results[label].items()}
+    def row_ratios(n, row):
+        out = {"time_ratio": ratio(n, row, "cpu_s"),
+               "rounds_faster": sum(t < b for t, b in zip(row["runs_cpu_s"],
+                                                          base[n]["runs_cpu_s"]))}
+        if n != MAPS:
+            out["build_ratio"] = ratio(n, row, "build_cpu_s")
+            out["parse_ratio"] = ratio(n, row, "parse_cpu_s")
+        out["heap_ratio"] = round(row["heap_peak_kb"] / base[n]["heap_peak_kb"], 3)
+        out["identical_reports"] = base[n]["report_sha256"] == row["report_sha256"]
+        return out
+
+    return {f"{labels[0]}/{label}": {n: row_ratios(n, row) for n, row in results[label].items()}
             for label in labels[1:]}
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
-        worker(argv[1], int(argv[2]))
+        worker(argv[1], argv[2])
         return
     if argv[:1] == ["--serve"]:
         serve(argv[1])
@@ -257,14 +314,18 @@ def main(argv=None):
         trees[label] = os.path.abspath(src)
     results = measure(trees, BOUNDS, REPEAT, ROUNDS)
     payload = {
-        "workload": f"{SUITE} on rabinowitz_loop_sphere(3, N) over Q",
+        "workload": f"{SUITE} on rabinowitz_loop_sphere(3, N) over Q; {MAPS}: "
+                    f"{', '.join(MAPS_SUITES)} on manifold_from_cup of "
+                    f"{', '.join(f'{cup}() over {field}' for cup, field in MAPS_CASES)}",
         "python": platform.python_version(),
         "machine": {"arch": platform.machine(), "cpu": cpu_model(),
                     "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
         "repeat": REPEAT,
         "rounds": ROUNDS,
         "timer": "time.process_time in one long-lived worker per tree",
-        "trees": {label: {**tree_of(src), "bounds": results[label]}
+        "trees": {label: {**tree_of(src),
+                          "bounds": {n: row for n, row in results[label].items() if n != MAPS},
+                          MAPS: results[label][MAPS]}
                   for label, src in trees.items()},
         "comparison": compare(results),
     }

@@ -114,14 +114,25 @@ class TensorSpace:
         return tuple(m.labels[i] for m, i in zip(self.modules, idx))
 
     def concat(self, other):
-        if self.arity == 0 and other.arity == 0 and self.field != other.field:
+        """The space self (x) other.  Spaces over different fields, the
+        ground ring R included, raise ValueError; over one field both factor
+        tuples already are, so the joined space is built without checks."""
+        field = self.field
+        if other.field is not field and other.field != field:
             raise ValueError("tensor factors over different fields")
-        return TensorSpace(self.modules + other.modules,
-                           field=self.field if self.modules or not other.modules else other.field)
+        space = TensorSpace.__new__(TensorSpace)
+        space.modules = self.modules + other.modules
+        space.field = field
+        return space
 
     def __eq__(self, other):
-        return (isinstance(other, TensorSpace)
-                and self.modules == other.modules and self.field == other.field)
+        """Equal factors, or for R equal fields: factors compare their
+        fields, so equal non-empty factor tuples are over one field."""
+        if self is other:
+            return True
+        if not isinstance(other, TensorSpace) or self.modules != other.modules:
+            return False
+        return bool(self.modules) or self.field == other.field
 
     def __hash__(self):
         return hash((self.modules, self.field))
@@ -431,18 +442,31 @@ def compose(g, f):
     """g after f; degree |f|+|g|; no extra sign in direct composition.
 
     Entries are sums of products of validated entries with zero sums
-    dropped, so the result is built without re-validation."""
+    dropped, so the result is built without re-validation.  A field has no
+    zero divisors, so the first product that reaches an output key is
+    nonzero and stored as it is, without `add`; later ones are added, and
+    a sum that cancels is deleted (a key that comes back goes last).  An
+    intermediate key without a row of g is skipped."""
     if f.target != g.source:
         raise ValueError("compose: target of inner map differs from source of outer map")
     field = f.source.field
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    rows = g.entries.get
     entries = {}
     for src, row in f.entries.items():
         out = {}
         for mid, v in row.items():
-            for dst, w in g.entries.get(mid, {}).items():
-                s = field.add(out.get(dst, field.zero), field.mul(v, w))
-                if field.is_zero(s):
-                    out.pop(dst, None)
+            grow = rows(mid)
+            if grow is None:
+                continue
+            for dst, w in grow.items():
+                s = out.get(dst)
+                if s is None:
+                    out[dst] = mul(v, w)
+                    continue
+                s = add(s, mul(v, w))
+                if is_zero(s):
+                    del out[dst]
                 else:
                     out[dst] = s
         if out:

@@ -10,10 +10,11 @@ one-relation case.  The relations on one source space are checked
 together, by one of two routes, chosen by whether a window is given.
 
 Without a window every basis tuple is an input, so a relation is an
-equality of two maps.  Each distinct stage is tensored once
-(`tensor_many`), each distinct term (a pipeline, told apart by the
-identity of its maps) is composed once (`compose`; an empty term is the
-identity), and each side is the signed sum of its terms' maps.  Equal
+equality of two maps.  Each distinct stage is tensored once per call
+(`tensor_many`) and shared by every source of the call; each distinct
+term (a pipeline, told apart by the identity of its maps) is composed
+once per source (`compose`; an empty term is the identity); and each
+side is the signed sum of its terms' maps.  Equal
 sums pass on every input; otherwise the first basis tuple, in canonical
 order, on which their rows differ is the witness.  Composition walks
 only the rows the maps have, so an input on which every map is zero costs
@@ -298,9 +299,10 @@ def check_relations(specs, window=None):
                 break
         else:
             groups.append((source, [item]))
+    stage_maps = {}     # tensored stages by the ids of their maps, shared by the groups
     for source, members in groups:
         if window is None:
-            _check_maps(source, members, reports)
+            _check_maps(source, members, reports, stage_maps)
         else:
             _check_group(source, members, window, reports)
     return reports
@@ -309,18 +311,30 @@ def check_relations(specs, window=None):
 def _signed_sum(side, field):
     """The entries of a side compiled into `_Composite` terms: each term's
     entries times its sign, added row by row, with zero sums and empty rows
-    dropped (a term read alone with sign 1 is its own map's entries)."""
+    dropped (a term read alone with sign 1 is its own map's entries).
+
+    A term whose sign is zero in the field (0 over Q, p over F_p) is
+    skipped.  Every other sign times a nonzero entry is nonzero, so the
+    first value that reaches a key is stored as it is, as in `compose`."""
     if len(side) == 1 and side[0][0] == field.one:
         return side[0][1].map.entries
-    add, mul, is_zero, zero, one = field.add, field.mul, field.is_zero, field.zero, field.one
+    add, mul, is_zero, one = field.add, field.mul, field.is_zero, field.one
     total = {}
     for sign, term in side:
+        if is_zero(sign):
+            continue
         for src, row in term.map.entries.items():
             out = total.setdefault(src, {})
             for dst, v in row.items():
-                s = add(out.get(dst, zero), v if sign == one else mul(sign, v))
+                if sign != one:
+                    v = mul(sign, v)
+                s = out.get(dst)
+                if s is None:
+                    out[dst] = v
+                    continue
+                s = add(s, v)
                 if is_zero(s):
-                    out.pop(dst, None)
+                    del out[dst]
                 else:
                     out[dst] = s
     return {src: row for src, row in total.items() if row}
@@ -356,21 +370,24 @@ def _composed_sides(spec, table, stage_maps):
             lhs_space or rhs_space, rhs_space or lhs_space)
 
 
-def _check_maps(source, specs, reports):
+def _check_maps(source, specs, reports, stage_maps):
     """Fill `reports` for the (index, spec) pairs of one source checked
-    without a window.  Each distinct stage and term is built once; each
-    side is the signed sum of its terms' maps, and the first input, in
-    basis order, on which the two sides' rows differ is the witness."""
-    table, stage_maps = {}, {}
+    without a window.  Each distinct term is built once per source and each
+    distinct stage once per call (`stage_maps`, the caller's table, which
+    every source group of the call shares); each side is the signed sum of
+    its terms' maps, and the first input, in basis order, on which the two
+    sides' rows differ is the witness."""
+    table = {}
+    size = source.size
     for i, spec in specs:
         left, right, lhs_space, rhs_space = _composed_sides(spec, table, stage_maps)
-        if source.size == 0:
+        if size == 0:
             reports[i] = CheckReport(spec.name, INCONCLUSIVE, None, 0, 0, 0,
                                      spec.note or "no window-valid inputs")
             continue
         mismatch = _first_mismatch(source, left, right, lhs_space == rhs_space)
         if mismatch is None:
-            reports[i] = CheckReport(spec.name, PASS, None, source.size, 0, 0, spec.note)
+            reports[i] = CheckReport(spec.name, PASS, None, size, 0, 0, spec.note)
             continue
         position, idx = mismatch
         witness = Witness(source.labels_of(idx),

@@ -51,6 +51,46 @@ def test_growth_harness_writes_a_comparable_record(tmp_path, monkeypatch):
     tree = record["trees"]["a"]
     assert tree["src_sha256"] == growth.tree_of(src)["src_sha256"]
     assert (tree["commit"] is None) == (tree["dirty"] is None)
+    assert "maps" in record["workload"]
+    # the maps row sits beside the bounds, once per tree: the six base suites
+    # on T^2 and S^2 x S^2 over Q and F3, every input checked (no window)
+    assert len(growth.MAPS_SUITES) == 6 and len(growth.MAPS_CASES) == 4
+    assert list(tree["bounds"]) == ["3"]
+    maps = tree["maps"]
+    assert set(maps) == {"cpu_s", "runs_cpu_s", "heap_peak_kb", "relations", "checked",
+                         "inconclusive", "report_sha256"}
+    assert len(maps["runs_cpu_s"]) == 3 and maps["cpu_s"] == sorted(maps["runs_cpu_s"])[1]
+    assert maps["relations"] > 24 and maps["checked"] > 0 and maps["inconclusive"] == 0
+    assert maps["heap_peak_kb"] > 0
+    assert record["trees"]["b"]["maps"]["report_sha256"] == maps["report_sha256"]
+    assert list(record["comparison"]["a/b"]) == ["3", "maps"]
+    comparison = record["comparison"]["a/b"]["maps"]
+    assert set(comparison) == {"time_ratio", "rounds_faster", "heap_ratio",
+                               "identical_reports"}
+    assert comparison["identical_reports"] is True
+    assert comparison["time_ratio"] > 0
+    assert 0 <= comparison["rounds_faster"] <= 3
+
+
+def test_the_maps_row_digest_is_the_reports_of_its_suites(capsys):
+    """A fresh maps run digests the JSON reports of every suite on every
+    structure, in order: the digest computed here from the same suites."""
+    import hashlib
+    import sys
+    growth = load_growth()
+    src = os.path.join(ROOT, "src")
+    growth.worker(src, growth.MAPS)
+    row = json.loads(capsys.readouterr().out.splitlines()[-1])
+    cofrob = sys.modules["cofrob"]
+    from cofrob.reports import render_json
+    from cofrob.suites import run_suite
+    digest = hashlib.sha256()
+    relations = 0
+    for name, reports in growth._maps_suites(run_suite, growth._maps_structures(cofrob)):
+        digest.update(render_json(name, reports).encode())
+        relations += len(reports)
+    assert row["report_sha256"] == digest.hexdigest()
+    assert row["relations"] == relations
 
 
 def _copy_tree(tmp_path):

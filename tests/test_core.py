@@ -269,6 +269,50 @@ def test_scalar_space_basis():
     assert sp.degree(()) == 0
 
 
+# ------------------------------------------------ joining tensor spaces
+
+def _concat_spaces():
+    """A = H*(S^2) over Q and F5, and R over Q and F5, as spaces."""
+    from cofrob import PrimeField, QQ
+    f5 = PrimeField(5)
+    a_q, _ = named_spaces(QQ)
+    a_5, _ = named_spaces(f5)
+    return {"R/Q": scalar_space(QQ), "R/F5": scalar_space(f5), "A/Q": a_q, "A/F5": a_5}
+
+
+@pytest.mark.parametrize("left, right", [
+    ("R/F5", "A/Q"), ("A/Q", "R/F5"), ("R/Q", "R/F5"), ("A/Q", "A/F5"),
+    ("R/Q", "A/F5"), ("A/F5", "R/Q")])
+def test_concat_refuses_spaces_over_different_fields(left, right):
+    """R included: R over F5 joined with A over Q gave a space over Q."""
+    spaces = _concat_spaces()
+    with pytest.raises(ValueError, match="tensor factors over different fields"):
+        spaces[left].concat(spaces[right])
+
+
+@pytest.mark.parametrize("left, right", [
+    ("R/Q", "R/Q"), ("R/F5", "R/F5"), ("R/Q", "A/Q"), ("A/F5", "R/F5"), ("A/Q", "A/Q"),
+    ("A/F5", "A/F5")])
+def test_concat_is_the_space_of_the_joined_factors(left, right):
+    spaces = _concat_spaces()
+    joined = spaces[left].concat(spaces[right])
+    modules = spaces[left].modules + spaces[right].modules
+    built = TensorSpace(modules, field=spaces[left].field)
+    assert joined == built and built == joined
+    assert hash(joined) == hash(built)
+    assert joined.modules == modules and joined.field == spaces[left].field
+
+
+def test_tensor_space_equality_compares_fields_of_r_and_is_reflexive():
+    spaces = _concat_spaces()
+    assert spaces["R/Q"] != spaces["R/F5"] and spaces["R/F5"] != spaces["R/Q"]
+    assert spaces["A/Q"] != spaces["A/F5"]
+    assert spaces["R/F5"] == scalar_space(spaces["R/F5"].field)
+    for space in spaces.values():
+        assert space == space
+        assert space != space.modules
+
+
 def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
     dual_map and GradedMap.scale returned, every element Element.scale

@@ -232,16 +232,16 @@ def measure(trees, bounds, repeat, rounds):
                for label, src in trees.items()}
     results = {label: {} for label in trees}
     try:
-        for bound in [*map(str, bounds), MAPS]:
+        for row_key in [*map(str, bounds), MAPS]:
             runs = {label: [] for label in trees}
             for order in _alternated(labels, repeat):
                 for label in order:
-                    runs[label].append(run_once(trees[label], bound))
+                    runs[label].append(run_once(trees[label], row_key))
             times = {label: [] for label in trees}
             for order in _alternated(labels, rounds):
                 for label in order:
                     proc = workers[label]
-                    proc.stdin.write(f"{bound}\n")
+                    proc.stdin.write(f"{row_key}\n")
                     proc.stdin.flush()
                     line = proc.stdout.readline()
                     if not line:
@@ -249,14 +249,14 @@ def measure(trees, bounds, repeat, rounds):
                     times[label].append(json.loads(line))
             for label in labels:
                 rows, timed = runs[label], times[label]
-                name = MAPS if bound == MAPS else f"N={bound}"
+                name = MAPS if row_key == MAPS else f"N={row_key}"
                 if len({r["report_sha256"] for r in rows}) != 1:
                     raise RuntimeError(f"{label} {name}: reports differ between runs")
                 cpu = [t["s"] for t in timed]
-                row = results[label][bound] = {
+                row = results[label][row_key] = {
                     "cpu_s": round(statistics.median(cpu), 4),
                     "runs_cpu_s": [round(t, 4) for t in cpu]}
-                if bound != MAPS:
+                if row_key != MAPS:
                     row["build_cpu_s"] = round(statistics.median(t["build_s"] for t in timed), 5)
                     row["parse_cpu_s"] = round(statistics.median(t["parse_s"] for t in timed), 5)
                 row["heap_peak_kb"] = max(r["heap_peak_kb"] for r in rows)

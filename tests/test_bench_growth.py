@@ -72,18 +72,15 @@ def test_growth_harness_writes_a_comparable_record(tmp_path, monkeypatch):
     assert 0 <= comparison["rounds_faster"] <= 3
 
 
-def test_the_maps_row_digest_is_the_reports_of_its_suites(capsys):
+def test_the_maps_row_digest_is_the_reports_of_its_suites():
     """A fresh maps run digests the JSON reports of every suite on every
     structure, in order: the digest computed here from the same suites."""
     import hashlib
-    import sys
-    growth = load_growth()
-    src = os.path.join(ROOT, "src")
-    growth.worker(src, growth.MAPS)
-    row = json.loads(capsys.readouterr().out.splitlines()[-1])
-    cofrob = sys.modules["cofrob"]
+    import cofrob
     from cofrob.reports import render_json
     from cofrob.suites import run_suite
+    growth = load_growth()
+    row = growth.run_once(os.path.join(ROOT, "src"), growth.MAPS)
     digest = hashlib.sha256()
     relations = 0
     for name, reports in growth._maps_suites(run_suite, growth._maps_structures(cofrob)):

@@ -109,3 +109,19 @@ def no_failures(reports):
 
 def failing(reports):
     return [r for r in reports if r.verdict == "fail"]
+
+
+def relabeled_sphere3():
+    """S^3 rebuilt on fresh labels so direct sums have disjoint bases."""
+    from cofrob import BialgebraData, Element, GradedMap, make_module, TensorSpace
+    three = sphere_cohomology(3)
+    mod2 = make_module([("e", 0), ("f", 3)])
+    sp, sp2 = TensorSpace((mod2,)), TensorSpace((mod2, mod2))
+    return BialgebraData(
+        mod2,
+        GradedMap(sp2, sp, 0, {s: dict(r) for s, r in three.mu.entries.items()}),
+        GradedMap(sp, sp2, 3, {s: dict(r) for s, r in three.lam.entries.items()}),
+        Element(sp, dict(three.eta.coeffs)),
+        GradedMap(sp, three.eps.target, -3,
+                  {s: dict(r) for s, r in three.eps.entries.items()}),
+    )

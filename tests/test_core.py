@@ -316,17 +316,17 @@ def test_tensor_space_equality_compares_fields_of_r_and_is_reflexive():
 def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
     dual_map and GradedMap.scale returned, every element Element.scale
-    returned, the mu and lam of every direct_sum, and every lam(eta),
-    copairing and pairing map an operator context built on demand, while
-    building each structure, dualizing it and running every data suite on
-    it."""
-    from cofrob import structures, tensor
+    returned, the mu and lam of every direct_sum and every Laurent model,
+    and every lam(eta), copairing and pairing map an operator context built
+    on demand, while building each structure, dualizing it and running
+    every data suite on it."""
+    from cofrob import models, structures, tensor
     from cofrob.structures import _Ops
     from cofrob.suites import DATA_SUITES
     from cofrob.duality import dualize
     built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": [],
              "dual_map": [], "scale": [], "element_scale": [], "direct_sum": [],
-             "lh": [], "c_map": [], "p_map": []}
+             "_laurent_model": [], "lh": [], "c_map": [], "p_map": []}
     contexts = []
     ops_init = _Ops.__init__
 
@@ -345,8 +345,8 @@ def _library_built_maps(monkeypatch, builders):
         wrappers = [(fn, recording(fn, fn.__name__))
                     for fn in (compose, tensor.permute, tensor.twist, tensor.tensor_maps,
                                tensor.dual_map)]
-        wrappers.append((structures.direct_sum, recording(
-            structures.direct_sum, "direct_sum", lambda data: [data.mu, data.lam])))
+        for fn in (structures.direct_sum, models._laurent_model):
+            wrappers.append((fn, recording(fn, fn.__name__, lambda data: [data.mu, data.lam])))
         for fn, wrapper in wrappers:
             for modname, module in list(sys.modules.items()):
                 if modname.startswith("cofrob"):
@@ -377,16 +377,20 @@ def _library_built_maps(monkeypatch, builders):
 
 def test_library_built_maps_pass_full_validation(monkeypatch):
     """compose, permute, twist, GradedMap.identity, tensor_maps, dual_map,
-    GradedMap.scale, Element.scale, the lifted mu and lam of direct_sum and
-    the lam(eta), copairing and pairing maps of the operator context skip
-    the validating constructor; every map and element they build for the
-    models, their duals and the data suites is exactly what it builds,
-    with no zero value and no empty row, and the context's maps equal what
-    the validating BialgebraData methods build. F2 matters because -1 is 1
-    there."""
+    GradedMap.scale, Element.scale, the lifted mu and lam of direct_sum, the
+    mu and lam of the Laurent loop models and the lam(eta), copairing and
+    pairing maps of the operator context skip the validating constructor;
+    every map and element they build for the models, their duals and the
+    data suites is exactly what it builds, with no zero value and no empty
+    row, and the context's maps equal what the validating BialgebraData
+    methods build. F2 matters because -1 is 1 there.  direct_sum is reached
+    through an explicit sum of S^3 and a relabeled S^3."""
     from cofrob import (PrimeField, QQ, sphere_cup_data, torus_cup_data,
                         s2xs2_cup_data, manifold_from_cup, rabinowitz_loop_sphere,
-                        shift_structure, sphere_cohomology, circle_models)
+                        shift_structure, sphere_cohomology, circle_models,
+                        based_rabinowitz_loop_sphere)
+    import cofrob
+    from conftest import relabeled_sphere3
 
     def manifold(cup_data, field):
         def build():
@@ -402,6 +406,9 @@ def test_library_built_maps_pass_full_validation(monkeypatch):
     builders.append(lambda: shift_structure(sphere_cohomology(3)))  # c = -lam(eta)
     builders.append(lambda: circle_models(4))
     builders.append(lambda: circle_models(4, flavor="based-rabinowitz"))
+    builders.append(lambda: based_rabinowitz_loop_sphere(5, 4))
+    # looked up when called, so that the recording wrapper is what runs
+    builders.append(lambda: cofrob.direct_sum(sphere_cohomology(3), relabeled_sphere3()))
     built = _library_built_maps(monkeypatch, builders)
     for name, maps in built.items():
         assert maps, f"{name} was never called"

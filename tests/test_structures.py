@@ -17,7 +17,7 @@ from cofrob import (Element, GradedMap, map_equal, twist,
                     s2xs2_cup_data, rabinowitz_loop_sphere)
 from cofrob.structures import BialgebraData, _Ops, _s_terms, sgn
 
-from conftest import all_pass, failing
+from conftest import all_pass, failing, relabeled_sphere3
 from pipeline_reference import apply_pipeline
 
 
@@ -252,22 +252,6 @@ def test_involutivity_contrast(rab3, based3):
     assert mu_lam.verdict == mu_c.verdict == "fail"
     assert by_name(reports, "involutive-mu-lam").verdict == \
         by_name(reports, "involutive-mu-c").verdict
-
-
-def relabeled_sphere3():
-    """S^3 rebuilt on fresh labels so direct sums have disjoint bases."""
-    from cofrob import make_module, TensorSpace
-    three = sphere_cohomology(3)
-    mod2 = make_module([("e", 0), ("f", 3)])
-    sp, sp2 = TensorSpace((mod2,)), TensorSpace((mod2, mod2))
-    return BialgebraData(
-        mod2,
-        GradedMap(sp2, sp, 0, {s: dict(r) for s, r in three.mu.entries.items()}),
-        GradedMap(sp, sp2, 3, {s: dict(r) for s, r in three.lam.entries.items()}),
-        Element(sp, dict(three.eta.coeffs)),
-        GradedMap(sp, three.eps.target, -3,
-                  {s: dict(r) for s, r in three.eps.entries.items()}),
-    )
 
 
 def test_direct_sum_passes_biunital(sphere3):

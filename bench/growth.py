@@ -187,12 +187,14 @@ def tree_of(src):
 
     `commit` is the short HEAD of the git checkout rooted at the tree, and
     `dirty` whether `src/` holds changes or new files against it; both are
-    None when the tree is no checkout's root (a `git archive` copy, say).
-    `src_sha256` digests the names and bytes of `src/cofrob/*.py`."""
+    None when the tree is no checkout's root (a `git archive` copy, say) or
+    its checkout has no commit yet.  `src_sha256` digests the names and
+    bytes of `src/cofrob/*.py`."""
     top = _git(src, "rev-parse", "--show-toplevel")
     commit = dirty = None
     if top is not None and os.path.samefile(top, os.path.dirname(src)):
         commit = _git(src, "rev-parse", "--short", "HEAD")
+    if commit is not None:
         status = _git(src, "status", "--porcelain", "--", ".")
         dirty = None if status is None else bool(status)
     digest = hashlib.sha256()

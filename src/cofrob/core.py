@@ -62,15 +62,21 @@ def make_module(basis, field=QQ, name=""):
 
 
 class TensorSpace:
-    """A tensor power of graded modules; arity 0 is the ground ring."""
+    """A tensor power of graded modules; arity 0 is the ground ring.
+
+    `field` may be given beside factors only as their own field; a
+    mismatch, like factors over different fields, raises ValueError."""
 
     def __init__(self, modules, field=None):
         self.modules = tuple(modules)
         if self.modules:
-            field = self.modules[0].field
+            first = self.modules[0].field
+            if field is not None and field is not first and field != first:
+                raise ValueError("tensor factors over different fields")
             for m in self.modules[1:]:
-                if m.field != field:
+                if m.field != first:
                     raise ValueError("tensor factors over different fields")
+            field = first
         elif field is None:
             field = QQ
         self.field = field

@@ -24,13 +24,42 @@ every i whose partner j lies in range, or the piecewise lam_+ / lam_- of
 ordinary circle homology.  It derives the rest from n: the shift s = -1
 (s = 0 for n = 1), |lam| = 1-2n with A and 1-n without, and
 |eps| = -|lam|.  The Rabinowitz circle is a direct sum of two components,
-one per connected component of the unit cotangent bundle.
+one per connected component of the unit cotangent bundle, and one call
+builds both: each component's basis, mu and lam follow the one before,
+which gives the labels, name (`...(+)...`), eta, eps and window weights of
+`direct_sum` of the two.
 
-The basis lists U^k, then AU^k, over the exponent range [lo, N], so
+mu and lam are recorded as exponent rules (`_laurent_rules`): per map a
+drift d, the sum of the output exponents minus that of the inputs, and a
+list of rules (input markers, output markers, sign), a marker "" standing
+for U^k and "A" for AU^k:
+
+    mu,  d = 0:  U (x) U -> U  +1,  AU (x) U -> AU  +1,  U (x) AU -> AU  +1
+    lam, d = s:  AU -> AU (x) AU  +1,  U -> AU (x) U  +1,  U -> U (x) AU  -1
+    without A:   mu U (x) U -> U  +1, d = 0;  lam U -> U (x) U  +1, d = s
+
+A rule's terms carry its sign times the row's coefficient c (c = 1 for
+mu).  The basis lists U^k, then AU^k, over the exponent range [lo, N], so
 (marker)U^k has index (k - lo), plus the range's length for A.  The
-builder emits the entries of mu, lam, eta and eps by these indices, never
-formatting or looking up a label per entry, and hands them to the
-validating constructors, which check every entry as for any other map.
+builder expands the rules straight into index entries, never formatting
+or looking up a label per entry, and wraps mu and lam without the
+validating constructor, because it checks once what that constructor
+checks per entry:
+
+- homogeneity, once per rule: the output markers' degrees plus (n-1) d
+  equal the input markers' degrees plus the map's degree, every marker is
+  one of the model's and the arity is the map's;
+- range: mu's pairs (i, j) are those with i + j + d in range, and each lam
+  row's exponent interval is checked at both ends, for i and for its
+  partner j = k + d - i;
+- nonzero values: each rule's value is coerced through the module's field
+  once (per row for lam, whose c varies with k), and a zero is refused;
+  a row whose sum is empty is not emitted.
+
+A wrong rule raises ValueError naming the model and the rule.  mu's rows
+go by (i, j), then by rule; lam's by k, the AU^k row before the U^k row,
+and a row's terms by pair (i, j), then by rule.  eta and eps go through
+the validating constructors.
 
 Only the counit reads `field`: the module is built over Q, so a loop model
 asked for another field is built over Q when it has no counit and is
@@ -43,7 +72,7 @@ deepest shipped relation composes three exponent-shifting maps).
 
 from .core import GradedModule, TensorSpace, Element, GradedMap, scalar_space
 from .fields import QQ
-from .structures import BialgebraData, _run, direct_sum
+from .structures import BialgebraData, _run
 from .duality import _complete
 from .tqft import OpenClosedTQFT, derive_cozipper, _run_tqft, TQFT_FULL
 from .reports import FAIL, prefixed
@@ -224,64 +253,129 @@ def _minus_range(k):
     return -1, range(k, 1)
 
 
-def _laurent_model(n, window_bound, laurent, with_a, counit, comp="", which=None,
+def _laurent_rules(with_a, shift):
+    """The exponent rules of mu and lam: per map, its drift and its rules
+    (input markers, output markers, sign), a marker "" standing for U^k
+    and "A" for AU^k (module docstring)."""
+    if not with_a:
+        return ((0, ((("", ""), ("",), 1),)),
+                (shift, ((("",), ("", ""), 1),)))
+    return ((0, ((("", ""), ("",), 1),
+                 (("A", ""), ("A",), 1),
+                 (("", "A"), ("A",), 1))),
+            (shift, ((("A",), ("A", "A"), 1),
+                     (("",), ("A", ""), 1),
+                     (("",), ("", "A"), -1))))
+
+
+def _rule_text(inputs, outputs):
+    return f"{' (x) '.join(m + 'U' for m in inputs)} -> {' (x) '.join(m + 'U' for m in outputs)}"
+
+
+def _laurent_model(n, window_bound, laurent, with_a, counit, comps=("",), which=None,
                    field=QQ):
     """The exterior Laurent model on U (and A) with exponents in [-N, N]
-    (`laurent`) or [0, N]; see the module docstring.  `comp` suffixes every
-    label, `which` picks the piecewise vector-field coefficients of the
-    ordinary circle (None: coefficient 1 wherever j is in range), and the
-    module name ends in both."""
+    (`laurent`) or [0, N], one connected component per label suffix in
+    `comps`; see the module docstring.  `which` picks the piecewise
+    vector-field coefficients of the ordinary circle (None: coefficient 1
+    wherever j is in range), and each component's name ends in its suffix
+    and `which`."""
     N = window_bound
     ks = range(-N if laurent else 0, N + 1)
+    lo, hi = ks[0], ks[-1]
     shift = 0 if n == 1 else -1
     lam_degree = 1 - 2 * n if with_a else 1 - n
     markers = ("", "A") if with_a else ("",)
+    marker_degree = {"": 0, "A": -n}
 
-    name = (f"{'' if with_a else 'Based'}{'Rabinowitz' if counit else ''}"
-            f"Loop(S{n}){comp}{which or ''}")
+    name = "(+)".join(f"{'' if with_a else 'Based'}{'Rabinowitz' if counit else ''}"
+                      f"Loop(S{n}){comp}{which or ''}" for comp in comps)
     # over Q whatever `field` is: only the counit reads it (module docstring)
-    module = GradedModule([(_u_label(k, m, comp), (n - 1) * k - (n if m else 0))
-                           for m in markers for k in ks], name=name)
+    module = GradedModule([(_u_label(k, m, comp), (n - 1) * k + marker_degree[m])
+                           for comp in comps for m in markers for k in ks], name=name)
     space = TensorSpace((module,))
     space2 = TensorSpace((module, module))
-    # (marker)U^k has index (k - lo) + (a if marker else 0)
-    lo, a = ks[0], len(ks)
+    coerce, is_zero = module.field.coerce, module.field.is_zero
+    # (marker)U^k of component c has index c * block + (k - lo) + offset[marker]
+    offset = dict(zip(markers, (0, len(ks))))
+    block = len(markers) * len(ks)
+    starts = range(0, len(comps) * block, block)
 
+    def checked(map_name, degree, arity, drift, rules):
+        """(name, input markers, output markers, sign) per rule, once its
+        arity, markers and degree balance are checked."""
+        out = []
+        for inputs, outputs, sign in rules:
+            rule = f"{map_name} rule {_rule_text(inputs, outputs)}"
+            if ((len(inputs), len(outputs)) != arity
+                    or not {*inputs, *outputs} <= offset.keys()):
+                raise ValueError(f"{name}: {rule} does not map {arity[0]} to {arity[1]} "
+                                 f"factors of markers {markers}")
+            balance = (sum(marker_degree[m] for m in outputs) + (n - 1) * drift
+                       - sum(marker_degree[m] for m in inputs))
+            if balance != degree:
+                raise ValueError(f"{name}: {rule} has degree {balance}, not {degree}")
+            out.append((rule, inputs, outputs, sign))
+        return out
+
+    def value(rule, c):
+        v = coerce(c)
+        if is_zero(v):
+            raise ValueError(f"{name}: {rule} has coefficient {c}, zero in the field")
+        return v
+
+    (mu_drift, mu_rules), (lam_drift, lam_rules) = _laurent_rules(with_a, shift)
+    mu_terms = [(offset[m1], offset[m2], offset[m], value(rule, sign))
+                for rule, (m1, m2), (m,), sign in checked("mu", 0, (2, 1), mu_drift, mu_rules)]
     mu_entries = {}
-    for i in ks:
-        for j in ks:
-            if i + j in ks:
-                ui, uj, uij = i - lo, j - lo, i + j - lo
-                mu_entries[ui, uj] = {(uij,): 1}
-                if with_a:
-                    mu_entries[ui + a, uj] = {(uij + a,): 1}
-                    mu_entries[ui, uj + a] = {(uij + a,): 1}
+    for start in starts:
+        for i in ks:
+            for j in range(max(lo, lo - mu_drift - i), min(hi, hi - mu_drift - i) + 1):
+                ui, uj, uij = i - lo + start, j - lo + start, i + j + mu_drift - lo + start
+                for oi, oj, o, v in mu_terms:
+                    mu_entries[ui + oi, uj + oj] = {(uij + o,): v}
 
     def constant(k):
-        return 1, [i for i in ks if k + shift - i in ks]
+        return 1, range(max(lo, k + lam_drift - hi), min(hi, k + lam_drift - lo) + 1)
 
-    rule = {"+": _plus_range, "-": _minus_range}.get(which, constant)
-    lam_entries = {}
+    coefficient = {"+": _plus_range, "-": _minus_range}.get(which, constant)
+    rows = {}   # input marker -> its rules, rows in the order of their first rule
+    for rule, (m,), (m1, m2), sign in checked("lam", lam_degree, (1, 2), lam_drift,
+                                              lam_rules):
+        rows.setdefault(m, []).append((rule, offset[m1], offset[m2], sign))
+    lam_rows = []   # (k, exponents i, [(input offset, [(o1, o2, value), ...]), ...])
     for k in ks:
-        coeff, rng = rule(k)
-        pairs = [(i - lo, k + shift - i - lo) for i in rng]
-        if with_a:
-            lam_entries[(k - lo + a,)] = {(i + a, j + a): coeff for i, j in pairs}
-            row = lam_entries[(k - lo,)] = {}
-            for i, j in pairs:
-                row[i + a, j] = coeff
-                row[i, j + a] = -coeff
-        else:
-            lam_entries[(k - lo,)] = {(i, j): coeff for i, j in pairs}
-    mu = GradedMap(space2, space, 0, mu_entries)
-    lam = GradedMap(space, space2, lam_degree, lam_entries)
+        c, rng = coefficient(k)
+        if not rng:     # an empty sum: no row
+            continue
+        ends = (rng[0], rng[-1], k + lam_drift - rng[0], k + lam_drift - rng[-1])
+        terms = []
+        for m, group in rows.items():
+            if not lo <= min(ends) <= max(ends) <= hi:
+                raise ValueError(f"{name}: {group[0][0]} leaves the exponent range "
+                                 f"[{lo}, {hi}] on {m}U^{k}")
+            terms.append((offset[m], [(oi, oj, value(rule, c * sign))
+                                      for rule, oi, oj, sign in group]))
+        lam_rows.append((k, rng, terms))
+    lam_entries = {}
+    for start in starts:
+        for k, rng, terms in lam_rows:
+            for o, row_terms in terms:
+                row = lam_entries[(k - lo + start + o,)] = {}
+                for i in rng:
+                    ui, uj = i - lo + start, k + lam_drift - i - lo + start
+                    for oi, oj, v in row_terms:
+                        row[ui + oi, uj + oj] = v
+    mu = GradedMap._trusted(space2, space, 0, mu_entries)
+    lam = GradedMap._trusted(space, space2, lam_degree, lam_entries)
 
-    eta = Element(space, {(-lo,): 1})
+    eta = Element(space, {(start - lo,): 1 for start in starts})
     eps = None
     if counit:
         eps = GradedMap(space, scalar_space(field), -lam_degree,
-                        {(shift - lo + (a if with_a else 0),): {(): 1}})
-    weights = dict(zip(module.labels, [k for _ in markers for k in ks]))
+                        {(start + shift - lo + offset[markers[-1]],): {(): 1}
+                         for start in starts})
+    weights = dict(zip(module.labels, [k for _ in comps for _ in markers for k in ks]))
     return BialgebraData(module, mu, lam, eta, eps, WindowSpec(N, WINDOW_SLACK, weights))
 
 
@@ -345,10 +439,8 @@ def circle_models(window_bound, which="+", flavor="rabinowitz", field=QQ):
     if which not in ("+", "-"):
         raise ValueError(f"vector field must be '+' or '-', got {which!r}")
     if flavor in ("rabinowitz", "based-rabinowitz"):
-        with_a = flavor == "rabinowitz"
-        return direct_sum(*(_laurent_model(1, window_bound, laurent=True, with_a=with_a,
-                                           counit=True, comp=comp, field=field)
-                            for comp in ("+", "-")))
+        return _laurent_model(1, window_bound, laurent=True, with_a=flavor == "rabinowitz",
+                              counit=True, comps=("+", "-"), field=field)
     if flavor in ("loop", "based-loop"):
         return _laurent_model(1, window_bound, laurent=True, with_a=flavor == "loop",
                               counit=False, which=which, field=field)

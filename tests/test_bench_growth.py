@@ -106,6 +106,19 @@ def test_a_copy_outside_git_is_recorded_by_its_digest_alone(tmp_path):
     assert growth.tree_of(src) == {"commit": None, "dirty": None, "src_sha256": digest}
 
 
+def test_a_checkout_without_a_commit_is_recorded_by_its_digest_alone(tmp_path):
+    """A `git init`-ed tree with no commit was recorded with commit null but
+    dirty true."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    growth = load_growth()
+    tree = _copy_tree(tmp_path)
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    digest = growth.tree_of(os.path.join(ROOT, "src"))["src_sha256"]
+    assert growth.tree_of(str(tree / "src")) == {"commit": None, "dirty": None,
+                                                 "src_sha256": digest}
+
+
 def test_a_changed_checkout_is_recorded_as_dirty(tmp_path):
     """A checkout with an uncommitted change to src/ was recorded as its
     clean parent commit; it is now marked dirty and told apart by digest."""

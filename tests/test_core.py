@@ -313,6 +313,30 @@ def test_tensor_space_equality_compares_fields_of_r_and_is_reflexive():
         assert space != space.modules
 
 
+@pytest.mark.parametrize("factors, field", [
+    ("A/Q", "R/F5"), ("A/F5", "R/Q"), ("A/Q", "A/F5")])
+def test_tensor_space_refuses_a_field_other_than_its_factors(factors, field):
+    """TensorSpace((A over Q,), field=F5) was a space over Q, with no error."""
+    spaces = _concat_spaces()
+    for modules in (spaces[factors].modules, spaces[factors].modules * 2):
+        with pytest.raises(ValueError, match="^tensor factors over different fields$"):
+            TensorSpace(modules, field=spaces[field].field)
+
+
+def test_tensor_space_accepts_its_factors_field_or_none():
+    """None, the factors' own field object or an equal one keeps that field,
+    and R keeps the field it is given."""
+    from cofrob import PrimeField
+    from cofrob.fields import RationalField
+    spaces = _concat_spaces()
+    for name, equal in (("A/Q", RationalField()), ("A/F5", PrimeField(5))):
+        modules, field = spaces[name].modules, spaces[name].field
+        assert equal is not field
+        for given in (None, field, equal):
+            assert TensorSpace(modules, field=given).field is field
+    assert TensorSpace((), field=PrimeField(5)).field == PrimeField(5)
+
+
 def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
     dual_map and GradedMap.scale returned, every element Element.scale

@@ -60,7 +60,7 @@ def test_loop_tqft_sectors_are_what_the_constructor_builds(n):
 def component(bound, with_a, comp):
     """One connected component of the Rabinowitz circle, built alone."""
     return models._laurent_model(1, bound, laurent=True, with_a=with_a, counit=True,
-                                 comp=comp)
+                                 comps=(comp,))
 
 
 @pytest.mark.parametrize("flavor", ["rabinowitz", "based-rabinowitz"])
@@ -83,3 +83,65 @@ def test_rabinowitz_circles_are_the_direct_sums_of_their_components(flavor):
         assert (circle.window.bound, circle.window.slack) == (summed.window.bound,
                                                               summed.window.slack)
         assert list(circle.window.weights.items()) == list(summed.window.weights.items())
+
+
+# ------------------------------------------------ mutants of the rule table
+
+def mutate(monkeypatch, which_map, change):
+    """Patch the rule table: `change(drift, rules)` returns the new (drift,
+    rules) of mu (which_map 0) or lam (1)."""
+    table = models._laurent_rules
+
+    def patched(with_a, shift):
+        maps = list(table(with_a, shift))
+        maps[which_map] = change(*maps[which_map])
+        return tuple(maps)
+
+    monkeypatch.setattr(models, "_laurent_rules", patched)
+
+
+def replace_rule(index, rule):
+    return lambda drift, rules: (drift, rules[:index] + (rule,) + rules[index + 1:])
+
+
+@pytest.mark.parametrize("which_map, change, build, message", [
+    (0, replace_rule(0, (("", ""), ("A",), 1)), lambda: rabinowitz_loop_sphere(3, 4),
+     "RabinowitzLoop(S3): mu rule U (x) U -> AU has degree -3, not 0"),
+    (1, replace_rule(1, (("",), ("", ""), 1)), lambda: loop_sphere(5, 4),
+     "Loop(S5): lam rule U -> U (x) U has degree -4, not -9"),
+    (1, lambda drift, rules: (0, rules), lambda: based_rabinowitz_loop_sphere(3, 4),
+     "BasedRabinowitzLoop(S3): lam rule U -> U (x) U has degree 0, not -2"),
+    (1, lambda drift, rules: (-2, rules), lambda: rabinowitz_loop_sphere(3, 4),
+     "RabinowitzLoop(S3): lam rule AU -> AU (x) AU has degree -7, not -5"),
+    (0, replace_rule(2, (("", "A"), ("A",), 0)), lambda: circle_models(4),
+     "RabinowitzLoop(S1)+(+)RabinowitzLoop(S1)-: mu rule U (x) AU -> AU has "
+     "coefficient 0, zero in the field"),
+    (1, replace_rule(2, (("",), ("", "A"), 0)), lambda: circle_models(4, "-", "loop"),
+     "Loop(S1)-: lam rule U -> U (x) AU has coefficient 0, zero in the field"),
+    (1, lambda drift, rules: (1, rules), lambda: circle_models(4, "+", "loop"),
+     "Loop(S1)+: lam rule AU -> AU (x) AU leaves the exponent range [-4, 4] on AU^4"),
+    (1, lambda drift, rules: (-1, rules), lambda: circle_models(4, "-", "based-loop"),
+     "BasedLoop(S1)-: lam rule U -> U (x) U leaves the exponent range [-4, 4] on U^-4"),
+    (0, replace_rule(0, (("", "A"), ("A",), 1)), lambda: based_loop_sphere(3, 4),
+     "BasedLoop(S3): mu rule U (x) AU -> AU does not map 2 to 1 factors of markers ('',)"),
+    (1, replace_rule(0, (("A",), ("A",), 1)), lambda: rabinowitz_loop_sphere(3, 4),
+     "RabinowitzLoop(S3): lam rule AU -> AU does not map 1 to 2 factors of markers "
+     "('', 'A')"),
+], ids=["wrong-marker", "u-to-uu-with-a", "drift-zero", "drift-minus-two",
+        "zero-mu-coefficient", "zero-lam-coefficient", "row-above-range",
+        "row-below-range", "absent-marker", "wrong-arity"])
+def test_a_wrong_rule_is_refused_by_name(monkeypatch, which_map, change, build, message):
+    mutate(monkeypatch, which_map, change)
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert str(refusal.value) == message
+
+
+def test_the_rule_table_is_what_the_builder_expands(monkeypatch):
+    """A patched rule table reaches the built maps: lam with its signs
+    flipped is the model's lam negated."""
+    plain = rabinowitz_loop_sphere(3, 5)
+    mutate(monkeypatch, 1, lambda drift, rules: (drift, tuple((i, o, -s) for i, o, s in rules)))
+    flipped = rabinowitz_loop_sphere(3, 5)
+    assert ordered(flipped.lam) == ordered(plain.lam.scale(-1))
+    assert ordered(flipped.mu) == ordered(plain.mu)

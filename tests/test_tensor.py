@@ -1,5 +1,6 @@
 """Koszul sign laws: twist, tensor, permutations, duals, iota, shifts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cofrob import (make_module, TensorSpace, Element, GradedMap, PrimeField, QQ
 
 from dual_reference import (tensor_modules, raw_dual, iota, iota_inverse, flattener,
                             unflattener, double_dual)
+from permute_reference import permute_reference
 
 
 MOD = make_module([("x", -1), ("y", 0), ("z", 2)])
@@ -136,6 +138,36 @@ def test_twist_equals_the_general_permutation(pair):
         ref = permute(Permutation((2, 1)), TensorSpace((x, y)))
         assert (t.source, t.target, t.degree) == (ref.source, ref.target, ref.degree)
         assert list(t.entries.items()) == list(ref.entries.items())
+
+
+@st.composite
+def factor_spaces(draw):
+    """A tensor space of arity 1-4 over one of Q, F2 and F3, its factors
+    drawn from up to four modules, each with an odd degree among random
+    ones, so that a module may stand in more than one slot."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    arity = draw(st.integers(min_value=1, max_value=4))
+    degrees = st.lists(st.integers(min_value=-3, max_value=3), max_size=2)
+    pool = []
+    for k in range(draw(st.integers(min_value=1, max_value=arity))):
+        odd = draw(st.sampled_from([-3, -1, 1, 3]))
+        degs = draw(st.permutations([odd, *draw(degrees)]))
+        pool.append(make_module([(f"m{k}_{i}", d) for i, d in enumerate(degs)], field=field))
+    return TensorSpace(tuple(draw(st.sampled_from(pool)) for _ in range(arity)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_spaces())
+def test_permute_equals_its_reference(space):
+    """`permute` builds what the inversion-by-inversion reference builds for
+    every permutation of the arity: the same entries, row order and key
+    order."""
+    for images in itertools.permutations(range(1, space.arity + 1)):
+        rho = Permutation(images)
+        got, ref = permute(rho, space), permute_reference(rho, space)
+        assert (got.source, got.target, got.degree) == (ref.source, ref.target, ref.degree)
+        assert [(src, list(row.items())) for src, row in got.entries.items()] == \
+            [(src, list(row.items())) for src, row in ref.entries.items()]
 
 
 def test_twist_refuses_modules_over_different_fields():

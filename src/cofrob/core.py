@@ -16,7 +16,11 @@ Conventions:
 All values are immutable after construction and safe to share.
 """
 
+from functools import cached_property
+
 from .fields import QQ
+
+DUAL_SUFFIX = "'"
 
 
 class GradedModule:
@@ -42,6 +46,17 @@ class GradedModule:
 
     def basis_at(self, degree):
         return [i for i, d in enumerate(self.degrees) if d == degree]
+
+    @cached_property
+    def dual(self):
+        """A^v, whose degree -i part holds the duals of the basis of A_i,
+        each label with DUAL_SUFFIX.  It is built on first read and kept,
+        so every dual of this module object is one module object and
+        comparing spaces of it takes the identity path.  The dual holds no
+        reference back to this module, so keeping it makes no cycle."""
+        basis = [(lbl + DUAL_SUFFIX, -deg) for lbl, deg in zip(self.labels, self.degrees)]
+        return GradedModule(basis, field=self.field,
+                            name=f"({self.name}){DUAL_SUFFIX}" if self.name else "")
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)

@@ -83,15 +83,32 @@ def copairing_handle(data):
     return CopairingHandle(c, vec_c_map(c, data.lam.degree - data.mu.degree))
 
 
+def _handles(o):
+    """The pairing and copairing handles of the structure of the `_Ops` o,
+    built from its p_map and c_map: what `pairing_handle` and
+    `copairing_handle` build, without computing p, lam(eta) or c again."""
+    c_map = o.c_map
+    c = Element._trusted(c_map.target, c_map.entries.get((), {}))
+    return (PairingHandle(o.p_map, vec_p_map(o.p_map)),
+            CopairingHandle(c, vec_c_map(c, c_map.degree)))
+
+
 def check_perfect(pair, copair, window=None):
     """(1(x)p)(c(x)1) = 1 = (-1)^{|p||c|}(p(x)1)(1(x)c), and the induced
     maps vec_c, vec_p are mutually inverse."""
+    return _check_perfect(pair, copair, window)
+
+
+def _check_perfect(pair, copair, window, c_map=None):
+    """`check_perfect`, reading c as the map `c_map` R -> A(x)A when the
+    caller has it."""
     p, vec_p = pair.p, pair.vec_p
     c, vec_c = copair.c, copair.vec_c
     if p.degree != -vec_c.degree:
         raise ValueError(f"degree mismatch: |p| = {p.degree}, |c| = {vec_c.degree}")
     a_space = vec_p.source
-    c_map = element_as_map(c, degree=vec_c.degree)
+    if c_map is None:
+        c_map = element_as_map(c, degree=vec_c.degree)
     idm = GradedMap.identity(a_space)
     return check_relations([
         Relation("perfect-left", a_space, [(1, [[c_map, idm], [idm, p]])], [(1, [])]),
@@ -147,11 +164,11 @@ def transpose_structure(data):
     if data.eta is None or data.eps is None:
         raise ValueError("transpose refused: input is not biunital coFrobenius "
                          "(missing unit or counit)")
-    require_cofrobenius(data, "transpose refused: input fails")
-    tau = twist(data.module, data.module)
+    o = _Ops(data)
+    require_cofrobenius(data, "transpose refused: input fails", o=o)
     return data.replace(
-        mu=compose(data.mu, tau),
-        lam=compose(tau, data.lam),
+        mu=o.mt,
+        lam=o.tl,
         eta=data.eta.scale(sgn(data.mu.degree)),
         eps=data.eps.scale(sgn(data.lam.degree)))
 
@@ -181,15 +198,21 @@ def poincare_dual_structure(data):
     """The sign-twisted dual structure of the algebraic Poincare duality
     theorem: (A^v, (-1)^l lam^v tau, (-1)^{ml+l} tau mu^v, eps^v,
     (-1)^{ml+l+m} eta^v)."""
-    m, l = data.mu.degree, data.lam.degree
+    return _poincare_dual(_Ops(data))[0]
+
+
+def _poincare_dual(o):
+    """`poincare_dual_structure` of the structure of the `_Ops` o, read
+    from o, and the twist tau of the dual module it was built with."""
+    data, m, l = o.data, o.m, o.l
     dmod = dual_module(data.module)
     tau_d = twist(dmod, dmod)
-    mu_b = compose(dual_map(data.lam), tau_d).scale(sgn(l))
-    lam_b = compose(tau_d, dual_map(data.mu)).scale(sgn(m * l + l))
+    mu_b = compose(dual_map(o.lam), tau_d).scale(sgn(l))
+    lam_b = compose(tau_d, dual_map(o.mu)).scale(sgn(m * l + l))
     eta_b = _dual_unit(data.eps)
-    eps_b = dual_map(data.eta_map()).scale(sgn(m * l + l + m))
+    eps_b = dual_map(o.eta_map).scale(sgn(m * l + l + m))
     window = data.window.dualized() if data.window is not None else None
-    return BialgebraData(dmod, mu_b, lam_b, eta_b, eps_b, window)
+    return BialgebraData(dmod, mu_b, lam_b, eta_b, eps_b, window), tau_d
 
 
 def check_poincare_duality(data):
@@ -197,20 +220,25 @@ def check_poincare_duality(data):
     the sign-twisted dual, with vec c as the inverse intertwiner: the
     dual's biunital suite under "dual-", then the four `MORPHISMS`
     relations of vec p and those of vec c under "inverse-", in one call,
-    then perfectness."""
+    then perfectness.  Each structure has one `_Ops` for all of it: the
+    data's serves the precheck, the morphisms, the handles and
+    perfectness, and the dual's starts with the twist the dual was built
+    with."""
     if data.eta is None or data.eps is None:
         raise ValueError("poincare duality needs a biunital coFrobenius input "
                          "(missing unit or counit)")
-    require_cofrobenius(data, "poincare duality needs a biunital coFrobenius input; fails")
-    target = poincare_dual_structure(data)
-    ops, target_ops = _Ops(data), _Ops(target)
+    ops = _Ops(data)
+    require_cofrobenius(data, "poincare duality needs a biunital coFrobenius input; fails",
+                        o=ops)
+    target, tau_d = _poincare_dual(ops)
+    target_ops = _Ops(target, tau=tau_d)
     out = prefixed("dual-", _run(target, COFROBENIUS["biunital"], target_ops))
-    handle_p, handle_c = pairing_handle(data), copairing_handle(data)
+    handle_p, handle_c = _handles(ops)
     out.extend(check_relations(
         _morphisms(handle_p.vec_p, ops, target_ops, MORPHISMS)
         + _morphisms(handle_c.vec_c, target_ops, ops, MORPHISMS, "inverse-"),
         merge_windows(data.window, target.window)))
-    out.extend(check_perfect(handle_p, handle_c, data.window))
+    out.extend(_check_perfect(handle_p, handle_c, data.window, ops.c_map))
     return out
 
 

@@ -107,9 +107,16 @@ class BialgebraData:
 
 
 class _Ops:
-    """The building blocks of the relation pipelines, for one suite call
-    by the runner (`_run`) or by the caller that hands them to it.  They
-    are never cached on the data: they point back to it.
+    """The building blocks of the relation pipelines of one structure, one
+    context per structure per job: the runner (`_run`) makes one for a
+    suite call, and a job that checks more than one suite on a structure
+    (`duality.check_poincare_duality`, `duality.transpose_structure`)
+    makes one and hands it to `require_cofrobenius`, `_run` and the
+    `MORPHISMS` builders alike.  A context is never cached on the data:
+    it points back to it, and a cache on the data that held one made a
+    reference cycle that grew the window-suites RSS pass by pass (ROADMAP,
+    measured dead ends).  `tau` is the twist A(x)A -> A(x)A when the
+    caller has already built it, as the Poincare dual structure has.
 
     Each operator is built on its first read, so a call pays only for what
     its relations read, and reading mu or lam refuses data that lacks it
@@ -121,8 +128,10 @@ class _Ops:
     validating constructor refuses an eta of the wrong degree, whichever
     relations the call reads."""
 
-    def __init__(self, data):
+    def __init__(self, data, tau=None):
         self.data = data
+        if tau is not None:
+            self.tau = tau
         if data.eta is not None and data._mu is not None:
             self.eta_map = data.eta_map()
 
@@ -493,15 +502,16 @@ def check_cofrobenius(data, flavor="biunital"):
     return _run(data, COFROBENIUS[flavor])
 
 
-def require_cofrobenius(data, refusal, checked=()):
+def require_cofrobenius(data, refusal, checked=(), o=None):
     """Raise ValueError(f"{refusal} {name}") with the name of the first
     biunital coFrobenius relation that `data` fails.  `checked` holds
     reports the caller has already made on `data`'s maps and window of
     entries of that suite that check one relation under their own name
     (such as associativity); those entries are not checked again, and
-    their reports are read first."""
+    their reports are read first.  `o` is the data's `_Ops` when the
+    caller goes on to use them (see `_run`)."""
     done = {r.name for r in checked}
-    reports = _run(data, [name for name in COFROBENIUS["biunital"] if name not in done])
+    reports = _run(data, [name for name in COFROBENIUS["biunital"] if name not in done], o)
     bad = next((r for r in [*checked, *reports] if r.verdict == FAIL), None)
     if bad is not None:
         raise ValueError(f"{refusal} {bad.name}")

@@ -34,9 +34,8 @@ pair; and the Koszul sign is an XOR over a per-plan table of factor
 degree parities.
 """
 
-from .core import GradedModule, TensorSpace, Element, GradedMap, compose
+from .core import DUAL_SUFFIX, GradedModule, TensorSpace, Element, GradedMap, compose
 
-DUAL_SUFFIX = "'"
 SHIFT_PREFIX = "s."
 
 
@@ -297,27 +296,28 @@ class Permutation:
 def permute(rho, space):
     """The left action rho(a_1 (x) ... (x) a_n) = eps(rho, a) a_{rho^-1(1)} (x) ...
 
-    eps counts inversions among odd-degree factors only.  Every value is
-    +-1, so the map is built without re-validation.
+    eps counts inversions among odd-degree factors only.  Built in one
+    pass over the basis tuples, as `twist` is: the inversions of rho and
+    one degree-parity tuple per factor are worked out once, and a tuple's
+    sign is the XOR of its factors' parities over each inversion.  Every
+    value is +-1, so the map is built without re-validation.
     """
     if rho.n != space.arity:
         raise ValueError(f"permutation arity {rho.n} != tensor arity {space.arity}")
     inv = rho.inverse()
     perm0 = [inv.images[k] - 1 for k in range(rho.n)]  # output slot k <- input slot perm0[k]
     target = TensorSpace(tuple(space.modules[p] for p in perm0), field=space.field)
-    field = space.field
-    one = field.one
-    minus_one = field.neg(one)
+    one = space.field.one
+    signs = (one, space.field.neg(one))
+    parity = [tuple(d & 1 for d in m.degrees) for m in space.modules]
+    inversions = [(perm0[a], perm0[b], parity[perm0[a]], parity[perm0[b]])
+                  for a in range(rho.n) for b in range(a + 1, rho.n) if perm0[a] > perm0[b]]
     entries = {}
     for idx in space.basis():
-        degs = [space.modules[i].degree(idx[i]) for i in range(rho.n)]
-        sign = 1
-        for a in range(rho.n):
-            for b in range(a + 1, rho.n):
-                if perm0[a] > perm0[b] and degs[perm0[a]] % 2 and degs[perm0[b]] % 2:
-                    sign = -sign
-        dst = tuple(idx[p] for p in perm0)
-        entries[idx] = {dst: one if sign == 1 else minus_one}
+        odd = 0
+        for i, j, p, q in inversions:
+            odd ^= p[idx[i]] & q[idx[j]]
+        entries[idx] = {tuple([idx[k] for k in perm0]): signs[odd]}
     return GradedMap._trusted(space, target, 0, entries)
 
 
@@ -339,16 +339,17 @@ def twist(a, b):
 
 
 def dual_module(a):
-    """(A^v)_i consists of the duals of the basis of A_{-i}."""
-    basis = [(lbl + DUAL_SUFFIX, -deg) for lbl, deg in zip(a.labels, a.degrees)]
-    return GradedModule(basis, field=a.field,
-                        name=f"({a.name}){DUAL_SUFFIX}" if a.name else "")
+    """A^v: (A^v)_i consists of the duals of the basis of A_{-i}.  Every
+    call on one module object returns the one dual it keeps
+    (`GradedModule.dual`)."""
+    return a.dual
 
 
 def dual_spaces(*spaces):
-    """The dual A_1^v (x) ... (x) A_n^v of each space, in order.  One dual
-    module is built for each distinct factor (modules are equal by value)
-    and shared by every space that has it."""
+    """The dual A_1^v (x) ... (x) A_n^v of each space, in order.  Modules
+    are equal by value, so the dual of a factor's first equal module is
+    shared by every space that has it; that dual is the one its module
+    object keeps, so every call shares it too."""
     duals = {}
     for space in spaces:
         for m in space.modules:

@@ -341,22 +341,31 @@ def _library_built_maps(monkeypatch, builders):
     """Every map compose, permute, twist, GradedMap.identity, tensor_maps,
     dual_map and GradedMap.scale returned, every element Element.scale
     returned, the mu and lam of every direct_sum and every Laurent model,
-    and every lam(eta), copairing and pairing map an operator context built
-    on demand, while building each structure, dualizing it and running
-    every data suite on it."""
-    from cofrob import models, structures, tensor
+    every lam(eta), copairing and pairing map an operator context built
+    on demand, and the maps and copairing element of every pairing and
+    copairing handle built from a context, while building each structure,
+    dualizing it and running every data suite on it.  Each context's
+    handles equal what `pairing_handle` and `copairing_handle` build."""
+    from cofrob import duality, models, structures, tensor
     from cofrob.structures import _Ops
     from cofrob.suites import DATA_SUITES
-    from cofrob.duality import dualize
+    from cofrob.duality import dualize, pairing_handle, copairing_handle
     built = {"compose": [], "permute": [], "twist": [], "identity": [], "tensor_maps": [],
              "dual_map": [], "scale": [], "element_scale": [], "direct_sum": [],
-             "_laurent_model": [], "lh": [], "c_map": [], "p_map": []}
+             "_laurent_model": [], "lh": [], "c_map": [], "p_map": [], "_handles": []}
     contexts = []
+    handles = []
     ops_init = _Ops.__init__
+    handles_of = duality._handles
 
-    def recording_ops(o, data):
-        ops_init(o, data)
+    def recording_ops(o, data, tau=None):
+        ops_init(o, data, tau)
         contexts.append(o)
+
+    def recording_handles(o):
+        out = handles_of(o)
+        handles.append((o.data, out))
+        return out
 
     def recording(fn, name, outputs=lambda out: [out]):
         def wrapper(*args, **kwargs):
@@ -382,6 +391,7 @@ def _library_built_maps(monkeypatch, builders):
         patch.setattr(GradedMap, "scale", recording(GradedMap.scale, "scale"))
         patch.setattr(Element, "scale", recording(Element.scale, "element_scale"))
         patch.setattr(_Ops, "__init__", recording_ops)
+        patch.setattr(duality, "_handles", recording_handles)
         for build in builders:
             data = build()
             dualize(data)
@@ -396,6 +406,9 @@ def _library_built_maps(monkeypatch, builders):
             assert o.lh == compose(data.lam, data.eta_map()) and o.c_map == data.copairing_map()
         if ops.get("p_map") is not None:
             assert o.p_map == data.pairing()
+    for data, (pair, copair) in handles:
+        built["_handles"].extend([pair.p, pair.vec_p, copair.c, copair.vec_c])
+        assert (pair, copair) == (pairing_handle(data), copairing_handle(data))
     return built
 
 

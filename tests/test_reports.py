@@ -348,6 +348,18 @@ def test_batched_relations_report_as_checked_one_by_one(batch):
         assert report == reference_check_relation(*spec[:4], window, spec.note), spec.name
 
 
+def test_prefixed_keeps_every_field_of_each_report():
+    """`prefixed` changes only the name: each report equals the one
+    `dataclasses.replace` makes, every field of `CheckReport` set."""
+    from dataclasses import fields
+    full = CheckReport("r", FAIL, Witness(("a", "b"), "1*a", "2*b"), checked=3,
+                       inconclusive=2, masked_coords=5, note="n")
+    assert all(getattr(full, f.name) != f.default for f in fields(CheckReport))
+    reports_in = [full, CheckReport("s", PASS, checked=1), CheckReport("t", SKIPPED, note="x")]
+    assert reports.prefixed("dual-", reports_in) == \
+        [replace(r, name="dual-" + r.name) for r in reports_in]
+
+
 def test_sides_that_differ_are_gated_each():
     """Sides that differ before the gate are gated one by one: differing
     only where it masks, they pass with both sides' masked coordinate

@@ -465,12 +465,19 @@ def test_relation_tables_are_consistent(monkeypatch, sphere3, equator):
 def _operators_built(monkeypatch, run):
     """The names of the `_Ops` operators that `run()` builds, and the
     number of twists the library builds, by any caller."""
+    contexts, twists = _contexts_and_twists(monkeypatch, run)
+    return set().union(*(vars(o) for o in contexts)), len(twists)
+
+
+def _contexts_and_twists(monkeypatch, run):
+    """The `_Ops` that `run()` makes, and the module pairs of the twists
+    the library builds, by any caller, in order."""
     from cofrob import tensor
     contexts, twists = [], []
     init, original = _Ops.__init__, tensor.twist
 
-    def recording_init(o, data):
-        init(o, data)
+    def recording_init(o, data, tau=None):
+        init(o, data, tau)
         contexts.append(o)
 
     def counting_twist(a, b):
@@ -483,7 +490,7 @@ def _operators_built(monkeypatch, run):
             if modname.startswith("cofrob") and getattr(module, "twist", None) is original:
                 patch.setattr(module, "twist", counting_twist)
         run()
-    return set().union(*(vars(o) for o in contexts)), len(twists)
+    return contexts, twists
 
 
 @pytest.mark.parametrize("build", [lambda: sphere_cohomology(3),
@@ -506,6 +513,37 @@ def test_operators_are_built_only_when_a_relation_reads_them(monkeypatch, build)
     built, twists = _operators_built(
         monkeypatch, lambda: DATA_SUITES["biunital-infinitesimal"](data))
     assert {"tau", "tl", "mt"} <= built and twists == 1
+
+
+@pytest.mark.parametrize("build", [lambda: sphere_cohomology(3),
+                                   lambda: rabinowitz_loop_sphere(3, 4)],
+                         ids=["sphere3", "rab3-4"])
+def test_poincare_duality_builds_one_context_and_one_twist_per_structure(monkeypatch,
+                                                                         build):
+    """One check_poincare_duality call makes one `_Ops` for the data and one
+    for its dual, the data's first, and twists each module once; the dual's
+    context holds the twist its structure was built with."""
+    from cofrob import check_poincare_duality, dual_module
+    data = build()
+    dual = dual_module(data.module)
+    contexts, twists = _contexts_and_twists(monkeypatch, lambda: check_poincare_duality(data))
+    assert len(contexts) == 2 and contexts[0].data is data
+    assert contexts[1].data.module is dual
+    assert len(twists) == 2 and all(a is b for a, b in twists)
+    assert {a for a, _ in twists} == {data.module, dual}
+    assert vars(contexts[1])["tau"].source.modules == (dual, dual)
+
+
+@pytest.mark.parametrize("build", [lambda: sphere_cohomology(3),
+                                   lambda: rabinowitz_loop_sphere(3, 4)],
+                         ids=["sphere3", "rab3-4"])
+def test_transpose_builds_one_context_and_one_twist(monkeypatch, build):
+    """transpose_structure reads tau from the context of its precheck."""
+    from cofrob import transpose_structure
+    data = build()
+    contexts, twists = _contexts_and_twists(monkeypatch, lambda: transpose_structure(data))
+    assert len(contexts) == 1 and contexts[0].data is data
+    assert twists == [(data.module, data.module)]
 
 
 def test_wrong_degree_unit_is_refused_by_every_data_suite(sphere3):

@@ -228,6 +228,28 @@ def test_dual_module_degrees():
                      GradedMap.identity(TensorSpace((d,))))
 
 
+def test_a_module_keeps_one_dual_with_no_reference_back():
+    """dual_module returns the one dual a module object keeps, shared by
+    the spaces dual_map builds; the dual holds no reference back, so the
+    module is freed while its dual lives on, and the dual is freed with the
+    module, both without the cycle collector."""
+    import weakref
+    data = sphere_cohomology(2)
+    dual = dual_module(data.module)
+    assert dual_module(data.module) is dual
+    assert {*dual_map(data.mu).source.modules, *dual_map(data.lam).target.modules} == {dual}
+    assert all(m is dual for f in (data.mu, data.lam)
+               for m in (*dual_map(f).source.modules, *dual_map(f).target.modules))
+    a = make_module([("x", 1), ("y", 2)])
+    kept, gone = dual_module(a), weakref.ref(a)
+    del a
+    assert gone() is None and kept.labels == ("x'", "y'")
+    b = make_module([("x", 1)])
+    gone = weakref.ref(dual_module(b))
+    del b
+    assert gone() is None
+
+
 def test_dual_map_builds_one_dual_module_per_distinct_factor(monkeypatch):
     """Each dual_map call on the maps of H*(S^2) builds A^v once, for both
     sides together, and the sides share it."""

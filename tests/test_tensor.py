@@ -237,7 +237,6 @@ def test_a_module_keeps_one_dual_with_no_reference_back():
     data = sphere_cohomology(2)
     dual = dual_module(data.module)
     assert dual_module(data.module) is dual
-    assert {*dual_map(data.mu).source.modules, *dual_map(data.lam).target.modules} == {dual}
     assert all(m is dual for f in (data.mu, data.lam)
                for m in (*dual_map(f).source.modules, *dual_map(f).target.modules))
     a = make_module([("x", 1), ("y", 2)])

@@ -316,11 +316,14 @@ def complete_from_pairing(module, mu, eta, eps, window=None):
 def _complete(module, mu, eta, eps, window=None, checked=()):
     """`complete_from_pairing`, taking the reports `checked` of relations
     of the biunital suite that the caller has already checked on `mu`
-    under `window` as they are (`require_cofrobenius`)."""
+    under `window` as they are (`require_cofrobenius`).  The suite's
+    context is handed eps mu and p as built here, so eps mu is composed
+    once."""
     if mu.degree != 0:
         raise ValueError("complete_from_pairing requires |mu| = 0; shift first")
     lam_degree = -eps.degree
-    p = compose(eps, mu).scale(sgn(lam_degree))
+    eps_mu = compose(eps, mu)
+    p = eps_mu.scale(sgn(lam_degree))
     vec_p = vec_p_map(p)
     vec_c = _invert_vec_p(vec_p, window)
     c = copairing_from_vec_c(vec_c)
@@ -329,8 +332,10 @@ def _complete(module, mu, eta, eps, window=None, checked=()):
     # lam = (1 (x) mu)(c (x) 1); |id| = |mu| = 0, so neither tensor has a sign
     lam = compose(tensor_maps(idm, mu), tensor_maps(c_map, idm))
     data = BialgebraData(module, mu, lam, eta, eps, window)
+    o = _Ops(data)
+    o.pm, o.p_map = eps_mu, p   # |lam| = lam_degree, so p is the context's p_map
     require_cofrobenius(data, "input (mu, eta, eps) is not Frobenius-compatible: fails",
-                        checked)
+                        checked, o=o)
     return data
 
 

@@ -23,23 +23,23 @@ nothing.
 With a window the check is input-major.  Composed terms would hold each
 term's value on every input for the whole call: on the window models that
 is a memo per (term, input), whose traced heap grew to 21 MB at N = 10
-and 41 MB at N = 12.  Instead every distinct term is compiled once, stage
-by stage, into `StagePlan`s, and the window-valid inputs are walked once
-in canonical order.  At each
+and 41 MB at N = 12.  Instead every distinct term is compiled once into
+one generated kernel (`tensor.fused_kernel`), which runs its whole
+pipeline on one input as nested loops with no dict between the stages,
+and the window-valid inputs are walked once in canonical order.  At each
 input a term named more than once is evaluated once and its value added,
 with each use's sign, into every still-open side that names it; a term
-named once is seeded with its sign and its last plan adds straight into
+named once has its kernel add its value, times its sign, straight into
 its side.  Both sides are expanded on basis tuples rather than
 materialized as composite matrices, which keeps sparse intermediates
-small.  Each plan is linked to the next plan of
-its term, its consumer (`StagePlan.feed`), so a stage never builds a
-product term the next stage would skip for lack of a row: pairings such as
-(1(x)p(x)1)(lam(x)lam) discard most terms of lam(x) (x) lam(y).  Only such
-terms are dropped, so every sum, verdict and witness is what the unlinked
-plans give.  Because a linked plan depends on its consumer, terms are
-shared whole and stage prefixes are not.  Only the window-valid tuples
-are enumerated and evaluated (`WindowSpec.valid_inputs`); the rest are
-never built and are counted as inconclusive.  The gate masks each
+small.  A kernel looks up each map's row as soon as that map's input
+factors are bound, so a path the next stage has no row for is dropped
+before it is multiplied: pairings such as (1(x)p(x)1)(lam(x)lam) discard
+most terms of lam(x) (x) lam(y).  A dropped path adds nothing, so every
+sum, verdict and witness is what stage-by-stage application gives.
+Only the window-valid tuples are enumerated and evaluated
+(`WindowSpec.valid_inputs`); the rest are never built and are counted as
+inconclusive.  The gate masks each
 coordinate that is not reliable for the input, by index: an input's
 limit is `WindowSpec.input_limit` of its indices, and a coordinate is
 kept when both its signed weight sums stay within it.  Each module's
@@ -47,7 +47,7 @@ weights are built once per call (`factor_weights`), and the window keeps
 none of them.  Equal sides gated by equal weights stay equal, so when a
 relation's sides land in one space and agree on an input, one side is
 gated and its masked count doubled; sides that differ are both gated and
-then compared.  On either route the composed maps, plans, weights and
+then compared.  On either route the composed maps, kernels, weights and
 per-input values live only for that one call.
 
 Checks with a window walk inputs; every other job composes maps.  So
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .core import Element, GradedMap, TensorSpace, compose, format_element
 from .fields import solve_linear
-from .tensor import StagePlan, tensor_many
+from .tensor import StagePlan, fused_kernel, tensor_many
 
 PASS = "pass"
 FAIL = "fail"
@@ -134,22 +134,20 @@ def suite_passes(reports):
 
 
 class _Term:
-    """One distinct pipeline of a `check_relations` call: its plans, compiled
-    once for the source, the space it lands in, how often the relations
-    name it, and its slot in the per-input values when it is named more
-    than once (None otherwise)."""
+    """One distinct pipeline of a `check_relations` call: its kernel, its
+    stages compiled once for the source and fused (`fused_kernel`), the
+    space it lands in, how often the relations name it, and its slot in
+    the per-input values when it is named more than once (None
+    otherwise)."""
 
-    __slots__ = ("plans", "space", "uses", "slot")
+    __slots__ = ("kernel", "space", "uses", "slot")
 
     def __init__(self, stages, source):
-        self.plans = []
-        self.space = source
+        plans, self.space = [], source
         for maps in stages:
-            plan = StagePlan(maps, self.space)
-            if self.plans:
-                self.plans[-1].feed(plan)
-            self.plans.append(plan)
-            self.space = plan.space
+            plans.append(StagePlan(maps, self.space))
+            self.space = plans[-1].space
+        self.kernel = fused_kernel(plans, source.field)
         self.uses = 0
         self.slot = None
 
@@ -206,35 +204,23 @@ def _compile_side(terms, source, table, make=_Term):
 def _evaluate(side, idx, field, values):
     """The summed value of a compiled side on the basis tuple `idx`.
 
-    `side` is (read once, shared), as `_split` gives it.  A term read once
-    is seeded with its sign, run through its head plans, and its last plan
-    adds into the sum.  A shared term is evaluated unsigned at its first
-    use on this input, kept in `values` under its slot, and added with its
-    sign by every use."""
+    `side` is (read once, shared), as `_split` gives it.  The kernel of a
+    term read once adds its value, times its sign, straight into the sum.
+    A shared term is evaluated unsigned at its first use on this input,
+    kept in `values` under its slot, and added with its sign by every
+    use."""
     fused, shared = side
     total = {}
-    for sign, head, last in fused:
-        if last is None:    # a signed identity term
-            s = field.add(total.get(idx, field.zero), sign)
-            if field.is_zero(s):
-                total.pop(idx, None)
-            else:
-                total[idx] = s
-            continue
-        coeffs = {idx: sign}
-        for plan in head:
-            coeffs = plan.run(coeffs)
-        last.run(coeffs, total)
+    for sign, kernel in fused:
+        kernel(idx, sign, total)
     if not shared:
         return total
     add, mul, is_zero, zero, one = field.add, field.mul, field.is_zero, field.zero, field.one
-    for sign, slot, plans in shared:
+    for sign, slot, kernel in shared:
         value = values[slot]
         if value is None:
-            value = {idx: one}
-            for plan in plans:
-                value = plan.run(value)
-            values[slot] = value
+            value = values[slot] = {}
+            kernel(idx, one, value)
         if sign == one and not total:
             total.update(value)
             continue
@@ -287,10 +273,10 @@ def check_relations(specs, window=None):
     than once is evaluated once, for the still-open relations that use it.
     Each relation keeps its own checked and masked counts and stops at its
     first mismatch, so its report is the one it gets on its own.  Terms
-    are shared whole: a stage's linked plan depends on its consumer
-    (`StagePlan.feed`), so equal stage prefixes of different terms are not
-    shared.  Term keys are the ids of the maps, which `specs` keeps alive
-    for the call; nothing outlives it."""
+    are shared whole: each is one fused kernel (`tensor.fused_kernel`), so
+    equal stage prefixes of different terms are not shared.  Term keys
+    are the ids of the maps, which `specs` keeps alive for the call;
+    nothing outlives it but the kernel factories, cached by term shape."""
     reports = [None] * len(specs)
     groups = []     # (source, [(index, spec)]) in order of first appearance
     for item in enumerate(specs):
@@ -399,16 +385,10 @@ def _check_maps(source, specs, reports, stage_maps):
 
 
 def _split(side):
-    """A compiled side as (read once, shared): (sign, head plans, last plan)
-    for each term read once (last None for an identity term, which has no
-    plan), (sign, slot, plans) for each shared term."""
-    fused, shared = [], []
-    for sign, t in side:
-        if t.slot is None:
-            fused.append((sign, t.plans[:-1], t.plans[-1] if t.plans else None))
-        else:
-            shared.append((sign, t.slot, t.plans))
-    return fused, shared
+    """A compiled side as (read once, shared): (sign, kernel) for each term
+    read once, (sign, slot, kernel) for each shared term."""
+    return ([(sign, t.kernel) for sign, t in side if t.slot is None],
+            [(sign, t.slot, t.kernel) for sign, t in side if t.slot is not None])
 
 
 def _compile(source, specs, window, known):
@@ -428,7 +408,7 @@ def _compile(source, specs, window, known):
                          lhs_space if rhs_space is None else rhs_space))
     slots = 0
     for term in table.values():
-        if term.uses > 1 and term.plans:
+        if term.uses > 1:
             term.slot = slots
             slots += 1
     relations = []

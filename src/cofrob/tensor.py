@@ -22,16 +22,36 @@ the dual module and vice versa.  Every factor is diagonal on basis duals, so
 iota's sign (derived in `dual_map`).  The factors built one by one, and
 the composite, are kept in `tests/dual_reference.py` as its reference.
 
-Relation pipelines run through `StagePlan`, one compiled stage each; a plan
-linked to the stage that reads its output (its consumer) skips the product
-terms that stage would drop, which leaves the consumer's result unchanged.
-A plan binds its step table and its field operations once, so a call
-builds nothing before its first term.  The common terms cost little:
-identity factors, marked by the flag `GradedMap.identity` sets (read in
-O(1)), are copied into the output key with no lookup and no multiply; a
-term whose rows each have one entry is carried as one (key, coefficient)
-pair; and the Koszul sign is an XOR over a per-plan table of factor
-degree parities.
+Relation pipelines run through generated kernels.  Each stage is
+compiled for its source (`StagePlan`), and a term's stages are fused into
+one Python function, `kernel(idx, v, out)`, which adds v times the term's
+value at the basis tuple idx into the dict `out` as nested loops, with no
+dict between the stages.  For (1 (x) p)(lam (x) 1) on A (x) A, with |p|
+odd, `fused_kernel` binds this source:
+
+    def kernel(idx, v, out):
+        r0_0 = E0_0.get((idx[0],))              # lam's row at a
+        if r0_0 is None: return
+        for d0_0, w in r0_0.items():            # a_1 (x) a_2
+            r1_1 = E1_1.get((d0_0[1], idx[1]))  # p's row at a_2 (x) b,
+            if r1_1 is None: continue           # read before multiplying
+            c0_0 = mul(v, w)
+            if P1_0[d0_0[0]]: c0_0 = neg(c0_0)  # (-1)^{|p||a_1|}
+            for d1_1, w in r1_1.items():
+                c1_1 = mul(c0_0, w)
+                k = (d0_0[0],)
+                s = add(out.get(k, zero), c1_1)
+                if is_zero(s): out.pop(k, None)
+                else: out[k] = s
+
+Identities pass their factors on with no code, a row is looked up as soon
+as its input factors are bound, and each coefficient is multiplied only
+after those lookups accept the path.  The source is written from the
+term's shape alone (per stage, each map's factor range, kind and target
+arity, and the sign factors) and compiled once per shape into a factory
+kept in `_FACTORIES`; the factory binds a term's rows (E..), parity tables
+(P..) and field operations.  Labels, names and documents never reach the
+source, and the cache holds no map or module.
 """
 
 from .core import DUAL_SUFFIX, GradedModule, TensorSpace, Element, GradedMap, compose
@@ -44,42 +64,27 @@ class StagePlan:
 
     Applies the stage with the Koszul sign
     (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.  The
-    output space, the factor range each map reads, the sign table, the
-    step table `run` walks and the field operations it calls are worked
-    out once here, so `run` builds nothing per call and only multiplies
-    and adds.  The maps' sources, concatenated, must be the source's
-    factors: a stage that leaves a factor out or reads past the last one
-    raises ValueError.
+    output space, the factor range each map reads (`groups`) and the sign
+    table are worked out once here, for `fused_kernel`, which runs the
+    stage, alone or fused with the rest of its term, as a kernel generated
+    from its shape (one is shown in the module docstring): only ints and
+    kind tags reach the source, never a label.  The maps' sources,
+    concatenated, must be the source's factors: a stage that leaves a
+    factor out or reads past the last one raises ValueError.
 
-    Three things spare `run` work on every term:
+    A factor i enters the sign once for each odd-degree map that starts
+    after it, so only the factors with an odd count of those matter:
+    `signs` holds (i, parity of each basis degree of factor i) for them,
+    and a term's sign is the XOR of its factors' parities."""
 
-    - a map built by `GradedMap.identity` (its `is_identity` flag, read
-      in O(1)) is marked in its step, and `run` copies its factors into
-      the key with no lookup and no multiply; a map that only equals the
-      identity takes the lookup path, which gives the same terms;
-    - a factor i enters the sign once for each odd-degree map that starts
-      after it, so only the factors with an odd count of those matter;
-      `signs` holds (i, parity of each basis degree of factor i) for
-      them, and a term's sign is the XOR of its factors' parities;
-    - most rows have a single entry, so `run` carries one (key,
-      coefficient) pair and builds a list of partial terms only after a
-      row with more than one entry.
-
-    A plan may be linked to its consumer, the plan that reads its output
-    (`feed`).  Expanding the product terms map by map, a linked plan then
-    keeps an output key only if each partial consumer map (one with fewer
-    rows than its source has basis tuples) whose input the key completes
-    has a row for it.  The consumer skips every key without a row, its
-    maps are linear and a dropped key is dropped whole, so what the
-    consumer computes is unchanged; only the dead terms are never built.
-    A partial consumer map on R has no row at all, so it makes every key
-    dead (`dead`), and the plan then builds no term."""
-
-    __slots__ = ("source", "space", "maps", "groups", "signs", "dead", "steps", "ops")
+    __slots__ = ("source", "space", "maps", "groups", "signs")
 
     def __init__(self, maps, source):
         if tuple(m for f in maps for m in f.source.modules) != source.modules:
             raise ValueError("apply_stage: the stage's sources do not match the element's factors")
+        if sum(not f.is_identity for f in maps) > _MAX_LOOPS:
+            raise ValueError(f"apply_stage: a stage holds at most {_MAX_LOOPS} maps "
+                             "besides identities")
         self.source = source
         self.space = TensorSpace(
             tuple(m for f in maps for m in f.target.modules), field=source.field)
@@ -96,118 +101,155 @@ class StagePlan:
         self.signs = [(i, tuple(d % 2 for d in m.degrees))
                       for i, m in enumerate(source.modules)
                       if sum(a > i for a in odd_starts) % 2]
-        self.dead = False  # whether the consumer reads no key (see feed)
-        field = source.field
-        self.ops = (field.add, field.mul, field.neg, field.is_zero, field.zero, field.one)
-        self._bind_steps([()] * len(maps))
 
-    def _bind_steps(self, probes):
-        """Set the step table `run` walks: (a, b, entries, is_identity,
-        probes) per map, `probes` being the consumer groups the map
-        completes (see `feed`)."""
-        self.steps = [(a, b, entries, f.is_identity, checks)
-                      for (a, b, entries), f, checks in zip(self.groups, self.maps, probes)]
-
-    def feed(self, consumer):
-        """Link this plan to the plan that reads its output.
-
-        Only the consumer's partial maps, those with fewer rows than their
-        source has basis tuples, are probed: a group (a, b) of one is
-        probed after the map whose output holds factor b - 1, the first
-        map after which key[a:b] is complete; a map that completes no such
-        group keeps every key.  A plan whose consumer has no partial map,
-        like an unlinked one, has no group to probe after any map.  A
-        partial map on R, a group (a, a), has no row for any key: the plan
-        is then dead and `run` adds nothing."""
-        partial = [g for g, f in zip(consumer.groups, consumer.maps)
-                   if len(f.entries) < f.source.size]
-        self.dead = any(a == b for a, b, _ in partial)
-        probes = []
-        start = 0
-        for f in self.maps:
-            end = start + f.target.arity
-            probes.append([g for g in partial if start < g[1] <= end])
-            start = end
-        self._bind_steps(probes)
-
-    def run(self, coeffs, out=None):
-        """The stage applied to a coefficient dict of the source space.
-
-        Every output index concatenates target indices of the maps'
-        validated entries and zero sums are dropped as they arise, so the
-        result needs no re-validation.  Results are added into `out` when
-        it is given (a dict of the output space) and returned.
-
-        Each term's sign is read from the parity table, an identity map
-        appends its factors of the input, and a single-entry row extends
-        the one (key, coefficient) pair carried so far; the list of partial
-        terms is built only from the first row with more than one entry.
-        A dead plan adds nothing."""
-        if out is None:
-            out = {}
-        if self.dead:
-            return out
-        signs, steps = self.signs, self.steps
-        add, mul, neg, is_zero, zero, one = self.ops
+    def run(self, coeffs):
+        """The stage applied to a coefficient dict of the source space, one
+        input at a time through its kernel (`fused_kernel`).  Zero sums are
+        dropped as they arise, so the result needs no re-validation."""
+        kernel, out = fused_kernel([self], self.source.field), {}
         for idx, v in coeffs.items():
-            if signs:
-                odd = 0
-                for i, par in signs:
-                    odd ^= par[idx[i]]
-                if odd:
-                    v = neg(v)
-            key, partial = (), None
-            for a, b, entries, identity, checks in steps:
-                if identity:
-                    if partial is None:
-                        key += idx[a:b]
-                        for x, y, e in checks:
-                            if key[x:y] not in e:
-                                break
-                        else:
-                            continue
-                        break
-                    row = {idx[a:b]: one}
-                else:
-                    row = entries.get(idx[a:b])
-                    if row is None:
-                        break
-                    if partial is None:
-                        if len(row) == 1:
-                            (dst, w), = row.items()
-                            key += dst
-                            for x, y, e in checks:
-                                if key[x:y] not in e:
-                                    break
-                            else:
-                                v = mul(v, w)
-                                continue
-                            break
-                        partial = [(key, v)]
-                # The comprehension is the fast path; probing every map of every
-                # plan instead costs the unlinked plans a few per cent.
-                if checks:
-                    kept = []
-                    for prefix, c in partial:
-                        for dst, w in row.items():
-                            k = prefix + dst
-                            for x, y, e in checks:
-                                if k[x:y] not in e:
-                                    break
-                            else:
-                                kept.append((k, mul(c, w)))
-                    partial = kept
-                else:
-                    partial = [(prefix + dst, mul(c, w))
-                               for prefix, c in partial for dst, w in row.items()]
-            else:
-                for dst, c in ([(key, v)] if partial is None else partial):
-                    s = add(out.get(dst, zero), c)
-                    if is_zero(s):
-                        out.pop(dst, None)
-                    else:
-                        out[dst] = s
+            kernel(idx, v, out)
         return out
+
+
+_MAX_LOOPS = 20     # CPython nests at most 20 loops in one function
+_FACTORIES = {}     # term shape, of ints and kind tags -> compiled kernel factory
+
+
+def _add_nothing(idx, v, out):
+    """The kernel of a term with a map out of R that has no row."""
+
+
+def fused_kernel(plans, field):
+    """kernel(idx, v, out), which adds v times the pipeline of `plans` (an
+    empty one is the identity) at the basis tuple idx into the coefficient
+    dict `out`, dropping zero sums as they arise.
+
+    The term's shape (per stage, each map's first factor, end factor,
+    kind and target arity, and the sign factors) keys `_FACTORIES`; a new
+    shape's source is written by `_kernel_source` and compiled once.  The
+    factory then binds this term's rows, parity tables and field
+    operations.  A map out of R has its one row read here, and a missing
+    row makes the term add nothing.  A term with more than _MAX_LOOPS maps
+    that read rows runs its first stage and the rest as two kernels, with
+    a dict between them."""
+    shape, tables = [], []
+    for plan in plans:
+        maps = []
+        for (a, b, entries), f in zip(plan.groups, plan.maps):
+            kind = "id" if f.is_identity else "R" if a == b else "row"
+            if kind == "R":
+                row = entries.get(())
+                if row is None:
+                    return _add_nothing
+                tables.append(tuple(row.items()))
+            elif kind == "row":
+                tables.append(entries)
+            maps.append((a, b, kind, f.target.arity))
+        shape.append((tuple(maps), tuple(i for i, _ in plan.signs)))
+        tables += [parity for _, parity in plan.signs]
+    if sum(m[2] != "id" for maps, _ in shape for m in maps) > _MAX_LOOPS:
+        head, tail = fused_kernel(plans[:1], field), fused_kernel(plans[1:], field)
+
+        def kernel(idx, v, out):
+            middle = {}
+            head(idx, v, middle)
+            for key, c in middle.items():
+                tail(key, c, out)
+        return kernel
+    shape = tuple(shape)
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        namespace = {}
+        exec(compile(_kernel_source(shape), "<kernel>", "exec"), namespace)
+        factory = _FACTORIES[shape] = namespace["factory"]
+    return factory(tables, field.add, field.mul, field.neg, field.is_zero, field.zero)
+
+
+def _kernel_source(shape):
+    """The source of the kernel factory for terms of one shape.
+
+    Stage by stage, each map that reads a row opens a loop over it, and an
+    identity passes its factors on with no code.  A map's row is looked up
+    at the first loop where its input factors are all bound, a missing row
+    skipping the path; a loop's coefficient is multiplied after those
+    lookups, and a stage's sign is applied at the first loop where its
+    sign factors are all bound."""
+    width = max((m[1] for m in shape[0][0]), default=0) if shape else 0
+    factors = [[f"idx[{i}]" for i in range(width)]]  # per stage input, None until bound
+    wholes = [{(0, width): "idx"}]      # per stage input: the ranges one name holds
+    starts, params = [], []
+    for s, (maps, signs) in enumerate(shape):
+        starts.append([sum(m[3] for m in maps[:j]) for j in range(len(maps))])
+        factors.append([None] * sum(m[3] for m in maps))
+        wholes.append({})
+        params += [f"{'R' if m[2] == 'R' else 'E'}{s}_{j}"
+                   for j, m in enumerate(maps) if m[2] != "id"]
+        params += [f"P{s}_{i}" for i in signs]
+    lines = ["def factory(T, add, mul, neg, is_zero, zero):",
+             f"    {', '.join(params)}, = T" if params else "",
+             "    def kernel(idx, v, out):"]
+    depth, coeff, leave = 2, "v", "return"
+    looked, signed = set(), set()
+
+    def key(s, lo, hi):
+        """Factors [lo, hi) of stage s's input as an expression, or None if
+        one of them is not bound yet."""
+        items = factors[s][lo:hi]
+        if (lo, hi) in wholes[s] or None in items:
+            return wholes[s].get((lo, hi))
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+    def bind():
+        """Look up each row, and pass on each identity's factors, whose
+        input factors are all bound."""
+        for s, (maps, _) in enumerate(shape):
+            for j, (a, b, kind, t) in enumerate(maps):
+                expr = None if (s, j) in looked or kind == "R" else key(s, a, b)
+                if expr is None:
+                    continue
+                looked.add((s, j))
+                if kind == "row":
+                    lines.extend(("    " * depth + f"r{s}_{j} = E{s}_{j}.get({expr})",
+                                  "    " * depth + f"if r{s}_{j} is None: {leave}"))
+                    continue
+                off = starts[s][j]
+                factors[s + 1][off:off + t] = factors[s][a:b]
+                if (a, b) in wholes[s]:
+                    wholes[s + 1][off, off + t] = wholes[s][a, b]
+                return bind()
+
+    def sign():
+        """Apply each stage's sign once its sign factors are all bound."""
+        for s, (_, signs) in enumerate(shape):
+            items = [factors[s][i] for i in signs]
+            if s not in signed and None not in items:
+                signed.add(s)
+                if signs:
+                    odd = " ^ ".join(f"P{s}_{i}[{x}]" for i, x in zip(signs, items))
+                    lines.append("    " * depth + f"if {odd}: {coeff} = neg({coeff})")
+
+    bind()
+    sign()
+    for s, (maps, _) in enumerate(shape):
+        for j, (_, _, kind, t) in enumerate(maps):
+            if kind != "id":
+                name, off = f"d{s}_{j}", starts[s][j]
+                row = f"R{s}_{j}" if kind == "R" else f"r{s}_{j}.items()"
+                lines.append("    " * depth + f"for {name}, w in {row}:")
+                depth, leave = depth + 1, "continue"
+                factors[s + 1][off:off + t] = [f"{name}[{i}]" for i in range(t)]
+                wholes[s + 1][off, off + t] = name
+                bind()
+                lines.append("    " * depth + f"c{s}_{j} = mul({coeff}, w)")
+                coeff = f"c{s}_{j}"
+                sign()
+    lines += ["    " * depth + line for line in (
+        f"k = {key(len(shape), 0, len(factors[-1]))}",
+        f"s = add(out.get(k, zero), {coeff})",
+        "if is_zero(s): out.pop(k, None)", "else: out[k] = s")]
+    lines.append("    return kernel")
+    return "\n".join(lines)
 
 
 def apply_stage(maps, elem):

@@ -368,6 +368,23 @@ def test_complete_from_pairing_sphere_oracle():
     assert s3.copairing() == Element(s3.space2, {(one, w): -1, (w, one): 1})
 
 
+def test_complete_from_pairing_composes_eps_mu_once(monkeypatch):
+    """`complete_from_pairing` on S^3 composes eps mu once: the biunital
+    suite it runs reads the pairing from the context it is handed."""
+    from cofrob import core, duality, structures
+    data = sphere_cohomology(3)
+    compositions = []
+
+    def counting(f, g):
+        compositions.append((f, g))
+        return core.compose(f, g)
+
+    for module in (duality, structures):
+        monkeypatch.setattr(module, "compose", counting)
+    complete_from_pairing(data.module, data.mu, data.eta, data.eps)
+    assert sum(f is data.eps and g is data.mu for f, g in compositions) == 1
+
+
 def test_complete_from_pairing_rejects_zero_eps(sphere2):
     zero_eps = GradedMap.zero(sphere2.space, scalar_space(sphere2.field),
                               sphere2.eps.degree)

@@ -373,28 +373,28 @@ def test_sides_that_differ_are_gated_each():
 
 def test_each_distinct_term_runs_once_per_input(monkeypatch):
     """On `rabinowitz_loop_sphere(3, 4)` the biunital infinitesimal
-    relations name some terms more than once, yet each distinct term's
-    plans are compiled once and run once on each input checked for its
-    source.  The batch has two sources: the twist of lam(eta) is a
-    relation on R."""
+    relations name some terms more than once, yet each distinct term is
+    compiled into one kernel once and its kernel is called once on each
+    input checked for its source.  The batch has two sources: the twist of
+    lam(eta) is a relation on R."""
     from collections import Counter
     from cofrob import structures
-    from cofrob.tensor import StagePlan
     data = rabinowitz_loop_sphere(3, 4)
-    batches, runs, terms = [], Counter(), []
-    run, term_init = StagePlan.run, reports._Term.__init__
-
-    def counting(plan, coeffs, out=None):
-        runs[plan] += 1
-        return run(plan, coeffs, out)
+    batches, calls, terms = [], Counter(), []
+    term_init = reports._Term.__init__
 
     def recording(term, stages, source):
         term_init(term, stages, source)
+        kernel = term.kernel
+
+        def counting(idx, v, out):
+            calls[term] += 1
+            kernel(idx, v, out)
+        term.kernel = counting
         terms.append((source, term))
 
     def batch(specs, window=None):
         with monkeypatch.context() as patch:
-            patch.setattr(StagePlan, "run", counting)
             patch.setattr(reports._Term, "__init__", recording)
             out = check_relations(specs, window)
         batches.append((specs, out))
@@ -409,17 +409,16 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
     repeated = False
     for source in sources:
         named = [(spec, r) for spec, r in zip(specs, out) if spec.source == source]
-        occurrences = [stages for spec, _ in named
-                       for _, stages in (*spec.lhs, *spec.rhs) if stages]
+        occurrences = [stages for spec, _ in named for _, stages in (*spec.lhs, *spec.rhs)]
         distinct = {tuple(tuple(map(id, maps)) for maps in stages)
                     for stages in occurrences}
         repeated |= len(occurrences) > len(distinct)
-        compiled = [term for s, term in terms if s == source and term.plans]
+        compiled = [term for s, term in terms if s == source]
         assert len(compiled) == len(distinct)
         [checked] = {r.checked for _, r in named}
-        assert {runs[plan] for term in compiled for plan in term.plans} == {checked}
+        assert {calls[term] for term in compiled} == {checked}
     assert repeated
-    assert len(runs) == sum(len(term.plans) for _, term in terms)
+    assert len(calls) == len(terms)
 
 
 def test_solves_build_no_stage_plan(monkeypatch):

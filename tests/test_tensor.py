@@ -408,56 +408,74 @@ def test_dualize_and_poincare_dual_match_the_iota_route(monkeypatch, dual_exampl
 
 
 # Accepts every input and masks nothing, so the suites report what they
-# report without a window; but only a windowed check runs stage plans (an
+# report without a window; but only a windowed check runs term kernels (an
 # unwindowed one composes each side into one map).
 OPEN_WINDOW = WindowSpec(1, 0, {})
 
 
 def _windowed(data):
-    """`data` checked through stage plans: under OPEN_WINDOW if it has no window."""
+    """`data` checked through term kernels: under OPEN_WINDOW if it has no window."""
     return data if data.window is not None else data.replace(window=OPEN_WINDOW)
 
 
-def _recorded_plans(monkeypatch, structures):
-    """Every stage plan the built-in data suites compile, with the
-    coefficient dicts the relation pipelines ran it on (each structure
-    without a window is checked under OPEN_WINDOW)."""
-    from cofrob.tensor import StagePlan
+def _recorded_terms(monkeypatch, structures):
+    """Every term the built-in data suites compile for `structures` (each
+    one without a window checked under OPEN_WINDOW): its stages, source,
+    output space and kernel, and the (input, coefficient) pairs the
+    relation walk called the kernel with."""
+    from cofrob import reports
     from cofrob.suites import DATA_SUITES
-    original = StagePlan.run
-    seen = {}
+    init = reports._Term.__init__
+    terms = []
 
-    def record(plan, coeffs, out=None):
-        seen.setdefault(id(plan), (plan, []))[1].append(dict(coeffs))
-        return original(plan, coeffs, out)
+    def record(term, stages, source):
+        init(term, stages, source)
+        kernel, calls = term.kernel, []
+
+        def recording(idx, v, out):
+            calls.append((idx, v))
+            kernel(idx, v, out)
+        term.kernel = recording
+        terms.append((stages, source, term.space, kernel, calls))
 
     with monkeypatch.context() as patch:
-        patch.setattr(StagePlan, "run", record)
+        patch.setattr(reports._Term, "__init__", record)
         for data in structures:
-            for suite in DATA_SUITES.values():
-                suite(_windowed(data))
-    return list(seen.values())
+            for name, suite in DATA_SUITES.items():
+                try:
+                    suite(_windowed(data))
+                except ValueError:      # poincare-duality refuses data without eps
+                    assert name == "poincare-duality" and data.eps is None
+    return terms
 
 
 def test_apply_stage_output_passes_full_validation(monkeypatch):
-    """The stage kernel (`StagePlan.run`, behind `apply_stage`) skips
-    Element validation; on every basis input of every plan the built-in
-    relation pipelines compile, and on the coefficient dicts those
-    pipelines ran it on, its result is exactly what the validating
-    constructor builds and holds no zero coefficient."""
+    """The term kernels (behind `apply_stage` and the window walk) skip
+    Element validation; on every basis input of every term the built-in
+    relation pipelines compile, on the inputs the walk called it with, and
+    summed over those inputs as a side sums them, a kernel's result is
+    exactly what the validating constructor builds and holds no zero
+    coefficient.  So is `apply_stage`'s on each term's first stage."""
     from cofrob import (PrimeField, sphere_cohomology, manifold_from_cup,
                         torus_cup_data)
+    from cofrob.tensor import apply_stage
     torus = torus_cup_data()
     torus.field = PrimeField(3)
-    plans = _recorded_plans(monkeypatch, [sphere_cohomology(3),
-                                          manifold_from_cup(torus)])
-    assert len(plans) > 100
-    for plan, fed in plans:
-        field = plan.source.field
-        basis = [{idx: field.one} for idx in plan.source.basis()]
-        for coeffs in basis + fed:
-            result = plan.run(coeffs)
-            assert result == Element(plan.space, result).coeffs
+    terms = _recorded_terms(monkeypatch, [sphere_cohomology(3), manifold_from_cup(torus)])
+    assert len(terms) > 100
+    for stages, source, space, kernel, calls in terms:
+        field = source.field
+        results, summed = [], {}
+        for idx, v in [(idx, field.one) for idx in source.basis()] + calls:
+            results.append((space, {}))
+            kernel(idx, v, results[-1][1])
+            kernel(idx, v, summed)
+        results.append((space, summed))
+        if stages:
+            first = apply_stage(stages[0], Element.basis(source, idx))
+            results.append((first.space, first.coeffs))
+        for space_out, result in results:
+            assert result == Element(space_out, result).coeffs
             assert not any(field.is_zero(v) for v in result.values())
             assert all(type(v) is int or v.denominator != 1
                        for v in result.values())
@@ -477,39 +495,6 @@ def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):
     assert apply_stage([sphere2.mu], one_w) == Element.from_labels(sphere2.space, [(1, ("w",))])
 
 
-def _linked_pairs(monkeypatch, data):
-    """Every (plan, consumer, unlinked plan, fed) the data suites compile
-    for `data` (under OPEN_WINDOW if it has none): each plan linked to the
-    next plan of its term, the same stage compiled without a consumer, and
-    the coefficient dicts the relation pipelines fed the plan."""
-    from cofrob import reports
-    from cofrob.tensor import StagePlan
-    from cofrob.suites import DATA_SUITES
-    term_init, run = reports._Term.__init__, StagePlan.run
-    terms_seen, fed = [], {}
-    data = _windowed(data)
-
-    def record_term(term, stages, source):
-        term_init(term, stages, source)
-        terms_seen.append((stages, term.plans))
-
-    def record_run(plan, coeffs, out=None):
-        fed.setdefault(id(plan), []).append(dict(coeffs))
-        return run(plan, coeffs, out)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(reports._Term, "__init__", record_term)
-        patch.setattr(StagePlan, "run", record_run)
-        for name, suite in DATA_SUITES.items():
-            try:
-                suite(data)
-            except ValueError:      # poincare-duality refuses data without eps
-                assert name == "poincare-duality" and data.eps is None
-    return [(plan, consumer, StagePlan(stages[i], plan.source), fed.get(id(plan), []))
-            for stages, plans in terms_seen
-            for i, (plan, consumer) in enumerate(zip(plans, plans[1:]))]
-
-
 def _manifold_over(cup_data, p):
     cup = cup_data()
     cup.field = PrimeField(p)
@@ -523,20 +508,28 @@ def _manifold_over(cup_data, p):
     lambda: rabinowitz_loop_sphere(3, 4),
     lambda: circle_models(4, flavor="loop"),
 ], ids=["S3-Q", "T2-F3", "S2xS2-F2", "rabinowitz-S3-N4", "circle-loop-N4"])
-def test_consumer_pruning_keeps_what_the_consumer_computes(monkeypatch, build):
-    """A plan linked to its consumer drops only keys the consumer would
-    skip: on every input the suites fed it, its output is a sub-dict of the
-    unlinked plan's output and the consumer computes the same from both.
-    Each structure has a plan that prunes something."""
-    pairs = _linked_pairs(monkeypatch, build())
-    dropped = 0
-    for plan, consumer, unlinked, fed in pairs:
-        for coeffs in fed:
-            pruned, full = plan.run(coeffs), unlinked.run(coeffs)
-            assert pruned.items() <= full.items()
-            assert consumer.run(pruned) == consumer.run(full)
-            dropped += len(full) - len(pruned)
-    assert dropped > 0
+def test_each_term_kernel_matches_the_reference_pipeline(monkeypatch, build):
+    """On every term the data suites compile (under OPEN_WINDOW where the
+    structure has no window), the term's kernel gives, on every basis input
+    of its source, what its stages applied one by one as materialized
+    tensors give (`pipeline_reference`).  Each structure has a term whose
+    second stage has no row for a key its first stage gives, so the
+    kernels' early row lookups skip a path."""
+    from pipeline_reference import apply_pipeline
+    from cofrob.tensor import StagePlan
+    skips = False
+    for stages, source, space, kernel, _ in _recorded_terms(monkeypatch, [build()]):
+        for idx in source.basis():
+            value = {}
+            kernel(idx, source.field.one, value)
+            x = Element.basis(source, idx)
+            assert Element(space, value) == apply_pipeline(stages, x), (stages, idx)
+            if len(stages) > 1 and not skips:
+                first = apply_pipeline(stages[:1], x)
+                groups = StagePlan(stages[1], first.space).groups
+                skips = any(key[a:b] not in entries for key in first.coeffs
+                            for a, b, entries in groups)
+    assert skips
 
 
 F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
@@ -582,19 +575,23 @@ def linked_stages(draw):
 @settings(max_examples=80, deadline=None)
 @given(linked_stages())
 def test_linked_plan_drops_exactly_the_keys_its_consumer_skips(stages):
-    """Over F3, with odd-degree maps: a plan fed to its consumer returns the
-    unlinked plan's output restricted to the keys every consumer map has a
-    row for, and the consumer computes the same from both."""
-    from cofrob.tensor import StagePlan
+    """Over F3, with odd-degree maps: the kernel fused from a stage and the
+    stage that reads its output, whose row lookups skip each key of the
+    first stage that a map of the second has no row for, computes what
+    the second stage computes from the first stage's whole output, which
+    is what it computes from that output restricted to the keys every map
+    of the second stage has a row for."""
+    from cofrob.tensor import StagePlan, fused_kernel
     producer, consumer, source, coeffs = stages
     plan = StagePlan(producer, source)
     reader = StagePlan(consumer, plan.space)
-    plan.feed(reader)
-    pruned = plan.run(coeffs)
-    full = StagePlan(producer, source).run(coeffs)
-    assert pruned == {key: v for key, v in full.items()
-                      if all(key[a:b] in entries for a, b, entries in reader.groups)}
-    assert reader.run(pruned) == reader.run(full)
+    full = plan.run(coeffs)
+    kept = {key: v for key, v in full.items()
+            if all(key[a:b] in entries for a, b, entries in reader.groups)}
+    fused, kernel = {}, fused_kernel([plan, reader], source.field)
+    for idx, v in coeffs.items():
+        kernel(idx, v, fused)
+    assert fused == reader.run(full) == reader.run(kept)
 
 
 KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3))
@@ -664,20 +661,97 @@ def kernel_stages(draw):
 @settings(max_examples=100, deadline=None)
 @given(kernel_stages())
 def test_stage_plan_applies_the_tensor_of_its_maps(stages):
-    """The stage kernel, with its identity pass-through, single-entry
-    folding and parity-table signs, computes what the materialized tensor
-    of the stage's maps computes; linked to the stage that reads its
-    output, it returns that result restricted to the keys every map of the
-    reader has a row for."""
-    from cofrob.tensor import StagePlan, tensor_many
+    """A stage's kernel, with its identity pass-through and parity-table
+    signs, computes what the materialized tensor of the stage's maps
+    computes; fused with the stage that reads its output, it computes what
+    the two materialized tensors compute one after the other."""
+    from cofrob.tensor import StagePlan, fused_kernel, tensor_many
     maps, consumer, source, coeffs = stages
-    expected = tensor_many(maps)(Element(source, coeffs)).coeffs
+    expected = tensor_many(maps)(Element(source, coeffs))
     plan = StagePlan(maps, source)
-    assert plan.run(coeffs) == expected
-    reader = StagePlan(consumer, plan.space)
-    plan.feed(reader)
-    assert plan.run(coeffs) == {key: v for key, v in expected.items()
-                                if all(key[a:b] in entries for a, b, entries in reader.groups)}
+    assert plan.run(coeffs) == expected.coeffs
+    fused, kernel = {}, fused_kernel([plan, StagePlan(consumer, plan.space)], source.field)
+    for idx, v in coeffs.items():
+        kernel(idx, v, fused)
+    # a stage of no maps, on R, is the identity
+    assert fused == (tensor_many(consumer)(expected) if consumer else expected).coeffs
+
+
+@st.composite
+def kernel_pipelines(draw):
+    """Over Q, on a module with odd degrees, or over F3 on F3_MOD: a source
+    of up to three factors, a pipeline of one to three stages of
+    `kernel_maps` reading one or two factors each (sparse maps of odd and
+    even degree, identities, partial maps), at times with a map out of R
+    among them (a sparse one, the identity, twice it, or the zero map, a
+    partial map on R), and a coefficient dict of the source."""
+    module = draw(st.sampled_from((make_module([("a", 0), ("b", 1), ("c", 1)]), F3_MOD)))
+    field = module.field
+    width = draw(st.integers(min_value=0, max_value=3))
+    source = TensorSpace((module,) * width, field=field)
+    stages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        maps, left = [], width
+        while left:
+            k = draw(st.integers(min_value=1, max_value=min(2, left)))
+            maps.append(draw(kernel_maps(module, k)))
+            left -= k
+        if not maps or draw(st.booleans()):
+            maps.insert(draw(st.integers(min_value=0, max_value=len(maps))),
+                        draw(kernel_maps(module, 0)))
+        stages.append(maps)
+        width = sum(f.target.arity for f in maps)
+        if width > 3:
+            break
+    coeffs = {idx: v for idx in source.basis()
+              if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, 2, -1)))))}
+    return source, stages, coeffs
+
+
+def _fused(stages, source, coeffs):
+    """The pipeline `stages` applied to the coefficient dict `coeffs` of
+    `source` through its fused kernel."""
+    from cofrob.tensor import StagePlan, fused_kernel
+    plans, space = [], source
+    for maps in stages:
+        plans.append(StagePlan(maps, space))
+        space = plans[-1].space
+    out, kernel = {}, fused_kernel(plans, source.field)
+    for idx, v in coeffs.items():
+        kernel(idx, v, out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_pipelines())
+def test_fused_kernel_matches_the_reference_pipeline(pipeline):
+    """A term's fused kernel, summed over a coefficient dict, gives what
+    its stages applied one by one as materialized tensors give
+    (`pipeline_reference`)."""
+    from pipeline_reference import apply_pipeline
+    source, stages, coeffs = pipeline
+    assert _fused(stages, source, coeffs) == apply_pipeline(
+        stages, Element(source, coeffs)).coeffs
+
+
+def test_a_term_of_more_loops_than_python_nests_runs_as_two_kernels():
+    """One function nests at most 20 loops: a term of 23 stages that read
+    rows runs its first stage and the rest as separate kernels and still
+    gives the reference value; a stage of 21 such maps is refused."""
+    from pipeline_reference import apply_pipeline
+    from cofrob import scalar_space
+    from cofrob.tensor import StagePlan
+    double = GradedMap(SP1, SP1, 0, {(i,): {(i,): 2} for i in range(MOD.dim)})
+    stages = [[double]] * 23
+    coeffs = {(i,): i + 1 for i in range(MOD.dim)}
+    fused = _fused(stages, SP1, coeffs)
+    assert fused == {(i,): (i + 1) * 2 ** 23 for i in range(MOD.dim)}
+    assert fused == apply_pipeline(stages, Element(SP1, coeffs)).coeffs
+    r = scalar_space(QQ)
+    two = GradedMap(r, r, 0, {(): {(): 2}})
+    assert StagePlan([two] * 20, r).run({(): 1}) == {(): 2 ** 20}
+    with pytest.raises(ValueError, match="at most 20 maps"):
+        StagePlan([two] * 21, r)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -697,15 +771,20 @@ def test_only_the_identity_constructor_sets_the_identity_flag(k):
 
 
 def test_a_plan_fed_to_a_zero_map_on_r_keeps_nothing():
-    """The zero map R -> R has no row for the empty key, so the plan that
-    feeds it, here the identity on R, keeps no key."""
+    """The zero map R -> R has no row for the empty key, so the kernel of
+    the identity on R followed by it adds nothing; so does a term whose
+    map out of R has no row, read when the kernel is bound."""
     from cofrob import scalar_space
-    from cofrob.tensor import StagePlan
+    from cofrob.tensor import StagePlan, fused_kernel
     r = scalar_space(QQ)
-    plan = StagePlan([GradedMap.identity(r)], r)
-    plan.feed(StagePlan([GradedMap(r, r, 0, {})], r))
-    assert plan.run({(): 1}) == {}
-    assert plan.run({(): 1}, {(): 5}) == {(): 5}
+    zero = GradedMap(r, r, 0, {})
+    for stages in ([[GradedMap.identity(r)], [zero]], [[zero]], [[zero], [GradedMap.identity(r)]]):
+        plans = [StagePlan(stages[0], r)]
+        plans += [StagePlan(maps, r) for maps in stages[1:]]
+        kernel = fused_kernel(plans, QQ)
+        for out, expected in (({}, {}), ({(): 5}, {(): 5})):
+            kernel((), 1, out)
+            assert out == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -721,3 +800,95 @@ def test_dual_map_matches_the_iota_route(k, t, data):
     dual = dual_map(f)
     assert map_equal(dual, _dual_via_iota(f))
     assert dual == GradedMap(dual.source, dual.target, dual.degree, dual.entries)
+
+
+def _relabeled(data, label):
+    """`data` with each basis label l of its module renamed label(i) (i its
+    index), in its maps, its unit and its window weights alike."""
+    from cofrob import BialgebraData
+    a = data.module
+    module = make_module([(label(i), d) for i, d in enumerate(a.degrees)],
+                         field=a.field, name=a.name)
+
+    def moved(f):
+        spaces = [TensorSpace((module,) * s.arity, field=a.field)
+                  for s in (f.source, f.target)]
+        return GradedMap(*spaces, f.degree, f.entries)
+
+    window = data.window and WindowSpec(data.window.bound, data.window.slack, {
+        label(a.index[lbl]): w for lbl, w in data.window.weights.items()})
+    return BialgebraData(module, moved(data.mu), moved(data.lam),
+                         Element(TensorSpace((module,)), data.eta.coeffs),
+                         moved(data.eps), window)
+
+
+def test_labels_never_reach_kernel_source():
+    """Kernel source is written from the term's shape alone: labels made of
+    quotes, newlines, braces and `__import__` calls give the reports that
+    plain labels give, on a windowed model whose doubled coproduct fails
+    relations with witnesses."""
+    from cofrob import BialgebraData, rabinowitz_loop_sphere
+    from cofrob.suites import DATA_SUITES
+    base = rabinowitz_loop_sphere(3, 4)
+    base = BialgebraData(base.module, base.mu, base.lam.scale(2), base.eta, base.eps,
+                         base.window)
+    hostile = [f'"{i}\'\n{{{i}}}}}__import__("sys").exit({i})' for i in range(base.module.dim)]
+    plain = [f"p{i}q" for i in range(base.module.dim)]
+
+    def translated(text):
+        for bad, good in zip(hostile, plain):
+            text = text.replace(bad, good)
+        return text
+
+    def reports(suite, label):
+        try:
+            return [r.as_dict() for r in suite(_relabeled(base, label))]
+        except ValueError as refusal:     # poincare-duality refuses a failing input
+            return str(refusal)
+
+    witnesses = 0
+    for name, suite in DATA_SUITES.items():
+        got, want = reports(suite, hostile.__getitem__), reports(suite, plain.__getitem__)
+        for r in got if isinstance(got, list) else []:
+            if r["witness"]:
+                witnesses += 1
+                r["witness"] = {"input": [translated(x) for x in r["witness"]["input"]],
+                                "lhs": translated(r["witness"]["lhs"]),
+                                "rhs": translated(r["witness"]["rhs"])}
+        assert got == want, name
+    assert witnesses
+
+
+def test_a_windowed_check_keeps_nothing_of_its_structure():
+    """The kernel factories are cached by shape and hold no map or module:
+    after a windowed check, the structure's module is freed with it."""
+    import gc
+    import weakref
+    from cofrob import run_suite
+    data = rabinowitz_loop_sphere(3, 4)
+    assert run_suite("biunital-infinitesimal", data)
+    module = weakref.ref(data.module)
+    del data
+    gc.collect()
+    assert module() is None
+
+
+def test_kernel_cache_keys_hold_only_ints_and_kind_tags():
+    """Every key of the kernel factory cache, after the data suites have
+    run on windowed models and under OPEN_WINDOW, is made of ints and the
+    three kind tags only."""
+    from cofrob import tensor
+    from cofrob.suites import DATA_SUITES
+    for data in (rabinowitz_loop_sphere(3, 4), circle_models(4, flavor="loop"),
+                 _windowed(sphere_cohomology(3))):
+        for name, suite in DATA_SUITES.items():
+            if name != "poincare-duality" or data.eps is not None:
+                suite(data)
+
+    def plain(key):
+        if isinstance(key, tuple):
+            return all(map(plain, key))
+        return type(key) is int or key in ("id", "row", "R")
+
+    assert tensor._FACTORIES
+    assert all(plain(key) for key in tensor._FACTORIES)

@@ -24,12 +24,11 @@ structure is perfect, which is decided by exact per-degree rank.
 
 from dataclasses import dataclass
 
-from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
-                   scalar_space)
+from .core import TensorSpace, Element, GradedMap, compose, element_as_map
 from .tensor import twist, tensor_maps, dual_module, dual_map, ShiftMaps, shift_map
 from .reports import Relation, check_relations, prefixed
-from .structures import (BialgebraData, _Ops, _morphisms, _run, RELATIONS, MORPHISMS,
-                         COFROBENIUS, require_cofrobenius, sgn)
+from .structures import (BialgebraData, _Ops, _available, _morphisms, _run, MORPHISMS,
+                         COFROBENIUS, CYCLIC, require_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -342,30 +341,7 @@ def _complete(module, mu, eta, eps, window=None, checked=()):
 def cyclic_triple_checks(data):
     """beta = (1(x)mu(x)1)(c(x)c) is cyclically symmetric; B = (p(x)p)(1(x)lam(x)1)
     satisfies B sigma = B; plus the tau_12 refinements, each reported only
-    where its gate, cocommutativity for beta and commutativity for B,
-    passes.  The gates and all four relations are checked in one call, and
-    the gates' own reports are not returned."""
-    from .tensor import permute, Permutation
-    o = _Ops(data)
-    space3 = data.space3
-    idm = o.id
-    gates = {"beta-tau12": "cocommutativity", "B-tau12": "commutativity"}
-    specs = []
-    sigma = permute(Permutation.cycle(3, [1, 2, 3]), space3)
-    tau12 = permute(Permutation.transposition(3, 1, 2), space3)
-    if data.eta is not None:
-        beta = [[o.c_map, o.c_map], [idm, data.mu, idm]]
-        scal = scalar_space(data.field)
-        specs.append(Relation("beta-cyclic", scal, [(1, [*beta, [sigma]])], [(1, beta)]))
-        specs.append(Relation("beta-tau12", scal, [(1, [*beta, [tau12]])],
-                              [(sgn(o.l), beta)]))
-    if data.eps is not None:
-        big_b = [[idm, data.lam, idm], [o.p_map, o.p_map]]
-        specs.append(Relation("B-cyclic", space3, [(1, [[sigma], *big_b])], [(1, big_b)]))
-        specs.append(Relation("B-tau12", space3, [(1, [[tau12], *big_b])],
-                              [(sgn(o.m), big_b)]))
-    checks = [Relation(gates[s.name], *RELATIONS[gates[s.name]][1](data, o))
-              for s in specs if s.name in gates]
-    reports = check_relations(specs + checks, data.window)
-    passed = {r.name for r in reports[len(specs):] if r.passed}
-    return [r for r in reports[:len(specs)] if r.name not in gates or gates[r.name] in passed]
+    where its gate (`structures.GATES`), cocommutativity for beta and
+    commutativity for B, passes.  The entries of `structures.CYCLIC` that
+    need a unit or counit the data lacks are left out, not skipped."""
+    return _run(data, _available(data, CYCLIC))

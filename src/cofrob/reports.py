@@ -24,7 +24,7 @@ With a window the check is input-major.  Composed terms would hold each
 term's value on every input for the whole call: on the window models that
 is a memo per (term, input), whose traced heap grew to 21 MB at N = 10
 and 41 MB at N = 12.  Instead every distinct term is compiled once into
-one generated kernel (`tensor.fused_kernel`), which runs its whole
+one generated kernel (`tensor.term_kernel`), which runs its whole
 pipeline on one input as nested loops with no dict between the stages,
 and the window-valid inputs are walked once in canonical order.  At each
 input a term named more than once is evaluated once and its value added,
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .core import Element, GradedMap, TensorSpace, compose, format_element
 from .fields import solve_linear
-from .tensor import StagePlan, fused_kernel, tensor_many
+from .tensor import tensor_many, term_kernel
 
 PASS = "pass"
 FAIL = "fail"
@@ -134,20 +134,15 @@ def suite_passes(reports):
 
 
 class _Term:
-    """One distinct pipeline of a `check_relations` call: its kernel, its
-    stages compiled once for the source and fused (`fused_kernel`), the
-    space it lands in, how often the relations name it, and its slot in
-    the per-input values when it is named more than once (None
-    otherwise)."""
+    """One distinct pipeline of a `check_relations` call: its kernel and
+    the space it lands in (`term_kernel`), how often the relations name
+    it, and its slot in the per-input values when it is named more than
+    once (None otherwise)."""
 
     __slots__ = ("kernel", "space", "uses", "slot")
 
     def __init__(self, stages, source):
-        plans, self.space = [], source
-        for maps in stages:
-            plans.append(StagePlan(maps, self.space))
-            self.space = plans[-1].space
-        self.kernel = fused_kernel(plans, source.field)
+        self.kernel, self.space = term_kernel(stages, source)
         self.uses = 0
         self.slot = None
 
@@ -273,7 +268,7 @@ def check_relations(specs, window=None):
     than once is evaluated once, for the still-open relations that use it.
     Each relation keeps its own checked and masked counts and stops at its
     first mismatch, so its report is the one it gets on its own.  Terms
-    are shared whole: each is one fused kernel (`tensor.fused_kernel`), so
+    are shared whole: each is one kernel (`tensor.term_kernel`), so
     equal stage prefixes of different terms are not shared.  Term keys
     are the ids of the maps, which `specs` keeps alive for the call;
     nothing outlives it but the kernel factories, cached by term shape."""

@@ -19,7 +19,8 @@ each basis tuple.  Sign conventions (|m| = |mu|, |l| = |lam|):
 
 together with the unital/counital/biunital infinitesimal relations, the
 six-term anti-symmetry relations and their S-operator reformulation, the
-coFrobenius relations and their derived identities.
+coFrobenius relations and their derived identities, and the cyclic
+symmetries of (1(x)mu(x)1)(c(x)c) and (p(x)p)(1(x)lam(x)1).
 
 Each relation is written once, as an entry of `RELATIONS`: what it needs
 (the unit eta, the counit eps, or both) and its builder over `_Ops`.
@@ -35,7 +36,7 @@ from functools import cached_property
 
 from .core import (TensorSpace, Element, GradedMap, compose, element_as_map,
                    scalar_space)
-from .tensor import twist
+from .tensor import Permutation, permute, twist
 from .reports import Relation, check_relations, skipped, solve_map, FAIL
 from .windows import merge_windows
 
@@ -148,6 +149,9 @@ class _Ops:
     c_map = cached_property(lambda o: o.lh.scale(sgn(o.l * o.m + o.m)))
     pm = cached_property(lambda o: o.data.eps_mu())
     p_map = cached_property(lambda o: o.pm.scale(sgn(o.l)))
+    sigma = cached_property(lambda o: permute(Permutation.cycle(3, [1, 2, 3]), o.data.space3))
+    tau12 = cached_property(
+        lambda o: permute(Permutation.transposition(3, 1, 2), o.data.space3))
 
 
 # ---------------------------------------------------------- the relation table
@@ -183,6 +187,16 @@ def _s_terms(o):
     D = 0 too."""
     return [(1, [[o.id, o.tl], [o.mu, o.id]]),
             (-sgn(o.m), [[o.tl, o.id], [o.id, o.mu]])]
+
+
+def _beta(o):
+    """beta = (1(x)mu(x)1)(c(x)c): R -> A(x)A(x)A, as a pipeline."""
+    return [[o.c_map, o.c_map], [o.id, o.mu, o.id]]
+
+
+def _big_b(o):
+    """B = (p(x)p)(1(x)lam(x)1): A(x)A(x)A -> R, as a pipeline."""
+    return [[o.id, o.lam, o.id], [o.p_map, o.p_map]]
 
 
 _ETA, _EPS, _BOTH = ("eta",), ("eps",), ("eta", "eps")
@@ -339,7 +353,22 @@ RELATIONS = {
     "involutive-mu-c": (_ETA, lambda d, o: (
         scalar_space(d.field), [(1, [[o.c_map], [o.mu]])], [])),
     "involutive-p-lam": (_EPS, lambda d, o: (d.space, [(1, [[o.lam], [o.p_map]])], [])),
+
+    # the cyclic symmetries of beta and B, and their tau_12 refinements
+    "beta-cyclic": (_ETA, lambda d, o: (
+        scalar_space(d.field), [(1, [*_beta(o), [o.sigma]])], [(1, _beta(o))])),
+    "beta-tau12": (_ETA, lambda d, o: (
+        scalar_space(d.field), [(1, [*_beta(o), [o.tau12]])], [(sgn(o.l), _beta(o))])),
+    "B-cyclic": (_EPS, lambda d, o: (
+        d.space3, [(1, [[o.sigma], *_big_b(o)])], [(1, _big_b(o))])),
+    "B-tau12": (_EPS, lambda d, o: (
+        d.space3, [(1, [[o.tau12], *_big_b(o)])], [(sgn(o.m), _big_b(o))])),
 }
+
+# name -> the entry, of no need, that must pass for the name's relation to
+# be reported: a tau_12 refinement of a cyclic symmetry is stated only on
+# (co)commutative data.
+GATES = {"beta-tau12": "cocommutativity", "B-tau12": "commutativity"}
 
 
 # name -> (needs, builder) for a map phi: A -> B.  A builder over phi and
@@ -376,15 +405,22 @@ def _morphisms(phi, a, b, names, prefix=""):
             if not any(_missing(o.data, MORPHISMS[name][0]) for o in (a, b))]
 
 
+def _available(data, names):
+    """The entries of `names` whose needs `data` has."""
+    return [name for name in names if _missing(data, RELATIONS[name][0]) is None]
+
+
 def _run(data, names, o=None):
     """The reports of the entries `names` on `data`, in order.
 
     An entry whose need is missing gives one skipped report under its own
-    name.  The relations of the others are checked in one
-    `check_relations` call.  `o` is the data's `_Ops` when the caller
-    already has them."""
+    name.  The relations of the others, and the gates (`GATES`) of those
+    that have one, are checked in one `check_relations` call; an entry
+    with a gate is reported only where its gate passes, and the gates'
+    own reports are not returned.  `o` is the data's `_Ops` when the
+    caller already has them."""
     o = o or _Ops(data)
-    items = []
+    items, gates = [], {}
     for name in names:
         missing = _missing(data, RELATIONS[name][0])
         if missing is not None:
@@ -392,7 +428,11 @@ def _run(data, names, o=None):
             continue
         built = RELATIONS[name][1](data, o)
         items.extend(built if isinstance(built, list) else [Relation(name, *built)])
-    return _checked(items, data.window)
+        if name in GATES:
+            gates[name] = Relation(GATES[name], *RELATIONS[GATES[name]][1](data, o))
+    reports = _checked(items + list(gates.values()), data.window)
+    passed = {r.name for r in reports[len(items):] if r.passed}
+    return [r for r in reports[:len(items)] if r.name not in gates or GATES[r.name] in passed]
 
 
 def _checked(items, window):
@@ -437,6 +477,7 @@ DERIVED_IDENTITIES = {
                  "derived-p-c-left-inverse", "derived-p-c-right-inverse"),
 }
 INVOLUTIVE = ("involutive-mu-lam", "involutive-mu-c", "involutive-p-lam")
+CYCLIC = ("beta-cyclic", "beta-tau12", "B-cyclic", "B-tau12")
 
 
 def check_product_laws(data):
@@ -529,8 +570,7 @@ def check_involutive(data):
     """mu lam = 0; for unital coFrobenius data also cross-checks mu c = 0,
     for counital also p lam = 0 (equivalent formulations).  The cross-checks
     the data lacks the maps for are left out, not skipped."""
-    return _run(data, [name for name in INVOLUTIVE
-                       if _missing(data, RELATIONS[name][0]) is None])
+    return _run(data, _available(data, INVOLUTIVE))
 
 
 def direct_sum(d1, d2):

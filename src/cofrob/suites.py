@@ -1,9 +1,10 @@
 """Named check suites, as exposed by the command line.
 
-A data suite other than poincare-duality and cyclic is a tuple of entry
-names of the relation table (`structures.RELATIONS`), run by
-`structures._run`; derived-identities picks its tuple by the maps the
-structure has."""
+A data suite other than poincare-duality is a tuple of entry names of
+the relation table (`structures.RELATIONS`), run by `structures._run`;
+derived-identities picks its tuple by the maps the structure has, and
+involutivity and cyclic leave out the entries whose unit or counit the
+structure lacks."""
 
 from functools import partial
 

@@ -22,12 +22,12 @@ the dual module and vice versa.  Every factor is diagonal on basis duals, so
 iota's sign (derived in `dual_map`).  The factors built one by one, and
 the composite, are kept in `tests/dual_reference.py` as its reference.
 
-Relation pipelines run through generated kernels.  Each stage is
-compiled for its source (`StagePlan`), and a term's stages are fused into
-one Python function, `kernel(idx, v, out)`, which adds v times the term's
-value at the basis tuple idx into the dict `out` as nested loops, with no
-dict between the stages.  For (1 (x) p)(lam (x) 1) on A (x) A, with |p|
-odd, `fused_kernel` binds this source:
+Relation pipelines run through generated kernels.  `term_kernel`
+compiles a term, its stages read against its source, into one Python
+function, `kernel(idx, v, out)`, which adds v times the term's value at the
+basis tuple idx into the dict `out` as nested loops, with no dict between
+the stages.  For (1 (x) p)(lam (x) 1) on A (x) A, with |p| odd, it binds
+this source:
 
     def kernel(idx, v, out):
         r0_0 = E0_0.get((idx[0],))              # lam's row at a
@@ -59,59 +59,6 @@ from .core import DUAL_SUFFIX, GradedModule, TensorSpace, Element, GradedMap, co
 SHIFT_PREFIX = "s."
 
 
-class StagePlan:
-    """A stage f_1 (x) ... (x) f_m compiled for one source space.
-
-    Applies the stage with the Koszul sign
-    (-1)^{sum_i |f_i| * deg(factors consumed before f_i)} per term.  The
-    output space, the factor range each map reads (`groups`) and the sign
-    table are worked out once here, for `fused_kernel`, which runs the
-    stage, alone or fused with the rest of its term, as a kernel generated
-    from its shape (one is shown in the module docstring): only ints and
-    kind tags reach the source, never a label.  The maps' sources,
-    concatenated, must be the source's factors: a stage that leaves a
-    factor out or reads past the last one raises ValueError.
-
-    A factor i enters the sign once for each odd-degree map that starts
-    after it, so only the factors with an odd count of those matter:
-    `signs` holds (i, parity of each basis degree of factor i) for them,
-    and a term's sign is the XOR of its factors' parities."""
-
-    __slots__ = ("source", "space", "maps", "groups", "signs")
-
-    def __init__(self, maps, source):
-        if tuple(m for f in maps for m in f.source.modules) != source.modules:
-            raise ValueError("apply_stage: the stage's sources do not match the element's factors")
-        if sum(not f.is_identity for f in maps) > _MAX_LOOPS:
-            raise ValueError(f"apply_stage: a stage holds at most {_MAX_LOOPS} maps "
-                             "besides identities")
-        self.source = source
-        self.space = TensorSpace(
-            tuple(m for f in maps for m in f.target.modules), field=source.field)
-        self.maps = maps
-        self.groups = []      # (first factor, end factor, entries) read by each map
-        odd_starts = []
-        pos = 0
-        for f in maps:
-            k = f.source.arity
-            self.groups.append((pos, pos + k, f.entries))
-            if f.degree % 2:
-                odd_starts.append(pos)
-            pos += k
-        self.signs = [(i, tuple(d % 2 for d in m.degrees))
-                      for i, m in enumerate(source.modules)
-                      if sum(a > i for a in odd_starts) % 2]
-
-    def run(self, coeffs):
-        """The stage applied to a coefficient dict of the source space, one
-        input at a time through its kernel (`fused_kernel`).  Zero sums are
-        dropped as they arise, so the result needs no re-validation."""
-        kernel, out = fused_kernel([self], self.source.field), {}
-        for idx, v in coeffs.items():
-            kernel(idx, v, out)
-        return out
-
-
 _MAX_LOOPS = 20     # CPython nests at most 20 loops in one function
 _FACTORIES = {}     # term shape, of ints and kind tags -> compiled kernel factory
 
@@ -120,50 +67,71 @@ def _add_nothing(idx, v, out):
     """The kernel of a term with a map out of R that has no row."""
 
 
-def fused_kernel(plans, field):
-    """kernel(idx, v, out), which adds v times the pipeline of `plans` (an
-    empty one is the identity) at the basis tuple idx into the coefficient
-    dict `out`, dropping zero sums as they arise.
+def term_kernel(stages, source):
+    """(kernel, space) of the pipeline `stages` on `source` (an empty one is
+    the identity): kernel(idx, v, out) adds v times the pipeline's value at
+    the basis tuple idx into the coefficient dict `out`, dropping zero sums
+    as they arise, and `space` is where it lands.
 
-    The term's shape (per stage, each map's first factor, end factor,
-    kind and target arity, and the sign factors) keys `_FACTORIES`; a new
-    shape's source is written by `_kernel_source` and compiled once.  The
-    factory then binds this term's rows, parity tables and field
-    operations.  A map out of R has its one row read here, and a missing
-    row makes the term add nothing.  A term with more than _MAX_LOOPS maps
-    that read rows runs its first stage and the rest as two kernels, with
-    a dict between them."""
-    shape, tables = [], []
-    for plan in plans:
-        maps = []
-        for (a, b, entries), f in zip(plan.groups, plan.maps):
-            kind = "id" if f.is_identity else "R" if a == b else "row"
+    Each stage f_1 (x) ... (x) f_m must read exactly its input's factors,
+    or ValueError is raised, and carries the sign (-1)^{sum_i |f_i| *
+    deg(factors read before f_i)}: a factor counts once per odd map that
+    starts after it, so a path's sign is the XOR of the degree parities of
+    the factors with an odd count.  The term's shape (per stage, each map's
+    factor range, kind and target arity, and the sign factors) keys
+    `_FACTORIES`, whose factory, written by `_kernel_source`, binds the
+    rows, parity tables and field operations.  A map out of R with no row
+    makes the term add nothing, once every stage is checked.  A term of
+    more than _MAX_LOOPS maps that read rows runs its first stage and the
+    rest as two kernels, with a dict between them."""
+    shape, tables, modules, empty = [], [], source.modules, False
+    for maps in stages:
+        if tuple(m for f in maps for m in f.source.modules) != modules:
+            raise ValueError("apply_stage: the stage's sources do not match the element's factors")
+        if sum(not f.is_identity for f in maps) > _MAX_LOOPS:
+            raise ValueError(f"apply_stage: a stage holds at most {_MAX_LOOPS} maps "
+                             "besides identities")
+        groups, odd_starts, pos = [], [], 0
+        for f in maps:
+            k = f.source.arity
+            kind = "id" if f.is_identity else "R" if k == 0 else "row"
             if kind == "R":
-                row = entries.get(())
+                row = f.entries.get(())
                 if row is None:
-                    return _add_nothing
-                tables.append(tuple(row.items()))
+                    empty = True
+                else:
+                    tables.append(tuple(row.items()))
             elif kind == "row":
-                tables.append(entries)
-            maps.append((a, b, kind, f.target.arity))
-        shape.append((tuple(maps), tuple(i for i, _ in plan.signs)))
-        tables += [parity for _, parity in plan.signs]
+                tables.append(f.entries)
+            groups.append((pos, pos + k, kind, f.target.arity))
+            if f.degree % 2:
+                odd_starts.append(pos)
+            pos += k
+        signs = tuple(i for i in range(pos) if sum(a > i for a in odd_starts) % 2)
+        shape.append((tuple(groups), signs))
+        tables += [tuple(d % 2 for d in modules[i].degrees) for i in signs]
+        modules = tuple(m for f in maps for m in f.target.modules)
+    space = TensorSpace(modules, field=source.field) if stages else source
+    if empty:
+        return _add_nothing, space
     if sum(m[2] != "id" for maps, _ in shape for m in maps) > _MAX_LOOPS:
-        head, tail = fused_kernel(plans[:1], field), fused_kernel(plans[1:], field)
+        head, middle = term_kernel(stages[:1], source)
+        tail, _ = term_kernel(stages[1:], middle)
 
         def kernel(idx, v, out):
-            middle = {}
-            head(idx, v, middle)
-            for key, c in middle.items():
+            between = {}
+            head(idx, v, between)
+            for key, c in between.items():
                 tail(key, c, out)
-        return kernel
+        return kernel, space
     shape = tuple(shape)
     factory = _FACTORIES.get(shape)
     if factory is None:
         namespace = {}
         exec(compile(_kernel_source(shape), "<kernel>", "exec"), namespace)
         factory = _FACTORIES[shape] = namespace["factory"]
-    return factory(tables, field.add, field.mul, field.neg, field.is_zero, field.zero)
+    field = source.field
+    return factory(tables, field.add, field.mul, field.neg, field.is_zero, field.zero), space
 
 
 def _kernel_source(shape):
@@ -253,9 +221,12 @@ def _kernel_source(shape):
 
 
 def apply_stage(maps, elem):
-    """Apply f_1 (x) ... (x) f_m to an element (see `StagePlan`)."""
-    plan = StagePlan(maps, elem.space)
-    return Element._trusted(plan.space, plan.run(elem.coeffs))
+    """Apply f_1 (x) ... (x) f_m to an element through its `term_kernel`."""
+    kernel, space = term_kernel([maps], elem.space)
+    out = {}
+    for idx, v in elem.coeffs.items():
+        kernel(idx, v, out)
+    return Element._trusted(space, out)
 
 
 def tensor_maps(f, g):

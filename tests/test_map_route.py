@@ -1,7 +1,7 @@
 """`check_relations` without a window against the input-major engine.
 
 Without a window each side of a relation is composed into one map and the
-two maps are compared row by row; with one, stage plans are run input by
+two maps are compared row by row; with one, term kernels are run input by
 input.  `WindowSpec(1, 0, {})` accepts every input and masks nothing, so
 under it the input-major engine must give exactly the reports the map
 route gives with no window: on every suite of the finite-dimensional
@@ -13,9 +13,9 @@ from cofrob import (GradedMap, PrimeField, QQ, TensorSpace, dualize,
                     equator_pair, diagonal_pair, factor_pair, make_module,
                     manifold_from_cup, s2xs2_cup_data, shift_structure, sphere_cohomology,
                     torus_cup_data, transpose_structure)
+from cofrob import reports
 from cofrob.reports import FAIL, INCONCLUSIVE, PASS, Relation, check_relations
 from cofrob.suites import DATA_SUITES, TQFT_SUITES
-from cofrob.tensor import StagePlan
 from cofrob.tqft import OpenClosedTQFT
 
 from test_tensor import OPEN_WINDOW
@@ -134,22 +134,22 @@ def test_an_empty_module_is_window_inconclusive_on_both_routes():
 
 
 def test_only_a_window_runs_stage_plans(monkeypatch):
-    """The route is chosen by whether a window is given: with none no stage
-    plan is built, with one every relation is run through them."""
-    built = []
-    init = StagePlan.__init__
+    """The route is chosen by whether a window is given: with none no term
+    is compiled into a kernel, with one every distinct term is."""
+    compiled = []
+    compile_term = reports.term_kernel
 
-    def record(plan, maps, source):
-        built.append(plan)
-        init(plan, maps, source)
+    def record(stages, source):
+        compiled.append(stages)
+        return compile_term(stages, source)
 
-    monkeypatch.setattr(StagePlan, "__init__", record)
+    monkeypatch.setattr(reports, "term_kernel", record)
     specs = [Relation("associativity", TensorSpace((A, A, A)),
                       [(1, [[MU, ID1], [MU]])], [(1, [[ID1, MU], [MU]])])]
     check_relations(specs)
-    assert not built
+    assert not compiled
     check_relations(specs, OPEN_WINDOW)
-    assert len(built) == 4
+    assert len(compiled) == 2
 
 
 @pytest.mark.parametrize("field, zero", [(QQ, 0), (PrimeField(5), 5)], ids=["0-over-Q", "5-over-F5"])

@@ -423,25 +423,24 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
 
 def test_solves_build_no_stage_plan(monkeypatch):
     """`solve_map` reads its residuals from composed maps, with or without
-    a window: only windowed checks walk inputs through stage plans."""
+    a window: only windowed checks walk inputs through term kernels."""
     from cofrob import counit_solve, derive_cozipper, equator_pair, map_equal
     from cofrob.structures import _run
-    from cofrob.tensor import StagePlan
-    built = []
-    init = StagePlan.__init__
+    compiled = []
+    compile_term = reports.term_kernel
 
-    def record(plan, maps, source):
-        built.append(plan)
-        init(plan, maps, source)
+    def record(stages, source):
+        compiled.append(stages)
+        return compile_term(stages, source)
 
-    monkeypatch.setattr(StagePlan, "__init__", record)
+    monkeypatch.setattr(reports, "term_kernel", record)
     data, pair = rabinowitz_loop_sphere(3, 6), equator_pair()
     assert data.window is not None
     assert map_equal(counit_solve(data), data.eps)
     assert map_equal(derive_cozipper(pair.closed, pair.open, pair.zipper), pair.cozipper)
-    assert not built
+    assert not compiled
     _run(data, ("counit",))
-    assert built
+    assert compiled
 
 
 # Quotes, backslashes, control characters, a DEL, non-ASCII letters and an

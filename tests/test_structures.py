@@ -436,9 +436,11 @@ def test_relation_tables_are_consistent(monkeypatch, sphere3, equator):
               *structures.DERIVED_IDENTITIES.values(), structures.INVOLUTIVE,
               structures.PRODUCT_LAWS, structures.COPRODUCT_LAWS,
               structures.UNITAL_ANTISYMMETRY, structures.COUNITAL_ANTISYMMETRY,
-              structures.BIUNITAL_INFINITESIMAL, tqft.CLOSED_SECTOR]
+              structures.BIUNITAL_INFINITESIMAL, structures.CYCLIC, tqft.CLOSED_SECTOR]
     for names in tuples:
         assert set(names) <= set(structures.RELATIONS), names
+    assert {*structures.GATES, *structures.GATES.values()} <= set(structures.RELATIONS)
+    assert not any(structures.RELATIONS[gate][0] for gate in structures.GATES.values())
     assert set(tqft.TQFT_FULL) <= set(tqft.TQFT_RELATIONS)
 
     reached = {"structures": set(), "tqft": set()}

@@ -511,12 +511,11 @@ def _manifold_over(cup_data, p):
 def test_each_term_kernel_matches_the_reference_pipeline(monkeypatch, build):
     """On every term the data suites compile (under OPEN_WINDOW where the
     structure has no window), the term's kernel gives, on every basis input
-    of its source, what its stages applied one by one as materialized
-    tensors give (`pipeline_reference`).  Each structure has a term whose
+    of its source, what its stages applied one by one give
+    (`pipeline_reference`).  Each structure has a term whose
     second stage has no row for a key its first stage gives, so the
     kernels' early row lookups skip a path."""
     from pipeline_reference import apply_pipeline
-    from cofrob.tensor import StagePlan
     skips = False
     for stages, source, space, kernel, _ in _recorded_terms(monkeypatch, [build()]):
         for idx in source.basis():
@@ -526,10 +525,29 @@ def test_each_term_kernel_matches_the_reference_pipeline(monkeypatch, build):
             assert Element(space, value) == apply_pipeline(stages, x), (stages, idx)
             if len(stages) > 1 and not skips:
                 first = apply_pipeline(stages[:1], x)
-                groups = StagePlan(stages[1], first.space).groups
                 skips = any(key[a:b] not in entries for key in first.coeffs
-                            for a, b, entries in groups)
+                            for a, b, entries in _groups(stages[1]))
     assert skips
+
+
+def _groups(maps):
+    """(first factor, end factor, entries) of each map of a stage: the
+    factors of the stage's input that it reads, and its rows."""
+    groups, pos = [], 0
+    for f in maps:
+        groups.append((pos, pos + f.source.arity, f.entries))
+        pos += f.source.arity
+    return groups
+
+
+def _fused(stages, source, coeffs):
+    """The pipeline `stages` applied to the coefficient dict `coeffs` of
+    `source` through its kernel (`term_kernel`)."""
+    from cofrob.tensor import term_kernel
+    out, (kernel, _) = {}, term_kernel(stages, source)
+    for idx, v in coeffs.items():
+        kernel(idx, v, out)
+    return out
 
 
 F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
@@ -581,17 +599,14 @@ def test_linked_plan_drops_exactly_the_keys_its_consumer_skips(stages):
     the second stage computes from the first stage's whole output, which
     is what it computes from that output restricted to the keys every map
     of the second stage has a row for."""
-    from cofrob.tensor import StagePlan, fused_kernel
+    from cofrob.tensor import term_kernel
     producer, consumer, source, coeffs = stages
-    plan = StagePlan(producer, source)
-    reader = StagePlan(consumer, plan.space)
-    full = plan.run(coeffs)
+    _, middle = term_kernel([producer], source)
+    full = _fused([producer], source, coeffs)
     kept = {key: v for key, v in full.items()
-            if all(key[a:b] in entries for a, b, entries in reader.groups)}
-    fused, kernel = {}, fused_kernel([plan, reader], source.field)
-    for idx, v in coeffs.items():
-        kernel(idx, v, fused)
-    assert fused == reader.run(full) == reader.run(kept)
+            if all(key[a:b] in entries for a, b, entries in _groups(consumer))}
+    assert _fused([producer, consumer], source, coeffs) == _fused(
+        [consumer], middle, full) == _fused([consumer], middle, kept)
 
 
 KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3))
@@ -665,14 +680,11 @@ def test_stage_plan_applies_the_tensor_of_its_maps(stages):
     signs, computes what the materialized tensor of the stage's maps
     computes; fused with the stage that reads its output, it computes what
     the two materialized tensors compute one after the other."""
-    from cofrob.tensor import StagePlan, fused_kernel, tensor_many
+    from cofrob.tensor import tensor_many
     maps, consumer, source, coeffs = stages
     expected = tensor_many(maps)(Element(source, coeffs))
-    plan = StagePlan(maps, source)
-    assert plan.run(coeffs) == expected.coeffs
-    fused, kernel = {}, fused_kernel([plan, StagePlan(consumer, plan.space)], source.field)
-    for idx, v in coeffs.items():
-        kernel(idx, v, fused)
+    assert _fused([maps], source, coeffs) == expected.coeffs
+    fused = _fused([maps, consumer], source, coeffs)
     # a stage of no maps, on R, is the identity
     assert fused == (tensor_many(consumer)(expected) if consumer else expected).coeffs
 
@@ -708,30 +720,37 @@ def kernel_pipelines(draw):
     return source, stages, coeffs
 
 
-def _fused(stages, source, coeffs):
-    """The pipeline `stages` applied to the coefficient dict `coeffs` of
-    `source` through its fused kernel."""
-    from cofrob.tensor import StagePlan, fused_kernel
-    plans, space = [], source
-    for maps in stages:
-        plans.append(StagePlan(maps, space))
-        space = plans[-1].space
-    out, kernel = {}, fused_kernel(plans, source.field)
-    for idx, v in coeffs.items():
-        kernel(idx, v, out)
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(kernel_pipelines())
-def test_fused_kernel_matches_the_reference_pipeline(pipeline):
-    """A term's fused kernel, summed over a coefficient dict, gives what
-    its stages applied one by one as materialized tensors give
-    (`pipeline_reference`)."""
+def test_term_kernel_matches_the_reference_pipeline(pipeline):
+    """A term's kernel, summed over a coefficient dict, gives what
+    its stages applied one by one give (`pipeline_reference`)."""
     from pipeline_reference import apply_pipeline
     source, stages, coeffs = pipeline
     assert _fused(stages, source, coeffs) == apply_pipeline(
         stages, Element(source, coeffs)).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_pipelines())
+def test_the_sparse_reference_matches_the_materialized_one(pipeline):
+    """The row-sparse reference pipeline gives what each stage's
+    materialized tensor gives, on odd and even maps, identities, partial
+    maps and maps out of R."""
+    from pipeline_reference import apply_pipeline, apply_pipeline_materialized
+    source, stages, coeffs = pipeline
+    x = Element(source, coeffs)
+    assert apply_pipeline(stages, x) == apply_pipeline_materialized(stages, x)
+
+
+def test_the_sparse_reference_matches_the_materialized_one_on_s3(monkeypatch):
+    """On every term the data suites compile for H*(S3), on every basis
+    input, the two reference routes agree."""
+    from pipeline_reference import apply_pipeline, apply_pipeline_materialized
+    for stages, source, _, _, _ in _recorded_terms(monkeypatch, [sphere_cohomology(3)]):
+        for idx in source.basis():
+            x = Element.basis(source, idx)
+            assert apply_pipeline(stages, x) == apply_pipeline_materialized(stages, x)
 
 
 def test_a_term_of_more_loops_than_python_nests_runs_as_two_kernels():
@@ -740,7 +759,7 @@ def test_a_term_of_more_loops_than_python_nests_runs_as_two_kernels():
     gives the reference value; a stage of 21 such maps is refused."""
     from pipeline_reference import apply_pipeline
     from cofrob import scalar_space
-    from cofrob.tensor import StagePlan
+    from cofrob.tensor import term_kernel
     double = GradedMap(SP1, SP1, 0, {(i,): {(i,): 2} for i in range(MOD.dim)})
     stages = [[double]] * 23
     coeffs = {(i,): i + 1 for i in range(MOD.dim)}
@@ -749,9 +768,9 @@ def test_a_term_of_more_loops_than_python_nests_runs_as_two_kernels():
     assert fused == apply_pipeline(stages, Element(SP1, coeffs)).coeffs
     r = scalar_space(QQ)
     two = GradedMap(r, r, 0, {(): {(): 2}})
-    assert StagePlan([two] * 20, r).run({(): 1}) == {(): 2 ** 20}
+    assert _fused([[two] * 20], r, {(): 1}) == {(): 2 ** 20}
     with pytest.raises(ValueError, match="at most 20 maps"):
-        StagePlan([two] * 21, r)
+        term_kernel([[two] * 21], r)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -775,16 +794,26 @@ def test_a_plan_fed_to_a_zero_map_on_r_keeps_nothing():
     the identity on R followed by it adds nothing; so does a term whose
     map out of R has no row, read when the kernel is bound."""
     from cofrob import scalar_space
-    from cofrob.tensor import StagePlan, fused_kernel
+    from cofrob.tensor import term_kernel
     r = scalar_space(QQ)
     zero = GradedMap(r, r, 0, {})
     for stages in ([[GradedMap.identity(r)], [zero]], [[zero]], [[zero], [GradedMap.identity(r)]]):
-        plans = [StagePlan(stages[0], r)]
-        plans += [StagePlan(maps, r) for maps in stages[1:]]
-        kernel = fused_kernel(plans, QQ)
+        kernel, _ = term_kernel(stages, r)
         for out, expected in (({}, {}), ({(): 5}, {(): 5})):
             kernel((), 1, out)
             assert out == expected
+
+
+def test_a_term_with_no_row_out_of_r_still_checks_every_stage():
+    """A map out of R with no row makes a term add nothing, but only once
+    every stage has been checked: a later stage that does not read R is
+    refused, as it is after any other first stage."""
+    from cofrob import scalar_space
+    from cofrob.tensor import term_kernel
+    r = scalar_space(QQ)
+    zero = GradedMap(r, r, 0, {})
+    with pytest.raises(ValueError, match="sources do not match"):
+        term_kernel([[zero], [GradedMap.identity(SP1)]], r)
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,8 +3,11 @@
 Every computation in this package is exact; there is no floating point
 anywhere.  Rational scalars are Python ints, or `fractions.Fraction` when
 not integral; prime-field scalars are ints reduced mod p.  Field objects
-bundle the arithmetic so that the rest of the code never needs to know
-which representation is in play.
+bundle the arithmetic, and the code that calls them does not depend on
+the representation.  The one other place that knows it is the relation
+term kernel generator (`tensor._ARITHMETIC`), which writes Q's and F_p's
+products, negations and sums into the kernels' source and keeps the same
+canonical forms where a value leaves a kernel.
 """
 
 from fractions import Fraction

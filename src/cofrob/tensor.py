@@ -26,8 +26,8 @@ Relation pipelines run through generated kernels.  `term_kernel`
 compiles a term, its stages read against its source, into one Python
 function, `kernel(idx, v, out)`, which adds v times the term's value at the
 basis tuple idx into the dict `out` as nested loops, with no dict between
-the stages.  For (1 (x) p)(lam (x) 1) on A (x) A, with |p| odd, it binds
-this source:
+the stages.  For (1 (x) p)(lam (x) 1) on A (x) A over Q, with |p| odd, it
+binds this source:
 
     def kernel(idx, v, out):
         r0_0 = E0_0.get((idx[0],))              # lam's row at a
@@ -35,32 +35,57 @@ this source:
         for d0_0, w in r0_0.items():            # a_1 (x) a_2
             r1_1 = E1_1.get((d0_0[1], idx[1]))  # p's row at a_2 (x) b,
             if r1_1 is None: continue           # read before multiplying
-            c0_0 = mul(v, w)
-            if P1_0[d0_0[0]]: c0_0 = neg(c0_0)  # (-1)^{|p||a_1|}
+            c0_0 = v * w
+            if P1_0[d0_0[0]]: c0_0 = -c0_0      # (-1)^{|p||a_1|}
             for d1_1, w in r1_1.items():
-                c1_1 = mul(c0_0, w)
+                c1_1 = c0_0 * w
                 k = (d0_0[0],)
-                s = add(out.get(k, zero), c1_1)
-                if is_zero(s): out.pop(k, None)
-                else: out[k] = s
+                s = out.get(k, 0) + c1_1
+                if not s: out.pop(k, None)
+                elif type(s) is int: out[k] = s
+                else: out[k] = _integral(s)     # Q's integral values are ints
 
 Identities pass their factors on with no code, a row is looked up as soon
 as its input factors are bound, and each coefficient is multiplied only
-after those lookups accept the path.  The source is written from the
-term's shape alone (per stage, each map's factor range, kind and target
-arity, and the sign factors) and compiled once per shape into a factory
-kept in `_FACTORIES`; the factory binds a term's rows (E..), parity tables
-(P..) and field operations.  Labels, names and documents never reach the
-source, and the cache holds no map or module.
+after those lookups accept the path.  The field's arithmetic is written
+into the source (`_ARITHMETIC`): over Q a value is an int or a Fraction
+and is made canonical only where it leaves the kernel; over F_p every
+product, negation and sum is reduced mod p, the p the factory binds.  The
+source is written from the term's field kind and shape alone (per stage,
+each map's factor range, kind and target arity, and the sign factors) and
+compiled once per kind and shape into a factory kept in `_FACTORIES`; the
+factory binds a term's rows (E..), parity tables (P..) and, over F_p, p.
+Labels, names and documents never reach the source, and the cache holds
+no map or module.
 """
 
 from .core import DUAL_SUFFIX, GradedModule, TensorSpace, Element, GradedMap, compose
+from .fields import PrimeField, RationalField, _integral
 
 SHIFT_PREFIX = "s."
 
 
 _MAX_LOOPS = 20     # CPython nests at most 20 loops in one function
-_FACTORIES = {}     # term shape, of ints and kind tags -> compiled kernel factory
+_FACTORIES = {}     # (field kind, term shape), of ints and kind tags -> kernel factory
+
+# The scalar arithmetic of the kernels, per field kind: what the factory
+# binds from the field, then the source of the product of c and a row value
+# w, of the negation of c, and of the lines that add c into out[k].  Besides
+# `fields.py`, this table is the one place that knows how scalars are
+# represented; every value that leaves a kernel is canonical, as the
+# field's own operations return it.
+_KINDS = {RationalField: "Q", PrimeField: "Fp"}
+_ARITHMETIC = {
+    "Q": ("", "{c} * w", "-{c}", (
+        "s = out.get(k, 0) + {c}",
+        "if not s: out.pop(k, None)",
+        "elif type(s) is int: out[k] = s",
+        "else: out[k] = _integral(s)")),
+    "Fp": ("p = field.p", "{c} * w % p", "-{c} % p", (
+        "s = (out.get(k, 0) + {c}) % p",
+        "if not s: out.pop(k, None)",
+        "else: out[k] = s")),
+}
 
 
 def _add_nothing(idx, v, out):
@@ -78,9 +103,10 @@ def term_kernel(stages, source):
     deg(factors read before f_i)}: a factor counts once per odd map that
     starts after it, so a path's sign is the XOR of the degree parities of
     the factors with an odd count.  The term's shape (per stage, each map's
-    factor range, kind and target arity, and the sign factors) keys
-    `_FACTORIES`, whose factory, written by `_kernel_source`, binds the
-    rows, parity tables and field operations.  A map out of R with no row
+    factor range, kind and target arity, and the sign factors) and the
+    field's kind (Q or F_p, `_KINDS`) key `_FACTORIES`, whose factory,
+    written by `_kernel_source` with the kind's arithmetic inline, binds
+    the rows, parity tables and, over F_p, p.  A map out of R with no row
     makes the term add nothing, once every stage is checked.  A term of
     more than _MAX_LOOPS maps that read rows runs its first stage and the
     rest as two kernels, with a dict between them."""
@@ -124,18 +150,18 @@ def term_kernel(stages, source):
             for key, c in between.items():
                 tail(key, c, out)
         return kernel, space
-    shape = tuple(shape)
-    factory = _FACTORIES.get(shape)
+    key = (_KINDS[type(source.field)], tuple(shape))
+    factory = _FACTORIES.get(key)
     if factory is None:
-        namespace = {}
-        exec(compile(_kernel_source(shape), "<kernel>", "exec"), namespace)
-        factory = _FACTORIES[shape] = namespace["factory"]
-    field = source.field
-    return factory(tables, field.add, field.mul, field.neg, field.is_zero, field.zero), space
+        namespace = {"_integral": _integral}
+        exec(compile(_kernel_source(*key), "<kernel>", "exec"), namespace)
+        factory = _FACTORIES[key] = namespace["factory"]
+    return factory(tables, source.field), space
 
 
-def _kernel_source(shape):
-    """The source of the kernel factory for terms of one shape.
+def _kernel_source(kind, shape):
+    """The source of the kernel factory for terms of one shape over a field
+    of one kind, its arithmetic written inline (`_ARITHMETIC`).
 
     Stage by stage, each map that reads a row opens a loop over it, and an
     identity passes its factors on with no code.  A map's row is looked up
@@ -154,8 +180,10 @@ def _kernel_source(shape):
         params += [f"{'R' if m[2] == 'R' else 'E'}{s}_{j}"
                    for j, m in enumerate(maps) if m[2] != "id"]
         params += [f"P{s}_{i}" for i in signs]
-    lines = ["def factory(T, add, mul, neg, is_zero, zero):",
+    bound, product, negation, accumulate = _ARITHMETIC[kind]
+    lines = ["def factory(T, field):",
              f"    {', '.join(params)}, = T" if params else "",
+             f"    {bound}" if bound else "",
              "    def kernel(idx, v, out):"]
     depth, coeff, leave = 2, "v", "return"
     looked, signed = set(), set()
@@ -195,7 +223,7 @@ def _kernel_source(shape):
                 signed.add(s)
                 if signs:
                     odd = " ^ ".join(f"P{s}_{i}[{x}]" for i, x in zip(signs, items))
-                    lines.append("    " * depth + f"if {odd}: {coeff} = neg({coeff})")
+                    lines.append("    " * depth + f"if {odd}: {coeff} = {negation.format(c=coeff)}")
 
     bind()
     sign()
@@ -209,13 +237,11 @@ def _kernel_source(shape):
                 factors[s + 1][off:off + t] = [f"{name}[{i}]" for i in range(t)]
                 wholes[s + 1][off, off + t] = name
                 bind()
-                lines.append("    " * depth + f"c{s}_{j} = mul({coeff}, w)")
+                lines.append("    " * depth + f"c{s}_{j} = {product.format(c=coeff)}")
                 coeff = f"c{s}_{j}"
                 sign()
-    lines += ["    " * depth + line for line in (
-        f"k = {key(len(shape), 0, len(factors[-1]))}",
-        f"s = add(out.get(k, zero), {coeff})",
-        "if is_zero(s): out.pop(k, None)", "else: out[k] = s")]
+    lines.append("    " * depth + f"k = {key(len(shape), 0, len(factors[-1]))}")
+    lines += ["    " * depth + line.format(c=coeff) for line in accumulate]
     lines.append("    return kernel")
     return "\n".join(lines)
 

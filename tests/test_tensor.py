@@ -554,9 +554,10 @@ F3_MOD = make_module([("a", -1), ("b", 0), ("c", 1)], field=PrimeField(3))
 
 
 @st.composite
-def f3_maps(draw, k, t, degrees=(-1, 0, 1), module=F3_MOD):
+def f3_maps(draw, k, t, degrees=(-1, 0, 1), module=F3_MOD, values=(0, 0, 1, 2)):
     """A sparse homogeneous map module^k -> module^t of a degree in `degrees`
-    (F3_MOD unless another module is given)."""
+    (F3_MOD unless another module is given), its entries drawn from
+    `values`."""
     source = TensorSpace((module,) * k, field=module.field)
     target = TensorSpace((module,) * t, field=module.field)
     degree = draw(st.sampled_from(degrees))
@@ -564,7 +565,7 @@ def f3_maps(draw, k, t, degrees=(-1, 0, 1), module=F3_MOD):
     for src in source.basis():
         row = {dst: v for dst in target.basis()
                if target.degree(dst) == source.degree(src) + degree
-               and (v := draw(st.sampled_from((0, 0, 1, 2))))}
+               and (v := draw(st.sampled_from(values)))}
         if row:
             entries[src] = row
     return GradedMap(source, target, degree, entries)
@@ -613,20 +614,20 @@ KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3))
 
 
 @st.composite
-def kernel_maps(draw, module, k):
+def kernel_maps(draw, module, k, values=(0, 0, 1, 2)):
     """A map a stage reads from k factors of `module`: a nonzero sparse one
-    of degree -1, 0 or 1 into 0 to 2 factors, the identity, the identity's
-    entries built by the validating constructor (no identity flag, so the
-    stage reads it by lookup), or a near-identity (the identity with one
-    row missing or one coefficient 2, or the degree-0 swap `twist` on
-    module (x) module)."""
+    of degree -1, 0 or 1 into 0 to 2 factors, its entries drawn from
+    `values`, the identity, the identity's entries built by the validating
+    constructor (no identity flag, so the stage reads it by lookup), or a
+    near-identity (the identity with one row missing or one coefficient 2,
+    or the degree-0 swap `twist` on module (x) module)."""
     space = TensorSpace((module,) * k, field=module.field)
     kind = draw(st.sampled_from(("sparse", "sparse", "identity", "identity by constructor",
                                  "row missing", "coefficient 2")
                                 + (("twist",) if k == 2 else ())))
     if kind == "sparse":
         t = draw(st.integers(min_value=0, max_value=2))
-        return draw(f3_maps(k, t, module=module).filter(lambda f: f.entries))
+        return draw(f3_maps(k, t, module=module, values=values).filter(lambda f: f.entries))
     if kind == "identity":
         return GradedMap.identity(space)
     if kind == "twist":
@@ -691,14 +692,21 @@ def test_stage_plan_applies_the_tensor_of_its_maps(stages):
 
 @st.composite
 def kernel_pipelines(draw):
-    """Over Q, on a module with odd degrees, or over F3 on F3_MOD: a source
-    of up to three factors, a pipeline of one to three stages of
-    `kernel_maps` reading one or two factors each (sparse maps of odd and
-    even degree, identities, partial maps), at times with a map out of R
-    among them (a sparse one, the identity, twice it, or the zero map, a
-    partial map on R), and a coefficient dict of the source."""
-    module = draw(st.sampled_from((make_module([("a", 0), ("b", 1), ("c", 1)]), F3_MOD)))
+    """Over Q or F3 on a module with two basis elements of one odd degree
+    (so that rows with several entries, and sums of several paths, are
+    common), or over F3 on F3_MOD: a source of up to three factors, a
+    pipeline of one to three stages of `kernel_maps` reading one or two
+    factors each (sparse maps of odd and even degree, identities, partial
+    maps), at times with a map out of R among them (a sparse one, the
+    identity, twice it, or the zero map, a partial map on R), and a
+    coefficient dict of the source.  Over Q, map entries and coefficients
+    may be 1/2 or -3/2, so that products and sums that are integral again
+    pass through the kernel as Fractions."""
+    module = draw(st.sampled_from([make_module([("a", 0), ("b", 1), ("c", 1)], field=field)
+                                   for field in (QQ, PrimeField(3))] + [F3_MOD]))
     field = module.field
+    halves = (Fraction(1, 2), Fraction(-3, 2)) if field == QQ else ()
+    values = (0, 0, 1, 2) + halves
     width = draw(st.integers(min_value=0, max_value=3))
     source = TensorSpace((module,) * width, field=field)
     stages = []
@@ -706,29 +714,43 @@ def kernel_pipelines(draw):
         maps, left = [], width
         while left:
             k = draw(st.integers(min_value=1, max_value=min(2, left)))
-            maps.append(draw(kernel_maps(module, k)))
+            maps.append(draw(kernel_maps(module, k, values)))
             left -= k
         if not maps or draw(st.booleans()):
             maps.insert(draw(st.integers(min_value=0, max_value=len(maps))),
-                        draw(kernel_maps(module, 0)))
+                        draw(kernel_maps(module, 0, values)))
         stages.append(maps)
         width = sum(f.target.arity for f in maps)
         if width > 3:
             break
     coeffs = {idx: v for idx in source.basis()
-              if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, 2, -1)))))}
+              if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, 2, -1)
+                                                                          + halves))))}
     return source, stages, coeffs
+
+
+def _canonical(field, v):
+    """Whether the scalar v is in the form the field's own operations give:
+    over Q an int, or a Fraction only when it is not integral; over F_p an
+    int in [0, p)."""
+    if field == QQ:
+        return type(v) is int or type(v) is Fraction and v.denominator != 1
+    return type(v) is int and 0 <= v < field.p
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_pipelines())
 def test_term_kernel_matches_the_reference_pipeline(pipeline):
     """A term's kernel, summed over a coefficient dict, gives what
-    its stages applied one by one give (`pipeline_reference`)."""
+    its stages applied one by one give (`pipeline_reference`), and every
+    value it leaves is canonical: an int wherever it is integral over Q
+    (`Fraction(2, 1) == 2`, so equality alone would not tell), an int in
+    [0, p) over F_p."""
     from pipeline_reference import apply_pipeline
     source, stages, coeffs = pipeline
-    assert _fused(stages, source, coeffs) == apply_pipeline(
-        stages, Element(source, coeffs)).coeffs
+    fused = _fused(stages, source, coeffs)
+    assert fused == apply_pipeline(stages, Element(source, coeffs)).coeffs
+    assert all(_canonical(source.field, v) for v in fused.values()), fused
 
 
 @settings(max_examples=60, deadline=None)
@@ -902,14 +924,17 @@ def test_a_windowed_check_keeps_nothing_of_its_structure():
     assert module() is None
 
 
-def test_kernel_cache_keys_hold_only_ints_and_kind_tags():
+def test_kernel_cache_keys_hold_only_ints_and_kind_tags(monkeypatch):
     """Every key of the kernel factory cache, after the data suites have
-    run on windowed models and under OPEN_WINDOW, is made of ints and the
-    three kind tags only."""
+    run on windowed models and under OPEN_WINDOW, over Q and over F3, is
+    made of ints, the three map kind tags and the two field kind tags
+    only, and kernels of both field kinds are cached."""
     from cofrob import tensor
     from cofrob.suites import DATA_SUITES
+    monkeypatch.setattr(tensor, "_FACTORIES", {})
     for data in (rabinowitz_loop_sphere(3, 4), circle_models(4, flavor="loop"),
-                 _windowed(sphere_cohomology(3))):
+                 _windowed(sphere_cohomology(3)),
+                 _windowed(sphere_cohomology(3, PrimeField(3)))):
         for name, suite in DATA_SUITES.items():
             if name != "poincare-duality" or data.eps is not None:
                 suite(data)
@@ -917,7 +942,7 @@ def test_kernel_cache_keys_hold_only_ints_and_kind_tags():
     def plain(key):
         if isinstance(key, tuple):
             return all(map(plain, key))
-        return type(key) is int or key in ("id", "row", "R")
+        return type(key) is int or key in ("id", "row", "R", "Q", "Fp")
 
-    assert tensor._FACTORIES
     assert all(plain(key) for key in tensor._FACTORIES)
+    assert {kind for kind, _ in tensor._FACTORIES} == {"Q", "Fp"}

@@ -275,7 +275,8 @@ class Element:
         return Element(self.space, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        # a non-Element gets the refusal of `__add__`
+        return self + (other.scale(-1) if isinstance(other, Element) else other)
 
     def __neg__(self):
         return self.scale(-1)
@@ -441,7 +442,8 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree, entries)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        # a non-GradedMap gets the refusal of `__add__`
+        return self + (other.scale(-1) if isinstance(other, GradedMap) else other)
 
     def __eq__(self, other):
         return isinstance(other, GradedMap) and map_equal(self, other)

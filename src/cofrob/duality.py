@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .core import TensorSpace, Element, GradedMap, compose, element_as_map
 from .tensor import twist, tensor_maps, dual_module, dual_map, ShiftMaps, shift_map
 from .reports import Relation, check_relations, prefixed
-from .structures import (BialgebraData, _Ops, _available, _morphisms, _run, MORPHISMS,
-                         COFROBENIUS, CYCLIC, require_cofrobenius, sgn)
+from .structures import (BialgebraData, _Ops, _available, _morphisms, run_entries,
+                         MORPHISMS, COFROBENIUS, CYCLIC, require_cofrobenius, sgn)
 from .windows import merge_windows
 from .fields import invert_matrix
 
@@ -231,7 +231,7 @@ def check_poincare_duality(data):
                         o=ops)
     target, tau_d = _poincare_dual(ops)
     target_ops = _Ops(target, tau=tau_d)
-    out = prefixed("dual-", _run(target, COFROBENIUS["biunital"], target_ops))
+    out = prefixed("dual-", run_entries(target, COFROBENIUS["biunital"], target_ops))
     handle_p, handle_c = _handles(ops)
     out.extend(check_relations(
         _morphisms(handle_p.vec_p, ops, target_ops, MORPHISMS)
@@ -344,4 +344,4 @@ def cyclic_triple_checks(data):
     where its gate (`structures.GATES`), cocommutativity for beta and
     commutativity for B, passes.  The entries of `structures.CYCLIC` that
     need a unit or counit the data lacks are left out, not skipped."""
-    return _run(data, _available(data, CYCLIC))
+    return run_entries(data, _available(data, CYCLIC))

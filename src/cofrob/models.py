@@ -72,9 +72,9 @@ deepest shipped relation composes three exponent-shifting maps).
 
 from .core import GradedModule, TensorSpace, Element, GradedMap, scalar_space
 from .fields import QQ
-from .structures import BialgebraData, _run
+from .structures import BialgebraData, run_entries
 from .duality import _complete
-from .tqft import OpenClosedTQFT, derive_cozipper, _run_tqft, TQFT_FULL
+from .tqft import OpenClosedTQFT, derive_cozipper, run_tqft_entries, TQFT_FULL
 from .reports import FAIL, prefixed
 from .windows import WindowSpec
 
@@ -151,8 +151,8 @@ def manifold_from_cup(cup):
         rows.append(((x, y), [(c, (z,)) for c, z in terms]))
     mu = GradedMap.from_labels(space2, space, 0, rows)
     # graded commutativity and associativity of the input data
-    commutative, associative = _run(BialgebraData(module, mu, None),
-                                    ("commutativity", "associativity"))
+    commutative, associative = run_entries(BialgebraData(module, mu, None),
+                                           ("commutativity", "associativity"))
     if commutative.verdict == FAIL:
         raise ValueError("input is not graded-commutative")
     if associative.verdict == FAIL:
@@ -194,7 +194,7 @@ def submanifold_tqft(m_cup, z_cup, restriction):
     zipper = GradedMap.from_labels(closed.space, open_.space, 0, rows)
     cozipper = derive_cozipper(closed, open_, zipper)
     t = OpenClosedTQFT(closed, open_, zipper, cozipper)
-    reports = _run_tqft(t, TQFT_FULL)
+    reports = run_tqft_entries(t, TQFT_FULL)
     by_name = {r.name: r for r in reports}
     if by_name["rel3-zipper-unit"].verdict == FAIL:
         raise ValueError("restriction is not unital")
@@ -203,7 +203,8 @@ def submanifold_tqft(m_cup, z_cup, restriction):
         raise ValueError(f"restriction is not a ring map: {ring.witness.input_labels}")
     # manifold_from_cup has refused a FAIL of commutativity, associativity and
     # the biunital coFrobenius suite in both sectors; the rest is new here
-    for rep in [*prefixed("closed-", _run(closed, ("cocommutativity",))), *reports]:
+    closed_reports = prefixed("closed-", run_entries(closed, ("cocommutativity",)))
+    for rep in [*closed_reports, *reports]:
         if rep.verdict == FAIL and rep.name != "rel6-cardy":
             raise ValueError(f"sector construction failure: {rep.name}")
     return t

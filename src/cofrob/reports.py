@@ -5,9 +5,9 @@ signed pipelines (lists of stages; a stage is a list of maps tensored side
 by side).  An element of V is a map R -> V, so an identity between
 elements (a copairing's symmetry, a unit's transport) is a relation whose
 source is the scalar space R, checked like any other.  `check_relations`
-checks a list of relations in one call and `check_relation` is its
-one-relation case.  The relations on one source space are checked
-together, by one of two routes, chosen by whether a window is given.
+checks a list of relations in one call; one relation is a list of one.
+The relations on one source space are checked together, by one of two
+routes, chosen by whether a window is given.
 
 Without a window every basis tuple is an input, so a relation is an
 equality of two maps.  Each distinct stage is tensored once per call
@@ -466,12 +466,6 @@ def _check_group(source, specs, window, reports):
         else:
             reports[i] = CheckReport(spec.name, PASS, None, size, source.size - size,
                                      masked.get(i, 0), spec.note)
-
-
-def check_relation(name, source, lhs_terms, rhs_terms, window=None, note=""):
-    """Compare two signed-pipeline sums on every (window-valid) basis tuple
-    of `source`: `check_relations` with one relation."""
-    return check_relations([Relation(name, source, lhs_terms, rhs_terms, note)], window)[0]
 
 
 def _residuals(specs, window, known):

@@ -24,12 +24,15 @@ symmetries of (1(x)mu(x)1)(c(x)c) and (p(x)p)(1(x)lam(x)1).
 
 Each relation is written once, as an entry of `RELATIONS`: what it needs
 (the unit eta, the counit eps, or both) and its builder over `_Ops`.
-Every checker and suite is a tuple of entry names, run by `_run`: it
-makes one `_Ops`, gives a skipped report named after each entry whose
-need is missing (noting the unit before the counit), and checks the
-other relations in one `check_relations` call.  `_Ops` builds each
-operator when a builder first reads it, so a suite builds only the
-operators of the relations it checks.
+Every checker and suite is a tuple of entry names, such as `PRODUCT_LAWS`
+or `("unital-infinitesimal",)`, run by `run_entries`: it makes one
+`_Ops`, gives a skipped report named after each entry whose need is
+missing (noting the unit before the counit), and checks the other
+relations in one `check_relations` call.  The named checkers below
+(`check_cofrobenius`, `check_derived_identities`, `check_involutive`)
+pick the tuple from a flavor or from the maps the data has.  `_Ops`
+builds each operator when a builder first reads it, so a suite builds
+only the operators of the relations it checks.
 """
 
 from functools import cached_property
@@ -109,10 +112,10 @@ class BialgebraData:
 
 class _Ops:
     """The building blocks of the relation pipelines of one structure, one
-    context per structure per job: the runner (`_run`) makes one for a
-    suite call, and a job that checks more than one suite on a structure
+    context per structure per job: the runner (`run_entries`) makes one for
+    a suite call, and a job that checks more than one suite on a structure
     (`duality.check_poincare_duality`, `duality.transpose_structure`)
-    makes one and hands it to `require_cofrobenius`, `_run` and the
+    makes one and hands it to `require_cofrobenius`, `run_entries` and the
     `MORPHISMS` builders alike.  A context is never cached on the data:
     it points back to it, and a cache on the data that held one made a
     reference cycle that grew the window-suites RSS pass by pass (ROADMAP,
@@ -410,7 +413,7 @@ def _available(data, names):
     return [name for name in names if _missing(data, RELATIONS[name][0]) is None]
 
 
-def _run(data, names, o=None):
+def run_entries(data, names, o=None):
     """The reports of the entries `names` on `data`, in order.
 
     An entry whose need is missing gives one skipped report under its own
@@ -480,55 +483,6 @@ INVOLUTIVE = ("involutive-mu-lam", "involutive-mu-c", "involutive-p-lam")
 CYCLIC = ("beta-cyclic", "beta-tau12", "B-cyclic", "B-tau12")
 
 
-def check_product_laws(data):
-    """Associativity, commutativity, and the unit law (skipped without eta)."""
-    return _run(data, PRODUCT_LAWS)
-
-
-def check_coproduct_laws(data):
-    """Coassociativity, cocommutativity, and the counit law (skipped without eps)."""
-    return _run(data, COPRODUCT_LAWS)
-
-
-def check_unital_infinitesimal(data):
-    return _run(data, ("unital-infinitesimal",))[0]
-
-
-def check_unital_antisymmetry(data):
-    """The six-term relation, its S-operator form, and the eta (x) eta consequence."""
-    return _run(data, UNITAL_ANTISYMMETRY)
-
-
-def check_counital_infinitesimal(data):
-    return _run(data, ("counital-infinitesimal",))[0]
-
-
-def check_counital_antisymmetry(data):
-    return _run(data, COUNITAL_ANTISYMMETRY)
-
-
-def check_biunital_infinitesimal(data):
-    """Both infinitesimal relations, the bridging equalities of the biunital
-    definition and both anti-symmetry relations."""
-    return _run(data, BIUNITAL_INFINITESIMAL)
-
-
-def copairing(data):
-    return data.copairing()
-
-
-def pairing(data):
-    return data.pairing()
-
-
-def check_copairing_symmetry(data):
-    return _run(data, ("copairing-symmetry",))[0]
-
-
-def check_pairing_symmetry(data):
-    return _run(data, ("pairing-symmetry",))[0]
-
-
 def check_cofrobenius(data, flavor="biunital"):
     """The defining relations of the requested coFrobenius flavor.
 
@@ -540,7 +494,7 @@ def check_cofrobenius(data, flavor="biunital"):
     """
     if flavor not in COFROBENIUS:
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
-    return _run(data, COFROBENIUS[flavor])
+    return run_entries(data, COFROBENIUS[flavor])
 
 
 def require_cofrobenius(data, refusal, checked=(), o=None):
@@ -550,9 +504,10 @@ def require_cofrobenius(data, refusal, checked=(), o=None):
     entries of that suite that check one relation under their own name
     (such as associativity); those entries are not checked again, and
     their reports are read first.  `o` is the data's `_Ops` when the
-    caller goes on to use them (see `_run`)."""
+    caller goes on to use them (see `run_entries`)."""
     done = {r.name for r in checked}
-    reports = _run(data, [name for name in COFROBENIUS["biunital"] if name not in done], o)
+    reports = run_entries(
+        data, [name for name in COFROBENIUS["biunital"] if name not in done], o)
     bad = next((r for r in [*checked, *reports] if r.verdict == FAIL), None)
     if bad is not None:
         raise ValueError(f"{refusal} {bad.name}")
@@ -563,14 +518,14 @@ def check_derived_identities(data, flavor="biunital"):
     that need a missing unit or counit are skipped."""
     if flavor not in DERIVED_IDENTITIES:
         raise ValueError(f"unknown coFrobenius flavor {flavor!r}")
-    return _run(data, DERIVED_IDENTITIES[flavor])
+    return run_entries(data, DERIVED_IDENTITIES[flavor])
 
 
 def check_involutive(data):
     """mu lam = 0; for unital coFrobenius data also cross-checks mu c = 0,
     for counital also p lam = 0 (equivalent formulations).  The cross-checks
     the data lacks the maps for are left out, not skipped."""
-    return _run(data, _available(data, INVOLUTIVE))
+    return run_entries(data, _available(data, INVOLUTIVE))
 
 
 def direct_sum(d1, d2):

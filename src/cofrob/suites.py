@@ -1,14 +1,14 @@
 """Named check suites, as exposed by the command line.
 
 A data suite other than poincare-duality is a tuple of entry names of
-the relation table (`structures.RELATIONS`), run by `structures._run`;
-derived-identities picks its tuple by the maps the structure has, and
-involutivity and cyclic leave out the entries whose unit or counit the
-structure lacks."""
+the relation table (`structures.RELATIONS`), run by
+`structures.run_entries`; derived-identities picks its tuple by the maps
+the structure has, and involutivity and cyclic leave out the entries
+whose unit or counit the structure lacks."""
 
 from functools import partial
 
-from .structures import (BialgebraData, _run, PRODUCT_LAWS, COPRODUCT_LAWS,
+from .structures import (BialgebraData, run_entries, PRODUCT_LAWS, COPRODUCT_LAWS,
                          UNITAL_ANTISYMMETRY, COUNITAL_ANTISYMMETRY,
                          BIUNITAL_INFINITESIMAL, COFROBENIUS, check_derived_identities,
                          check_involutive)
@@ -35,7 +35,8 @@ def _derived_suite(data):
 
 
 DATA_SUITES = {
-    **{name: partial(_run, names=names) for name, names in SUITE_RELATIONS.items()},
+    **{name: partial(run_entries, names=names)
+       for name, names in SUITE_RELATIONS.items()},
     "derived-identities": _derived_suite,
     "involutivity": check_involutive,
     "poincare-duality": check_poincare_duality,

@@ -26,8 +26,10 @@ mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta) hold.
 Relations (1) and (2) are suites of the sectors' relation table
 (`structures.RELATIONS`), reported under "closed-" and "open-".  The
 others are the entries of `TQFT_RELATIONS`, built over the TQFT and the
-`_Ops` of both sectors, which one suite call makes once; `_run_tqft`
-checks a tuple of them in one `check_relations` call.  Relation (3) and
+`_Ops` of both sectors, which one suite call makes once.  A check of some
+of them is a tuple of entry names, such as `("module-rel-a",
+"module-rel-b")`, run by `run_tqft_entries` in one `check_relations`
+call; `check_cardy` is relation (6) alone.  Relation (3) and
 the cozipper's coalgebra-map relations read `structures.MORPHISMS`.
 `derive_cozipper` solves the entry "rel5-pairing-form" for zeta*
 (`reports.solve_map`).  Both sectors must have a unit and a counit
@@ -39,7 +41,7 @@ from types import SimpleNamespace
 
 from .core import TensorSpace, scalar_space
 from .reports import CheckReport, Relation, prefixed, solve_map, PASS, FAIL
-from .structures import _Ops, _checked, _run, COFROBENIUS, MORPHISMS, sgn
+from .structures import _Ops, _checked, run_entries, COFROBENIUS, MORPHISMS, sgn
 from .windows import merge_windows
 
 
@@ -149,7 +151,7 @@ CLOSED_SECTOR = (*COFROBENIUS["biunital"], "commutativity", "cocommutativity")
 TQFT_FULL = tuple(TQFT_RELATIONS)
 
 
-def _run_tqft(t, names, ops=None):
+def run_tqft_entries(t, names, ops=None):
     """The reports of the entries `names` on `t`, in order, its relations
     checked in one `check_relations` call under the TQFT's window.  `ops`
     is the pair of sector `_Ops` when the caller already has it."""
@@ -163,53 +165,19 @@ def _run_tqft(t, names, ops=None):
     return [r(done) if callable(r) else r for r in out]
 
 
-def check_zipper_algebra_map(t):
-    """Relation (3): mu_A(zeta (x) zeta) = zeta mu_C and zeta eta_C = eta_A."""
-    return _run_tqft(t, ("rel3-zipper-products", "rel3-zipper-unit"))
-
-
-def check_zipper_central(t):
-    """Relation (4): mu_A(zeta (x) 1) = mu_A tau(zeta (x) 1)."""
-    return _run_tqft(t, ("rel4-zipper-central",))[0]
-
-
-def check_rel5(t):
-    """Relation (5): (1 (x) zeta) c_C = (zeta* (x) 1) c_A."""
-    return _run_tqft(t, ("rel5-cozipper-duality",))[0]
-
-
 def check_cardy(t):
     """Relation (6) with the degree gate evaluated first; the report notes
     both coproduct degrees."""
-    return _run_tqft(t, ("rel6-cardy",))[0]
-
-
-def check_rel5_pairing_form(t):
-    """p_C(1 (x) zeta*) = (-1)^{|lam_A|+|lam_C|} p_A(zeta (x) 1), and the
-    equivalence with relation (5) as verdict agreement."""
-    return _run_tqft(t, ("rel5-cozipper-duality", "rel5-pairing-form",
-                         "rel5-equivalence"))[1:]
-
-
-def check_cozipper_coalgebra(t):
-    """(zeta* (x) zeta*) lam_A = (-1)^{|zeta*||lam_A|} lam_C zeta* and
-    eps_A = eps_C zeta*."""
-    return _run_tqft(t, ("cozipper-coproducts", "cozipper-counits"))
-
-
-def check_module_relations(t):
-    """(a) (zeta (x) 1)c_C = (-1)^{|lam_C|+|lam_A|}(1 (x) zeta*)c_A;
-    (b) mu_C(zeta* (x) 1) = zeta* mu_A(1 (x) zeta)."""
-    return _run_tqft(t, ("module-rel-a", "module-rel-b"))
+    return run_tqft_entries(t, ("rel6-cardy",))[0]
 
 
 def run_full_tqft_suite(t):
     """Relations (1)-(6) in order, plus the derived lemma checks; nothing
     short-circuits.  One pair of sector `_Ops` serves the whole suite."""
     ops = c, a = _Ops(t.closed), _Ops(t.open)
-    return [*prefixed("closed-", _run(t.closed, CLOSED_SECTOR, c)),
-            *prefixed("open-", _run(t.open, COFROBENIUS["biunital"], a)),
-            *_run_tqft(t, TQFT_FULL, ops)]
+    return [*prefixed("closed-", run_entries(t.closed, CLOSED_SECTOR, c)),
+            *prefixed("open-", run_entries(t.open, COFROBENIUS["biunital"], a)),
+            *run_tqft_entries(t, TQFT_FULL, ops)]
 
 
 def derive_cozipper(closed, open, zipper):

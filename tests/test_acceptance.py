@@ -13,24 +13,25 @@ import pytest
 
 from cofrob import (Element, GradedMap, compose, map_equal, tensor_maps,
                     twist, ShiftMaps, check_cofrobenius,
-                    check_derived_identities, check_unital_infinitesimal,
-                    check_unital_antisymmetry, check_product_laws,
-                    check_coproduct_laws, check_poincare_duality,
+                    check_derived_identities, check_poincare_duality,
                     cyclic_triple_checks, dualize, shift_structure,
                     rescale_signs, transpose_structure, pairing_handle,
                     copairing_handle, check_perfect, complete_from_pairing,
                     check_intertwines_product, check_intertwines_coproduct,
                     sphere_cohomology, manifold_from_cup, torus_cup_data,
                     s2xs2_cup_data, OpenClosedTQFT, run_full_tqft_suite,
-                    check_rel5_pairing_form, check_cozipper_coalgebra,
-                    check_module_relations, check_cardy, scalar_space,
-                    check_relation)
-from cofrob.structures import sgn
-from cofrob.tqft import check_rel5
+                    check_cardy, scalar_space, Relation, check_relations)
+from cofrob.structures import (sgn, run_entries, PRODUCT_LAWS, COPRODUCT_LAWS,
+                               UNITAL_ANTISYMMETRY)
+from cofrob.tqft import run_tqft_entries
 from cofrob.tensor import apply_stage
 
 from conftest import all_pass, failing
 from dual_reference import double_dual
+
+
+# relation (5), its pairing form, and the agreement of their verdicts
+REL5 = ("rel5-cozipper-duality", "rel5-pairing-form", "rel5-equivalence")
 
 
 def report(criterion, label, ok):
@@ -129,8 +130,8 @@ def test_criterion_3_loop_models(rab3, loop3, based3, based_loop3):
         ok &= handle.vec_p((rab3.module.index[f"U^{i}"],)) == expected
     # ordinary loop homology: Sullivan form, and unital coFrobenius fails
     ok &= loop3.lam(loop3.eta).is_zero
-    ok &= check_unital_infinitesimal(loop3).verdict == "pass"
-    ok &= all(r.verdict != "fail" for r in check_unital_antisymmetry(loop3))
+    ok &= run_entries(loop3, ("unital-infinitesimal",))[0].verdict == "pass"
+    ok &= all(r.verdict != "fail" for r in run_entries(loop3, UNITAL_ANTISYMMETRY))
     cofrob = check_cofrobenius(loop3.replace(eps=None), "unital")
     bad = [r for r in cofrob if r.verdict == "fail"]
     ok &= any(r.name == "unital-cofrobenius-left" and r.witness is not None
@@ -144,7 +145,7 @@ def test_criterion_3_loop_models(rab3, loop3, based3, based_loop3):
         ok &= got == Element(based3.space2, expected)
     ok &= not failing(check_cofrobenius(based3, "biunital"))
     ok &= based_loop3.lam(based_loop3.eta).is_zero
-    ok &= check_unital_infinitesimal(based_loop3).verdict == "pass"
+    ok &= run_entries(based_loop3, ("unital-infinitesimal",))[0].verdict == "pass"
     report(3, "loop models n=3 window 6", ok)
 
 
@@ -155,19 +156,19 @@ def test_criterion_4_circle_models(circle_rab):
     ok = True
     for which, s in (("+", 1), ("-", -1)):
         data = circle_models(6, which=which, flavor="loop")
-        ok &= check_unital_infinitesimal(data).verdict == "pass"
-        ok &= all(r.verdict != "fail" for r in check_unital_antisymmetry(data))
+        ok &= run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
+        ok &= all(r.verdict != "fail" for r in run_entries(data, UNITAL_ANTISYMMETRY))
         a0, u0 = data.module.index["AU^0"], data.module.index["U^0"]
         ok &= data.lam(data.eta) == Element(data.space2,
                                             {(a0, u0): s, (u0, a0): -s})
         based = circle_models(6, which=which, flavor="based-loop")
         idm = GradedMap.identity(based.space)
-        rep = check_relation(
+        [rep] = check_relations([Relation(
             "loday-ronco-form", based.space2,
             [(1, [[based.mu], [based.lam]])],
             [(1, [[based.lam, idm], [idm, based.mu]]),
              (1, [[idm, based.lam], [based.mu, idm]]),
-             (-s, [])],
+             (-s, [])])],
             based.window)
         ok &= rep.verdict == "pass" and rep.checked > 0
     ok &= not failing(check_cofrobenius(circle_rab, "biunital"))
@@ -179,11 +180,11 @@ def test_criterion_4_circle_models(circle_rab):
 def test_criterion_5_tqft_suites(tqft3, equator, diagonal, factor):
     reports = run_full_tqft_suite(tqft3)
     ok = not failing(reports)
-    ok &= all(r.verdict != "fail" for r in check_rel5_pairing_form(tqft3))
-    coalg = check_cozipper_coalgebra(tqft3)
+    ok &= all(r.verdict != "fail" for r in run_tqft_entries(tqft3, REL5)[1:])
+    coalg = run_tqft_entries(tqft3, ("cozipper-coproducts", "cozipper-counits"))
     ok &= not failing(coalg)
     ok &= sgn(tqft3.cozipper.degree * tqft3.open.lam.degree) == 1  # lam_C zeta* form
-    ok &= not failing(check_module_relations(tqft3))
+    ok &= not failing(run_tqft_entries(tqft3, ("module-rel-a", "module-rel-b")))
     ok &= all_pass(run_full_tqft_suite(equator))
     factor_reports = run_full_tqft_suite(factor)
     cardy = next(r for r in factor_reports if r.name == "rel6-cardy")
@@ -307,14 +308,14 @@ def test_criterion_7_mutant_properties(equator):
         cofrob = check_cofrobenius(data.replace(eps=None), "unital")
         if all(r.verdict == "pass" for r in cofrob):
             implication_hits += 1
-            ok &= check_unital_infinitesimal(data).verdict == "pass"
-            ok &= all(r.verdict == "pass" for r in check_unital_antisymmetry(data))
-        base_laws = check_product_laws(data) + check_coproduct_laws(data)
+            ok &= run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
+            ok &= all(r.verdict == "pass" for r in run_entries(data, UNITAL_ANTISYMMETRY))
+        base_laws = run_entries(data, PRODUCT_LAWS) + run_entries(data, COPRODUCT_LAWS)
         base_ok = all(r.verdict != "fail" for r in base_laws
                       if r.name.startswith(("assoc", "coassoc", "unit")))
         if base_ok:
             agreement_hits += 1
-            reports = check_unital_antisymmetry(data)
+            reports = run_entries(data, UNITAL_ANTISYMMETRY)
             six = next(r for r in reports if r.name == "unital-anti-symmetry")
             s_form = next(r for r in reports if r.name == "anti-symmetry-S-operator")
             ok &= six.verdict == s_form.verdict
@@ -324,13 +325,13 @@ def test_criterion_7_mutant_properties(equator):
     for _ in range(16):
         bad = OpenClosedTQFT(equator.closed, equator.open, equator.zipper,
                              flip_entry(equator.cozipper, rng))
-        rel5 = check_rel5(bad)
-        form = next(r for r in check_rel5_pairing_form(bad)
+        [rel5] = run_tqft_entries(bad, ("rel5-cozipper-duality",))
+        form = next(r for r in run_tqft_entries(bad, REL5)
                     if r.name == "rel5-pairing-form")
         ok &= rel5.verdict == form.verdict
         rel5_hits += 1
-    rel5 = check_rel5(equator)
-    form = next(r for r in check_rel5_pairing_form(equator)
+    [rel5] = run_tqft_entries(equator, ("rel5-cozipper-duality",))
+    form = next(r for r in run_tqft_entries(equator, REL5)
                 if r.name == "rel5-pairing-form")
     ok &= rel5.verdict == form.verdict == "pass"
     report(7, f"{len(mutants)} mutants, {implication_hits} coFrobenius-passing, "

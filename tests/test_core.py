@@ -210,6 +210,19 @@ def test_compose_shape_mismatch():
         compose(g, f)
 
 
+@pytest.mark.parametrize("other", [1, None, "x"])
+def test_subtraction_refuses_a_wrong_operand_as_addition_does(other):
+    """`-` refuses an operand that is not an Element (a GradedMap) with the
+    ValueError of `+`, not with an AttributeError from the operand."""
+    sp = TensorSpace((two_sphere_carrier(),))
+    x, f = Element.basis(sp, (0,)), GradedMap.identity(sp)
+    for value, message in ((x, "cannot add elements"), (f, "cannot add maps")):
+        with pytest.raises(ValueError, match=message):
+            value + other
+        with pytest.raises(ValueError, match=message):
+            value - other
+
+
 def test_map_equal_reflexive_and_shape_unequal():
     mod = two_sphere_carrier()
     sp = TensorSpace((mod,))

@@ -428,11 +428,11 @@ def _doubled(f, side):
 def test_cyclic_reports_a_tau12_refinement_only_where_its_gate_passes(sphere3):
     """beta-tau12 is reported only where cocommutativity passes and B-tau12
     only where commutativity passes; neither gate is reported."""
-    from cofrob import check_coproduct_laws, check_product_laws
+    from cofrob.structures import run_entries, COPRODUCT_LAWS, PRODUCT_LAWS
     skew_lam = sphere3.replace(lam=_doubled(sphere3.lam, 1))
     skew_mu = sphere3.replace(mu=_doubled(sphere3.mu, 0))
-    assert check_coproduct_laws(skew_lam)[1].failed
-    assert check_product_laws(skew_mu)[1].failed
+    assert run_entries(skew_lam, COPRODUCT_LAWS)[1].failed
+    assert run_entries(skew_mu, PRODUCT_LAWS)[1].failed
     for data, names in ((sphere3, ["beta-cyclic", "beta-tau12", "B-cyclic", "B-tau12"]),
                         (skew_lam, ["beta-cyclic", "B-cyclic", "B-tau12"]),
                         (skew_mu, ["beta-cyclic", "beta-tau12", "B-cyclic"])):

@@ -8,10 +8,9 @@ from cofrob import (Element, apply, map_equal, sphere_cohomology,
                     rabinowitz_loop_sphere, loop_sphere, based_loop_sphere,
                     based_rabinowitz_loop_sphere,
                     circle_models, loop_tqft_sphere, CupData,
-                    check_cofrobenius, check_unital_infinitesimal,
-                    check_biunital_infinitesimal, check_involutive,
+                    check_cofrobenius, check_involutive,
                     pairing_handle, PrimeField, OpenClosedTQFT)
-from cofrob.structures import sgn
+from cofrob.structures import sgn, run_entries, BIUNITAL_INFINITESIMAL, UNITAL_ANTISYMMETRY
 
 from conftest import all_pass, failing
 
@@ -218,7 +217,7 @@ def test_based_rabinowitz_formulas(based3):
 def test_loop_models_sullivan(loop3, based_loop3):
     for data in (loop3, based_loop3):
         assert data.lam(data.eta).is_zero
-        assert check_unital_infinitesimal(data).verdict == "pass"
+        assert run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
 
 
 def test_involutivity_split(rab3, based3):
@@ -275,7 +274,7 @@ def test_window_bound_validation():
 
 def test_circle_rabinowitz_biunital(circle_rab):
     assert not failing(check_cofrobenius(circle_rab, "biunital"))
-    assert not failing(check_biunital_infinitesimal(circle_rab))
+    assert not failing(run_entries(circle_rab, BIUNITAL_INFINITESIMAL))
 
 
 def test_circle_rabinowitz_counit(circle_rab):
@@ -316,12 +315,11 @@ def test_circle_lambda_plus_minus_values():
 
 
 def test_circle_unital_infinitesimal():
-    from cofrob import check_unital_antisymmetry
     for flavor in ("loop", "based-loop"):
         for which in "+-":
             data = circle_models(6, which=which, flavor=flavor)
-            assert check_unital_infinitesimal(data).verdict == "pass"
-            assert not failing(check_unital_antisymmetry(data))
+            assert run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
+            assert not failing(run_entries(data, UNITAL_ANTISYMMETRY))
 
 
 def test_based_circle_loday_ronco_normalization():
@@ -334,21 +332,21 @@ def test_based_circle_loday_ronco_normalization():
     u0 = plus.module.index["U^0"]
     for data in (plus, neg_minus):
         assert data.lam(data.eta) == Element(data.space2, {(u0, u0): 1})
-        assert check_unital_infinitesimal(data).verdict == "pass"
+        assert run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
 
 
 def test_based_circle_loday_ronco_form():
     # lam_pm mu = (1 (x) mu)(lam_pm (x) 1) + (mu (x) 1)(1 (x) lam_pm) -+ id
-    from cofrob import GradedMap, check_relation
+    from cofrob import GradedMap, Relation, check_relations
     for which, s in (("+", -1), ("-", 1)):
         data = circle_models(6, which=which, flavor="based-loop")
         idm = GradedMap.identity(data.space)
-        rep = check_relation(
+        [rep] = check_relations([Relation(
             "loday-ronco-form", data.space2,
             [(1, [[data.mu], [data.lam]])],
             [(1, [[data.lam, idm], [idm, data.mu]]),
              (1, [[idm, data.lam], [data.mu, idm]]),
-             (s, [])],
+             (s, [])])],
             data.window)
         assert rep.verdict == "pass"
         assert rep.checked > 0

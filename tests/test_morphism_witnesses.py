@@ -13,10 +13,9 @@ and phi = 2 id on H*(S^3).
 import pytest
 
 from cofrob import (GradedMap, OpenClosedTQFT, check_intertwines_coproduct,
-                    check_intertwines_product, check_cozipper_coalgebra,
-                    run_full_tqft_suite, sphere_cohomology)
+                    check_intertwines_product, run_full_tqft_suite, sphere_cohomology)
 from cofrob.reports import render_json
-from cofrob.tqft import check_zipper_algebra_map
+from cofrob.tqft import run_tqft_entries
 
 ZIPPER = """\
 {
@@ -171,15 +170,15 @@ def _from_full_suite(t, names):
 
 
 def test_zipper_witnesses(doubled_zipper):
-    assert render_json("zipper", check_zipper_algebra_map(doubled_zipper)) == ZIPPER
-    full = _from_full_suite(doubled_zipper, ("rel3-zipper-products", "rel3-zipper-unit"))
-    assert render_json("zipper", full) == ZIPPER
+    names = ("rel3-zipper-products", "rel3-zipper-unit")
+    assert render_json("zipper", run_tqft_entries(doubled_zipper, names)) == ZIPPER
+    assert render_json("zipper", _from_full_suite(doubled_zipper, names)) == ZIPPER
 
 
 def test_cozipper_witnesses(doubled_cozipper):
-    assert render_json("cozipper", check_cozipper_coalgebra(doubled_cozipper)) == COZIPPER
-    full = _from_full_suite(doubled_cozipper, ("cozipper-coproducts", "cozipper-counits"))
-    assert render_json("cozipper", full) == COZIPPER
+    names = ("cozipper-coproducts", "cozipper-counits")
+    assert render_json("cozipper", run_tqft_entries(doubled_cozipper, names)) == COZIPPER
+    assert render_json("cozipper", _from_full_suite(doubled_cozipper, names)) == COZIPPER
 
 
 def test_intertwiner_witnesses():

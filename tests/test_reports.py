@@ -1,4 +1,4 @@
-"""`check_relation` and `check_relations` against the loop they replaced,
+"""`check_relations` against the loop it replaced,
 which visits every input, tests it against the window, applies each stage
 to a validated `Element` and gates coordinates by their labels: whole
 reports must agree on every relation of every data suite, and a batch of
@@ -15,7 +15,7 @@ from cofrob import (BialgebraData, Element, GradedMap, PrimeField, TensorSpace, 
                     rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
 from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, SKIPPED, Relation,
-                            Witness, _gate, check_relation, check_relations)
+                            Witness, _gate, check_relations)
 from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
 
@@ -105,8 +105,8 @@ def _unbacked(out, produced):
 
 def _compared_calls(monkeypatch, data):
     """(relation, window, report, reference report) for every relation that
-    every data suite that `data` has the maps for checks, through
-    `check_relation` or in a `check_relations` batch.  Every non-skipped
+    every data suite that `data` has the maps for checks in a
+    `check_relations` batch.  Every non-skipped
     report a suite returns must come from one of them, so a relation
     checked any other way fails."""
     calls = []
@@ -115,24 +115,17 @@ def _compared_calls(monkeypatch, data):
         ref = reference_check_relation(*spec[:4], window, spec.note)
         calls.append((spec, window, report, ref))
 
-    def one(name, source, lhs, rhs, window=None, note=""):
-        report = check_relation(name, source, lhs, rhs, window, note)
-        compare(Relation(name, source, lhs, rhs, note), window, report)
-        return report
-
     def batch(specs, window=None):
         out = check_relations(specs, window)
         for spec, report in zip(specs, out):
             compare(spec, window, report)
         return out
 
-    wrappers = {"check_relation": one, "check_relations": batch}
     with monkeypatch.context() as patch:
         for modname, module in list(sys.modules.items()):
             if modname.startswith("cofrob.") and module is not reports:
-                for attr, wrapper in wrappers.items():
-                    if getattr(module, attr, None) is getattr(reports, attr):
-                        patch.setattr(module, attr, wrapper)
+                if getattr(module, "check_relations", None) is check_relations:
+                    patch.setattr(module, "check_relations", batch)
         for name, suite in DATA_SUITES.items():
             if name == "poincare-duality" and (data.eta is None or data.eps is None):
                 continue    # refused with a ValueError (tests/test_duality.py)
@@ -337,14 +330,14 @@ DIFFER_WHERE_KEPT = ([_against_identity("differ-where-kept", (2, 1, 2))], MASK_A
 @example(DIFFER_WHERE_MASKED)
 @example(DIFFER_WHERE_KEPT)
 def test_batched_relations_report_as_checked_one_by_one(batch):
-    """Over F3: `check_relations` gives each relation the report that
-    `check_relation` gives it alone, and that the visit-every-input
-    reference gives."""
+    """Over F3: `check_relations` gives each relation the report that it
+    gives the relation alone, and that the visit-every-input reference
+    gives."""
     specs, window = batch
     reports_ = check_relations(specs, window)
     assert len(reports_) == len(specs)
     for spec, report in zip(specs, reports_):
-        assert report == check_relation(*spec[:4], window, spec.note), spec.name
+        assert [report] == check_relations([spec], window), spec.name
         assert report == reference_check_relation(*spec[:4], window, spec.note), spec.name
 
 
@@ -401,7 +394,7 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
         return out
 
     monkeypatch.setattr(structures, "check_relations", batch)
-    structures.check_biunital_infinitesimal(data)
+    structures.run_entries(data, structures.BIUNITAL_INFINITESIMAL)
     [(specs, out)] = batches
     assert all(r.passed for r in out)
     sources = {spec.source for spec in specs}
@@ -425,7 +418,7 @@ def test_solves_build_no_stage_plan(monkeypatch):
     """`solve_map` reads its residuals from composed maps, with or without
     a window: only windowed checks walk inputs through term kernels."""
     from cofrob import counit_solve, derive_cozipper, equator_pair, map_equal
-    from cofrob.structures import _run
+    from cofrob.structures import run_entries
     compiled = []
     compile_term = reports.term_kernel
 
@@ -439,7 +432,7 @@ def test_solves_build_no_stage_plan(monkeypatch):
     assert map_equal(counit_solve(data), data.eps)
     assert map_equal(derive_cozipper(pair.closed, pair.open, pair.zipper), pair.cozipper)
     assert not compiled
-    _run(data, ("counit",))
+    run_entries(data, ("counit",))
     assert compiled
 
 

@@ -24,7 +24,7 @@ from cofrob import (GradedMap, GradedModule, OpenClosedTQFT, PrimeField, QQ, Rel
                     based_rabinowitz_loop_sphere, s2xs2_cup_data, shift_structure,
                     sphere_cup_data, torus_cup_data)
 from cofrob.reports import PASS, INCONCLUSIVE
-from cofrob.structures import BialgebraData, _Ops, _run
+from cofrob.structures import BialgebraData, _Ops, run_entries
 from cofrob.tqft import TQFT_RELATIONS
 
 FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
@@ -115,7 +115,7 @@ def test_a_solved_counit_passes_the_counit_law(case):
         return
     if eps is None:
         return
-    reports = _run(data.replace(eps=eps), ("counit",))
+    reports = run_entries(data.replace(eps=eps), ("counit",))
     assert [r.name for r in reports] == ["counit-left", "counit-right"]
     assert all(r.verdict in (PASS, INCONCLUSIVE) for r in reports), reports
 

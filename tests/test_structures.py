@@ -5,17 +5,15 @@ import sys
 
 import pytest
 
-from cofrob import (Element, GradedMap, map_equal, twist,
-                    check_product_laws, check_coproduct_laws,
-                    check_unital_infinitesimal, check_unital_antisymmetry,
-                    check_counital_infinitesimal, check_counital_antisymmetry,
-                    check_biunital_infinitesimal, check_cofrobenius,
+from cofrob import (Element, GradedMap, map_equal, twist, check_cofrobenius,
                     check_derived_identities, check_involutive, direct_sum,
                     counit_solve, dualize, shift_structure, circle_models,
                     sphere_cohomology,
                     tensor_maps, compose, manifold_from_cup, torus_cup_data,
                     s2xs2_cup_data, rabinowitz_loop_sphere)
-from cofrob.structures import BialgebraData, _Ops, _s_terms, sgn
+from cofrob.structures import (BialgebraData, _Ops, _s_terms, sgn, run_entries,
+                               PRODUCT_LAWS, COPRODUCT_LAWS, UNITAL_ANTISYMMETRY,
+                               COUNITAL_ANTISYMMETRY, BIUNITAL_INFINITESIMAL)
 
 from conftest import all_pass, failing, relabeled_sphere3
 from pipeline_reference import apply_pipeline
@@ -44,14 +42,14 @@ def by_name(reports, name):
 
 
 def test_product_laws_sphere3(sphere3):
-    reports = check_product_laws(sphere3)
+    reports = run_entries(sphere3, PRODUCT_LAWS)
     assert all_pass(reports)
     assert {r.name for r in reports} == {"associativity", "commutativity",
                                          "unit-left", "unit-right"}
 
 
 def test_unit_law_window(rab3):
-    reports = check_product_laws(rab3)
+    reports = run_entries(rab3, PRODUCT_LAWS)
     assert all_pass(reports)
 
 
@@ -59,13 +57,13 @@ def test_corrupted_mu_fails_associativity(sphere2):
     mu_bad = corrupt_map(sphere2.mu, (sphere2.module.index["1"], sphere2.module.index["w"]),
                          (sphere2.module.index["w"],))
     bad = sphere2.replace(mu=mu_bad)
-    rep = by_name(check_product_laws(bad), "associativity")
+    rep = by_name(run_entries(bad, PRODUCT_LAWS), "associativity")
     assert rep.verdict == "fail"
     assert rep.witness is not None
 
 
 def test_coproduct_laws_window(rab3):
-    reports = check_coproduct_laws(rab3)
+    reports = run_entries(rab3, COPRODUCT_LAWS)
     assert all_pass(reports)
     # counit value printed in the source: eps(AU^-1) = 1
     assert rab3.eps((rab3.module.index["AU^-1"],)).coeffs == {(): 1}
@@ -93,14 +91,14 @@ def test_corrupted_lambda_fails_coassociativity(sphere3):
     lam_bad = corrupt_map(sphere3.lam, (sphere3.module.index["1"],),
                           (sphere3.module.index["w"], sphere3.module.index["1"]))
     bad = sphere3.replace(lam=lam_bad)
-    rep = by_name(check_coproduct_laws(bad), "coassociativity")
+    rep = by_name(run_entries(bad, COPRODUCT_LAWS), "coassociativity")
     assert rep.verdict == "fail" and rep.witness is not None
 
 
 def test_unital_infinitesimal_loop_sullivan(loop3):
     # lam eta = 0, so the relation reduces to Sullivan's form and passes
     assert loop3.lam(loop3.eta).is_zero
-    assert check_unital_infinitesimal(loop3).verdict == "pass"
+    assert run_entries(loop3, ("unital-infinitesimal",))[0].verdict == "pass"
 
 
 def test_unital_infinitesimal_based_circle():
@@ -110,11 +108,11 @@ def test_unital_infinitesimal_based_circle():
         lh = data.lam(data.eta)
         one = data.module.index["U^0"]
         assert lh.coeffs == {(one, one): 1 if which == "+" else -1}
-        assert check_unital_infinitesimal(data).verdict == "pass"
+        assert run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
 
 
 def test_unital_antisymmetry_sphere2(sphere2):
-    reports = check_unital_antisymmetry(sphere2)
+    reports = run_entries(sphere2, UNITAL_ANTISYMMETRY)
     assert all_pass(reports)
 
 
@@ -125,7 +123,7 @@ def test_antisymmetry_formulations_agree_on_corruption(sphere2, sphere3):
         i1 = base.module.index["1"]
         iw = base.module.index["w"]
         bad = base.replace(lam=corrupt_map(base.lam, (i1,), (i1, iw)))
-        reports = check_unital_antisymmetry(bad)
+        reports = run_entries(bad, UNITAL_ANTISYMMETRY)
         six = by_name(reports, "unital-anti-symmetry")
         s_form = by_name(reports, "anti-symmetry-S-operator")
         assert six.verdict == s_form.verdict == "fail"
@@ -139,7 +137,7 @@ def test_antisymmetry_formulations_agree_on_exact_structures(sphere2, sphere3, t
         for m in (0, 1):
             for l in (0, 1):
                 data = rescale_signs(base, m, l)
-                reports = check_unital_antisymmetry(data)
+                reports = run_entries(data, UNITAL_ANTISYMMETRY)
                 six = by_name(reports, "unital-anti-symmetry")
                 s_form = by_name(reports, "anti-symmetry-S-operator")
                 assert six.verdict == s_form.verdict == "pass"
@@ -174,7 +172,7 @@ def test_s_form_agrees_with_the_six_term_relation_on_every_transform(example):
     base = UNITAL_EXAMPLES[example]()
     for chain, transform in TRANSFORM_CHAINS.items():
         data = transform(base)
-        reports = check_unital_antisymmetry(data)
+        reports = run_entries(data, UNITAL_ANTISYMMETRY)
         six = by_name(reports, "unital-anti-symmetry")
         s_form = by_name(reports, "anti-symmetry-S-operator")
         assert s_form.verdict == six.verdict, (chain, six, s_form)
@@ -184,23 +182,23 @@ def test_counital_laws_of_dual(sphere3, rab3):
     # the dual of a unital structure passes the counital suite
     for data in (sphere3, rab3):
         dual = dualize(data)
-        assert check_counital_infinitesimal(dual).verdict == "pass"
-        assert all_pass(check_counital_antisymmetry(dual))
+        assert run_entries(dual, ("counital-infinitesimal",))[0].verdict == "pass"
+        assert all_pass(run_entries(dual, COUNITAL_ANTISYMMETRY))
 
 
 def test_eps_mu_twist_consequence(rab3):
-    rep = by_name(check_counital_antisymmetry(rab3), "eps-mu-twist")
+    rep = by_name(run_entries(rab3, COUNITAL_ANTISYMMETRY), "eps-mu-twist")
     assert rep.verdict == "pass"
 
 
 def test_biunital_infinitesimal_examples(sphere2, rab3):
-    assert all_pass(check_biunital_infinitesimal(sphere2))
-    assert all_pass(check_biunital_infinitesimal(rab3))
+    assert all_pass(run_entries(sphere2, BIUNITAL_INFINITESIMAL))
+    assert all_pass(run_entries(rab3, BIUNITAL_INFINITESIMAL))
 
 
 def test_wrong_sign_unit_breaks_bridge(sphere2):
     bad = sphere2.replace(eta=sphere2.eta.scale(-1))
-    reports = check_biunital_infinitesimal(bad)
+    reports = run_entries(bad, BIUNITAL_INFINITESIMAL)
     assert by_name(reports, "biunital-bridge").verdict == "fail"
     assert by_name(reports, "biunital-bridge").witness is not None
 
@@ -228,8 +226,8 @@ def test_unital_cofrob_implies_unital_infinitesimal(sphere2, sphere3, rab3, base
     # implication tested over the built-in examples
     for data in (sphere2, sphere3, rab3, based3):
         assert all(r.verdict != "fail" for r in check_cofrobenius(data, "unital"))
-        assert check_unital_infinitesimal(data).verdict == "pass"
-        assert all(r.verdict != "fail" for r in check_unital_antisymmetry(data))
+        assert run_entries(data, ("unital-infinitesimal",))[0].verdict == "pass"
+        assert all(r.verdict != "fail" for r in run_entries(data, UNITAL_ANTISYMMETRY))
 
 
 def test_derived_identities(sphere2, rab3):
@@ -328,15 +326,11 @@ def _relation_key(name, source, lhs, rhs):
 
 
 def _evaluations(monkeypatch, run):
-    """The key of every relation that `run()` evaluates, in order, whether
-    through `check_relation` or in a `check_relations` batch."""
+    """The key of every relation that `run()` evaluates, in order, through
+    a `check_relations` batch."""
     import sys
     from cofrob import reports
     keys = []
-
-    def one(*args, **kwargs):
-        keys.append(_relation_key(*args[:4]))
-        return reports.check_relation(*args, **kwargs)
 
     def batch(specs, window=None):
         keys.extend(_relation_key(*spec[:4]) for spec in specs)
@@ -345,9 +339,8 @@ def _evaluations(monkeypatch, run):
     with monkeypatch.context() as patch:
         for modname, module in list(sys.modules.items()):
             if modname.startswith("cofrob.") and module is not reports:
-                for attr, wrapper in (("check_relation", one), ("check_relations", batch)):
-                    if getattr(module, attr, None) is getattr(reports, attr):
-                        patch.setattr(module, attr, wrapper)
+                if getattr(module, "check_relations", None) is reports.check_relations:
+                    patch.setattr(module, "check_relations", batch)
         run()
     return keys
 

@@ -3,12 +3,15 @@
 import pytest
 
 from cofrob import (Element, GradedMap, OpenClosedTQFT, run_full_tqft_suite,
-                    check_cardy, check_rel5_pairing_form, derive_cozipper,
-                    check_cozipper_coalgebra, check_module_relations,
-                    map_equal, shift_structure)
-from cofrob.tqft import check_rel5, check_zipper_algebra_map, check_zipper_central
+                    check_cardy, derive_cozipper, map_equal, shift_structure)
+from cofrob.tqft import run_tqft_entries
 
 from conftest import all_pass, failing
+
+COZIPPER_COALGEBRA = ("cozipper-coproducts", "cozipper-counits")
+MODULE_RELATIONS = ("module-rel-a", "module-rel-b")
+# relation (5), its pairing form, and the agreement of their verdicts
+REL5 = ("rel5-cozipper-duality", "rel5-pairing-form", "rel5-equivalence")
 
 
 def by_name(reports, name):
@@ -89,12 +92,12 @@ def test_loop_tqft_cozipper_coalgebra_sign(tqft3):
     # (zeta* (x) zeta*) lam_A = lam_C zeta*
     from cofrob.structures import sgn
     assert sgn(tqft3.cozipper.degree * tqft3.open.lam.degree) == 1
-    reports = check_cozipper_coalgebra(tqft3)
+    reports = run_tqft_entries(tqft3, COZIPPER_COALGEBRA)
     assert not failing(reports)
 
 
 def test_loop_tqft_module_relations(tqft3):
-    assert not failing(check_module_relations(tqft3))
+    assert not failing(run_tqft_entries(tqft3, MODULE_RELATIONS))
 
 
 def test_circle_tqft(tqft1):
@@ -143,7 +146,7 @@ def test_factor_pair_cardy_fails_with_witness(factor):
 
 def test_rel5_pairing_form_agreement(tqft3, equator, factor):
     for t in (tqft3, equator, factor):
-        reports = check_rel5_pairing_form(t)
+        reports = run_tqft_entries(t, REL5)
         assert by_name(reports, "rel5-equivalence").verdict == "pass"
         assert by_name(reports, "rel5-pairing-form").verdict in ("pass",)
 
@@ -153,8 +156,8 @@ def test_rel5_forms_fail_together_on_corrupted_cozipper(equator):
     w_idx = equator.closed.module.index["w"]
     bad = OpenClosedTQFT(equator.closed, equator.open, equator.zipper,
                          corrupt_map(equator.cozipper, (t_idx,), (w_idx,)))
-    rel5 = check_rel5(bad)
-    reports = check_rel5_pairing_form(bad)
+    [rel5] = run_tqft_entries(bad, ("rel5-cozipper-duality",))
+    reports = run_tqft_entries(bad, REL5)
     assert rel5.verdict == "fail"
     assert by_name(reports, "rel5-pairing-form").verdict == "fail"
     assert by_name(reports, "rel5-equivalence").verdict == "pass"  # verdicts agree
@@ -168,7 +171,7 @@ def test_derive_cozipper_reproduces_loop_formula(tqft3):
         assert got == Element.basis(c.space, (c.module.index[f"AU^{k}"],))
     # relation (5) holds by construction
     t2 = OpenClosedTQFT(tqft3.closed, tqft3.open, tqft3.zipper, derived)
-    assert check_rel5(t2).verdict == "pass"
+    assert run_tqft_entries(t2, ("rel5-cozipper-duality",))[0].verdict == "pass"
 
 
 def test_derive_cozipper_matches_equator(equator):
@@ -177,16 +180,16 @@ def test_derive_cozipper_matches_equator(equator):
 
 
 def test_zipper_relations_individually(equator):
-    assert all_pass(check_zipper_algebra_map(equator))
-    assert check_zipper_central(equator).verdict == "pass"
+    assert all_pass(run_tqft_entries(equator, ("rel3-zipper-products", "rel3-zipper-unit")))
+    assert run_tqft_entries(equator, ("rel4-zipper-central",))[0].verdict == "pass"
 
 
 def test_module_relations_on_factor_pair(factor):
     # the module relations need only (1)-(5), so they hold even though
     # Cardy fails
-    assert all_pass(check_module_relations(factor))
+    assert all_pass(run_tqft_entries(factor, MODULE_RELATIONS))
 
 
 def test_cozipper_coalgebra_on_sphere_pairs(equator, diagonal):
     for t in (equator, diagonal):
-        assert all_pass(check_cozipper_coalgebra(t))
+        assert all_pass(run_tqft_entries(t, COZIPPER_COALGEBRA))

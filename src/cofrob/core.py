@@ -17,6 +17,7 @@ All values are immutable after construction and safe to share.
 """
 
 from functools import cached_property
+from itertools import product
 
 from .fields import QQ
 
@@ -109,24 +110,7 @@ class TensorSpace:
 
     def basis(self):
         """All basis index tuples, lexicographic in (factor, position)."""
-        if not self.modules:
-            yield ()
-            return
-        dims = [m.dim for m in self.modules]
-        if any(d == 0 for d in dims):
-            return
-        idx = [0] * len(self.modules)
-        while True:
-            yield tuple(idx)
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < dims[k]:
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
+        return product(*[range(m.dim) for m in self.modules])
 
     def degree(self, idx):
         return sum(m.degree(i) for m, i in zip(self.modules, idx))

@@ -59,12 +59,6 @@ class StructureDocument:
     def is_pair(self):
         return "closed" in self.modules
 
-    def __eq__(self, other):
-        return (isinstance(other, StructureDocument)
-                and self.field == other.field and self.suite == other.suite
-                and self.modules == other.modules and self.windows == other.windows
-                and self.maps == other.maps and self.etas == other.etas)
-
 
 def _coefficient(token, fieldobj):
     """`fieldobj.parse(token)`; over Q a plain ASCII integer, with an
@@ -167,8 +161,6 @@ def parse(text):
             section = None
         elif is_header and base == "module":
             rest = line[len("module"):].strip()
-            if not rest.endswith(":"):
-                raise ParseError("module section must end with ':'", lineno)
             name = rest[:-1].strip()
             if name not in ("", "closed", "open"):
                 raise ParseError(f"unknown module name {name!r}", lineno)
@@ -178,8 +170,6 @@ def parse(text):
             section = ("module", name)
         elif is_header and base == "window":
             rest = line[len("window"):].strip()
-            if not rest.endswith(":"):
-                raise ParseError("window section must end with ':'", lineno)
             parts = rest[:-1].split()
             name = ""
             if parts and parts[0] in ("closed", "open"):
@@ -201,8 +191,6 @@ def parse(text):
             section = ("window", name)
         elif is_header and base == "map":
             rest = line[len("map"):].strip()
-            if not rest.endswith(":"):
-                raise ParseError("map section must end with ':'", lineno)
             parts = rest[:-1].split()
             if len(parts) != 3 or parts[1] != "degree":
                 raise ParseError("expected: map <name> degree <d>:", lineno)
@@ -218,8 +206,6 @@ def parse(text):
             section = ("map", name)
         elif is_header and base == "eta":
             rest = line[len("eta"):].strip()
-            if not rest.endswith(":"):
-                raise ParseError("eta section must end with ':'", lineno)
             name = rest[:-1].strip()
             if name not in ("", "closed", "open"):
                 raise ParseError(f"unknown eta qualifier {name!r}", lineno)
@@ -456,7 +442,7 @@ def _emit_data(doc, data, name=""):
     module = data.module
     doc.modules[name] = tuple(zip(module.labels, module.degrees))
     if data.window is not None:
-        weights = {lbl: data.window.weight(lbl) for lbl in module.labels
+        weights = {lbl: data.window.weights[lbl] for lbl in module.labels
                    if lbl in data.window.weights}
         doc.windows[name] = (data.window.bound, data.window.slack,
                              dict(sorted(weights.items())))

@@ -95,19 +95,12 @@ def _handles(o):
 def check_perfect(pair, copair, window=None):
     """(1(x)p)(c(x)1) = 1 = (-1)^{|p||c|}(p(x)1)(1(x)c), and the induced
     maps vec_c, vec_p are mutually inverse."""
-    return _check_perfect(pair, copair, window)
-
-
-def _check_perfect(pair, copair, window, c_map=None):
-    """`check_perfect`, reading c as the map `c_map` R -> A(x)A when the
-    caller has it."""
     p, vec_p = pair.p, pair.vec_p
     c, vec_c = copair.c, copair.vec_c
     if p.degree != -vec_c.degree:
         raise ValueError(f"degree mismatch: |p| = {p.degree}, |c| = {vec_c.degree}")
     a_space = vec_p.source
-    if c_map is None:
-        c_map = element_as_map(c, degree=vec_c.degree)
+    c_map = element_as_map(c, degree=vec_c.degree)
     idm = GradedMap.identity(a_space)
     return check_relations([
         Relation("perfect-left", a_space, [(1, [[c_map, idm], [idm, p]])], [(1, [])]),
@@ -237,7 +230,7 @@ def check_poincare_duality(data):
         _morphisms(handle_p.vec_p, ops, target_ops, MORPHISMS)
         + _morphisms(handle_c.vec_c, target_ops, ops, MORPHISMS, "inverse-"),
         merge_windows(data.window, target.window)))
-    out.extend(_check_perfect(handle_p, handle_c, data.window, ops.c_map))
+    out.extend(check_perfect(handle_p, handle_c, data.window))
     return out
 
 
@@ -253,16 +246,17 @@ def _invert_vec_p(vec_p, window=None):
     a = vec_p.source.modules[0]
     dual = vec_p.target.modules[0]
     field = a.field
-    win_all = None
     if window is not None:
         win_all = window.merged(window.dualized())
+        valid_rows = set(win_all.valid_inputs(vec_p.source))
+        valid_cols = set(win_all.valid_inputs(vec_p.target))
     entries = {}
     for deg in sorted(set(a.degrees)):
         rows_idx = list(a.basis_at(deg))
         cols_idx = list(dual.basis_at(deg + vec_p.degree))
-        if win_all is not None:
-            rows_idx = [i for i in rows_idx if win_all.input_valid((a.labels[i],))]
-            cols_idx = [j for j in cols_idx if win_all.input_valid((dual.labels[j],))]
+        if window is not None:
+            rows_idx = [i for i in rows_idx if (i,) in valid_rows]
+            cols_idx = [j for j in cols_idx if (j,) in valid_cols]
             rows_idx = [i for i in rows_idx
                         if any((j,) in vec_p.entries.get((i,), {}) for j in cols_idx)]
             cols_idx = [j for j in cols_idx

@@ -59,7 +59,7 @@ Labels, names and documents never reach the source, and the cache holds
 no map or module.
 """
 
-from .core import DUAL_SUFFIX, GradedModule, TensorSpace, Element, GradedMap, compose
+from .core import DUAL_SUFFIX, GradedModule, TensorSpace, GradedMap, compose
 from .fields import PrimeField, RationalField, _integral
 
 SHIFT_PREFIX = "s."
@@ -99,7 +99,8 @@ def term_kernel(stages, source):
     as they arise, and `space` is where it lands.
 
     Each stage f_1 (x) ... (x) f_m must read exactly its input's factors,
-    or ValueError is raised, and carries the sign (-1)^{sum_i |f_i| *
+    or ValueError is raised (its "apply_stage:" prefix is what the CLI
+    prints), and carries the sign (-1)^{sum_i |f_i| *
     deg(factors read before f_i)}: a factor counts once per odd map that
     starts after it, so a path's sign is the XOR of the degree parities of
     the factors with an odd count.  The term's shape (per stage, each map's
@@ -244,15 +245,6 @@ def _kernel_source(kind, shape):
     lines += ["    " * depth + line.format(c=coeff) for line in accumulate]
     lines.append("    return kernel")
     return "\n".join(lines)
-
-
-def apply_stage(maps, elem):
-    """Apply f_1 (x) ... (x) f_m to an element through its `term_kernel`."""
-    kernel, space = term_kernel([maps], elem.space)
-    out = {}
-    for idx, v in elem.coeffs.items():
-        kernel(idx, v, out)
-    return Element._trusted(space, out)
 
 
 def tensor_maps(f, g):

@@ -18,6 +18,10 @@ Coordinates that are not reliable are masked from the comparison (counted,
 never silently passed).  Basis labels without a recorded weight have
 weight 0 and are always safe.
 
+Both tests are decided on basis indices, never on labels; the per-label
+forms of the two rules above are kept in `tests/window_reference.py` as
+the reference these are checked against.
+
 `valid_inputs` enumerates the valid basis tuples of a tensor space
 directly, factor by factor, instead of testing every tuple.  A prefix is
 kept only while its sum of positive weights and its sum of negative
@@ -48,24 +52,8 @@ class WindowSpec:
                              f"got bound {self.bound}, slack {self.slack}")
         self.weights = dict(weights)
 
-    def weight(self, label):
-        return self.weights.get(label, 0)
-
-    def _max_subset_abs(self, labels):
-        lo = hi = 0
-        for lbl in labels:
-            w = self.weights.get(lbl, 0)
-            if w > 0:
-                hi += w
-            elif w < 0:
-                lo += w
-        return max(hi, -lo)
-
-    def input_valid(self, labels):
-        return self._max_subset_abs(labels) + self.slack <= self.bound - 1
-
     def valid_inputs(self, space, known=None):
-        """The basis tuples of `space` that pass `input_valid`, in basis
+        """The basis tuples of `space` whose inputs are valid, in basis
         order; `known` is passed to `factor_weights`."""
         limit = self.bound - 1 - self.slack
         if limit < 0:
@@ -84,11 +72,6 @@ class WindowSpec:
                         for idx, hi, lo in prefixes
                         for step, dhi, dlo in steps
                         if hi + dhi <= limit and lo + dlo <= limit]
-
-    def coordinate_reliable(self, input_labels, coord_labels):
-        return (self._max_subset_abs(input_labels)
-                + self._max_subset_abs(coord_labels)
-                + self.slack <= self.bound)
 
     def input_limit(self, weights, idx):
         """The most either signed weight sum of a coordinate may reach and

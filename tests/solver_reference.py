@@ -2,8 +2,8 @@
 
 `counit_solve` and `derive_cozipper` used to build their linear systems by
 hand, with their own Koszul signs and, for the counit, the label-based
-window tests `WindowSpec.input_valid` and `coordinate_reliable`.  The
-library now solves for both maps with the relations they must satisfy
+window tests `input_valid` and `coordinate_reliable` (`window_reference`).
+The library now solves for both maps with the relations they must satisfy
 (`structures.RELATIONS["counit"]`, `tqft.TQFT_RELATIONS["rel5-pairing-form"]`).
 The bodies below are the hand-built versions, unchanged, so tests can
 compare the two on a grid of structures: same map, or same None.
@@ -13,6 +13,8 @@ from cofrob.core import GradedMap, scalar_space
 from cofrob.fields import solve_linear
 from cofrob.structures import sgn
 from cofrob.tqft import require_biunital_sectors
+
+from window_reference import coordinate_reliable, input_valid
 
 
 def counit_solve(data):
@@ -33,11 +35,11 @@ def counit_solve(data):
     w = data.window
     for x in range(module.dim):
         labels = (module.labels[x],)
-        if w is not None and not w.input_valid(labels):
+        if w is not None and not input_valid(w, labels):
             continue
         expansion = data.lam((x,))
         for y in range(module.dim):
-            if w is not None and not w.coordinate_reliable(labels, (module.labels[y],)):
+            if w is not None and not coordinate_reliable(w, labels, (module.labels[y],)):
                 continue
             row_left = [field.zero] * len(unknowns)
             row_right = [field.zero] * len(unknowns)

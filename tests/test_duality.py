@@ -12,9 +12,11 @@ from cofrob import (Element, GradedMap, TensorSpace, compose, element_as_map, ma
                     transpose_structure, check_intertwines_product,
                     check_intertwines_coproduct, poincare_dual_structure,
                     check_poincare_duality, complete_from_pairing,
-                    cyclic_triple_checks, sphere_cohomology, ShiftMaps)
+                    cyclic_triple_checks, sphere_cohomology, ShiftMaps,
+                    rabinowitz_loop_sphere, loop_sphere, based_rabinowitz_loop_sphere,
+                    based_loop_sphere, circle_models)
 from cofrob.structures import BialgebraData, sgn
-from cofrob.tensor import apply_stage, dual_map, dual_module, DUAL_SUFFIX
+from cofrob.tensor import dual_map, dual_module, DUAL_SUFFIX
 
 from conftest import all_pass, no_failures, failing
 from dual_reference import double_dual
@@ -181,7 +183,7 @@ def test_shift_preserves_biunital_and_sign_table(example, request):
     sh = ShiftMaps(data.module)
     l = data.lam.degree
     # c-bar = (-1)^l (s (x) s) c
-    expected_c = apply_stage([sh.s, sh.s], data.copairing()).scale(sgn(l))
+    expected_c = tensor_maps(sh.s, sh.s)(data.copairing()).scale(sgn(l))
     assert shifted.copairing() == expected_c
     # p-bar = (-1)^{l+1} p (omega (x) omega)
     expected_p = compose(data.pairing(), tensor_maps(sh.omega, sh.omega)).scale(sgn(l + 1))
@@ -404,6 +406,43 @@ def test_complete_from_pairing_idempotent(sphere2, torus):
         assert map_equal(again.lam, data.lam)
         assert again.copairing() == data.copairing()
         assert map_equal(again.pairing(), data.pairing())
+
+
+def _loop_models(N):
+    """Every loop model on the window bound N: S^3 and S^1, each flavor,
+    and both vector fields where the flavor has no counit."""
+    yield from (rabinowitz_loop_sphere(3, N), loop_sphere(3, N),
+                based_rabinowitz_loop_sphere(3, N), based_loop_sphere(3, N))
+    yield from (circle_models(N, flavor=f) for f in ("rabinowitz", "based-rabinowitz"))
+    yield from (circle_models(N, which, f) for f in ("loop", "based-loop") for which in "+-")
+
+
+@pytest.mark.parametrize("N", range(3, 8))
+def test_invert_vec_p_keeps_what_input_valid_keeps(N):
+    """Under the merged window, the index test `valid_inputs` keeps the
+    basis elements of each loop model's module and of its dual that the
+    label-based `window_reference.input_valid` keeps; where the model has
+    a counit, `_invert_vec_p` inverts exactly the rows and columns those
+    labels leave after the mutual pruning (none at N = 3)."""
+    from cofrob.duality import _invert_vec_p, vec_p_map
+    from window_reference import input_valid
+    for data in _loop_models(N):
+        merged = data.window.merged(data.window.dualized())
+        modules = (data.module, dual_module(data.module))
+        by_label = [{i for i, lbl in enumerate(m.labels) if input_valid(merged, (lbl,))}
+                    for m in modules]
+        assert [{i for i, in merged.valid_inputs(TensorSpace((m,)))}
+                for m in modules] == by_label
+        if data.eps is None:
+            continue
+        vec_p = vec_p_map(data.pairing())
+        rows, cols = by_label
+        rows = {i for i in rows if any(j in cols for j, in vec_p.entries.get((i,), {}))}
+        cols = {j for j in cols if any((j,) in vec_p.entries.get((i,), {}) for i in rows)}
+        inverse = _invert_vec_p(vec_p, data.window)
+        assert cols or N < 5    # small windows keep few or no pairs
+        assert {j for j, in inverse.entries} == cols
+        assert {i for row in inverse.entries.values() for i, in row} == rows
 
 
 def test_cyclic_checks(sphere2, sphere3, rab3):

@@ -82,3 +82,14 @@ def test_the_one_call_checker_wrappers_are_gone():
             assert not hasattr(module, name), name
     assert callable(structures.run_entries) and callable(tqft.run_tqft_entries)
     assert not hasattr(cofrob, "run_entries") and not hasattr(cofrob, "run_tqft_entries")
+
+
+def test_window_validity_is_decided_by_index_only():
+    """The label-based window tests live in `tests/window_reference.py`
+    only, and a stage runs through `tensor.term_kernel`, with no
+    `apply_stage` beside it."""
+    from cofrob import WindowSpec, tensor
+    for name in ("input_valid", "coordinate_reliable", "weight", "_max_subset_abs"):
+        assert not hasattr(WindowSpec, name), name
+    assert callable(WindowSpec.valid_inputs) and callable(WindowSpec.input_limit)
+    assert not hasattr(tensor, "apply_stage") and not hasattr(cofrob, "apply_stage")

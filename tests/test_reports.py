@@ -20,6 +20,7 @@ from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
 
 from pipeline_reference import apply_pipeline
+from window_reference import coordinate_reliable, input_valid
 from test_tensor import F3_MOD, f3_maps
 
 
@@ -39,10 +40,10 @@ def _side_eval(terms, x, field):
 
 
 def _reliable(elem, input_labels, window):
-    """The coordinates `WindowSpec.coordinate_reliable` keeps for the
+    """The coordinates `window_reference.coordinate_reliable` keeps for the
     input, read by label, and how many it masks."""
     kept = {idx: v for idx, v in elem.coeffs.items()
-            if window.coordinate_reliable(input_labels, elem.space.labels_of(idx))}
+            if coordinate_reliable(window, input_labels, elem.space.labels_of(idx))}
     return Element(elem.space, kept), len(elem.coeffs) - len(kept)
 
 
@@ -54,7 +55,7 @@ def reference_check_relation(name, source, lhs_terms, rhs_terms, window=None, no
     masked_total = 0
     for idx in source.basis():
         labels = source.labels_of(idx)
-        if window is not None and not window.input_valid(labels):
+        if window is not None and not input_valid(window, labels):
             inconclusive += 1
             continue
         x = Element.basis(source, idx)

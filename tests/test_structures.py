@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cofrob import (Element, GradedMap, map_equal, twist, check_cofrobenius,
+from cofrob import (Element, GradedMap, map_equal, check_cofrobenius,
                     check_derived_identities, check_involutive, direct_sum,
                     counit_solve, dualize, shift_structure, circle_models,
                     sphere_cohomology,

@@ -449,16 +449,16 @@ def _recorded_terms(monkeypatch, structures):
     return terms
 
 
-def test_apply_stage_output_passes_full_validation(monkeypatch):
-    """The term kernels (behind `apply_stage` and the window walk) skip
-    Element validation; on every basis input of every term the built-in
-    relation pipelines compile, on the inputs the walk called it with, and
-    summed over those inputs as a side sums them, a kernel's result is
-    exactly what the validating constructor builds and holds no zero
-    coefficient.  So is `apply_stage`'s on each term's first stage."""
+def test_term_kernel_output_passes_full_validation(monkeypatch):
+    """The term kernels (behind the window walk) skip Element validation;
+    on every basis input of every term the built-in relation pipelines
+    compile, on the inputs the walk called it with, and summed over those
+    inputs as a side sums them, a kernel's result is exactly what the
+    validating constructor builds and holds no zero coefficient.  So is
+    the result of the kernel of each term's first stage alone."""
     from cofrob import (PrimeField, sphere_cohomology, manifold_from_cup,
                         torus_cup_data)
-    from cofrob.tensor import apply_stage
+    from cofrob.tensor import term_kernel
     torus = torus_cup_data()
     torus.field = PrimeField(3)
     terms = _recorded_terms(monkeypatch, [sphere_cohomology(3), manifold_from_cup(torus)])
@@ -472,8 +472,8 @@ def test_apply_stage_output_passes_full_validation(monkeypatch):
             kernel(idx, v, summed)
         results.append((space, summed))
         if stages:
-            first = apply_stage(stages[0], Element.basis(source, idx))
-            results.append((first.space, first.coeffs))
+            results.append((term_kernel(stages[:1], source)[1],
+                            _fused(stages[:1], source, {idx: field.one})))
         for space_out, result in results:
             assert result == Element(space_out, result).coeffs
             assert not any(field.is_zero(v) for v in result.values())
@@ -481,18 +481,21 @@ def test_apply_stage_output_passes_full_validation(monkeypatch):
                        for v in result.values())
 
 
-def test_apply_stage_rejects_a_stage_that_does_not_cover_the_input(sphere2):
-    """A stage must read exactly the element's factors: id_A on A (x) A
-    would drop a factor, and mu on A would read past the last one."""
-    from cofrob.tensor import apply_stage
+def test_term_kernel_rejects_a_stage_that_does_not_cover_the_input(sphere2):
+    """A stage must read exactly its source's factors: id_A on A (x) A
+    would drop a factor, and mu on A would read past the last one.  The
+    message keeps its "apply_stage:" prefix, which the CLI prints."""
+    from cofrob.tensor import term_kernel
     ident = GradedMap.identity(sphere2.space)
     one_w = Element.from_labels(sphere2.space2, [(1, ("1", "w"))])
     with pytest.raises(ValueError, match="apply_stage"):
-        apply_stage([ident], one_w)
+        term_kernel([[ident]], sphere2.space2)
     with pytest.raises(ValueError, match="apply_stage"):
-        apply_stage([sphere2.mu], Element.from_labels(sphere2.space, [(1, ("w",))]))
-    assert apply_stage([ident, ident], one_w) == one_w
-    assert apply_stage([sphere2.mu], one_w) == Element.from_labels(sphere2.space, [(1, ("w",))])
+        term_kernel([[sphere2.mu]], sphere2.space)
+    for stage, expected in (([ident, ident], one_w),
+                            ([sphere2.mu], Element.from_labels(sphere2.space, [(1, ("w",))]))):
+        space = term_kernel([stage], sphere2.space2)[1]
+        assert Element(space, _fused([stage], sphere2.space2, one_w.coeffs)) == expected
 
 
 def _manifold_over(cup_data, p):

@@ -1,16 +1,18 @@
-"""WindowSpec.valid_inputs against the per-tuple gate `input_valid`."""
+"""WindowSpec.valid_inputs against the per-tuple gate `window_reference.input_valid`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofrob import make_module, TensorSpace, WindowSpec
 
+from window_reference import input_valid
+
 WEIGHTED = ("a", "b", "c", "d")
 LABELS = WEIGHTED + ("free",)   # "free" never gets a weight
 
 
 def reference(window, space):
-    return [idx for idx in space.basis() if window.input_valid(space.labels_of(idx))]
+    return [idx for idx in space.basis() if input_valid(window, space.labels_of(idx))]
 
 
 @st.composite

@@ -34,9 +34,14 @@ its side.  Both sides are expanded on basis tuples rather than
 materialized as composite matrices, which keeps sparse intermediates
 small.  A kernel looks up each map's row as soon as that map's input
 factors are bound, so a path the next stage has no row for is dropped
-before it is multiplied: pairings such as (1(x)p(x)1)(lam(x)lam) discard
-most terms of lam(x) (x) lam(y).  A dropped path adds nothing, so every
-sum, verdict and witness is what stage-by-stage application gives.
+before it is multiplied.  A pairing that reads two loops' factors, as in
+(1(x)p(x)1)(lam(x)lam), is joined: p is probed once per path of lam(x),
+in an index keyed by that path's factor, and only the paths of lam(y)
+whose first factor it pairs with are read, from lam(y)'s row grouped by
+that factor, so lam(x) (x) lam(y) is never walked whole.  The call builds
+each grouped row and index once (`tensor.term_kernel`'s `tables`) and
+drops them when it returns.  A dropped path adds nothing, so every sum,
+verdict and witness is what stage-by-stage application gives.
 Only the window-valid tuples are enumerated and evaluated
 (`WindowSpec.valid_inputs`); the rest are never built and are counted as
 inconclusive.  The gate masks each
@@ -47,8 +52,8 @@ weights are built once per call (`factor_weights`), and the window keeps
 none of them.  Equal sides gated by equal weights stay equal, so when a
 relation's sides land in one space and agree on an input, one side is
 gated and its masked count doubled; sides that differ are both gated and
-then compared.  On either route the composed maps, kernels, weights and
-per-input values live only for that one call.
+then compared.  On either route the composed maps, kernels, joined
+tables, weights and per-input values live only for that one call.
 
 Checks with a window walk inputs; every other job composes maps.  So
 `solve_map` reads lhs - rhs from composed sides, under a window from the
@@ -69,7 +74,7 @@ from typing import NamedTuple
 
 from .core import Element, GradedMap, TensorSpace, compose, format_element
 from .fields import solve_linear
-from .tensor import tensor_many, term_kernel
+from .tensor import tensor_many, term_kernel, term_merge
 
 PASS = "pass"
 FAIL = "fail"
@@ -135,14 +140,14 @@ def suite_passes(reports):
 
 class _Term:
     """One distinct pipeline of a `check_relations` call: its kernel and
-    the space it lands in (`term_kernel`), how often the relations name
-    it, and its slot in the per-input values when it is named more than
-    once (None otherwise)."""
+    the space it lands in (`term_kernel`, its joined tables kept in the
+    call's `tables`), how often the relations name it, and its slot in the
+    per-input values when it is named more than once (None otherwise)."""
 
     __slots__ = ("kernel", "space", "uses", "slot")
 
-    def __init__(self, stages, source):
-        self.kernel, self.space = term_kernel(stages, source)
+    def __init__(self, stages, source, tables):
+        self.kernel, self.space = term_kernel(stages, source, tables)
         self.uses = 0
         self.slot = None
 
@@ -172,7 +177,7 @@ class _Composite:
         self.uses = 0
 
 
-def _compile_side(terms, source, table, make=_Term):
+def _compile_side(terms, source, table, make):
     """Compile one side of a relation: (sign, term) per signed term, and the
     space the side lands in (None for the zero map, an empty side).
 
@@ -196,37 +201,28 @@ def _compile_side(terms, source, table, make=_Term):
     return compiled, space
 
 
-def _evaluate(side, idx, field, values):
+def _evaluate(side, idx, merge, values):
     """The summed value of a compiled side on the basis tuple `idx`.
 
     `side` is (read once, shared), as `_split` gives it.  The kernel of a
     term read once adds its value, times its sign, straight into the sum.
-    A shared term is evaluated unsigned at its first use on this input,
-    kept in `values` under its slot, and added with its sign by every
-    use."""
+    A shared term is evaluated unsigned (times 1, the one of both field
+    kinds) at its first use on this input, kept in `values` under its
+    slot, and added with its sign by every use, through `merge`
+    (`tensor.term_merge` of the field)."""
     fused, shared = side
     total = {}
     for sign, kernel in fused:
         kernel(idx, sign, total)
-    if not shared:
-        return total
-    add, mul, is_zero, zero, one = field.add, field.mul, field.is_zero, field.zero, field.one
     for sign, slot, kernel in shared:
         value = values[slot]
         if value is None:
             value = values[slot] = {}
-            kernel(idx, one, value)
-        if sign == one and not total:
+            kernel(idx, 1, value)
+        if sign == 1 and not total:
             total.update(value)
-            continue
-        for k, v in value.items():
-            if sign != one:
-                v = mul(sign, v)
-            s = add(total.get(k, zero), v)
-            if is_zero(s):
-                total.pop(k, None)
-            else:
-                total[k] = s
+        else:
+            merge(sign, value, total)
     return total
 
 
@@ -283,11 +279,12 @@ def check_relations(specs, window=None):
         else:
             groups.append((source, [item]))
     stage_maps = {}     # tensored stages by the ids of their maps, shared by the groups
+    tables = {}         # the kernels' joined tables (`term_kernel`), shared likewise
     for source, members in groups:
         if window is None:
             _check_maps(source, members, reports, stage_maps)
         else:
-            _check_group(source, members, window, reports)
+            _check_group(source, members, window, reports, tables)
     return reports
 
 
@@ -386,18 +383,23 @@ def _split(side):
             [(sign, t.slot, t.kernel) for sign, t in side if t.slot is not None])
 
 
-def _compile(source, specs, window, known):
+def _compile(source, specs, window, known, tables):
     """The relations of one source compiled for `_check_group`: the open
     relations (index, spec, lhs, rhs, their spaces, whether the spaces are
     equal, their window weights), the (index, spec) of those whose sides
     are both empty, and the number of shared-term slots.  `known` is the
-    caller's `WindowSpec.factor_weights` dict.  The term table is dropped
-    on return; the sides hold what the walk needs."""
+    caller's `WindowSpec.factor_weights` dict and `tables` its dict of
+    joined tables (`term_kernel`).  The term table is dropped on return;
+    the sides hold what the walk needs."""
     table = {}
     compiled = []
+
+    def make(stages, src):
+        return _Term(stages, src, tables)
+
     for i, spec in specs:
-        lhs, lhs_space = _compile_side(spec.lhs, source, table)
-        rhs, rhs_space = _compile_side(spec.rhs, source, table)
+        lhs, lhs_space = _compile_side(spec.lhs, source, table, make)
+        rhs, rhs_space = _compile_side(spec.rhs, source, table, make)
         compiled.append((i, spec, lhs, rhs,
                          rhs_space if lhs_space is None else lhs_space,
                          lhs_space if rhs_space is None else rhs_space))
@@ -419,12 +421,13 @@ def _compile(source, specs, window, known):
     return relations, zero_maps, slots
 
 
-def _check_group(source, specs, window, reports):
+def _check_group(source, specs, window, reports, tables):
     """Fill `reports` for the (index, spec) pairs of one source checked
-    under `window`, input-major."""
-    field = source.field
+    under `window`, input-major; `tables` is the call's dict of joined
+    tables (`term_kernel`)."""
+    merge = term_merge(source.field)
     known = {}      # module -> its window weights, for this call
-    relations, zero_maps, slots = _compile(source, specs, window, known)
+    relations, zero_maps, slots = _compile(source, specs, window, known, tables)
     inputs = window.valid_inputs(source, known)
     source_weights = window.factor_weights(source, known)
     size = len(inputs)
@@ -440,8 +443,8 @@ def _check_group(source, specs, window, reports):
         limit = window.input_limit(source_weights, idx)
         closed = False
         for i, spec, lhs, rhs, lhs_space, rhs_space, same_space, weights in relations:
-            lhs = _evaluate(lhs, idx, field, values)
-            rhs = _evaluate(rhs, idx, field, values)
+            lhs = _evaluate(lhs, idx, merge, values)
+            rhs = _evaluate(rhs, idx, merge, values)
             if same_space and lhs == rhs:   # equal sides stay equal under one gate
                 kept = _gate(lhs, weights[0], limit)
                 masked[i] = masked.get(i, 0) + 2 * (len(lhs) - len(kept))

@@ -26,37 +26,51 @@ Relation pipelines run through generated kernels.  `term_kernel`
 compiles a term, its stages read against its source, into one Python
 function, `kernel(idx, v, out)`, which adds v times the term's value at the
 basis tuple idx into the dict `out` as nested loops, with no dict between
-the stages.  For (1 (x) p)(lam (x) 1) on A (x) A over Q, with |p| odd, it
-binds this source:
+the stages.  For (1 (x) p (x) 1)(lam (x) lam) on A (x) A over Q, with |lam|
+and |p| odd, it binds this source:
 
     def kernel(idx, v, out):
         r0_0 = E0_0.get((idx[0],))              # lam's row at a
         if r0_0 is None: return
+        r0_1 = E0_1.get((idx[1],))              # lam's row at b, grouped
+        if r0_1 is None: return                 # by its first factor
+        if P0_0[idx[0]]: v = -v                 # (-1)^{|lam||a|}
         for d0_0, w in r0_0.items():            # a_1 (x) a_2
-            r1_1 = E1_1.get((d0_0[1], idx[1]))  # p's row at a_2 (x) b,
-            if r1_1 is None: continue           # read before multiplying
+            i1_1 = E1_1.get((d0_0[1],))         # p's index at a_2: the
+            if i1_1 is None: continue           # (b_1, row) it pairs with
             c0_0 = v * w
             if P1_0[d0_0[0]]: c0_0 = -c0_0      # (-1)^{|p||a_1|}
-            for d1_1, w in r1_1.items():
-                c1_1 = c0_0 * w
-                k = (d0_0[0],)
-                s = out.get(k, 0) + c1_1
-                if not s: out.pop(k, None)
-                elif type(s) is int: out[k] = s
-                else: out[k] = _integral(s)     # Q's integral values are ints
+            for g0_1, r1_1 in i1_1:
+                q0_1 = r0_1.get(g0_1)           # the b_1 (x) b_2 of lam(b)
+                if q0_1 is None: continue       # with that b_1
+                for d0_1, w in q0_1:
+                    c0_1 = c0_0 * w
+                    for d1_1, w in r1_1.items():
+                        c1_1 = c0_1 * w
+                        k = (d0_0[0], d0_1[1])
+                        s = out.get(k, 0) + c1_1
+                        if not s: out.pop(k, None)
+                        elif type(s) is int: out[k] = s
+                        else: out[k] = _integral(s)     # Q's integral values are ints
 
 Identities pass their factors on with no code, a row is looked up as soon
 as its input factors are bound, and each coefficient is multiplied only
-after those lookups accept the path.  The field's arithmetic is written
-into the source (`_ARITHMETIC`): over Q a value is an int or a Fraction
-and is made canonical only where it leaves the kernel; over F_p every
-product, negation and sum is reduced mod p, the p the factory binds.  The
+after those lookups accept the path.  A pairing that reads the factors of
+two loops is joined (`_joins`): rather than walking lam(a) (x) lam(b) and
+probing p at each pair, the kernel probes p's index once per path of
+lam(a), and reads lam(b)'s row grouped by the factor p pairs.  The grouped
+rows and indexes are built once per `check_relations` call and dropped
+with it.  The field's arithmetic is written into the source
+(`_ARITHMETIC`): over Q a value is an int or a Fraction and is made
+canonical only where it leaves the kernel; over F_p every product,
+negation and sum is reduced mod p, the p the factory binds.  `term_merge`
+adds a term's signed value into a side with the same arithmetic.  The
 source is written from the term's field kind and shape alone (per stage,
 each map's factor range, kind and target arity, and the sign factors) and
 compiled once per kind and shape into a factory kept in `_FACTORIES`; the
-factory binds a term's rows (E..), parity tables (P..) and, over F_p, p.
-Labels, names and documents never reach the source, and the cache holds
-no map or module.
+factory binds a term's rows, grouped rows and indexes (E..), parity
+tables (P..) and, over F_p, p.  Labels, names and documents never reach
+the source, and the cache holds no map or module.
 """
 
 from .core import DUAL_SUFFIX, GradedModule, TensorSpace, GradedMap, compose
@@ -66,7 +80,8 @@ SHIFT_PREFIX = "s."
 
 
 _MAX_LOOPS = 20     # CPython nests at most 20 loops in one function
-_FACTORIES = {}     # (field kind, term shape), of ints and kind tags -> kernel factory
+_FACTORIES = {}     # (field kind, term shape), of ints and kind tags -> (kernel factory, `_roles`)
+_MERGES = {}        # field kind -> the factory of `term_merge`
 
 # The scalar arithmetic of the kernels, per field kind: what the factory
 # binds from the field, then the source of the product of c and a row value
@@ -92,7 +107,7 @@ def _add_nothing(idx, v, out):
     """The kernel of a term with a map out of R that has no row."""
 
 
-def term_kernel(stages, source):
+def term_kernel(stages, source, tables=None):
     """(kernel, space) of the pipeline `stages` on `source` (an empty one is
     the identity): kernel(idx, v, out) adds v times the pipeline's value at
     the basis tuple idx into the coefficient dict `out`, dropping zero sums
@@ -108,10 +123,17 @@ def term_kernel(stages, source):
     field's kind (Q or F_p, `_KINDS`) key `_FACTORIES`, whose factory,
     written by `_kernel_source` with the kind's arithmetic inline, binds
     the rows, parity tables and, over F_p, p.  A map out of R with no row
-    makes the term add nothing, once every stage is checked.  A term of
-    more than _MAX_LOOPS maps that read rows runs its first stage and the
-    rest as two kernels, with a dict between them."""
-    shape, tables, modules, empty = [], [], source.modules, False
+    makes the term add nothing, once every stage is checked.
+
+    A join of the shape (`_joins`) binds its producer's rows grouped by the
+    factors the contraction reads, and the contraction's rows indexed by
+    its other factors.  `tables` is the caller's dict of these, by role,
+    map id and factor range, so that each is built once per caller (a
+    `check_relations` call); the maps must outlive it.  Without one they
+    are built for this term alone.  A term whose loops (one per map that
+    reads a row, two per join) would nest deeper than _MAX_LOOPS runs its
+    first stage and the rest as two kernels, with a dict between them."""
+    shape, bound, modules, empty = [], [], source.modules, False
     for maps in stages:
         if tuple(m for f in maps for m in f.source.modules) != modules:
             raise ValueError("apply_stage: the stage's sources do not match the element's factors")
@@ -127,37 +149,127 @@ def term_kernel(stages, source):
                 if row is None:
                     empty = True
                 else:
-                    tables.append(tuple(row.items()))
+                    bound.append(tuple(row.items()))
             elif kind == "row":
-                tables.append(f.entries)
+                bound.append(f.entries)
             groups.append((pos, pos + k, kind, f.target.arity))
             if f.degree % 2:
                 odd_starts.append(pos)
             pos += k
         signs = tuple(i for i in range(pos) if sum(a > i for a in odd_starts) % 2)
         shape.append((tuple(groups), signs))
-        tables += [tuple(d % 2 for d in modules[i].degrees) for i in signs]
+        bound += [tuple(d % 2 for d in modules[i].degrees) for i in signs]
         modules = tuple(m for f in maps for m in f.target.modules)
     space = TensorSpace(modules, field=source.field) if stages else source
     if empty:
         return _add_nothing, space
-    if sum(m[2] != "id" for maps, _ in shape for m in maps) > _MAX_LOOPS:
-        head, middle = term_kernel(stages[:1], source)
-        tail, _ = term_kernel(stages[1:], middle)
-
-        def kernel(idx, v, out):
-            between = {}
-            head(idx, v, between)
-            for key, c in between.items():
-                tail(key, c, out)
-        return kernel, space
     key = (_KINDS[type(source.field)], tuple(shape))
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        namespace = {"_integral": _integral}
-        exec(compile(_kernel_source(*key), "<kernel>", "exec"), namespace)
-        factory = _FACTORIES[key] = namespace["factory"]
-    return factory(tables, source.field), space
+    cached = _FACTORIES.get(key)
+    if cached is None:
+        joins = _joins(shape)
+        if sum(m[2] != "id" for maps, _ in shape for m in maps) + len(joins) > _MAX_LOOPS:
+            head, middle = term_kernel(stages[:1], source, tables)
+            tail, _ = term_kernel(stages[1:], middle, tables)
+
+            def kernel(idx, v, out):
+                between = {}
+                head(idx, v, between)
+                for key, c in between.items():
+                    tail(key, c, out)
+            return kernel, space
+        cached = _FACTORIES[key] = (_compiled(_kernel_source(*key)), _roles(shape, joins))
+    factory, roles = cached
+    if roles and tables is None:
+        tables = {}
+    for at, s, j, made, lo, hi in roles:
+        f = stages[s][j]
+        table = tables.get((made, lo, hi, id(f)))
+        if table is None:
+            table = tables[made, lo, hi, id(f)] = made(f.entries, lo, hi)
+        bound[at] = table
+    return factory(bound, source.field), space
+
+
+def _compiled(source):
+    """The function `factory` that `source` defines."""
+    namespace = {"_integral": _integral}
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _grouped(entries, lo, hi):
+    """The rows of `entries`, each as a dict of lists of its (key, value)
+    pairs by the key's factors [lo, hi)."""
+    out = {}
+    for src, row in entries.items():
+        groups = out[src] = {}
+        for dst, w in row.items():
+            groups.setdefault(dst[lo:hi], []).append((dst, w))
+    return out
+
+
+def _indexed(entries, lo, hi):
+    """The rows of `entries` indexed by their keys' factors outside
+    [lo, hi): for each such tuple, the list of (key factors [lo, hi), row)
+    pairs."""
+    out = {}
+    for src, row in entries.items():
+        out.setdefault(src[:lo] + src[hi:], []).append((src[lo:hi], row))
+    return out
+
+
+def _joins(shape):
+    """The joins of a term shape: (stage s, map j) -> (map k, first factor,
+    end factor) for each producer j of stage s whose loop binds the
+    factors [first, end) of stage s + 1's input that its contraction k
+    reads, the contraction's other factors being bound by loops that open
+    before j's.
+
+    A contraction is a map of stage s + 1 that reads a row and lands in R
+    (target arity 0), as a pairing does; its factors that j does not
+    bind must each come from a map's loop, none from `idx` (an input
+    factor passed on by identities).  A producer joins at most one
+    contraction, the first.  Everything is read from the shape alone."""
+    joins = {}
+    width = max((m[1] for m in shape[0][0]), default=0) if shape else 0
+    loops = [None] * width      # per stage input factor: the loop (s, j) that binds it
+    for s, (maps, _) in enumerate(shape):
+        bound = []
+        for j, (a, b, kind, t) in enumerate(maps):
+            bound += loops[a:b] if kind == "id" else [(s, j)] * t
+        loops = bound
+        if s + 1 == len(shape):
+            break
+        for k, (a, b, kind, t) in enumerate(shape[s + 1][0]):
+            binders = set(loops[a:b])
+            if kind != "row" or t or None in binders or len(binders) < 2:
+                continue
+            last = max(binders)
+            if last[0] != s or maps[last[1]][2] != "row" or last in joins:
+                continue
+            inner = [i for i in range(a, b) if loops[i] == last]
+            joins[last] = (k, inner[0], inner[-1] + 1)
+    return joins
+
+
+def _roles(shape, joins):
+    """(place among the bound tables, stage, map, table builder, first
+    factor, end factor) of each map of a join (`_joins`): the producer's
+    rows grouped by the factors its contraction reads, the contraction's
+    rows indexed by its other factors."""
+    places, at = {}, 0
+    for s, (maps, signs) in enumerate(shape):
+        for j, m in enumerate(maps):
+            if m[2] != "id":
+                places[s, j], at = at, at + 1
+        at += len(signs)
+    roles = []
+    for (s, j), (k, lo, hi) in joins.items():
+        off = sum(m[3] for m in shape[s][0][:j])
+        a = shape[s + 1][0][k][0]
+        roles += [(places[s, j], s, j, _grouped, lo - off, hi - off),
+                  (places[s + 1, k], s + 1, k, _indexed, lo - a, hi - a)]
+    return tuple(roles)
 
 
 def _kernel_source(kind, shape):
@@ -169,7 +281,16 @@ def _kernel_source(kind, shape):
     at the first loop where its input factors are all bound, a missing row
     skipping the path; a loop's coefficient is multiplied after those
     lookups, and a stage's sign is applied at the first loop where its
-    sign factors are all bound."""
+    sign factors are all bound.
+
+    A join (`_joins`) probes its contraction's index, keyed by the factors
+    the outer loops bound, as soon as they are bound, and its producer's
+    loop becomes two: one over the (factors, row) pairs the probe found,
+    and one over the producer's row grouped by those factors, a missing
+    group skipping the pair.  So a contraction of two loops' factors is
+    probed once per outer path, not once per pair of paths."""
+    joins = _joins(shape)
+    probes = {(s + 1, k): (lo, hi) for (s, _), (k, lo, hi) in joins.items()}
     width = max((m[1] for m in shape[0][0]), default=0) if shape else 0
     factors = [[f"idx[{i}]" for i in range(width)]]  # per stage input, None until bound
     wholes = [{(0, width): "idx"}]      # per stage input: the ranges one name holds
@@ -198,11 +319,22 @@ def _kernel_source(kind, shape):
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
     def bind():
-        """Look up each row, and pass on each identity's factors, whose
-        input factors are all bound."""
+        """Look up each row, probe each contraction's index, and pass on
+        each identity's factors, whose input factors are all bound."""
         for s, (maps, _) in enumerate(shape):
             for j, (a, b, kind, t) in enumerate(maps):
-                expr = None if (s, j) in looked or kind == "R" else key(s, a, b)
+                if (s, j) in looked or kind == "R":
+                    continue
+                if (s, j) in probes:
+                    lo, hi = probes[s, j]
+                    outer = factors[s][a:lo] + factors[s][hi:b]
+                    if None not in outer:
+                        looked.add((s, j))
+                        lines.extend((
+                            "    " * depth + f"i{s}_{j} = E{s}_{j}.get(({', '.join(outer)},))",
+                            "    " * depth + f"if i{s}_{j} is None: {leave}"))
+                    continue
+                expr = key(s, a, b)
                 if expr is None:
                     continue
                 looked.add((s, j))
@@ -233,6 +365,12 @@ def _kernel_source(kind, shape):
             if kind != "id":
                 name, off = f"d{s}_{j}", starts[s][j]
                 row = f"R{s}_{j}" if kind == "R" else f"r{s}_{j}.items()"
+                if (s, j) in joins:
+                    k = joins[s, j][0]
+                    lines.extend(("    " * depth + f"for g{s}_{j}, r{s + 1}_{k} in i{s + 1}_{k}:",
+                                  "    " * depth + f"    q{s}_{j} = r{s}_{j}.get(g{s}_{j})",
+                                  "    " * depth + f"    if q{s}_{j} is None: continue"))
+                    depth, row = depth + 1, f"q{s}_{j}"
                 lines.append("    " * depth + f"for {name}, w in {row}:")
                 depth, leave = depth + 1, "continue"
                 factors[s + 1][off:off + t] = [f"{name}[{i}]" for i in range(t)]
@@ -245,6 +383,26 @@ def _kernel_source(kind, shape):
     lines += ["    " * depth + line.format(c=coeff) for line in accumulate]
     lines.append("    return kernel")
     return "\n".join(lines)
+
+
+def term_merge(field):
+    """merge(sign, value, out): adds sign times each value of the dict
+    `value` into the dict `out`, dropping zero sums as they arise, with the
+    arithmetic of the field's kind written inline (`_ARITHMETIC`); the
+    factory of each kind is compiled once, into `_MERGES`."""
+    kind = _KINDS[type(field)]
+    factory = _MERGES.get(kind)
+    if factory is None:
+        bound, product, _, accumulate = _ARITHMETIC[kind]
+        factory = _MERGES[kind] = _compiled("\n".join([
+            "def factory(field):",
+            f"    {bound}" if bound else "",
+            "    def merge(sign, value, out):",
+            "        for k, w in value.items():",
+            f"            c = {product.format(c='sign')}",
+            *["            " + line.format(c="c") for line in accumulate],
+            "    return merge"]))
+    return factory(field)
 
 
 def tensor_maps(f, g):

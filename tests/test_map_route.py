@@ -139,9 +139,9 @@ def test_only_a_window_runs_stage_plans(monkeypatch):
     compiled = []
     compile_term = reports.term_kernel
 
-    def record(stages, source):
+    def record(stages, source, tables=None):
         compiled.append(stages)
-        return compile_term(stages, source)
+        return compile_term(stages, source, tables)
 
     monkeypatch.setattr(reports, "term_kernel", record)
     specs = [Relation("associativity", TensorSpace((A, A, A)),

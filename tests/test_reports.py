@@ -377,8 +377,8 @@ def test_each_distinct_term_runs_once_per_input(monkeypatch):
     batches, calls, terms = [], Counter(), []
     term_init = reports._Term.__init__
 
-    def recording(term, stages, source):
-        term_init(term, stages, source)
+    def recording(term, stages, source, tables):
+        term_init(term, stages, source, tables)
         kernel = term.kernel
 
         def counting(idx, v, out):
@@ -423,9 +423,9 @@ def test_solves_build_no_stage_plan(monkeypatch):
     compiled = []
     compile_term = reports.term_kernel
 
-    def record(stages, source):
+    def record(stages, source, tables=None):
         compiled.append(stages)
-        return compile_term(stages, source)
+        return compile_term(stages, source, tables)
 
     monkeypatch.setattr(reports, "term_kernel", record)
     data, pair = rabinowitz_loop_sphere(3, 6), equator_pair()

@@ -428,8 +428,8 @@ def _recorded_terms(monkeypatch, structures):
     init = reports._Term.__init__
     terms = []
 
-    def record(term, stages, source):
-        init(term, stages, source)
+    def record(term, stages, source, tables):
+        init(term, stages, source, tables)
         kernel, calls = term.kernel, []
 
         def recording(idx, v, out):
@@ -798,6 +798,148 @@ def test_a_term_of_more_loops_than_python_nests_runs_as_two_kernels():
         term_kernel([[two] * 21], r)
 
 
+def test_a_term_whose_joins_pass_the_nesting_limit_runs_as_two_kernels():
+    """A join opens two loops, so it counts twice against the 20 loops one
+    function nests: ten producers into two factors and the nine pairings
+    that straddle them are 19 maps, but with their nine joins 28 loops, so
+    the term runs as two kernels split at its stage boundary, and gives
+    the reference value on odd maps with rows of two entries."""
+    from pipeline_reference import apply_pipeline
+    from cofrob.tensor import term_kernel
+    a = make_module([("x", 0), ("y", 1)])
+    one, two = TensorSpace((a,)), TensorSpace((a, a))
+    produce = GradedMap(one, two, 1, {(0,): {(0, 1): 1, (1, 0): 2}, (1,): {(1, 1): -1}})
+    pair = GradedMap(two, TensorSpace(()), -1, {(0, 1): {(): 1}, (1, 0): {(): Fraction(1, 2)}})
+    ident = GradedMap.identity(one)
+    stages = [[produce] * 10, [ident] + [pair] * 9 + [ident]]
+    source = TensorSpace((a,) * 10)
+    tables = {}
+    kernel, space = term_kernel(stages, source, tables)
+    assert kernel.__code__.co_filename != "<kernel>" and not tables
+    inputs = list(itertools.islice(source.basis(), 0, 1024, 67))
+    for idx in inputs:
+        out = {}
+        kernel(idx, 1, out)
+        assert out == apply_pipeline(stages, Element.basis(source, idx)).coeffs, idx
+    assert any(out for idx in inputs if (out := _fused(stages, source, {idx: 1})))
+    joined, _ = term_kernel([[produce] * 3, [ident, pair, pair, ident]], TensorSpace((a,) * 3),
+                            tables)
+    assert joined.__code__.co_filename == "<kernel>" and tables
+
+
+@st.composite
+def joined_pipelines(draw):
+    """Over Q (map entries and coefficients may be 1/2 or -3/2) or F3, on a
+    module with one even and two odd basis elements: a source of two or
+    three factors, a pipeline whose pairings (maps into R of two or three
+    factors) read the factors of two or three loops, so that its kernel
+    joins them, and a coefficient dict of the source.  Either the first
+    stage is two or three producers, each into one or two factors, their
+    rows of several entries often sharing the factor a pairing reads, and
+    the second stage pairs the factors that straddle adjacent producers
+    (two pairings make a chain of joins: the second one's outer factor
+    comes from the first one's producer; a three-factor pairing reads all
+    three producers), the other factors going through identities or
+    sparse maps; or three one-factor maps, then a producer between two
+    identities, then one pairing of all three factors, whose outer factors
+    stand on both sides of the producer's."""
+    field = draw(st.sampled_from((QQ, PrimeField(3))))
+    module = make_module([("a", 0), ("b", 1), ("c", 1)], field=field)
+    halves = (Fraction(1, 2), Fraction(-3, 2)) if field == QQ else ()
+    values = (0, 1, 2) + halves
+    ident = GradedMap.identity(TensorSpace((module,), field=field))
+
+    def some(k, t, degrees=(-1, 0, 1), values=values):
+        return draw(f3_maps(k, t, degrees, module, values).filter(lambda f: f.entries))
+
+    if draw(st.booleans()):
+        ts = [draw(st.sampled_from((1, 2, 2))) for _ in range(draw(st.sampled_from((2, 3, 3))))]
+        stages = [[some(1, t, (0, 1, 1), values[1:]) for t in ts]]
+        ends = list(itertools.accumulate(ts))
+        if len(ts) == 3 and ts[1] == 1 and draw(st.booleans()):
+            cuts = [(ends[0] - 1, ends[1] + 1)]
+        else:
+            cuts = [(end - 1, end + 1) for end in ends[:-1]]
+        consumer, pos = [], 0
+        for lo, hi in cuts:
+            if lo < pos:
+                continue
+            consumer += [draw(st.sampled_from((ident, some(1, 1)))) for _ in range(lo - pos)]
+            consumer.append(some(hi - lo, 0, (-3, -2, -1, 0)))
+            pos = hi
+        consumer += [draw(st.sampled_from((ident, some(1, 1)))) for _ in range(ends[-1] - pos)]
+        stages.append(consumer)
+        width = len(ts)
+    else:
+        stages = [[some(1, 1) for _ in range(3)], [ident, some(1, 1), ident],
+                  [some(3, 0, (-3, -2, -1, 0))]]
+        width = 3
+    source = TensorSpace((module,) * width, field=field)
+    coeffs = {idx: v for idx in source.basis()
+              if not field.is_zero(v := field.coerce(draw(st.sampled_from((0, 1, -1)
+                                                                          + halves))))}
+    return source, stages, coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(joined_pipelines())
+def test_a_joined_kernel_matches_the_reference_pipeline(pipeline):
+    """A kernel that joins pairings of two or three loops' factors (it
+    builds grouped rows and indexes), summed over a coefficient dict,
+    gives what its stages applied one by one give (`pipeline_reference`),
+    and every value it leaves is canonical."""
+    from pipeline_reference import apply_pipeline
+    from cofrob.tensor import term_kernel
+    source, stages, coeffs = pipeline
+    tables = {}
+    kernel, _ = term_kernel(stages, source, tables)
+    assert tables
+    out = {}
+    for idx, v in coeffs.items():
+        kernel(idx, v, out)
+    assert out == apply_pipeline(stages, Element(source, coeffs)).coeffs
+    assert all(_canonical(source.field, v) for v in out.values()), out
+
+
+def test_a_pairing_of_two_coproducts_is_probed_once_per_outer_path():
+    """On Rabinowitz S3 at N = 6, the kernel of (1 (x) eps mu (x) 1)(lam (x)
+    lam) looks up at most 2 + (1 + m)|lam(a)| rows on each window-valid
+    input a (x) b, m being the most partners eps mu gives one factor: lam's
+    two rows, eps mu's index once per path of lam(a), and lam(b)'s rows
+    grouped by the paired factor once per partner found.  Walking
+    lam(a) (x) lam(b) and probing eps mu at each pair takes |lam(a)||lam(b)|
+    lookups, which is more in sum.  Lookups are `get` calls on any dict
+    but the output's, counted by a profile hook."""
+    import sys
+    from cofrob.structures import _Ops
+    from cofrob.tensor import term_kernel
+    from pipeline_reference import apply_pipeline
+    data = rabinowitz_loop_sphere(3, 6)
+    ops = _Ops(data)
+    lam, pm = data.lam, ops.pm
+    stages = [[lam, lam], [ops.id, pm, ops.id]]
+    kernel, _ = term_kernel(stages, data.space2)
+    partners = max(sum(key[0] == x for key in pm.entries) for x in range(data.module.dim))
+    lookups, bound, pairs = 0, 0, 0
+    for idx in data.window.valid_inputs(data.space2):
+        out, counted = {}, []
+
+        def hook(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "get" \
+                    and arg.__self__ is not out:
+                counted.append(1)
+        sys.setprofile(hook)
+        try:
+            kernel(idx, 1, out)
+        finally:
+            sys.setprofile(None)
+        a, b = (len(lam.entries.get((i,), {})) for i in idx)
+        assert len(counted) <= 2 + (1 + partners) * a, idx
+        assert out == apply_pipeline(stages, Element.basis(data.space2, idx)).coeffs
+        lookups, bound, pairs = lookups + len(counted), bound + 2 + (1 + partners) * a, pairs + a * b
+    assert lookups <= bound < pairs
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_only_the_identity_constructor_sets_the_identity_flag(k):
     """`GradedMap.identity` flags the map it returns; a map with the same
@@ -925,6 +1067,64 @@ def test_a_windowed_check_keeps_nothing_of_its_structure():
     del data
     gc.collect()
     assert module() is None
+
+
+def test_a_windowed_check_keeps_no_joined_table(monkeypatch):
+    """The grouped rows and indexes of the joins are built once per
+    `check_relations` call, each (role, map, factors) once, and none of
+    them outlives the call: after the suite, each is freed."""
+    import gc
+    import weakref
+    from cofrob import run_suite, tensor
+
+    class Table(dict):
+        """A dict that a weak reference can watch."""
+
+    built, refs = [], []
+    for name in ("_grouped", "_indexed"):
+        def watched(entries, lo, hi, made=getattr(tensor, name), name=name):
+            table = Table(made(entries, lo, hi))
+            built.append((name, id(entries), lo, hi))
+            refs.append(weakref.ref(table))
+            return table
+        monkeypatch.setattr(tensor, name, watched)
+    monkeypatch.setattr(tensor, "_FACTORIES", {})
+    assert run_suite("biunital-infinitesimal", rabinowitz_loop_sphere(3, 4))
+    gc.collect()
+    assert {name for name, *_ in built} == {"_grouped", "_indexed"}
+    assert len(set(built)) == len(built)
+    assert all(ref() is None for ref in refs)
+
+
+def _merge_cases():
+    values = st.sampled_from((0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)))
+    return st.tuples(st.sampled_from((QQ, PrimeField(3), PrimeField(5))), values,
+                     st.dictionaries(st.integers(0, 4).map(lambda i: (i,)), values),
+                     st.dictionaries(st.integers(0, 4).map(lambda i: (i,)), values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_merge_cases())
+def test_term_merge_adds_a_signed_value_as_the_field_does(case):
+    """`term_merge` of Q, F3 or F5, its arithmetic written inline, adds
+    sign times a dict of canonical values into a dict of canonical values
+    as the field's own `mul`, `add` and `is_zero` do, keeping no zero sum
+    and leaving each value canonical."""
+    from cofrob.tensor import term_merge
+    field, sign, value, out = case
+    sign = field.coerce(sign)
+    value = {k: c for k, v in value.items() if not field.is_zero(c := field.coerce(v))}
+    out = {k: c for k, v in out.items() if not field.is_zero(c := field.coerce(v))}
+    expected = dict(out)
+    for k, v in value.items():
+        s = field.add(expected.get(k, field.zero), field.mul(sign, v))
+        if field.is_zero(s):
+            expected.pop(k, None)
+        else:
+            expected[k] = s
+    term_merge(field)(sign, value, out)
+    assert out == expected
+    assert all(_canonical(field, v) for v in out.values()), out
 
 
 def test_kernel_cache_keys_hold_only_ints_and_kind_tags(monkeypatch):

@@ -45,15 +45,18 @@ verdict and witness is what stage-by-stage application gives.
 Only the window-valid tuples are enumerated and evaluated
 (`WindowSpec.valid_inputs`); the rest are never built and are counted as
 inconclusive.  The gate masks each
-coordinate that is not reliable for the input, by index: an input's
-limit is `WindowSpec.input_limit` of its indices, and a coordinate is
-kept when both its signed weight sums stay within it.  Each module's
-weights are built once per call (`factor_weights`), and the window keeps
-none of them.  Equal sides gated by equal weights stay equal, so when a
-relation's sides land in one space and agree on an input, one side is
-gated and its masked count doubled; sides that differ are both gated and
-then compared.  On either route the composed maps, kernels, joined
-tables, weights and per-input values live only for that one call.
+coordinate that is not reliable for the input, by index: the source
+space's `WindowSpec.input_limit` reads an input's limit from its
+indices, and a side's space's `WindowSpec.gate` keeps a coordinate when
+both its signed weight sums stay within that limit.  Both are generated
+code, compiled once per arity with one term per factor, and bound to a
+space's weights once per source group (`factor_weights`, each module's
+built once per group); the window keeps none of them.  Equal sides gated
+alike stay equal, so when a relation's sides land in one space and agree
+on an input, one side is gated and its masked count doubled; sides that
+differ are both gated and then compared.  On either route the composed
+maps, kernels, joined tables, gates and per-input values live only for
+that one call.
 
 Checks with a window walk inputs; every other job composes maps.  So
 `solve_map` reads lhs - rhs from composed sides, under a window from the
@@ -226,17 +229,6 @@ def _evaluate(side, idx, merge, values):
     return total
 
 
-def _gate(coeffs, weights, limit):
-    """The coordinates of `coeffs` reliable for an input whose
-    `WindowSpec.input_limit` is `limit`; `weights` is
-    `WindowSpec.factor_weights` of their space."""
-    positive, negative = weights
-    at = tuple.__getitem__
-    return {idx: v for idx, v in coeffs.items()
-            if sum(map(at, positive, idx)) <= limit
-            and sum(map(at, negative, idx)) <= limit}
-
-
 def _rank(space, idx):
     """Position of a basis tuple in `space.basis()` order (mixed radix)."""
     rank = 0
@@ -386,7 +378,7 @@ def _split(side):
 def _compile(source, specs, window, known, tables):
     """The relations of one source compiled for `_check_group`: the open
     relations (index, spec, lhs, rhs, their spaces, whether the spaces are
-    equal, their window weights), the (index, spec) of those whose sides
+    equal, their bound gates), the (index, spec) of those whose sides
     are both empty, and the number of shared-term slots.  `known` is the
     caller's `WindowSpec.factor_weights` dict and `tables` its dict of
     joined tables (`term_kernel`).  The term table is dropped on return;
@@ -410,14 +402,16 @@ def _compile(source, specs, window, known, tables):
             slots += 1
     relations = []
     zero_maps = []
+    gates = {}      # space -> its bound `WindowSpec.gate`
     for i, spec, lhs, rhs, lhs_space, rhs_space in compiled:
         if lhs_space is None:
             zero_maps.append((i, spec))
             continue
+        for space in (lhs_space, rhs_space):
+            if space not in gates:
+                gates[space] = window.gate(space, known)
         relations.append((i, spec, _split(lhs), _split(rhs), lhs_space, rhs_space,
-                          lhs_space == rhs_space,
-                          (window.factor_weights(lhs_space, known),
-                           window.factor_weights(rhs_space, known))))
+                          lhs_space == rhs_space, gates[lhs_space], gates[rhs_space]))
     return relations, zero_maps, slots
 
 
@@ -429,7 +423,7 @@ def _check_group(source, specs, window, reports, tables):
     known = {}      # module -> its window weights, for this call
     relations, zero_maps, slots = _compile(source, specs, window, known, tables)
     inputs = window.valid_inputs(source, known)
-    source_weights = window.factor_weights(source, known)
+    input_limit = window.input_limit(source, known)
     size = len(inputs)
     masked = {}             # index -> coordinates masked so far
     checked = 0
@@ -440,17 +434,17 @@ def _check_group(source, specs, window, reports, tables):
         checked += 1
         if slots:
             values = [None] * slots
-        limit = window.input_limit(source_weights, idx)
+        limit = input_limit(idx)
         closed = False
-        for i, spec, lhs, rhs, lhs_space, rhs_space, same_space, weights in relations:
+        for i, spec, lhs, rhs, lhs_space, rhs_space, same_space, lhs_gate, rhs_gate in relations:
             lhs = _evaluate(lhs, idx, merge, values)
             rhs = _evaluate(rhs, idx, merge, values)
             if same_space and lhs == rhs:   # equal sides stay equal under one gate
-                kept = _gate(lhs, weights[0], limit)
+                kept = lhs_gate(lhs, limit)
                 masked[i] = masked.get(i, 0) + 2 * (len(lhs) - len(kept))
                 continue
             n = len(lhs) + len(rhs)
-            lhs, rhs = _gate(lhs, weights[0], limit), _gate(rhs, weights[1], limit)
+            lhs, rhs = lhs_gate(lhs, limit), rhs_gate(rhs, limit)
             masked[i] = masked.get(i, 0) + n - len(lhs) - len(rhs)
             if lhs != rhs or not same_space:
                 witness = Witness(source.labels_of(idx),
@@ -484,14 +478,13 @@ def _residuals(specs, window, known):
         inputs = left.keys() | right.keys()
         if window is not None and inputs:
             inputs &= set(window.valid_inputs(source, known))
-            source_weights = window.factor_weights(source, known)
-            weights = (window.factor_weights(lhs_space, known),
-                       window.factor_weights(rhs_space, known))
+            input_limit = window.input_limit(source, known)
+            lhs_gate, rhs_gate = window.gate(lhs_space, known), window.gate(rhs_space, known)
         for idx in inputs:
             lrow, rrow = left.get(idx, {}), right.get(idx, {})
             if window is not None:
-                limit = window.input_limit(source_weights, idx)
-                lrow, rrow = _gate(lrow, weights[0], limit), _gate(rrow, weights[1], limit)
+                limit = input_limit(idx)
+                lrow, rrow = lhs_gate(lrow, limit), rhs_gate(rrow, limit)
             for coord in lrow.keys() | rrow.keys():
                 v = field.sub(lrow.get(coord, field.zero), rrow.get(coord, field.zero))
                 if not field.is_zero(v):

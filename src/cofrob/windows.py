@@ -33,14 +33,57 @@ extension and the pruning drops exactly the invalid tuples.
 The coordinate test is made on indices the same way.  M(x), the largest
 |subset sum| of x, is the larger of x's two signed weight sums, and a
 coordinate y is reliable for x iff its own two sums are both at most
-`input_limit(weights, x)` = bound - slack - M(x).  `factor_weights(space)`
-gives those weights per factor of a space, so neither the labels of an
-input nor those of a coordinate are looked up.  Its `known` dict, kept by
-the caller for one call, builds each module's weights once however many
-spaces name it; the window itself keeps nothing.
+bound - slack - M(x).  `factor_weights(space)` gives those weights per
+factor of a space, so neither the labels of an input nor those of a
+coordinate are looked up.  Its `known` dict, kept by the caller for one
+call, builds each module's weights once however many spaces name it.
+
+The two sides of that test are generated code.  `input_limit(space)`
+returns limit(idx), bound - slack - M(idx) for an input of `space`, and
+`gate(space)` returns gate(coeffs, limit), the coordinates of `coeffs`
+whose two sums are both at most `limit`.  Each sum is unrolled, one term
+per factor: for arity 2 the gate keeps k when
+p0[k[0]] + p1[k[1]] <= limit and n0[k[0]] + n1[k[1]] <= limit.  The
+source depends on the arity alone and is compiled once per (role,
+arity) into a factory kept in `_GATES`, which binds a space's weight
+tuples and bound - slack; no label, module or weight reaches the source
+or the cache, and the window itself keeps nothing.
 """
 
-from .tensor import DUAL_SUFFIX, SHIFT_PREFIX
+from .tensor import DUAL_SUFFIX, SHIFT_PREFIX, _compiled
+
+_GATES = {}     # (role, arity), of ints and kind tags -> the factory of `gate` or `input_limit`
+
+
+def _factory(role, arity):
+    """The factory of the gate (role "gate") or input limit (role "limit")
+    of a space of arity `arity`, compiled on first use into `_GATES`.  Its
+    source names factor j's positive and negative weights p<j> and n<j>
+    and sums them unrolled, one term per factor; the factory binds the
+    weight tuples and, for a limit, bound - slack (`top`)."""
+    factory = _GATES.get((role, arity))
+    if factory is None:
+        weights = [f"{sign}{j}" for sign in "pn" for j in range(arity)]
+
+        def total(sign, idx):
+            return " + ".join(f"{sign}{j}[{idx}[{j}]]" for j in range(arity)) or "0"
+
+        if role == "gate":
+            lines = [f"def factory({', '.join(weights)}):",
+                     "    def gate(coeffs, limit):",
+                     "        return {k: v for k, v in coeffs.items()",
+                     f"                if {total('p', 'k')} <= limit"
+                     f" and {total('n', 'k')} <= limit}}",
+                     "    return gate"]
+        else:
+            lines = [f"def factory({', '.join(['top'] + weights)}):",
+                     "    def limit(idx):",
+                     f"        hi = {total('p', 'idx')}",
+                     f"        lo = {total('n', 'idx')}",
+                     "        return top - (hi if hi > lo else lo)",
+                     "    return limit"]
+        factory = _GATES[role, arity] = _compiled("\n".join(lines))
+    return factory
 
 
 class WindowSpec:
@@ -73,14 +116,21 @@ class WindowSpec:
                         for step, dhi, dlo in steps
                         if hi + dhi <= limit and lo + dlo <= limit]
 
-    def input_limit(self, weights, idx):
-        """The most either signed weight sum of a coordinate may reach and
-        still be reliable for the input `idx`, whose space has the
-        `factor_weights` `weights`."""
-        positive, negative = weights
-        at = tuple.__getitem__
-        return (self.bound - self.slack
-                - max(sum(map(at, positive, idx)), sum(map(at, negative, idx))))
+    def gate(self, space, known=None):
+        """gate(coeffs, limit): the coordinates of `coeffs`, a dict keyed by
+        basis tuples of `space`, that are reliable for an input whose
+        `input_limit` is `limit`, as a new dict; `known` is passed to
+        `factor_weights`."""
+        positive, negative = self.factor_weights(space, known)
+        return _factory("gate", len(positive))(*positive, *negative)
+
+    def input_limit(self, space, known=None):
+        """limit(idx): the most either signed weight sum of a coordinate
+        may reach and still be reliable for the input `idx` of `space`;
+        `known` is passed to `factor_weights`."""
+        positive, negative = self.factor_weights(space, known)
+        return _factory("limit", len(positive))(self.bound - self.slack,
+                                                *positive, *negative)
 
     def factor_weights(self, space, known=None):
         """(positive, negative): per factor of `space`, a tuple holding

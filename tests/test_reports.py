@@ -15,7 +15,7 @@ from cofrob import (BialgebraData, Element, GradedMap, PrimeField, TensorSpace, 
                     rabinowitz_loop_sphere, sphere_cohomology, torus_cup_data)
 from cofrob import reports
 from cofrob.reports import (CheckReport, FAIL, INCONCLUSIVE, PASS, SKIPPED, Relation,
-                            Witness, _gate, check_relations)
+                            Witness, check_relations)
 from cofrob.core import format_element
 from cofrob.suites import DATA_SUITES
 
@@ -240,29 +240,30 @@ def test_element_identities_are_window_inconclusive_without_valid_inputs(model, 
 @st.composite
 def gated_elements(draw):
     """A window over random weights, a bound and a slack, an input (its
-    space and index tuple, of arity 0 to 3), and an element of a tensor
-    space of arity 0 to 3 with every basis tuple as a coordinate."""
+    space and index tuple, of arity 0 to 5), and an element of a tensor
+    space of arity 0 to 5 with every basis tuple as a coordinate.  Each
+    arity is its own generated gate and limit source."""
     weights = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3))
     labels = ("u", "v", "w")
     window = WindowSpec(draw(st.integers(min_value=0, max_value=10)),
                         draw(st.integers(min_value=0, max_value=4)),
                         {lbl: w for lbl, w in zip(labels, weights) if w})
     module = make_module([(lbl, 0) for lbl in labels])
-    space = TensorSpace((module,) * draw(st.integers(min_value=0, max_value=3)))
+    space = TensorSpace((module,) * draw(st.integers(min_value=0, max_value=5)))
     elem = Element(space, {idx: 1 for idx in space.basis()})
-    input_idx = tuple(draw(st.lists(st.integers(min_value=0, max_value=2), max_size=3)))
+    input_idx = tuple(draw(st.lists(st.integers(min_value=0, max_value=2), max_size=5)))
     return window, TensorSpace((module,) * len(input_idx)), input_idx, elem
 
 
 @settings(max_examples=150, deadline=None)
 @given(gated_elements())
 def test_index_gate_keeps_what_coordinate_reliable_keeps(case):
-    """`_gate`'s index-level test, under the limit `input_limit` reads from
-    the input's indices, keeps exactly the coordinates that the label-based
+    """The generated `WindowSpec.gate` of the element's space, under the
+    limit that the generated `input_limit` of the input's space reads from
+    its indices, keeps exactly the coordinates that the label-based
     `coordinate_reliable` keeps, and masks the rest."""
     window, input_space, input_idx, elem = case
-    kept = _gate(elem.coeffs, window.factor_weights(elem.space),
-                 window.input_limit(window.factor_weights(input_space), input_idx))
+    kept = window.gate(elem.space)(elem.coeffs, window.input_limit(input_space)(input_idx))
     reliable, masked = _reliable(elem, input_space.labels_of(input_idx), window)
     assert kept == reliable.coeffs
     assert len(elem.coeffs) - len(kept) == masked

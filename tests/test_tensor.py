@@ -1149,3 +1149,59 @@ def test_kernel_cache_keys_hold_only_ints_and_kind_tags(monkeypatch):
 
     assert all(plain(key) for key in tensor._FACTORIES)
     assert {kind for kind, _ in tensor._FACTORIES} == {"Q", "Fp"}
+
+
+def _constants(code):
+    """The constants of `code` and of every code object nested in it."""
+    for c in code.co_consts:
+        yield c
+        if hasattr(c, "co_consts"):
+            yield from _constants(c)
+
+
+def test_gate_cache_keys_hold_only_ints_and_kind_tags(monkeypatch):
+    """Every key of the window gate cache, after the data suites have run
+    on windowed models and under OPEN_WINDOW, over Q and over F3, is a role
+    tag and an arity, and both roles are cached.  A cached factory keeps
+    no module, weight tuple or label: it has no closure and no defaults,
+    its globals are those the compiler gave it, and its constants are
+    ints, None, code and the names of its own functions."""
+    from cofrob import windows
+    from cofrob.suites import DATA_SUITES
+    monkeypatch.setattr(windows, "_GATES", {})
+    for data in (rabinowitz_loop_sphere(3, 4), circle_models(4, flavor="loop"),
+                 _windowed(sphere_cohomology(3, PrimeField(3)))):
+        for name, suite in DATA_SUITES.items():
+            if name != "poincare-duality" or data.eps is not None:
+                suite(data)
+    assert {role for role, _ in windows._GATES} == {"gate", "limit"}
+    for (role, arity), factory in windows._GATES.items():
+        assert role in ("gate", "limit") and type(arity) is int
+        assert factory.__closure__ is None and factory.__defaults__ is None
+        assert set(factory.__globals__) == {"__builtins__", "_integral", "factory"}
+        for c in _constants(factory.__code__):
+            assert (c is None or type(c) is int or hasattr(c, "co_consts")
+                    or (type(c) is str and c.startswith("factory"))), (role, arity, c)
+
+
+def test_labels_and_weights_never_reach_gate_source():
+    """Two windows with different labels, weights, bounds and slacks share
+    one compiled source per role and arity: their gates and limits run
+    the same code, bound to different weights, and each keeps what the
+    label-based `coordinate_reliable` keeps."""
+    from window_reference import coordinate_reliable
+    first = make_module([("a", 0), ("b", 1), ("c", 2)])
+    second = make_module([('"\'\n{', 0), ("__import__('os')", 1), ("}}", 2)])
+    windows = (WindowSpec(6, 1, {"a": 2, "b": -1}),
+               WindowSpec(4, 0, {'"\'\n{': -3, "}}": 1}))
+    for arity in range(4):
+        codes = set()
+        for module, window in zip((first, second), windows):
+            space = TensorSpace((module,) * arity)
+            gate, limit = window.gate(space), window.input_limit(space)
+            codes.add((gate.__code__, limit.__code__))
+            coeffs = {idx: 1 for idx in space.basis()}
+            for idx in space.basis():
+                assert gate(coeffs, limit(idx)) == {y: 1 for y in space.basis() if (
+                    coordinate_reliable(window, space.labels_of(idx), space.labels_of(y)))}
+        assert len(codes) == 1
